@@ -17,9 +17,10 @@ dynidx    hash index: canonical object name -> block offset, so the
 ========  ==================================================================
 
 All integers are little-endian.  Strings are referenced by byte offset into
-``strtab``.  Hash indexes are sorted by CRC32 of the name and binary
-searched directly over the mmap, so a reader touches only the pages it
-needs.
+``strtab``.  Hash indexes are sorted by CRC32 of the name, so a reader
+may binary-search them in place; :mod:`repro.cla.reader` instead scans
+each index section once per open into a dict.  The dynamic section is
+read block by block, on demand, either way.
 """
 
 from __future__ import annotations
@@ -109,26 +110,41 @@ class StringTable:
         return b"".join(self._chunks)
 
 
-class StringReader:
-    """Reads strings out of a strtab slice of an mmap'd file."""
+class StringReader(dict):
+    """Strings of a strtab slice of an mmap'd file, by ref.
 
-    def __init__(self, buf, base: int, size: int):
+    A dict: the first lookup decodes the whole section in one pass (in a
+    linked database nearly every string is an object name, which the
+    reader's indexes need anyway), so ``strings[ref]`` is then one dict
+    hit.  A ref that does not start a string — past the end of the
+    section, say — raises :class:`ClaFormatError` instead of decoding as
+    ``""``.
+    """
+
+    def __init__(self, buf, base: int, size: int, path: str):
+        super().__init__()
         self._buf = buf
         self._base = base
-        self._end = base + size
-        self._cache: dict[int, str] = {}
+        self._size = size
+        self._path = path
+        self._decoded = False
 
-    def get(self, ref: int) -> str:
-        hit = self._cache.get(ref)
-        if hit is not None:
-            return hit
-        start = self._base + ref
-        end = self._buf.find(b"\x00", start, self._end)
-        if end == -1:
-            end = self._end
-        s = bytes(self._buf[start:end]).decode("utf-8", errors="replace")
-        self._cache[ref] = s
-        return s
+    def __missing__(self, ref: int) -> str:
+        if not self._decoded:
+            start = 0
+            data = self._buf[self._base:self._base + self._size]
+            for raw in data.split(b"\x00"):
+                self[start] = raw.decode("utf-8", errors="replace")
+                start += len(raw) + 1
+            # split() yields one more (empty) piece after the last NUL.
+            self.pop(self._size, None)
+            self._decoded = True
+            if ref in self:
+                return self[ref]
+        raise ClaFormatError(
+            f"{self._path}: string ref {ref} does not start a string in "
+            f"strtab ({self._size} bytes)"
+        )
 
 
 class ClaFormatError(Exception):

@@ -1,18 +1,31 @@
 """mmap-backed reader for CLA object files, with demand loading.
 
 The analyze phase never reads the whole database: the static section is
-loaded up front; dynamic blocks are located through the hash index and
+loaded up front; dynamic blocks are located through the block index and
 parsed only when the analysis asks for them ("only those parts of the
 object file that are required are loaded", §4).  Parsed blocks are *not*
 retained here — the caller keeps what it wants and may re-request a block,
 which re-reads it from the map ("after reading a component we have the
 choice of keeping it in memory or discarding it and re-reading it if we
 ever need it again").
+
+The on-disk hash indexes are sorted for binary search, but a Python
+reader pays more per probe than for one pass over a whole index.  So,
+leaving the format as it is, each reader scans an index section once, the
+first time it needs it, into a dict of names to ints: object name ->
+``global`` entry offset, block name -> block header offset, simple name
+-> canonical names.  The tables live as long as the reader (one open) and
+hold only ints and names the string table already holds: a few hundred
+KiB for a 9.6k-LoC database.  Only the index sections are scanned; the
+static section and each block are still parsed on demand, each with one
+``Struct.iter_unpack`` pass over its rows, so Table 3's *loaded* column
+is what in-place lookups gave.
 """
 
 from __future__ import annotations
 
 import mmap
+from functools import cached_property
 from typing import Iterator
 
 from ..cfront.source import Location
@@ -27,6 +40,39 @@ from ..ir.primitives import (
 from ..ir.strength import Strength
 from . import objfile as F
 from .store import Block, LoadStats
+
+
+def _members(enum_cls) -> dict:
+    """Enum members by their on-disk value: one dict hit per row instead
+    of an enum call."""
+    return {member.value: member for member in enum_cls}
+
+
+_KINDS = _members(PrimitiveKind)
+_STRENGTHS = _members(Strength)
+_OBJECT_KINDS = _members(ObjectKind)
+
+
+def _tag_name(tag: bytes) -> str:
+    return tag.rstrip(b"\x00").decode("ascii", "replace")
+
+
+class _Locations(dict):
+    """Interned :class:`Location` per ``(file_ref, line)``: rows share the
+    (immutable) location instead of building one each, so a block read
+    again from a long-lived store (dependence chains in the serve daemon)
+    builds no new locations."""
+
+    def __init__(self, strings: F.StringReader):
+        super().__init__()
+        self._strings = strings
+
+    def __missing__(self, key: tuple[int, int]) -> Location:
+        file_ref, line = key
+        filename = self._strings[file_ref]
+        location = Location(filename, line) if filename else Location.unknown()
+        self[key] = location
+        return location
 
 
 class ObjectFileReader:
@@ -75,18 +121,18 @@ class ObjectFileReader:
         for _ in range(nsections):
             tag, offset, size = F.SECTION_ENTRY.unpack_from(self._map, pos)
             if offset + size > file_size:
-                tag_name = tag.rstrip(b"\x00").decode("ascii", "replace")
                 self.close()
                 raise F.ClaFormatError(
-                    f"{path}: section {tag_name!r} out of bounds "
+                    f"{path}: section {_tag_name(tag)!r} out of bounds "
                     f"(offset={offset} size={size}, file is "
                     f"{file_size} bytes)"
                 )
             self.sections[tag] = (offset, size)
             pos += F.SECTION_ENTRY.size
         str_off, str_size = self.sections.get(F.SEC_STRTAB, (0, 0))
-        self.strings = F.StringReader(self._map, str_off, str_size)
-        self._dynamic_base = self.sections.get(F.SEC_DYNAMIC, (0, 0))[0]
+        self.strings = F.StringReader(self._map, str_off, str_size, path)
+        self._locations = _Locations(self.strings)
+        self._dynamic_end = sum(self.sections.get(F.SEC_DYNAMIC, (0, 0)))
 
     @property
     def field_based(self) -> bool:
@@ -115,241 +161,215 @@ class ObjectFileReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- decoding helpers -----------------------------------------------------
+    # -- section rows ---------------------------------------------------------
 
-    def _location(self, file_ref: int, line: int) -> Location:
-        filename = self.strings.get(file_ref)
-        if not filename:
-            return Location.unknown()
-        return Location(filename, line)
+    def _span(self, tag: bytes, entry) -> tuple[int, int]:
+        """Start and end offsets of a count-prefixed section's entries."""
+        offset, size = self.sections.get(tag, (0, 0))
+        if size == 0:
+            return offset, offset
+        if size < F.COUNT.size:
+            raise F.ClaFormatError(
+                f"{self.path}: {_tag_name(tag)!r} section too short for "
+                f"its entry count ({size} bytes)"
+            )
+        (count,) = F.COUNT.unpack_from(self._map, offset)
+        start = offset + F.COUNT.size
+        end = start + count * entry.size
+        if end > offset + size:
+            raise F.ClaFormatError(
+                f"{self.path}: {_tag_name(tag)!r} section claims {count} "
+                f"entries, past its end ({size} bytes)"
+            )
+        return start, end
 
-    def _read_assignment(self, pos: int) -> tuple[PrimitiveAssignment, int]:
-        kind, strength, _r, dst, src, op, file_ref, line = (
-            F.ASSIGNMENT_ENTRY.unpack_from(self._map, pos)
+    def _entries(self, tag: bytes, entry) -> Iterator[tuple]:
+        start, end = self._span(tag, entry)
+        return entry.iter_unpack(self._map[start:end])
+
+    def _assignments(self, rows: bytes) -> list[PrimitiveAssignment]:
+        strings, locations = self.strings, self._locations
+        try:
+            return [
+                PrimitiveAssignment(
+                    _KINDS[kind], strings[dst], strings[src],
+                    _STRENGTHS[strength], strings[op],
+                    locations[file_ref, line],
+                )
+                for kind, strength, _r, dst, src, op, file_ref, line
+                in F.ASSIGNMENT_ENTRY.iter_unpack(rows)
+            ]
+        except KeyError as exc:
+            raise F.ClaFormatError(
+                f"{self.path}: bad assignment kind or strength {exc}"
+            ) from None
+
+    def _object(self, entry: tuple) -> ProgramObject:
+        name, type_ref, file_ref, line, enclosing, kind, flags, _r = entry
+        strings = self.strings
+        try:
+            kind = _OBJECT_KINDS[kind]
+        except KeyError:
+            raise F.ClaFormatError(
+                f"{self.path}: bad object kind {kind}"
+            ) from None
+        return ProgramObject(
+            strings[name], kind, strings[type_ref],
+            self._locations[file_ref, line], strings[enclosing],
+            bool(flags & F.OBJ_FLAG_GLOBAL),
+            bool(flags & F.OBJ_FLAG_MAY_POINT),
+            bool(flags & F.OBJ_FLAG_FUNCPTR),
         )
-        a = PrimitiveAssignment(
-            kind=PrimitiveKind(kind),
-            dst=self.strings.get(dst),
-            src=self.strings.get(src),
-            strength=Strength(strength),
-            op=self.strings.get(op),
-            location=self._location(file_ref, line),
-        )
-        return a, pos + F.ASSIGNMENT_ENTRY.size
 
-    # -- section access --------------------------------------------------------
+    def _names(self, pos: int, count: int, block: str) -> list[str]:
+        """``count`` string refs at ``pos`` in ``block``'s record."""
+        end = pos + count * F.COUNT.size
+        self._check_dynamic(end, block, "record arguments")
+        strings = self.strings
+        return [strings[ref]
+                for (ref,) in F.COUNT.iter_unpack(self._map[pos:end])]
+
+    def _check_dynamic(self, end: int, block: str, what: str) -> None:
+        if end > self._dynamic_end:
+            raise F.ClaFormatError(
+                f"{self.path}: block {block!r}: {what} past the end of the "
+                "dynamic section"
+            )
+
+    # -- lookup tables (one index scan each, on first use) --------------------
+
+    @cached_property
+    def _object_index(self) -> dict[str, int]:
+        """Object name -> offset of its ``global`` entry."""
+        start, end = self._span(F.SEC_GLOBAL, F.OBJECT_ENTRY)
+        strings = self.strings
+        names = [strings[entry[0]] for entry
+                 in F.OBJECT_ENTRY.iter_unpack(self._map[start:end])]
+        return dict(zip(names, range(start, end, F.OBJECT_ENTRY.size)))
+
+    @cached_property
+    def _block_index(self) -> dict[str, int]:
+        """Block name -> file offset of its header, every span checked."""
+        base, size = self.sections.get(F.SEC_DYNAMIC, (0, 0))
+        strings = self.strings
+        blocks = {}
+        for _h, name_ref, offset, block_size in self._entries(
+                F.SEC_DYNIDX, F.DYNIDX_ENTRY):
+            name = strings[name_ref]
+            if block_size < F.BLOCK_HEADER.size or offset + block_size > size:
+                raise F.ClaFormatError(
+                    f"{self.path}: block {name!r} out of bounds "
+                    f"(offset={offset} size={block_size}, dynamic "
+                    f"section is {size} bytes)"
+                )
+            blocks[name] = base + offset
+        return blocks
+
+    @cached_property
+    def _target_index(self) -> dict[str, list[str]]:
+        """Simple name -> canonical names, in index order."""
+        strings = self.strings
+        targets: dict[str, list[str]] = {}
+        for _h, simple_ref, name_ref in self._entries(
+                F.SEC_TARGET, F.TARGET_ENTRY):
+            targets.setdefault(strings[simple_ref], []).append(
+                strings[name_ref])
+        return targets
+
+    # -- section access -------------------------------------------------------
 
     def static_assignments(self) -> list[PrimitiveAssignment]:
-        offset, size = self.sections.get(F.SEC_STATIC, (0, 0))
-        if size == 0:
-            return []
-        (count,) = F.COUNT.unpack_from(self._map, offset)
-        pos = offset + F.COUNT.size
-        out = []
-        for _ in range(count):
-            a, pos = self._read_assignment(pos)
-            out.append(a)
-        return out
+        start, end = self._span(F.SEC_STATIC, F.ASSIGNMENT_ENTRY)
+        return self._assignments(self._map[start:end])
 
     def objects(self) -> Iterator[ProgramObject]:
-        offset, size = self.sections.get(F.SEC_GLOBAL, (0, 0))
-        if size == 0:
-            return
-        (count,) = F.COUNT.unpack_from(self._map, offset)
-        pos = offset + F.COUNT.size
-        for _ in range(count):
-            yield self._object_at(pos)
-            pos += F.OBJECT_ENTRY.size
-
-    def _object_at(self, pos: int) -> ProgramObject:
-        name, type_ref, file_ref, line, enclosing, kind, flags, _r = (
-            F.OBJECT_ENTRY.unpack_from(self._map, pos)
-        )
-        return ProgramObject(
-            name=self.strings.get(name),
-            kind=ObjectKind(kind),
-            type_str=self.strings.get(type_ref),
-            location=self._location(file_ref, line),
-            enclosing_function=self.strings.get(enclosing),
-            is_global=bool(flags & F.OBJ_FLAG_GLOBAL),
-            may_point=bool(flags & F.OBJ_FLAG_MAY_POINT),
-            is_funcptr=bool(flags & F.OBJ_FLAG_FUNCPTR),
-        )
+        return map(self._object, self._entries(F.SEC_GLOBAL, F.OBJECT_ENTRY))
 
     def object_count(self) -> int:
-        offset, size = self.sections.get(F.SEC_GLOBAL, (0, 0))
-        if size == 0:
-            return 0
-        (count,) = F.COUNT.unpack_from(self._map, offset)
-        return count
+        start, end = self._span(F.SEC_GLOBAL, F.OBJECT_ENTRY)
+        return (end - start) // F.OBJECT_ENTRY.size
 
     def assignment_count(self) -> int:
         """Total primitive assignments in the file (statics + all blocks)."""
-        total = 0
-        offset, size = self.sections.get(F.SEC_STATIC, (0, 0))
-        if size:
-            (count,) = F.COUNT.unpack_from(self._map, offset)
-            total += count
-        offset, size = self.sections.get(F.SEC_DYNIDX, (0, 0))
-        if size:
-            (count,) = F.COUNT.unpack_from(self._map, offset)
-            pos = offset + F.COUNT.size
-            for _ in range(count):
-                _h, _n, block_offset, _s = F.DYNIDX_ENTRY.unpack_from(
-                    self._map, pos
-                )
-                _name_ref, nassign, _f, _r1, _r2 = F.BLOCK_HEADER.unpack_from(
-                    self._map, self._dynamic_base + block_offset
-                )
-                total += nassign
-                pos += F.DYNIDX_ENTRY.size
+        start, end = self._span(F.SEC_STATIC, F.ASSIGNMENT_ENTRY)
+        total = (end - start) // F.ASSIGNMENT_ENTRY.size
+        unpack, data = F.BLOCK_HEADER.unpack_from, self._map
+        for pos in self._block_index.values():
+            total += unpack(data, pos)[1]
         return total
-
-    # -- hash index lookups -------------------------------------------------------
-
-    def _index_lookup(
-        self, section: bytes, entry_struct, name: str, name_field: int
-    ) -> list[tuple]:
-        """All index entries whose hashed name equals ``name``."""
-        offset, size = self.sections.get(section, (0, 0))
-        if size == 0:
-            return []
-        (count,) = F.COUNT.unpack_from(self._map, offset)
-        base = offset + F.COUNT.size
-        esize = entry_struct.size
-        want = F.name_hash(name)
-        # Binary search for the first entry with this hash.
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (h,) = F.COUNT.unpack_from(self._map, base + mid * esize)
-            if h < want:
-                lo = mid + 1
-            else:
-                hi = mid
-        out = []
-        i = lo
-        while i < count:
-            entry = entry_struct.unpack_from(self._map, base + i * esize)
-            if entry[0] != want:
-                break
-            if self.strings.get(entry[name_field]) == name:
-                out.append(entry)
-            i += 1
-        return out
 
     def find_targets(self, simple_name: str) -> list[str]:
         """Canonical object names for a source-level name (target section)."""
-        hits = self._index_lookup(F.SEC_TARGET, F.TARGET_ENTRY, simple_name, 1)
-        return [self.strings.get(entry[2]) for entry in hits]
+        return list(self._target_index.get(simple_name, ()))
 
     def find_object(self, name: str) -> ProgramObject | None:
-        """Linear-free lookup of one object's metadata by canonical name.
-
-        Objects are sorted by name in the global section, so binary search
-        works directly on the entry array.
-        """
-        offset, size = self.sections.get(F.SEC_GLOBAL, (0, 0))
-        if size == 0:
+        """One object's metadata by canonical name (a fresh object)."""
+        pos = self._object_index.get(name)
+        if pos is None:
             return None
-        (count,) = F.COUNT.unpack_from(self._map, offset)
-        base = offset + F.COUNT.size
-        esize = F.OBJECT_ENTRY.size
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (name_ref,) = F.COUNT.unpack_from(self._map, base + mid * esize)
-            mid_name = self.strings.get(name_ref)
-            if mid_name < name:
-                lo = mid + 1
-            elif mid_name > name:
-                hi = mid
-            else:
-                return self._object_at(base + mid * esize)
-        return None
+        return self._object(F.OBJECT_ENTRY.unpack_from(self._map, pos))
 
     def load_block(self, name: str) -> Block | None:
         """Parse one dynamic block.  Each call re-reads from the map."""
-        hits = self._index_lookup(F.SEC_DYNIDX, F.DYNIDX_ENTRY, name, 1)
-        if not hits:
+        pos = self._block_index.get(name)
+        if pos is None:
             return None
-        _h, _name_ref, block_offset, _size = hits[0]
-        pos = self._dynamic_base + block_offset
+        data = self._map
         obj_ref, nassign, flags, _r1, _r2 = F.BLOCK_HEADER.unpack_from(
-            self._map, pos
+            data, pos
         )
         pos += F.BLOCK_HEADER.size
-        obj = self.find_object(self.strings.get(obj_ref))
+        end = pos + nassign * F.ASSIGNMENT_ENTRY.size
+        self._check_dynamic(end, name, "assignments")
+        obj_name = self.strings[obj_ref]
+        obj = self.find_object(obj_name)
         if obj is None:
-            obj = ProgramObject(name=self.strings.get(obj_ref),
-                                kind=ObjectKind.VARIABLE)
-        block = Block(obj=obj)
-        for _ in range(nassign):
-            a, pos = self._read_assignment(pos)
-            block.assignments.append(a)
+            obj = ProgramObject(name=obj_name, kind=ObjectKind.VARIABLE)
+        block = Block(obj=obj, assignments=self._assignments(data[pos:end]))
+        pos = end
         if flags & F.BLOCK_FLAG_FUNCTION:
+            self._check_dynamic(pos + F.FUNC_RECORD_HEADER.size, name,
+                                "function record")
             ret, variadic, _r, _r2b, nargs, file_ref, line = (
-                F.FUNC_RECORD_HEADER.unpack_from(self._map, pos)
+                F.FUNC_RECORD_HEADER.unpack_from(data, pos)
             )
             pos += F.FUNC_RECORD_HEADER.size
-            args = []
-            for _ in range(nargs):
-                (ref,) = F.COUNT.unpack_from(self._map, pos)
-                args.append(self.strings.get(ref))
-                pos += F.COUNT.size
             block.function_record = FunctionRecord(
-                function=obj.name, args=args, ret=self.strings.get(ret),
-                variadic=bool(variadic),
-                location=self._location(file_ref, line),
+                function=obj.name, args=self._names(pos, nargs, name),
+                ret=self.strings[ret], variadic=bool(variadic),
+                location=self._locations[file_ref, line],
             )
+            pos += nargs * F.COUNT.size
         if flags & F.BLOCK_FLAG_INDIRECT:
+            self._check_dynamic(pos + F.INDIRECT_RECORD_HEADER.size, name,
+                                "indirect-call record")
             ret, nargs, file_ref, line = F.INDIRECT_RECORD_HEADER.unpack_from(
-                self._map, pos
+                data, pos
             )
             pos += F.INDIRECT_RECORD_HEADER.size
-            args = []
-            for _ in range(nargs):
-                (ref,) = F.COUNT.unpack_from(self._map, pos)
-                args.append(self.strings.get(ref))
-                pos += F.COUNT.size
             block.indirect_record = IndirectCallRecord(
-                pointer=obj.name, args=args, ret=self.strings.get(ret),
-                location=self._location(file_ref, line),
+                pointer=obj.name, args=self._names(pos, nargs, name),
+                ret=self.strings[ret],
+                location=self._locations[file_ref, line],
             )
         return block
 
     def call_sites(self) -> list[CallSiteRecord]:
         """The calls section (empty for files written before it existed —
         new sections are transparently additive, §4)."""
-        offset, size = self.sections.get(F.SEC_CALLS, (0, 0))
-        if size == 0:
-            return []
-        (count,) = F.COUNT.unpack_from(self._map, offset)
-        pos = offset + F.COUNT.size
-        out = []
-        for _ in range(count):
-            caller, target, flags, _r1, _r2, file_ref, line = (
-                F.CALL_ENTRY.unpack_from(self._map, pos)
-            )
-            out.append(CallSiteRecord(
-                caller=self.strings.get(caller),
-                target=self.strings.get(target),
+        strings, locations = self.strings, self._locations
+        return [
+            CallSiteRecord(
+                caller=strings[caller], target=strings[target],
                 indirect=bool(flags & F.CALL_FLAG_INDIRECT),
-                location=self._location(file_ref, line),
-            ))
-            pos += F.CALL_ENTRY.size
-        return out
+                location=locations[file_ref, line],
+            )
+            for caller, target, flags, _r1, _r2, file_ref, line
+            in self._entries(F.SEC_CALLS, F.CALL_ENTRY)
+        ]
 
     def block_names(self) -> Iterator[str]:
-        offset, size = self.sections.get(F.SEC_DYNIDX, (0, 0))
-        if size == 0:
-            return
-        (count,) = F.COUNT.unpack_from(self._map, offset)
-        pos = offset + F.COUNT.size
-        for _ in range(count):
-            _h, name_ref, _o, _s = F.DYNIDX_ENTRY.unpack_from(self._map, pos)
-            yield self.strings.get(name_ref)
-            pos += F.DYNIDX_ENTRY.size
+        return iter(self._block_index)
 
 
 class DatabaseStore:
@@ -425,8 +445,14 @@ class DatabaseStore:
             self._statics = self.reader.static_assignments()
         return self._statics
 
-    def object_names(self):
-        return (obj.name for obj in self.reader.objects())
+    def object_names(self) -> Iterator[str]:
+        """Every object name; decodes the global section in one pass and
+        caches each object, so a following :meth:`get_object` sweep does
+        not decode it again."""
+        cache = self._object_cache
+        for obj in self.reader.objects():
+            cache.setdefault(obj.name, obj)
+            yield obj.name
 
     def get_object(self, name: str) -> ProgramObject | None:
         if name not in self._object_cache:

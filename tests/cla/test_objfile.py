@@ -393,6 +393,101 @@ class TestCorruptDatabases:
         assert FormatError is ClaFormatError
 
 
+class TestCorruptRecords:
+    """Records that point past their section raise ClaFormatError naming
+    the file when they are decoded — never a bare struct.error, and never
+    a silently empty string."""
+
+    def corrupt(self, tmp_path, patch) -> str:
+        """A database with one static row (``p = &x``) and one block
+        (``p``: ``q = p``), bytes changed by ``patch(data, sections)``."""
+        w = ObjectFileWriter()
+        w.add_assignment(PrimitiveAssignment(
+            kind=PrimitiveKind.ADDR, dst="p", src="x"))
+        w.add_assignment(PrimitiveAssignment(
+            kind=PrimitiveKind.COPY, dst="q", src="p"))
+        path = str(tmp_path / "db.cla")
+        w.write(path)
+        with ObjectFileReader(path) as r:
+            sections = dict(r.sections)
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
+        patch(data, sections)
+        with open(path, "wb") as f:
+            f.write(data)
+        return path
+
+    @staticmethod
+    def put(data, at: int, value: int, width: int = 4) -> None:
+        data[at:at + width] = value.to_bytes(width, "little")
+
+    def expect(self, path: str, fragment: str, action) -> None:
+        with pytest.raises(ClaFormatError) as excinfo:
+            action()
+        message = str(excinfo.value)
+        assert path in message
+        assert fragment in message
+
+    # Past the end of strtab; and 2, the NUL that ends "p" (strtab
+    # starts "\0p\0"), which no string starts at.
+    @pytest.mark.parametrize("ref", [1_000_000, 2])
+    def test_string_ref_not_a_string(self, tmp_path, ref):
+        def patch(data, sections):
+            static, _size = sections[F.SEC_STATIC]
+            # dst ref of the first static row
+            self.put(data, static + F.COUNT.size + 4, ref)
+
+        path = self.corrupt(tmp_path, patch)
+        store = DatabaseStore.open(path)
+        self.expect(path, f"string ref {ref} does not start a string",
+                    store.static_assignments)
+        store.close()
+
+    def test_block_offset_past_dynamic_section(self, tmp_path, capsys):
+        def patch(data, sections):
+            dynidx, _size = sections[F.SEC_DYNIDX]
+            # block offset (u64) of the first index entry
+            self.put(data, dynidx + F.COUNT.size + 8, 1_000_000_000, 8)
+
+        path = self.corrupt(tmp_path, patch)
+        self.expect(path, "out of bounds", lambda: DatabaseStore.open(path))
+        from repro.driver.cli import main
+
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: block 'p' out of bounds")
+        assert "Traceback" not in err and "struct" not in err
+
+    def test_assignment_count_past_dynamic_section(self, tmp_path):
+        def patch(data, sections):
+            dynamic, _size = sections[F.SEC_DYNAMIC]
+            # n_assignments of the only block header
+            self.put(data, dynamic + 4, 1_000_000)
+
+        path = self.corrupt(tmp_path, patch)
+        with ObjectFileReader(path) as r:
+            self.expect(path, "block 'p': assignments past the end",
+                        lambda: r.load_block("p"))
+
+    def test_entry_count_past_section_end(self, tmp_path):
+        def patch(data, sections):
+            static, _size = sections[F.SEC_STATIC]
+            self.put(data, static, 1_000_000)
+
+        path = self.corrupt(tmp_path, patch)
+        with ObjectFileReader(path) as r:
+            self.expect(path, "claims 1000000 entries", r.static_assignments)
+
+    def test_bad_kind_byte(self, tmp_path):
+        def patch(data, sections):
+            static, _size = sections[F.SEC_STATIC]
+            data[static + F.COUNT.size] = 99  # kind of the first row
+
+        path = self.corrupt(tmp_path, patch)
+        with ObjectFileReader(path) as r:
+            self.expect(path, "bad assignment kind", r.static_assignments)
+
+
 # -- property-based round trip ------------------------------------------------
 
 
