@@ -2,15 +2,15 @@
 
 Measures the claims the serving layer makes (docs/SERVING.md): warm
 queries against a held fixpoint are interactive-speed (cache-miss vs
-cache-hit queries/sec), an additive ``update`` re-solved from the
-previous fixpoint beats a full cold re-solve, and a *shrinking* edit
-re-solved by region-scoped retraction beats the no-daemon cold start.
-One synth workspace is built and solved once per run; the benches time
-only the request path.
+cache-hit queries/sec), and an ``update`` — recompile the edited unit,
+relink, solve the new database from scratch — beats the no-daemon cold
+start, for a growing edit and for a shrinking one.  One synth workspace
+is built and solved once per run; the benches time only the request
+path.
 
-``extra_info`` carries ``queries_per_s`` / ``mode`` / ``speedup`` so the
-emitted BENCH_serve.json (via conftest's ``pytest_sessionfinish``) is
-self-describing for ``repro-cla report --bench``.
+``extra_info`` carries ``queries_per_s`` / ``compiled`` / ``speedup``
+so the emitted BENCH_serve.json (via conftest's ``pytest_sessionfinish``)
+is self-describing for ``repro-cla report --bench``.
 """
 
 import os
@@ -62,8 +62,8 @@ def run_query_batch(session) -> None:
 
 
 def grown_edit_text() -> str:
-    """The edited unit's next revision: strictly additive, so each
-    update stays on the warm (resume-from-fixpoint) path."""
+    """The edited unit's next revision: one more self-contained
+    ``__bench_*`` chunk appended, never compiled before."""
     _STATE["edits"] += 1
     i = _STATE["edits"]
     _STATE["edit_text"] += (
@@ -175,10 +175,8 @@ def test_serve_telemetry_overhead(benchmark, report):
     )
 
 
-def test_serve_update_incremental(benchmark, report):
-    """An additive edit: recompile one unit, relink, resume from the
-    previous fixpoint.  Asserts every round actually took the warm
-    path and compiled exactly the edited unit."""
+def test_serve_update_grow(benchmark, report):
+    """A growing edit: recompile the one edited unit, relink, solve."""
     session = serving_session()
     holder = {}
 
@@ -191,41 +189,37 @@ def test_serve_update_incremental(benchmark, report):
             "update", {"file": _STATE["edit_file"], "text": holder["text"]}
         )
         assert response["ok"], response
-        assert response["result"]["mode"] == "warm", response
         assert response["result"]["compiled"] == 1, response
         holder["response"] = response
 
     benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    info = {"mode": "warm", "compiled": 1,
+    info = {"compiled": 1,
             "reused": holder["response"]["result"]["reused"],
             "update_s": benchmark.stats.stats.min}
     benchmark.extra_info.update(info)
-    _STATE["update_s"] = info["update_s"]
+    _STATE["grow_s"] = info["update_s"]
     report.append(
-        f"[serve] {PROFILE} incremental update: "
+        f"[serve] {PROFILE} growing update: "
         f"{info['update_s'] * 1e3:.1f} ms end to end "
         f"(1 compiled, {info['reused']} reused)"
     )
 
 
-def test_serve_update_retract(benchmark, report):
+def test_serve_update_shrink(benchmark, report):
     """A shrinking edit: each round's setup grows the edited unit by one
-    self-contained ``__bench_*`` chunk (a warm, additive update), then
-    the timed body edits it back out.  The removal makes the delta
-    non-additive, so the daemon takes the retraction path: only regions
-    touching the removed rows re-solve, every other region's masks are
-    kept verbatim."""
+    ``__bench_*`` chunk, then the timed body edits it back out.  The
+    shrunk revision was compiled on an earlier generation, so the timed
+    body is a cache-hit build, a relink and a solve."""
     session = serving_session()
     holder = {}
 
     def setup():
         holder["shrunk"] = _STATE["edit_text"]
-        grown = grown_edit_text()
         grow = session.request(
-            "update", {"file": _STATE["edit_file"], "text": grown}
+            "update", {"file": _STATE["edit_file"], "text": grown_edit_text()}
         )
         assert grow["ok"], grow
-        assert grow["result"]["mode"] == "warm", grow
+        assert grow["result"]["compiled"] == 1, grow
         # The timed run shrinks back to the saved text; keep _STATE in
         # step so the next round grows from the served base again.
         _STATE["edit_text"] = holder["shrunk"]
@@ -237,84 +231,46 @@ def test_serve_update_retract(benchmark, report):
             {"file": _STATE["edit_file"], "text": holder["shrunk"]},
         )
         assert response["ok"], response
-        assert response["result"]["mode"] == "retract", response
-        # The shrunk revision was compiled on an earlier generation, so
-        # its object comes straight from the cache: the timed body is
-        # pure relink + retraction re-solve.
         assert response["result"]["compiled"] == 0, response
         holder["response"] = response
 
     benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    retract = holder["response"]["result"]["retract"]
-    info = {"mode": "retract", "compiled": 0,
-            "regions": retract["regions"],
-            "dirty_regions": retract["dirty_regions"],
-            "kept_names": retract["kept_names"],
-            "resolved_rows": retract["resolved_rows"],
-            "total_rows": retract["total_rows"],
+    info = {"compiled": 0,
+            "reused": holder["response"]["result"]["reused"],
             "update_s": benchmark.stats.stats.min}
     benchmark.extra_info.update(info)
-    _STATE["retract_s"] = info["update_s"]
+    _STATE["shrink_s"] = info["update_s"]
     report.append(
-        f"[serve] {PROFILE} retraction update: "
+        f"[serve] {PROFILE} shrinking update: "
         f"{info['update_s'] * 1e3:.1f} ms end to end "
-        f"({info['dirty_regions']}/{info['regions']} regions dirty, "
-        f"{info['resolved_rows']}/{info['total_rows']} rows re-solved)"
+        f"(0 compiled, {info['reused']} reused)"
     )
 
 
-def test_serve_resolve_warm(benchmark, report):
-    """Solve-only half of the incremental claim: a warm ``reload``
-    (unchanged content, every object reused) re-solves seeded with the
-    previous fixpoint.  Compare against ``test_serve_resolve_cold`` —
-    identical database, identical zero-compile build, only the solve
-    differs."""
+def test_serve_reload(benchmark, report):
+    """Solve-only cost of a generation: ``reload`` with unchanged
+    content reuses every object and the linked database, so the timed
+    body is opening and solving it."""
     session = serving_session()
 
     def run():
         response = session.request("reload", {})
         assert response["ok"], response
-        assert response["result"]["mode"] == "warm", response
         assert response["result"]["compiled"] == 0, response
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-    warm_s = benchmark.stats.stats.min
-    _STATE["warm_resolve_s"] = warm_s
-    benchmark.extra_info.update({"mode": "warm", "resolve_s": warm_s})
+    reload_s = benchmark.stats.stats.min
+    benchmark.extra_info.update({"compiled": 0, "resolve_s": reload_s})
     report.append(
-        f"[serve] {PROFILE} warm re-solve (seeded fixpoint): "
-        f"{warm_s * 1e3:.1f} ms"
+        f"[serve] {PROFILE} reload (open + solve): {reload_s * 1e3:.1f} ms"
     )
-
-
-def test_serve_resolve_cold(benchmark, report):
-    """The comparison baseline: a forced cold re-solve of the same
-    database (objects all reused, fixpoint recomputed from nothing)."""
-    session = serving_session()
-
-    def run():
-        response = session.request("reload", {"cold": True})
-        assert response["ok"], response
-        assert response["result"]["mode"] == "cold", response
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    cold_s = benchmark.stats.stats.min
-    warm_s = _STATE.get("warm_resolve_s")
-    info = {"mode": "cold", "resolve_s": cold_s}
-    if warm_s:
-        info["speedup_warm_vs_cold"] = cold_s / warm_s
-    benchmark.extra_info.update(info)
-    line = f"[serve] {PROFILE} cold re-solve: {cold_s * 1e3:.1f} ms"
-    if warm_s:
-        line += f" ({info['speedup_warm_vs_cold']:.1f}x the warm re-solve)"
-    report.append(line)
 
 
 def test_serve_cold_start(benchmark, report):
     """The §4 edit-one-file baseline: with no daemon (and no object
     cache) an edit costs a full compile-everything + link + solve.
-    The incremental ``update`` above recompiles one unit and resumes
-    from the held fixpoint — that ratio is the serving story."""
+    The ``update`` points above recompile at most one unit — that ratio
+    is the serving story."""
     program = generate(PROFILE, scale=SCALE, seed=42)
     holder = {"n": 0}
 
@@ -335,22 +291,16 @@ def test_serve_cold_start(benchmark, report):
 
     benchmark.pedantic(run, rounds=2, iterations=1)
     cold_start_s = benchmark.stats.stats.min
-    update_s = _STATE.get("update_s")
-    retract_s = _STATE.get("retract_s")
     info = {"units": len(program.files), "cold_start_s": cold_start_s}
-    if update_s:
-        info["speedup_incremental_vs_cold_start"] = cold_start_s / update_s
-    if retract_s:
-        info["speedup_retract_vs_cold_start"] = cold_start_s / retract_s
-    benchmark.extra_info.update(info)
     line = (f"[serve] {PROFILE} cold start (compile all "
             f"{info['units']} units + solve): {cold_start_s * 1e3:.1f} ms")
-    if update_s:
-        line += (f" — incremental update is "
-                 f"{info['speedup_incremental_vs_cold_start']:.1f}x faster")
-    if retract_s:
-        line += (f", retraction update "
-                 f"{info['speedup_retract_vs_cold_start']:.1f}x")
+    for edit in ("grow", "shrink"):
+        update_s = _STATE.get(f"{edit}_s")
+        if update_s:
+            speedup = cold_start_s / update_s
+            info[f"speedup_{edit}_vs_cold_start"] = speedup
+            line += f"; {edit} update {speedup:.1f}x faster"
+    benchmark.extra_info.update(info)
     report.append(line)
     serving_session().close()
     _STATE["workspace"].close()

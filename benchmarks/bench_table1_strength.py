@@ -7,8 +7,8 @@ classification path itself (it sits on the hot loop of lowering).
 
 from conftest import fresh_store  # noqa: F401  (ensures path setup)
 from repro.driver.tables import table1_rows
+from repro.engine.obs import format_table
 from repro.ir.strength import Strength, binary_strengths, unary_strength
-from repro.metrics import format_table
 
 PAPER_TABLE1 = {
     "+": ("Strong", "Strong"),

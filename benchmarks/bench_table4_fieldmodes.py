@@ -12,7 +12,7 @@ import pytest
 
 from conftest import fresh_store, profile_scale
 from repro.driver.tables import PAPER_TABLE4
-from repro.metrics import human_count
+from repro.engine.obs import human_count
 from repro.solvers import PreTransitiveSolver
 from repro.synth import BENCHMARK_ORDER
 

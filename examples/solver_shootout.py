@@ -20,7 +20,7 @@ import tempfile
 
 from repro.cla.reader import DatabaseStore
 from repro.driver.tables import build_database
-from repro.metrics import format_table, human_count, measure
+from repro.engine.obs import format_table, human_count, measure
 from repro.solvers import SOLVERS
 from repro.synth import generate
 

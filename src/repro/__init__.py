@@ -11,7 +11,8 @@ The package implements the paper's full system in pure Python:
 * :mod:`repro.cla` — the compile-link-analyze database architecture:
   sectioned binary object files, a linker, and mmap demand loading (§4);
 * :mod:`repro.solvers` — the pre-transitive graph algorithm (§5) plus the
-  transitive-closure, bit-vector and Steensgaard baselines;
+  transitive-closure (on the shared bit-vector core), Steensgaard and
+  one-level-flow baselines;
 * :mod:`repro.depend` — the forward data-dependence tool (§2);
 * :mod:`repro.synth` — synthetic benchmark generation matching Table 2;
 * :mod:`repro.driver` — one-call pipeline API and the ``repro-cla`` CLI.

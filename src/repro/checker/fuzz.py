@@ -7,8 +7,10 @@ profiles), a struct field model, and one pretransitive toggle combination
 All registered solvers run on the compiled program; then:
 
 * solvers with ``precision == "andersen"`` (pretransitive in both its
-  default and toggled configurations, transitive, bitvector) must agree
-  **exactly**, per object;
+  default and toggled configurations, and transitive) must agree
+  **exactly**, per object.  The paper's §4 bit-vector implementation is
+  not a separate entry: it is the shared integer core (int-bitmask
+  points-to sets) under :class:`~repro.solvers.TransitiveSolver`;
 * the over-approximating solvers (steensgaard, onelevel) must report a
   **superset** per object;
 * every result must pass the soundness oracle

@@ -9,114 +9,16 @@ information").  The output uses the identical format, flagged as linked.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable
 
 from ..ir.lower import UnitIR
 from .reader import ObjectFileReader
-from .store import MemoryStore, merge_unit_signatures
+from .store import MemoryStore
 from .writer import ObjectFileWriter
 
 
 class LinkError(Exception):
     """Incompatible inputs (e.g. mixed struct models)."""
-
-
-# ---------------------------------------------------------------------------
-# Per-unit constraint signatures (content-hash identity)
-# ---------------------------------------------------------------------------
-
-
-def unit_content_hash(path: str) -> str:
-    """Content-hash identity of one object file (its bytes, not its path).
-
-    Two object files with the same hash carry the same constraints, so a
-    unit's signature can be cached across relinks under this key."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()[:24]
-
-
-def unit_signature(path: str) -> frozenset:
-    """One object file's constraint signature, read straight off the
-    reader (never through a live store's ``fetch_*`` seams — signature
-    scans must not touch the serving database at all).
-
-    The fact shapes match :func:`repro.cla.store.constraint_signature`,
-    so per-unit signatures folded through
-    :func:`repro.cla.store.merge_unit_signatures` in link order equal the
-    linked database's store-scan signature.
-    """
-    facts = set()
-    with ObjectFileReader(path) as reader:
-        for a in reader.static_assignments():
-            facts.add((int(a.kind), a.dst, a.src))
-        for name in reader.block_names():
-            block = reader.load_block(name)
-            if block is None:
-                continue
-            for a in block.assignments:
-                facts.add((int(a.kind), a.dst, a.src))
-            record = block.function_record
-            if record is not None:
-                facts.add(("func", record.function, tuple(record.args),
-                           record.ret, record.variadic))
-            indirect = block.indirect_record
-            if indirect is not None:
-                facts.add(("ind", indirect.pointer, tuple(indirect.args),
-                           indirect.ret))
-        for site in reader.call_sites():
-            facts.add(("call", site.caller, site.target, site.indirect))
-    return frozenset(facts)
-
-
-class UnitSignatureIndex:
-    """Content-hash-keyed cache of per-unit constraint signatures.
-
-    The incremental-relink complement of the workspace's object cache: a
-    relink after editing one unit re-reads *that* unit's constraints and
-    serves every other unit's signature from the cache, so computing the
-    new linked signature costs one unit scan, not one database scan.
-
-    ``signature(path, key)`` takes the caller's content key when it has
-    one (the workspace's object files are *named* by content key, so no
-    re-hash is needed); otherwise the file's bytes are hashed.  Entries
-    are evicted oldest-first past ``limit`` (dict insertion order), which
-    bounds a long-lived daemon replaying thousands of edits.
-    """
-
-    def __init__(self, limit: int = 1024):
-        if limit < 1:
-            raise ValueError(f"signature cache limit must be >= 1: {limit}")
-        self.limit = limit
-        self._by_key: dict[str, frozenset] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def signature(self, path: str, key: str | None = None) -> frozenset:
-        if key is None:
-            key = unit_content_hash(path)
-        cached = self._by_key.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        signature = self._by_key[key] = unit_signature(path)
-        while len(self._by_key) > self.limit:
-            self._by_key.pop(next(iter(self._by_key)))
-        return signature
-
-    def merged(
-        self, entries: Iterable[tuple[str, str | None]]
-    ) -> frozenset:
-        """The linked signature of ``(path, content_key)`` units, in link
-        order (the order matters for same-pointer indirect-record ties,
-        exactly as it does in the real link)."""
-        return merge_unit_signatures(
-            self.signature(path, key) for path, key in entries
-        )
 
 
 def link_object_files(paths: Iterable[str], output_path: str) -> None:

@@ -241,143 +241,6 @@ def simple_name_of(canonical: str) -> str:
     return canonical
 
 
-# ---------------------------------------------------------------------------
-# Constraint signatures: the database's semantic content as a fact set
-# ---------------------------------------------------------------------------
-#
-# The serving layer decides warm/retract/cold re-solves by *diffing* two
-# databases, and (following Phoenix's modular storage/solver split) that
-# delta is a store-layer concept: a database is, semantically, a set of
-# hashable constraint facts, independent of row order, block layout or
-# duplication.  Four fact shapes cover everything a solver can read:
-#
-# ``(int(kind), dst, src)``                       an assignment row
-# ``("func", f, args, ret, variadic)``            a function record
-# ``("ind", p, args, ret)``                       an indirect-call record
-# ``("call", caller, target, indirect)``          a call site
-#
-# Sets, not multisets: duplicate rows are idempotent constraints.
-
-
-def constraint_signature(store: ConstraintStore) -> frozenset:
-    """The database's semantic content as a set of hashable facts.
-
-    Covers everything a solver can read: the five-kind assignment rows
-    (static and per-block), function/indirect-call records (funcptr
-    linking) and call sites.  Uses the uncounted ``fetch_*`` seams so the
-    scan does not distort the load accounting the solvers report.
-
-    An *additive* delta (``old <= new``) means every old constraint
-    survives, so by monotonicity the old fixpoint is contained in the new
-    one and may seed a warm re-solve.  A delta with removals feeds the
-    region-scoped retraction path instead (:func:`diff_signatures`).
-    """
-    facts = set()
-    for a in store.fetch_statics():
-        facts.add((int(a.kind), a.dst, a.src))
-    for name in store.block_names():
-        block = store.fetch_block(name)
-        if block is None:
-            continue
-        for a in block.assignments:
-            facts.add((int(a.kind), a.dst, a.src))
-        record = block.function_record
-        if record is not None:
-            facts.add(("func", record.function, tuple(record.args),
-                       record.ret, record.variadic))
-        indirect = block.indirect_record
-        if indirect is not None:
-            facts.add(("ind", indirect.pointer, tuple(indirect.args),
-                       indirect.ret))
-    for site in store.call_sites():
-        facts.add(("call", site.caller, site.target, site.indirect))
-    return frozenset(facts)
-
-
-def signature_fact_names(fact: tuple) -> tuple[str, ...]:
-    """Every object name a signature fact mentions.
-
-    The retraction planner marks a flow-closed region dirty when any of
-    its names occurs in an added or removed fact, so this is the bridge
-    between a signature delta and the region partition."""
-    tag = fact[0]
-    if tag == "func":
-        _, function, args, ret, _variadic = fact
-        return (function, *args, ret)
-    if tag == "ind":
-        _, pointer, args, ret = fact
-        return (pointer, *args, ret)
-    if tag == "call":
-        _, caller, target, _indirect = fact
-        return tuple(n for n in (caller, target) if n)
-    _, dst, src = fact
-    return (dst, src)
-
-
-@dataclass(frozen=True)
-class SignatureDelta:
-    """What changed between two constraint signatures.
-
-    ``additive`` deltas (nothing removed) admit the seeded warm re-solve;
-    any removal routes to the retraction path, which re-solves only the
-    flow-closed regions containing :meth:`touched_names`.
-    """
-
-    added: frozenset
-    removed: frozenset
-
-    @property
-    def identical(self) -> bool:
-        return not self.added and not self.removed
-
-    @property
-    def additive(self) -> bool:
-        """Old ⊆ new: the old fixpoint is contained in the new one."""
-        return not self.removed
-
-    def touched_names(self) -> frozenset[str]:
-        """Every name mentioned by an added or removed fact."""
-        names: set[str] = set()
-        for fact in self.added:
-            names.update(signature_fact_names(fact))
-        for fact in self.removed:
-            names.update(signature_fact_names(fact))
-        return frozenset(names)
-
-
-def diff_signatures(old: frozenset, new: frozenset) -> SignatureDelta:
-    """The per-edit constraint delta: ``(added, removed)`` fact sets."""
-    return SignatureDelta(added=frozenset(new - old),
-                          removed=frozenset(old - new))
-
-
-def merge_unit_signatures(
-    signatures: Iterable[frozenset],
-) -> frozenset:
-    """Fold per-unit signatures into the linked database's signature.
-
-    Mirrors the link phase exactly: assignment rows, function records and
-    call sites union (duplicate function records are identical or the
-    link itself fails), while indirect-call records for the same pointer
-    keep the widest argument list — first unit wins ties, matching
-    :func:`repro.cla.linker._absorb_reader` — so the merge of per-unit
-    signatures (in link order) equals :func:`constraint_signature` of the
-    linked store without ever opening it.
-    """
-    merged: set = set()
-    indirect: dict[str, tuple] = {}
-    for signature in signatures:
-        for fact in signature:
-            if fact[0] == "ind":
-                current = indirect.get(fact[1])
-                if current is None or len(current[2]) < len(fact[2]):
-                    indirect[fact[1]] = fact
-            else:
-                merged.add(fact)
-    merged.update(indirect.values())
-    return frozenset(merged)
-
-
 class MemoryStore:
     """A ConstraintStore over lowered in-memory IR (one or many units)."""
 

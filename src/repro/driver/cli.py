@@ -128,14 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cycle-elim", action="store_true",
                    help="disable complete cycle elimination "
                         "(pretransitive only; ablation)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="partition the database into N shards and solve "
-                        "them in parallel worker processes "
-                        "(bit-identical to the sequential solve)")
-    p.add_argument("--shard-processes", type=int, default=None,
-                   metavar="P",
-                   help="worker processes for --shards (default: one "
-                        "per shard up to the CPU count; 0 = in-process)")
     p.add_argument("--max-core-assignments", type=int, default=None,
                    metavar="N",
                    help="bound in-core assignments to N via the "
@@ -165,9 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-strength", default="weak",
                    choices=["weak", "strong", "direct"],
                    help="drop chains weaker than this (triage filter)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="run the analyze phase sharded across N "
-                        "parallel workers (bit-identical)")
     p.add_argument("--max-core-assignments", type=int, default=None,
                    metavar="N",
                    help="bound in-core assignments to N via the "
@@ -260,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "table",
         choices=["table1", "table2", "table3", "table4", "ablation",
-                 "solvers", "demand", "cache", "shards", "compare"],
+                 "solvers", "demand", "cache", "compare"],
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="for compare: the BASE and NEW BENCH_*.json files")
@@ -279,9 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--profile", action="append", default=None,
                    help="restrict to specific benchmark profiles")
-    p.add_argument("--shards", type=int, default=2, metavar="N",
-                   help="shard count for the shards table "
-                        "(sequential vs sharded comparison)")
     p.add_argument("--max-core-assignments", type=int, default=None,
                    metavar="N",
                    help="run the table's analyses under a block-cache "
@@ -305,9 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "stdin/stdout JSONL protocol (PORT 0 picks a "
                         "free port, printed on stderr)")
     p.add_argument("--certify", action="store_true",
-                   help="check every incremental re-solve bit-identical "
-                        "to a cold solve and against the soundness "
-                        "oracle before serving it")
+                   help="check every solved fixpoint against the "
+                        "soundness oracle before serving it")
     p.add_argument("--cache-entries", type=int, default=1024,
                    metavar="N",
                    help="bound the query-result LRU to N entries "
@@ -438,14 +423,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1 (got {args.shards})",
-              file=sys.stderr)
-        return 2
-    if args.shard_processes is not None and args.shards < 2:
-        print("error: --shard-processes requires --shards N with N >= 2",
-              file=sys.stderr)
-        return 2
     tracer = Tracer()
     pipeline = Pipeline(tracer=tracer)
     store = None
@@ -467,8 +444,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     args.inputs[0], args.max_core_assignments
                 )
             run = lambda: pipeline.analyze(  # noqa: E731
-                store, args.solver, shards=args.shards,
-                shard_processes=args.shard_processes, **kwargs
+                store, args.solver, **kwargs
             )
             if args.profile_out:
                 from ..engine.profiling import profiled
@@ -561,10 +537,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_depend(args: argparse.Namespace) -> int:
     from ..ir.strength import Strength
 
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1 (got {args.shards})",
-              file=sys.stderr)
-        return 2
     tracer = Tracer()
     pipeline = Pipeline(tracer=tracer)
     # One cache serves both phases: the depend phase re-requests blocks
@@ -575,9 +547,7 @@ def _cmd_depend(args: argparse.Namespace) -> int:
         threshold = Strength[args.min_strength.upper()]
         with _event_sinks(args.events_out, args.progress), \
                 tracer.span("session", command="depend"):
-            points_to = pipeline.analyze(
-                store, args.solver, shards=args.shards
-            )
+            points_to = pipeline.analyze(store, args.solver)
             try:
                 result = pipeline.depend(
                     store, points_to, args.target,
@@ -907,10 +877,6 @@ def _bench_table(args: argparse.Namespace, kwargs: dict):
     elif args.table == "cache":
         headers, rows = tables.cache_rows(**kwargs)
         title = "Keep-or-discard block cache: memory budget sweep (§4)"
-    elif args.table == "shards":
-        headers, rows = tables.shard_rows(shards=args.shards, **kwargs)
-        title = (f"Sharded vs sequential solving "
-                 f"(--shards {args.shards}, bit-identical)")
     else:
         headers, rows = tables.demand_rows(
             max_core_assignments=args.max_core_assignments, **kwargs
@@ -953,7 +919,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from ..serve import (
-        IncrementalSolveError,
+        CertificationError,
         ResourceTicker,
         ServeSession,
         make_http_server,
@@ -1036,7 +1002,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         pass
                     finally:
                         server.server_close()
-            except IncrementalSolveError as exc:
+            except CertificationError as exc:
                 # Integrity failure under --certify: refuse to keep
                 # serving; the last response already went unanswered.
                 print(f"error: {exc}", file=sys.stderr)

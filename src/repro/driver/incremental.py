@@ -268,26 +268,6 @@ class Workspace:
         self._executable_stale = False
         return executable
 
-    def object_entries(self) -> list[tuple[str, str, str]]:
-        """``(filename, content_key, object_path)`` per source, in link
-        order (sorted filenames — the order :meth:`build` links them).
-
-        Valid after a successful :meth:`build`: every entry then has a
-        committed content key and an on-disk object file.  The serving
-        layer feeds these to the content-hash-keyed per-unit signature
-        cache (:class:`repro.cla.linker.UnitSignatureIndex`), so a
-        signature diff after an edit re-reads only the changed units.
-        """
-        entries = []
-        for filename in sorted(self._sources):
-            entry = self._sources[filename]
-            if entry.content_key is None or entry.object_path is None:
-                raise ValueError(
-                    f"{filename!r} has no object file; build() first"
-                )
-            entries.append((filename, entry.content_key, entry.object_path))
-        return entries
-
     def analyze(self, solver: str = "pretransitive",
                 **solver_kwargs) -> PointsToResult:
         path = self.build()

@@ -224,24 +224,19 @@ def percentile(sorted_values: list[float], q: float) -> float:
 def serve_rows(
     records: list[dict],
 ) -> tuple[tuple[list[str], list[list[str]]],
-           tuple[list[str], list[list[str]]],
            tuple[list[str], list[list[str]]]]:
     """The serving section: per-op latency/hit-rate from ``serve.query``
-    records, one row per ``serve.reload``, and one row per
-    ``serve.retract`` (the invalidation scope of each retraction
-    re-solve: how many regions went dirty and how many mask entries
-    survived untouched).
+    records and one row per ``serve.reload``.
 
     Latency percentiles are exact, computed over the raw ``wall_ms``
     samples in the ledger (the daemon's own ``stats`` op estimates the
     same three from its histogram buckets).
 
-    Returns ``(queries_table, reloads_table, retracts_table)``, any of
-    which may have no rows (a ledger without a serve daemon in it)."""
+    Returns ``(queries_table, reloads_table)``, either of which may have
+    no rows (a ledger without a serve daemon in it)."""
     per_op: dict[str, dict[str, Any]] = {}
     op_order: list[str] = []
     reload_rows: list[list[str]] = []
-    retract_rows: list[list[str]] = []
     for r in records:
         kind = r.get("kind")
         if kind == "serve.query":
@@ -258,25 +253,10 @@ def serve_rows(
         elif kind == "serve.reload":
             reload_rows.append([
                 str(r.get("generation", 0)),
-                str(r.get("mode", "?")),
                 str(r.get("compiled", 0)),
                 str(r.get("reused", 0)),
                 "yes" if r.get("certified") else "no",
                 f"{r.get('wall_s', 0.0):.3f}s",
-            ])
-        elif kind == "serve.retract":
-            regions = int(r.get("regions", 0))
-            dirty = int(r.get("dirty_regions", 0))
-            total = int(r.get("total_rows", 0))
-            resolved = int(r.get("resolved_rows", 0))
-            retract_rows.append([
-                str(r.get("generation", 0)),
-                str(r.get("solver", "?")),
-                f"{dirty}/{regions}",
-                f"{dirty / regions:.1%}" if regions else "-",
-                f"{resolved}/{total}",
-                str(r.get("kept_names", 0)),
-                str(r.get("dropped_names", 0)),
             ])
     query_headers = ["op", "queries", "cache hits", "hit rate", "errors",
                      "mean ms", "p50 ms", "p90 ms", "p99 ms", "max ms"]
@@ -297,12 +277,9 @@ def serve_rows(
             f"{percentile(walls, 0.99):.3f}",
             f"{walls[-1]:.3f}" if walls else "-",
         ])
-    reload_headers = ["generation", "mode", "compiled", "reused",
-                      "certified", "wall"]
-    retract_headers = ["generation", "solver", "dirty regions",
-                       "dirty %", "rows re-solved", "kept", "dropped"]
-    return ((query_headers, query_rows), (reload_headers, reload_rows),
-            (retract_headers, retract_rows))
+    reload_headers = ["generation", "compiled", "reused", "certified",
+                      "wall"]
+    return (query_headers, query_rows), (reload_headers, reload_rows)
 
 
 def counter_rows(trace: dict) -> tuple[list[str], list[list[str]]]:
@@ -331,7 +308,7 @@ def mloc_headline(doc: dict) -> str | None:
     """The paper's headline metric, from a ``BENCH_mloc.json`` document.
 
     Picks the best point (highest MLoC of source per second of *solver*
-    time) across the suite's sequential and sharded runs; returns None
+    time) across the suite's runs; returns None
     for non-mloc suites or when no point carries the rate.
     """
     if doc.get("suite") != "mloc":
@@ -541,13 +518,11 @@ def render_report(
             headers, rows = cache_rows(records)
             if any(r[1] not in ("", "0") for r in rows):
                 sections.append(table("CLA load accounting", headers, rows))
-            queries, reloads, retracts = serve_rows(records)
+            queries, reloads = serve_rows(records)
             if queries[1]:
                 sections.append(table("Serving: queries", *queries))
             if reloads[1]:
                 sections.append(table("Serving: reloads", *reloads))
-            if retracts[1]:
-                sections.append(table("Serving: retractions", *retracts))
 
     for path in bench_paths or ():
         try:

@@ -415,64 +415,6 @@ def solver_rows(
     return headers, rows
 
 
-def shard_rows(
-    shards: int = 2,
-    scale: float | None = None,
-    seed: int = 42,
-    profiles: list[str] | None = None,
-    solver: str = "pretransitive",
-) -> tuple[list[str], list[list[str]]]:
-    """Sequential vs sharded solve, same store, same result.
-
-    The ``identical`` column is recomputed per row (decoded points-to
-    maps compared name-by-name), so the table doubles as a certification
-    run for the exchange protocol.
-    """
-    from ..cla.store import MemoryStore
-    from ..solvers import plan_shards, solve_sharded
-
-    headers = ["", "seq", f"shard x{shards}", "regions", "boundary",
-               "rel", "identical"]
-    rows = []
-    for name in profiles or ["nethack", "vortex", "gcc", "emacs"]:
-        s = _profile_scale(name, scale)
-        units = generate(name, scale=s, seed=seed).project().units()
-        m_seq = measure(lambda: SOLVERS[solver](MemoryStore(units)).solve())
-        store = MemoryStore(units)
-        plan = plan_shards(
-            store, shards,
-            allow_split=SOLVERS[solver].precision == "andersen",
-        )
-        m_shard = measure(
-            lambda: solve_sharded(
-                store, solver=solver, shards=shards, plan=plan
-            )
-        )
-        seq_pts = {
-            n: m_seq.result.pts.universe.decode(mask)
-            for n, mask in m_seq.result.pts.masks().items() if mask
-        }
-        shard_pts = {
-            n: m_shard.result.pts.universe.decode(mask)
-            for n, mask in m_shard.result.pts.masks().items() if mask
-        }
-        rows.append([
-            f"{name}@{s:g}",
-            f"{m_seq.real_seconds:.2f}s",
-            f"{m_shard.real_seconds:.2f}s",
-            str(plan.regions),
-            human_count(len(plan.boundary)),
-            human_count(m_shard.result.points_to_relations()),
-            "yes" if seq_pts == shard_pts else "NO",
-        ])
-    return headers, rows
-
-
-# ---------------------------------------------------------------------------
-# Demand loading (§4 / Table 3 last columns)
-# ---------------------------------------------------------------------------
-
-
 def demand_rows(
     scale: float | None = None,
     seed: int = 42,

@@ -140,50 +140,6 @@ class SolverEndEvent(Event):
 
 
 @dataclass(slots=True)
-class ShardBeginEvent(Event):
-    """A sharded solve started: the partition is fixed, workers launch."""
-
-    KIND: ClassVar[str] = "shard.begin"
-
-    solver: str = ""
-    shards: int = 0
-    processes: int = 0  # 0: workers run in-process
-    regions: int = 0  # flow-closed regions found by the unification pass
-    split_regions: int = 0  # oversized regions split across shards
-    boundary_names: int = 0
-    rows: int = 0  # total assignment rows across all shards
-    ts: float = 0.0
-
-
-@dataclass(slots=True)
-class ShardRoundEvent(Event):
-    """One coordinator exchange round: every worker reached a local
-    fixpoint and the boundary points-to deltas were merged."""
-
-    KIND: ClassVar[str] = "shard.round"
-
-    solver: str = ""
-    round: int = 0
-    seeded_facts: int = 0  # boundary (pointer, target) facts fed back in
-    new_facts: int = 0  # facts this round added over the previous one
-    ts: float = 0.0
-
-
-@dataclass(slots=True)
-class ShardMergeEvent(Event):
-    """The per-shard universes merged back into one result (by name)."""
-
-    KIND: ClassVar[str] = "shard.merge"
-
-    solver: str = ""
-    shards: int = 0
-    rounds: int = 0
-    pointers: int = 0  # names with a non-empty merged points-to set
-    relations: int = 0  # total merged points-to bits
-    ts: float = 0.0
-
-
-@dataclass(slots=True)
 class BlockLoadEvent(Event):
     """First-time materialisation of CLA content (pressure totals)."""
 
@@ -264,49 +220,18 @@ class ServeSlowQueryEvent(Event):
 
 @dataclass(slots=True)
 class ServeReloadEvent(Event):
-    """The serve daemon re-solved after an update/reload.
-
-    ``mode`` records the re-solve path: ``"warm"`` resumed from the
-    previous fixpoint (additive constraint delta, resume-capable solver),
-    ``"retract"`` kept clean-region masks and cold-solved only the
-    regions a non-additive delta touched (any solver; a companion
-    :class:`ServeRetractEvent` carries the invalidation scope), and
-    ``"cold"`` solved from scratch.  Either way the generation bumped, so
-    every older query-cache entry is unreachable."""
+    """The serve daemon solved a new generation (startup, update or
+    reload).  Every generation is solved from scratch; the generation
+    bumped, so every older query-cache entry is unreachable."""
 
     KIND: ClassVar[str] = "serve.reload"
 
     generation: int = 0
     solver: str = ""
-    mode: str = "cold"  # "warm" | "retract" | "cold"
     compiled: int = 0  # units recompiled by the workspace build
     reused: int = 0  # units served from the content-keyed cache
-    certified: bool = False  # cold-solve bit-identity + oracle ran
+    certified: bool = False  # the checker oracle passed the fixpoint
     wall_s: float = 0.0
-    ts: float = 0.0
-
-
-@dataclass(slots=True)
-class ServeRetractEvent(Event):
-    """Scope of a region-partitioned retraction re-solve.
-
-    Emitted alongside the ``mode="retract"`` :class:`ServeReloadEvent`:
-    of ``regions`` flow-closed regions in the new database, only
-    ``dirty_regions`` (the ones a changed constraint touched —
-    ``resolved_rows`` of ``total_rows``) were re-solved cold;
-    ``kept_names`` points-to masks were carried over unchanged and
-    ``dropped_names`` belonged to names no longer in the database."""
-
-    KIND: ClassVar[str] = "serve.retract"
-
-    generation: int = 0
-    solver: str = ""
-    regions: int = 0
-    dirty_regions: int = 0
-    kept_names: int = 0
-    dropped_names: int = 0
-    resolved_rows: int = 0
-    total_rows: int = 0
     ts: float = 0.0
 
 
@@ -580,26 +505,6 @@ class ProgressSink:
                 f"[analyze {event.solver}] done in {event.rounds} rounds",
                 final=True,
             )
-        elif kind == "shard.begin":
-            self._solver = event.solver
-            self._render(
-                f"[shard {event.solver}] {event.shards} shards over "
-                f"{event.regions} regions "
-                f"({event.boundary_names} boundary names)"
-            )
-        elif kind == "shard.round":
-            self._render(
-                f"[shard {event.solver}] round {event.round}: "
-                f"{event.seeded_facts} boundary facts "
-                f"(+{event.new_facts})"
-            )
-        elif kind == "shard.merge":
-            self._render(
-                f"[shard {event.solver}] merged {event.shards} shards "
-                f"in {event.rounds} rounds: {event.pointers} pointers, "
-                f"{event.relations} relations",
-                final=True,
-            )
         elif kind in ("cla.load", "cla.reload"):
             self._blocks_loaded += event.blocks
             self._render(
@@ -633,7 +538,7 @@ class ProgressSink:
         elif kind == "serve.reload":
             self._render(
                 f"[serve] reload -> gen {event.generation} "
-                f"({event.mode}: {event.compiled} compiled, "
+                f"({event.compiled} compiled, "
                 f"{event.reused} reused) in {event.wall_s:.2f}s",
                 final=True,
             )

@@ -17,9 +17,8 @@ module is the measurement spine the rest of the system reports through:
   publishes its :class:`~repro.engine.stats.SolverStats`, so a single
   snapshot answers "what did this process do".
 
-The measurement helpers that used to live in :mod:`repro.metrics`
-(:func:`measure`, :class:`Measurement`, the table/number formatters) are
-absorbed here; ``repro.metrics`` remains as a deprecation shim.
+The point-measurement helpers (:func:`measure`, :class:`Measurement`,
+the table/number formatters) live here too.
 
 Absolute values are not comparable to the paper's 800 MHz C implementation
 (EXPERIMENTS.md quantifies the gap); the benches compare *shapes*.
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 # ---------------------------------------------------------------------------
-# Point measurements (absorbed from repro.metrics)
+# Point measurements
 # ---------------------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 """The uniform solver-statistics contract (Tables 2-3's measurement spine).
 
-Every solver — pre-transitive, transitive, bit-vector, Steensgaard,
-one-level — fills the *same* :class:`SolverStats` record through the shared
+Every solver — pre-transitive, transitive, Steensgaard, one-level —
+fills the *same* :class:`SolverStats` record through the shared
 hook in :mod:`repro.solvers.base`, so benches, the CLI's ``--stats`` flag
 and the paper-table harness read one schema regardless of algorithm.
 Counters an algorithm has no equivalent for simply stay zero (e.g. only

@@ -15,18 +15,18 @@ and answers queries over two front ends:
 Both share :mod:`repro.serve.protocol` (request dispatch) and
 :class:`repro.serve.session.ServeSession` (the warm state: store, solved
 result, bounded LRU query cache, per-query latency counters, incremental
-re-solve on update).  See docs/SERVING.md for the protocol reference.
+rebuild and whole re-solve on update).  See docs/SERVING.md for the protocol reference.
 """
 
 from .cache import QueryCache
 from .http import make_http_server, serve_http
 from .jsonl import serve_jsonl
 from .protocol import PROTOCOL_VERSION, handle_request
-from .session import IncrementalSolveError, ServeError, ServeSession
+from .session import CertificationError, ServeError, ServeSession
 from .telemetry import ResourceTicker, TraceRing
 
 __all__ = [
-    "IncrementalSolveError",
+    "CertificationError",
     "PROTOCOL_VERSION",
     "QueryCache",
     "ResourceTicker",

@@ -9,19 +9,24 @@ Routes:
   protocol envelope.  A ``shutdown`` op answers, then stops the server.
 * ``GET /stats``   — shorthand for ``{"op": "stats"}``.
 * ``GET /healthz`` — liveness + freshness: status, generation, uptime,
-  and the last (re)solve's mode/cost/age, status 200.
+  and the last (re)solve's cost/age, status 200.
 * ``GET /metrics`` — the whole process :class:`MetricsRegistry`
   (counters, gauges, latency histograms) as Prometheus text exposition;
   any off-the-shelf scraper can poll it.
 
 Client mistakes are HTTP 400 with a protocol-shaped error body; unknown
-paths are 404.  Per-request access logging is off (the event ledger is
-the daemon's log).
+paths are 404.  A ``POST`` body is read only after its ``Content-Length``
+checks out: a missing, non-integer or negative length is a 400 and one
+above :data:`MAX_BODY_BYTES` a 413, both answered without reading the
+body (and the connection is closed, since its unread body cannot be
+told from the next request).  Per-request access logging is off (the
+event ledger is the daemon's log).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -29,6 +34,11 @@ from ..engine.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..engine.prom import render_prometheus
 from .protocol import handle_request
 from .session import ServeSession
+
+#: Largest ``POST /query`` body the daemon reads (16 MiB).
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -78,10 +88,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
             self._reply(404, {"ok": False,
                               "error": f"unknown path {self.path!r}"})
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
+        length = self._body_length()
+        if length is None:
+            return
         try:
             request = json.loads(self.rfile.read(length) or b"null")
         except json.JSONDecodeError as exc:
@@ -94,6 +103,25 @@ class _ServeHandler(BaseHTTPRequestHandler):
             # thread or this handler deadlocks on itself.
             threading.Thread(target=self.server.shutdown,
                              daemon=True).start()
+
+    def _body_length(self) -> int | None:
+        """The request's ``Content-Length``, or None once a bad one has
+        been answered (400 missing/non-integer/negative, 413 too large)."""
+        value = self.headers.get("Content-Length")
+        if value is None:
+            status, error = 400, "missing Content-Length"
+        elif not _DECIMAL.fullmatch(value.strip()):
+            status, error = 400, f"non-integer Content-Length {value!r}"
+        elif int(value) < 0:
+            status, error = 400, f"negative Content-Length {value!r}"
+        elif int(value) > MAX_BODY_BYTES:
+            status, error = 413, (f"Content-Length {int(value)} exceeds "
+                                  f"the {MAX_BODY_BYTES}-byte limit")
+        else:
+            return int(value)
+        self.close_connection = True
+        self._reply(status, {"ok": False, "error": error})
+        return None
 
 
 def make_http_server(

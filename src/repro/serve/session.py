@@ -10,30 +10,19 @@ here:
   open database store stay resident between requests; repeated queries
   hit a bounded LRU (:class:`~repro.serve.cache.QueryCache`) keyed on the
   full query identity *including the database generation*.
-* **Incremental updates.**  An ``update`` request recompiles only the
-  changed unit (through the content-keyed
-  :class:`~repro.driver.incremental.Workspace` cache), relinks, and
-  diffs per-unit constraint signatures (computed straight off the object
-  files, cached by content hash — never a scan of the serving store).
-  When the delta is purely additive and the solver supports the resume
-  seams, the re-solve runs *from the previous fixpoint* by seeding the
-  new solver with the old result's translated masks
-  (``ingest_fact_masks`` → ``solve_partial`` → ``finish_partial``) —
-  sound because seeding with facts already contained in the new least
-  fixpoint cannot change it, and an additive delta guarantees the old
-  fixpoint is contained (monotonicity).  When the delta *removes*
-  constraints, the re-solve is **retraction-scoped** for any solver:
-  only the flow-closed regions touching a changed fact are re-solved
-  cold, every clean region's masks are kept verbatim
-  (:func:`repro.solvers.shard.solve_retracted`).  Only an additive
-  delta under a solver without resume support falls back to a full
-  cold solve.
+* **Incremental builds, whole solves.**  An ``update`` request
+  recompiles only the changed unit (through the content-keyed
+  :class:`~repro.driver.incremental.Workspace` cache) and relinks, then
+  opens and solves the new database exactly as startup does: one
+  sequential ``SOLVERS[name](store).solve()``.  The session decides only
+  *when* to solve, never *how*, so every served fixpoint is the one a
+  cold solve of a fresh workspace computes.
 * **No stale answers.**  Every successful reload bumps ``generation``;
   cache keys lead with the generation, so entries from a previous
   database can never be *looked up*, let alone served.  With
-  ``certify=True`` each warm re-solve is checked bit-identical to a cold
-  solve of the same database and validated by the checker oracle;
-  divergence raises :class:`IncrementalSolveError` instead of serving.
+  ``certify=True`` every solved fixpoint is validated by the checker
+  oracle before it is served; a rejection raises
+  :class:`CertificationError` instead of serving.
 """
 
 from __future__ import annotations
@@ -43,20 +32,13 @@ import time
 from dataclasses import dataclass, field
 
 from ..checker import check_result
-from ..cla.linker import UnitSignatureIndex
-from ..cla.store import (
-    ConstraintStore,
-    SignatureDelta,
-    constraint_signature,
-    diff_signatures,
-)
+from ..cla.store import ConstraintStore
 from ..depend.chains import render_all, summarize
 from ..driver.incremental import BuildError, Workspace
 from ..engine.events import (
     EVENTS,
     ServeQueryEvent,
     ServeReloadEvent,
-    ServeRetractEvent,
     ServeSlowQueryEvent,
 )
 from ..engine.obs import REGISTRY, Histogram, Tracer
@@ -65,16 +47,13 @@ from ..engine.prom import CONTENT_TYPE, render_prometheus
 from ..ir.strength import Strength
 from ..solvers import SOLVERS
 from ..solvers.base import PointsToResult
-from ..solvers.shard import solve_retracted
 from .cache import QueryCache
 from .telemetry import TraceRing
 
 _QUERIES = REGISTRY.counter("serve.queries")
 _ERRORS = REGISTRY.counter("serve.errors")
 _SLOW = REGISTRY.counter("serve.slow_queries")
-_RELOADS_WARM = REGISTRY.counter("serve.reloads.warm")
-_RELOADS_RETRACT = REGISTRY.counter("serve.reloads.retract")
-_RELOADS_COLD = REGISTRY.counter("serve.reloads.cold")
+_RELOADS_SOLVED = REGISTRY.counter("serve.reloads.solved")
 _RELOADS_FAILED = REGISTRY.counter("serve.reloads.failed")
 
 #: The process-wide latency family ``GET /metrics`` scrapes, one
@@ -101,12 +80,10 @@ class ServeError(Exception):
     never tears down the daemon."""
 
 
-class IncrementalSolveError(RuntimeError):
-    """Certification failure: an incremental re-solve (warm resume or
-    retraction) diverged from the cold solve of the same database (or
-    failed the checker oracle).  This is a solver bug, not a client error
-    — it propagates and stops the daemon rather than risk serving a
-    wrong fixpoint."""
+class CertificationError(RuntimeError):
+    """Certification failure: the checker oracle rejected a solved
+    fixpoint.  This is a solver bug, not a client error — it propagates
+    and stops the daemon rather than risk serving a wrong fixpoint."""
 
 
 @dataclass(slots=True)
@@ -202,9 +179,7 @@ class ServeSession:
             else Pipeline(tracer=tracer)
         )
         self.generation = 0
-        self.reloads = {
-            "warm": 0, "retract": 0, "cold": 0, "certified": 0, "failed": 0,
-        }
+        self.reloads = {"solved": 0, "certified": 0, "failed": 0}
         self.slow_query_ms = slow_query_ms
         self._cache = QueryCache(cache_entries)
         self._latency: dict[str, _OpStats] = {}
@@ -221,9 +196,7 @@ class ServeSession:
         self._lock = threading.RLock()
         self._store: ConstraintStore | None = None
         self._result: PointsToResult | None = None
-        self._signature: frozenset | None = None
-        self._unit_signatures = UnitSignatureIndex()
-        self._load(prev=None)
+        self._load()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -456,7 +429,7 @@ class ServeSession:
     def health(self) -> dict:
         """The ``GET /healthz`` payload: is this daemon alive and what is
         it serving.  ``last_update`` describes the most recent (re)solve
-        — its mode, cost and age — so a poller can tell "serving and
+        — its cost and age — so a poller can tell "serving and
         fresh" from "serving a fixpoint from an hour ago";
         ``last_failure`` is the most recent update that *failed* (the
         daemon kept serving the previous generation), or null."""
@@ -572,24 +545,17 @@ class ServeSession:
                 self.workspace.add_header(file, text)
         else:
             raise ServeError(f"unknown kind {kind!r} (known: source, header)")
-        return self._load(prev=self._result)
+        return self._load()
 
     def _op_reload(self, params: dict) -> dict:
-        prev = None if params.get("cold") else self._result
-        return self._load(prev=prev)
+        return self._load()
 
     # -- solving --------------------------------------------------------------
 
-    def _load(self, prev: PointsToResult | None) -> dict:
-        """(Re)build, (re)open and (re)solve; swap in the new fixpoint.
+    def _load(self) -> dict:
+        """(Re)build, (re)open and solve; swap in the new fixpoint.
 
-        Mode selection by signature delta against the serving database:
-
-        * no removals + resume-capable solver → ``warm`` (seeded resume);
-        * any removal → ``retract`` (region-scoped re-solve, any solver);
-        * otherwise → ``cold``.
-
-        On any failure — compile errors, a certification mismatch — the
+        On any failure — compile errors, a certification rejection — the
         previous store/result/generation stay in place untouched, so the
         daemon keeps serving the last good fixpoint (or, from the
         constructor, fails to start at all); the failure is recorded in
@@ -597,7 +563,7 @@ class ServeSession:
         """
         started = time.perf_counter()
         try:
-            return self._load_inner(prev, started)
+            return self._load_inner(started)
         except BaseException as exc:
             self.reloads["failed"] += 1
             _RELOADS_FAILED.add()
@@ -609,25 +575,7 @@ class ServeSession:
             }
             raise
 
-    def _compute_signature(self, store: ConstraintStore) -> frozenset:
-        """The new database's constraint signature.
-
-        Workspace mode folds *per-unit* signatures (read straight off the
-        object files, cached by content hash) in link order — an update
-        re-reads only the units whose content changed and never touches
-        the serving store's ``fetch_*`` seams.  Database mode has no unit
-        structure to key on, so it scans the linked store (through the
-        uncounted ``fetch_*`` seams, to keep the solvers' load accounting
-        honest).
-        """
-        if self.workspace is not None:
-            return self._unit_signatures.merged(
-                (path, key)
-                for _filename, key, path in self.workspace.object_entries()
-            )
-        return constraint_signature(store)
-
-    def _load_inner(self, prev: PointsToResult | None, started: float) -> dict:
+    def _load_inner(self, started: float) -> dict:
         if self.workspace is not None:
             path = self.workspace.build()
             compiled = self.workspace.stats.compiled
@@ -637,31 +585,10 @@ class ServeSession:
             compiled = reused = 0
         store = self.pipeline.open_database(path)
         try:
-            signature = self._compute_signature(store)
-            mode = "cold"
-            delta: SignatureDelta | None = None
-            if (
-                prev is not None
-                and self._signature is not None
-                and hasattr(prev.pts, "masks")
-            ):
-                delta = diff_signatures(self._signature, signature)
-                if not delta.additive:
-                    mode = "retract"
-                elif self._solver_cls.supports_resume:
-                    mode = "warm"
-            retract_info: dict | None = None
-            if mode == "retract":
-                result, retract_info = self._retract_solve(
-                    store, prev, delta
-                )
-            elif mode == "warm":
-                result = self._warm_solve(store, prev)
-            else:
-                result = self.pipeline.analyze(store, self.solver)
+            result = self.pipeline.analyze(store, self.solver)
             certified = False
             if self.certify:
-                self._certify(path, store, result, mode != "cold")
+                self._certify(store, result)
                 certified = True
         except BaseException:
             store.close()
@@ -669,153 +596,47 @@ class ServeSession:
         old_store = self._store
         self._store = store
         self._result = result
-        self._signature = signature
         self.generation += 1
         self._cache.drop_before(self.generation)
         if old_store is not None:
             old_store.close()
-        self.reloads[mode] += 1
+        self.reloads["solved"] += 1
+        _RELOADS_SOLVED.add()
         if certified:
             self.reloads["certified"] += 1
-        {
-            "warm": _RELOADS_WARM,
-            "retract": _RELOADS_RETRACT,
-            "cold": _RELOADS_COLD,
-        }[mode].add()
         wall_s = time.perf_counter() - started
         self._last_reload = {
             "generation": self.generation,
-            "mode": mode,
             "certified": certified,
             "seconds": round(wall_s, 6),
             "monotonic": time.monotonic(),  # health() turns this into age_s
         }
         if EVENTS:
             EVENTS.emit(ServeReloadEvent(
-                generation=self.generation, solver=self.solver, mode=mode,
+                generation=self.generation, solver=self.solver,
                 compiled=compiled, reused=reused, certified=certified,
                 wall_s=round(wall_s, 6),
             ))
-            if retract_info is not None:
-                EVENTS.emit(ServeRetractEvent(
-                    generation=self.generation, solver=self.solver,
-                    **retract_info,
-                ))
-        response = {
+        return {
             "generation": self.generation,
-            "mode": mode,
             "compiled": compiled,
             "reused": reused,
             "certified": certified,
             "seconds": round(wall_s, 6),
         }
-        if retract_info is not None:
-            response["retract"] = dict(retract_info)
-        return response
 
-    def _retract_solve(
-        self,
-        store: ConstraintStore,
-        prev: PointsToResult,
-        delta: SignatureDelta,
-    ) -> tuple[PointsToResult, dict]:
-        """Region-scoped re-solve after a non-additive delta.
-
-        Partitions the *new* store into flow-closed regions, cold-solves
-        only the regions a changed fact touches, and keeps every clean
-        region's previous masks verbatim — sound for every solver, no
-        resume seams needed (see :func:`repro.solvers.shard.solve_retracted`
-        for the independence argument)."""
-        with self.pipeline._stage(
-            "analyze", solver=self.solver, mode="retract"
-        ) as span:
-            result, info = solve_retracted(
-                store, self._solver_cls, prev, delta.touched_names(),
-            )
-            span.annotate(
-                regions=info["regions"],
-                dirty_regions=info["dirty_regions"],
-                kept_names=info["kept_names"],
-                resolved_rows=info["resolved_rows"],
-                **result.stats.counter_fields(),
-            )
-        return result, info
-
-    def _warm_solve(
-        self, store: ConstraintStore, prev: PointsToResult
-    ) -> PointsToResult:
-        """Re-solve ``store`` seeded with the previous fixpoint.
-
-        The old masks live in the old universe's target-id space; each set
-        bit is translated by *name* into the new solver's target space
-        before being fed through ``ingest_fact_masks``.  Then one
-        ``solve_partial`` reaches the new fixpoint and ``finish_partial``
-        packages it exactly like a cold solve.
-        """
-        prev_pts = prev.pts
-        old_names = prev_pts.universe.target_names
-        with self.pipeline._stage(
-            "analyze", solver=self.solver, mode="warm"
-        ) as span:
-            solver = self._solver_cls(store)
-            new_target_id = solver.universe.target_id
-            remap: dict[int, int] = {}
-            seeds: dict[str, int] = {}
-            for name, mask in prev_pts.masks().items():
-                translated = 0
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    bit = low.bit_length() - 1
-                    new_bit = remap.get(bit)
-                    if new_bit is None:
-                        new_bit = remap[bit] = new_target_id(old_names[bit])
-                    translated |= 1 << new_bit
-                if translated:
-                    seeds[name] = translated
-            solver.ingest_fact_masks(seeds)
-            solver.solve_partial()
-            result = solver.finish_partial()
-            span.annotate(seeded=len(seeds),
-                          **result.stats.counter_fields())
-        return result
-
-    def _certify(
-        self,
-        path: str,
-        store: ConstraintStore,
-        result: PointsToResult,
-        incremental: bool,
-    ) -> None:
-        """Prove the fixpoint right before serving it.
-
-        An incremental result (warm resume *or* retraction re-solve) is
-        compared bit-for-bit (decoded points-to sets over the union of
-        names) against a cold solve of the same database on a fresh
-        store; every path then runs the checker oracle.  The cold
-        reference uses its own store so its load accounting cannot
-        pollute the serving result's."""
-        if incremental:
-            cold_store = self.pipeline.open_database(path)
-            try:
-                cold = self.pipeline.analyze(cold_store, self.solver)
-            finally:
-                cold_store.close()
-            for name in set(result.pts) | set(cold.pts):
-                if result.points_to(name) != cold.points_to(name):
-                    raise IncrementalSolveError(
-                        f"incremental re-solve diverged from cold solve at "
-                        f"{name!r}: got={sorted(result.points_to(name))} "
-                        f"cold={sorted(cold.points_to(name))}"
-                    )
+    def _certify(self, store: ConstraintStore, result: PointsToResult) -> None:
+        """Prove the fixpoint right before serving it: the checker oracle
+        must find it a closed model of the store's constraints (and, for
+        Andersen-precision solvers, a minimal one)."""
         report = check_result(
             store, result,
             check_minimal=self._solver_cls.precision == "andersen",
         )
         if report.violations:
             first = report.violations[0]
-            raise IncrementalSolveError(
-                f"checker oracle rejected the re-solved fixpoint: "
+            raise CertificationError(
+                f"checker oracle rejected the solved fixpoint: "
                 f"{len(report.violations)} violation(s), first: {first}"
             )
 

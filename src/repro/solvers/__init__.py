@@ -4,19 +4,19 @@
   pre-transitive constraint graph with cached, cycle-eliminating
   reachability and demand loading.
 * :class:`TransitiveSolver` — the classic transitively-closed worklist
-  Andersen baseline the paper compares against.
-* :class:`BitVectorSolver` — the bit-vector subset-based implementation
-  mentioned in §4.
+  Andersen baseline the paper compares against.  The bit-vector
+  implementation §4 mentions is now the shared integer core it runs on
+  (int-bitmask points-to sets over interned ids), not a solver of its own.
 * :class:`SteensgaardSolver` — the unification-based analysis (§3/§4).
 * :class:`OneLevelFlowSolver` — Das's hybrid "unification with directional
   assignments" (§3/§6's strongest unification-based competitor).
 
 All consume a :class:`~repro.cla.store.ConstraintStore` and produce a
-:class:`PointsToResult`.
+:class:`PointsToResult`; ``SOLVERS[name](store).solve()`` is the only way
+a fixpoint is computed.
 """
 
 from .base import BaseSolver, FunPtrLinker, PointsToResult, SolverStats
-from .bitvector import BitVectorSolver
 from .onelevel import OneLevelFlowSolver
 from .pretransitive import PreTransitiveSolver
 from .steensgaard import SteensgaardSolver
@@ -25,36 +25,12 @@ from .transitive import TransitiveSolver
 SOLVERS = {
     "pretransitive": PreTransitiveSolver,
     "transitive": TransitiveSolver,
-    "bitvector": BitVectorSolver,
     "steensgaard": SteensgaardSolver,
     "onelevel": OneLevelFlowSolver,
 }
 
-from .shard import (  # noqa: E402  (needs SOLVERS for worker dispatch)
-    RegionPlan,
-    ShardPlan,
-    ShardSpec,
-    plan_regions,
-    plan_shards,
-    solve_retracted,
-    solve_sharded,
-)
-
 __all__ = [
     "BaseSolver", "FunPtrLinker", "PointsToResult", "SolverStats",
-    "BitVectorSolver", "OneLevelFlowSolver", "PreTransitiveSolver",
-    "SteensgaardSolver",
+    "OneLevelFlowSolver", "PreTransitiveSolver", "SteensgaardSolver",
     "TransitiveSolver", "SOLVERS",
-    "RegionPlan", "ShardPlan", "ShardSpec", "plan_regions", "plan_shards",
-    "solve_retracted", "solve_sharded",
 ]
-
-
-def __getattr__(name: str):
-    if name == "SolverMetrics":
-        # Deprecated alias; .base owns the warning and the one-release
-        # grace period.
-        from . import base
-
-        return base.SolverMetrics
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

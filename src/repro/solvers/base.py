@@ -3,7 +3,7 @@
 Every points-to solver consumes a :class:`~repro.cla.store.ConstraintStore`
 and produces a :class:`PointsToResult`.  Shared here:
 
-* :class:`BaseSolver` — the skeleton all five solvers extend: store +
+* :class:`BaseSolver` — the skeleton all four solvers extend: store +
   uniform :class:`~repro.engine.stats.SolverStats` + function-pointer
   linker + the interned :class:`~repro.ir.universe.ObjectUniverse`,
   id-space full-database ingestion for the non-demand solvers
@@ -18,10 +18,6 @@ and produces a :class:`PointsToResult`.  Shared here:
   mapping may be a plain dict or a :class:`LazyPointsTo` view over solver
   bitmasks; both behave identically (``Mapping`` protocol, equality
   included), so the oracle, tables, report and CLI are agnostic.
-
-The deprecated ``SolverMetrics`` alias of ``SolverStats`` has been
-removed; importing it still works for one release via a module
-``__getattr__`` that raises :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -40,20 +36,6 @@ from ..engine.stats import SolverStats
 from ..ir.objects import ObjectKind, ProgramObject
 from ..ir.primitives import PrimitiveKind
 from ..ir.universe import ConstraintBatch, ObjectUniverse, bitset_words
-
-
-def __getattr__(name: str):
-    if name == "SolverMetrics":
-        import warnings
-
-        warnings.warn(
-            "SolverMetrics is deprecated; use repro.engine.stats.SolverStats"
-            " (removal scheduled for the next release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SolverStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LazyPointsTo(Mapping):
@@ -88,17 +70,6 @@ class LazyPointsTo(Mapping):
     def target_count(self, name: str) -> int:
         """len(pts(name)) without decoding the set."""
         return self._masks[name].bit_count()
-
-    def mask(self, name: str) -> int:
-        """The raw id-space bitmask (0 if absent)."""
-        return self._masks.get(name, 0)
-
-    def masks(self) -> dict[str, int]:
-        return self._masks
-
-    @property
-    def universe(self) -> ObjectUniverse:
-        return self._universe
 
 
 @dataclass
@@ -157,26 +128,6 @@ class PointsToResult:
             total += counted(name)
         return total
 
-    def retract_names(self, names) -> dict[str, int]:
-        """Kept id-space masks after discarding ``names``.
-
-        The retraction seam: a region-scoped re-solve
-        (:func:`repro.solvers.shard.solve_retracted`) drops every name a
-        constraint delta could have affected and keeps the rest verbatim.
-        Returns ``{name: mask}`` in *this result's* universe bit space —
-        remap through the kept universe's ``target_names`` to merge.
-        Requires a mask-backed ``pts`` (:class:`LazyPointsTo`).
-        """
-        masks = getattr(self.pts, "masks", None)
-        if masks is None:
-            raise TypeError(
-                f"{self.solver} result is not mask-backed; cannot retract"
-            )
-        drop = names if isinstance(names, (set, frozenset)) else set(names)
-        return {
-            name: mask for name, mask in masks().items() if name not in drop
-        }
-
     def pointed_by(self) -> dict[str, set[str]]:
         """Reverse index: target object -> pointers that may point to it.
 
@@ -191,7 +142,7 @@ class PointsToResult:
 
 
 class BaseSolver:
-    """Skeleton shared by all five solvers.
+    """Skeleton shared by all four solvers.
 
     Subclasses consume constraints either through the id-space batch
     (:meth:`_ingest_all_ids`, the non-demand solvers) or by demand-loading
@@ -220,12 +171,6 @@ class BaseSolver:
     #: literal outer round.
     _ROUND_EVENT_MASK = 0xFFF
 
-    #: Whether this solver implements the partial-solve protocol below
-    #: (solve_partial / ingest_facts / boundary_masks / finish_partial).
-    #: Required for split-region sharding (:mod:`repro.solvers.shard`);
-    #: unification solvers shard by whole regions and never resume.
-    supports_resume = False
-
     def __init__(self, store: ConstraintStore):
         self.store = store
         self.stats = SolverStats(solver=self.name)
@@ -238,39 +183,6 @@ class BaseSolver:
         #: previous (edges, hits, misses, cycles, delta_lvals, nodes)
         #: snapshot, for per-round event deltas
         self._round_mark = (0, 0, 0, 0, 0, 0)
-
-    # -- the partial-solve protocol (sharded solving, ROADMAP item 3) ------
-
-    def solve_partial(self) -> None:
-        """Run to a *local* fixpoint without finalizing the result.
-
-        First call seeds from the store; later calls re-drain after
-        :meth:`ingest_facts` added boundary facts.  Only resume-capable
-        solvers implement this.
-        """
-        raise NotImplementedError(f"{self.name} cannot resume")
-
-    def ingest_facts(self, facts) -> None:
-        """Add exchanged base facts: ``(pointer, target)`` name pairs,
-        each meaning ``target ∈ pts(pointer)`` (a synthetic ADDR)."""
-        raise NotImplementedError(f"{self.name} cannot resume")
-
-    def ingest_fact_masks(self, masks: dict[str, int]) -> None:
-        """Bulk form of :meth:`ingest_facts`: per-pointer target
-        bitmasks in *this solver's own* target space.  The shard
-        exchange feeds through this path — one int OR per pointer
-        instead of one call per fact."""
-        raise NotImplementedError(f"{self.name} cannot resume")
-
-    def boundary_masks(self, names) -> dict[str, int]:
-        """Current points-to masks (own target space) of ``names``,
-        nonzero entries only.  Valid after :meth:`solve_partial`."""
-        raise NotImplementedError(f"{self.name} cannot resume")
-
-    def finish_partial(self) -> PointsToResult:
-        """Finalize after the last :meth:`solve_partial` (result, stats,
-        load accounting — what :meth:`solve` does after its fixpoint)."""
-        raise NotImplementedError(f"{self.name} cannot resume")
 
     # -- constraint intake ----------------------------------------------------
 

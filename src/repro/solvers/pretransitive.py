@@ -94,7 +94,6 @@ class PreTransitiveSolver(BaseSolver):
 
     name = "pretransitive"
     precision = "andersen"
-    supports_resume = True
 
     def __init__(
         self,
@@ -125,7 +124,6 @@ class PreTransitiveSolver(BaseSolver):
         self._loaded: set[str] = set()
         self._load_queue: "deque[str]" = deque()
         self._draining = False
-        self._started = False
         self._round = 0
         self._cache_token = 0  # current validity token for node caches
         self._ephemeral_token = 0  # counts down for cache-disabled queries
@@ -276,8 +274,6 @@ class PreTransitiveSolver(BaseSolver):
             self._add_complex("store", dst, src)
         elif kind is PrimitiveKind.STORE_LOAD:
             # *p = *q  ==>  t = *q; *p = t  (§5: "it can be split").
-            # Named through the universe so shard workers get
-            # collision-free (namespace-qualified) temps.
             t = self.universe.fresh_temp_name()
             self._add_complex("load", t, src)
             self._add_complex("store", dst, t)
@@ -459,26 +455,19 @@ class PreTransitiveSolver(BaseSolver):
     # ------------------------------------------------------------------
 
     def solve(self) -> PointsToResult:
-        self.solve_partial()
-        return self.finish_partial()
+        self._emit_begin()
+        if not self.demand_load:
+            # Full preload must happen before anything marks blocks as
+            # loaded: _ensure_loaded is a no-op in this mode, so a block
+            # skipped here would never be ingested at all.
+            for name in list(self.store.block_names()):
+                self._loaded.add(name)
+                self._ingest_block(name)
+        # Statics (always loaded) seed the base elements.
+        for a in self.store.static_assignments():
+            self._ingest_assignment(a.kind, a.dst, a.src)
 
-    def solve_partial(self) -> None:
-        """Run the Figure 5 loop to a (local) fixpoint; resumable."""
-        if not self._started:
-            self._started = True
-            self._emit_begin()
-            if not self.demand_load:
-                # Full preload must happen before anything marks blocks as
-                # loaded: _ensure_loaded is a no-op in this mode, so a
-                # block skipped here would never be ingested at all.
-                for name in list(self.store.block_names()):
-                    self._loaded.add(name)
-                    self._ingest_block(name)
-            # Statics (always loaded) seed the base elements.
-            for a in self.store.static_assignments():
-                self._ingest_assignment(a.kind, a.dst, a.src)
-
-            self._scan_functions()
+        self._scan_functions()
 
         diff = self.enable_diff_propagation
         stats = self.stats
@@ -530,40 +519,6 @@ class PreTransitiveSolver(BaseSolver):
             if not self._changed:
                 break
 
-    def ingest_facts(self, facts) -> None:
-        """Boundary facts: ``target ∈ pts(pointer)`` base assignments."""
-        for pointer, target in facts:
-            self._ingest_assignment(PrimitiveKind.ADDR, pointer, target)
-
-    def ingest_fact_masks(self, masks: dict[str, int]) -> None:
-        # Bulk ADDR: one base-mask OR per pointer (the exchange hot path
-        # — split shards trade most of the giant region's solution).
-        for pointer, mask in masks.items():
-            if not self._may_point(pointer):
-                continue
-            node = self._node(pointer)
-            new = mask & ~node.base
-            if new:
-                node.base |= new
-                node.cache_token = 0
-                self._changed = True
-            self._ensure_loaded(pointer)
-
-    def boundary_masks(self, names) -> dict[str, int]:
-        # Only valid at a fixpoint: _lvals caches are per-round.
-        out = {}
-        nodes = self._nodes
-        find = self._find
-        lvals = self._lvals
-        for name in names:
-            node = nodes.get(name)
-            if node is not None:
-                mask = lvals(find(node))
-                if mask:
-                    out[name] = mask
-        return out
-
-    def finish_partial(self) -> PointsToResult:
         self.metrics.constraints = len(self._complex)
         # Report what the analyzer keeps (§4: complex assignments stay in
         # core, simple ones are folded into the graph and dropped).  On a

@@ -84,8 +84,8 @@ class TestFreshDecode:
 class TestDatabaseStoreObjects:
     def test_object_names_fill_the_cache(self, cla_corpus, monkeypatch):
         """One pass over ``object_names()`` decodes every object; the
-        ``get_object`` sweep after it (``_scan_functions``,
-        ``slice_store``) never asks the reader again."""
+        ``get_object`` sweep after it (``_scan_functions``, the oracle)
+        never asks the reader again."""
         with DatabaseStore.open(cla_corpus["emacs"][-1]) as store:
             names = list(store.object_names())
             assert names == [o.name for o in store.reader.objects()]

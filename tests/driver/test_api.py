@@ -116,8 +116,7 @@ class TestProject:
     def test_solver_selection(self):
         project = Project()
         project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
-        for solver in ("pretransitive", "transitive", "bitvector",
-                       "steensgaard"):
+        for solver in ("pretransitive", "transitive", "steensgaard"):
             assert project.points_to(solver).points_to("p") == {"x"}
 
     def test_unknown_solver(self):

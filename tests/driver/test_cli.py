@@ -67,8 +67,7 @@ class TestAnalyze:
         assert "pts(q) = {x}" in out
 
     def test_all_solvers(self, database, capsys):
-        for solver in ("pretransitive", "transitive", "bitvector",
-                       "steensgaard"):
+        for solver in ("pretransitive", "transitive", "steensgaard"):
             assert main(["analyze", database, "--solver", solver]) == 0
 
     def test_top_listing(self, database, capsys):
@@ -288,8 +287,8 @@ class TestCheckCli:
         _tmp, a, b = sources
         assert main(["check", a, b, "--all-solvers"]) == 0
         out = capsys.readouterr().out
-        for solver in ("pretransitive", "transitive", "bitvector",
-                       "steensgaard", "onelevel"):
+        for solver in ("pretransitive", "transitive", "steensgaard",
+                       "onelevel"):
             assert f"{solver}:" in out
 
     def test_check_database_with_minimality(self, database, capsys):

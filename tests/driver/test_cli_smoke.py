@@ -109,8 +109,8 @@ class TestAnalyzeSmoke:
         assert "in_core/loaded/in_file=" in out
 
     def test_stats_uniform_across_solvers(self, database, capsys):
-        for solver in ("pretransitive", "transitive", "bitvector",
-                       "steensgaard", "onelevel"):
+        for solver in ("pretransitive", "transitive", "steensgaard",
+                       "onelevel"):
             assert main(["analyze", database, "--solver", solver,
                          "--stats"]) == 0
             assert f"stats[{solver}]:" in capsys.readouterr().out
@@ -220,8 +220,7 @@ class TestLedgerSmoke:
                 "solver.end", "cla.load"} <= kinds
 
     @pytest.mark.parametrize("solver", ["pretransitive", "transitive",
-                                        "bitvector", "steensgaard",
-                                        "onelevel"])
+                                        "steensgaard", "onelevel"])
     def test_every_solver_emits_round_events(self, database, tmp_path,
                                              solver):
         from repro.engine.events import read_events

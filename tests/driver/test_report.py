@@ -200,7 +200,7 @@ class TestServeSection:
         ]
         records.append({"kind": "serve.query", "op": "points-to",
                         "cache_hit": False, "ok": False, "wall_ms": 50.0})
-        (headers, rows), _reloads, _retracts = serve_rows(records)
+        (headers, rows), _reloads = serve_rows(records)
         assert headers[5:] == ["mean ms", "p50 ms", "p90 ms", "p99 ms",
                                "max ms"]
         (row,) = rows
@@ -209,24 +209,6 @@ class TestServeSection:
         p50, p90, p99, mx = map(float, row[6:])
         assert p50 <= p90 <= p99 <= mx == 50.0
 
-    def test_retract_rows_render_invalidation_scope(self):
-        records = [
-            {"kind": "serve.reload", "generation": 2, "mode": "retract",
-             "compiled": 1, "reused": 2, "certified": True,
-             "wall_s": 0.25},
-            {"kind": "serve.retract", "generation": 2,
-             "solver": "pretransitive", "regions": 40, "dirty_regions": 3,
-             "kept_names": 370, "dropped_names": 4,
-             "resolved_rows": 120, "total_rows": 3300},
-        ]
-        _queries, (_rh, reload_rows), (headers, rows) = \
-            serve_rows(records)
-        assert reload_rows == [["2", "retract", "1", "2", "yes",
-                                "0.250s"]]
-        assert headers == ["generation", "solver", "dirty regions",
-                           "dirty %", "rows re-solved", "kept", "dropped"]
-        assert rows == [["2", "pretransitive", "3/40", "7.5%",
-                         "120/3300", "370", "4"]]
 
 
 class TestTrend:

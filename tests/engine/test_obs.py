@@ -13,7 +13,6 @@ from repro.engine.obs import (
     MetricsRegistry,
     Tracer,
     TRACE_SCHEMA_VERSION,
-    measure,
     process_user_s,
 )
 
@@ -345,21 +344,6 @@ class TestTracerAmbientContext:
         assert tracer.find("s")[0].attrs["trace"] == "b"
         b.__exit__(None, None, None)
         a.__exit__(None, None, None)  # double exit: must not raise
-
-
-class TestMetricsShim:
-    def test_shim_reexports_engine_obs(self):
-        import repro.metrics as shim
-        from repro.engine import obs
-
-        assert shim.measure is obs.measure
-        assert shim.Measurement is obs.Measurement
-        assert shim.format_table is obs.format_table
-
-    def test_measure_still_works(self):
-        m = measure(lambda: 21 * 2)
-        assert m.result == 42
-        assert m.real_seconds >= 0
 
 
 class TestUserTime:

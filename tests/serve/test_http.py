@@ -1,6 +1,7 @@
 """HTTP-transport tests: the same protocol behind POST /query."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -8,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.serve import make_http_server
+from repro.serve.http import MAX_BODY_BYTES
 
 from .conftest import SOURCE_B_GROWN
 
@@ -37,6 +39,38 @@ def post(base, payload, path="/query"):
         return exc.code, json.loads(exc.read())
 
 
+def raw_post(base, headers, body=b""):
+    """POST /query over a bare socket with exactly these header lines;
+    returns (status, decoded JSON body) or None if no answer came back
+    before the socket timeout or the server hung up."""
+    host, port = base.rsplit("/", 1)[1].split(":")
+    head = "".join(f"{line}\r\n" for line in
+                   ["POST /query HTTP/1.1", f"Host: {host}", *headers])
+    with socket.create_connection((host, int(port)), timeout=2) as sock:
+        sock.sendall(head.encode() + b"\r\n" + body)
+        data = b""
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+                head_end = data.find(b"\r\n\r\n")
+                if head_end >= 0:
+                    header_block = data[:head_end].decode("latin-1")
+                    length = int(header_block.lower().split(
+                        "content-length:")[1].split("\r\n")[0])
+                    if len(data) >= head_end + 4 + length:
+                        break
+        except (socket.timeout, ConnectionResetError):
+            return None
+    if not data:
+        return None
+    head_end = data.index(b"\r\n\r\n")
+    status = int(data.split(b" ", 2)[1])
+    return status, json.loads(data[head_end + 4:])
+
+
 def get(base, path):
     try:
         with urllib.request.urlopen(base + path, timeout=10) as response:
@@ -59,7 +93,7 @@ class TestHttp:
         status, body = post(base, {"op": "update",
                                    "params": {"file": "b.c",
                                               "text": SOURCE_B_GROWN}})
-        assert status == 200 and body["result"]["mode"] == "warm"
+        assert status == 200 and body["result"]["certified"] is True
         _, body = post(base, {"op": "points-to",
                               "params": {"name": "extra"}})
         assert body["result"]["points_to"] == {"extra": ["shared"]}
@@ -84,7 +118,9 @@ class TestHttp:
         assert body["status"] == "ok"
         assert body["generation"] == 1
         assert body["uptime_s"] >= 0.0
-        assert body["last_update"]["mode"] == "cold"
+        assert body["last_update"]["generation"] == 1
+        assert body["last_update"]["certified"] is True
+        assert "mode" not in body["last_update"]
         assert body["last_update"]["age_s"] >= 0.0
         status, body = get(base, "/stats")
         assert status == 200
@@ -137,3 +173,55 @@ class TestHttp:
         assert len(results) == 8
         assert all(status == 200 and body["ok"]
                    for status, body in results)
+
+
+class TestContentLength:
+    """POST /query checks Content-Length before it reads a byte of the
+    body: 400 for missing, non-integer or negative, 413 above the cap."""
+
+    @pytest.mark.parametrize("value", ["-1", "-10000000000"])
+    def test_negative_length_is_400(self, server, value):
+        base, _, _ = server
+        reply = raw_post(base, [f"Content-Length: {value}"])
+        assert reply is not None, "no answer: the server blocked reading"
+        status, body = reply
+        assert status == 400 and not body["ok"]
+        assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize("value", ["abc", "12x", "1.5", "1_0", ""])
+    def test_non_integer_length_is_400(self, server, value):
+        base, _, _ = server
+        reply = raw_post(base, [f"Content-Length: {value}"],
+                         body=b'{"op": "ping"}')
+        assert reply is not None
+        status, body = reply
+        assert status == 400 and not body["ok"]
+        assert "Content-Length" in body["error"]
+
+    def test_missing_length_is_400(self, server):
+        base, _, _ = server
+        reply = raw_post(base, [])
+        assert reply is not None
+        status, body = reply
+        assert status == 400 and "missing Content-Length" in body["error"]
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10000000000])
+    def test_oversized_length_is_413_unread(self, server, length):
+        base, _, _ = server
+        reply = raw_post(base, [f"Content-Length: {length}"])
+        assert reply is not None, "no answer: the server tried to read"
+        status, body = reply
+        assert status == 413 and not body["ok"]
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_daemon_keeps_serving_after_bad_lengths(self, server):
+        base, _, _ = server
+        raw_post(base, ["Content-Length: -1"])
+        raw_post(base, [f"Content-Length: {MAX_BODY_BYTES + 1}"])
+        payload = json.dumps({"op": "points-to",
+                              "params": {"name": "mine"}}).encode()
+        status, body = raw_post(
+            base, [f"Content-Length: {len(payload)}"], body=payload
+        )
+        assert status == 200
+        assert body["result"]["points_to"] == {"mine": ["shared"]}

@@ -66,8 +66,8 @@ class TestGoldenSession:
                         "witness": ["shared"]}},
             {"id": 5, "ok": True, "op": "update", "trace": "5",
              "generation": 2, "cache_hit": False,
-             "result": {"generation": 2, "mode": "warm", "compiled": 1,
-                        "reused": 1, "certified": True}},
+             "result": {"generation": 2, "compiled": 1, "reused": 1,
+                        "certified": True}},
             {"id": 6, "ok": True, "op": "points-to", "trace": "6",
              "generation": 2, "cache_hit": False,
              "result": {"name": "extra", "resolved": ["extra"],

@@ -3,11 +3,10 @@ query cache, incremental updates, and error envelopes."""
 
 import pytest
 
-from repro.cla.store import constraint_signature
 from repro.engine.events import EVENTS, MemorySink
 from repro.serve import ServeSession
 
-from .conftest import SOURCE_B, SOURCE_B_GROWN, SOURCE_B_SHRUNK, make_workspace
+from .conftest import SOURCE_B, SOURCE_B_GROWN, SOURCE_B_SHRUNK
 
 
 class TestQueries:
@@ -57,7 +56,7 @@ class TestQueries:
         stats = session.request("stats")["result"]
         assert stats["mode"] == "workspace"
         assert stats["solver"] == "pretransitive"
-        assert stats["reloads"]["cold"] == 1
+        assert stats["reloads"]["solved"] == 1
 
     def test_unknown_op(self, session):
         r = session.request("frobnicate")
@@ -137,27 +136,25 @@ class TestQueryCacheSemantics:
 
 
 class TestUpdates:
-    def test_additive_update_resolves_warm(self, session):
+    def test_additive_update_recompiles_one_unit(self, session):
         u = session.request("update", {"file": "b.c",
                                        "text": SOURCE_B_GROWN})
-        assert u["result"]["mode"] == "warm"
         assert u["result"]["compiled"] == 1
         assert u["result"]["reused"] == 1
         assert u["result"]["certified"] is True
+        assert set(u["result"]) == {
+            "generation", "compiled", "reused", "certified", "seconds",
+        }
 
-    def test_shrinking_update_resolves_via_retraction(self, session):
+    def test_shrinking_update_drops_the_flow(self, session):
         u = session.request("update", {"file": "b.c",
                                        "text": SOURCE_B_SHRUNK})
-        assert u["result"]["mode"] == "retract"
         assert u["result"]["certified"] is True
-        retract = u["result"]["retract"]
-        assert retract["dirty_regions"] <= retract["regions"]
-        assert retract["resolved_rows"] <= retract["total_rows"]
         # mine's flow is gone: nothing resolves, nothing points anywhere.
         r = session.request("points-to", {"name": "mine"})
         assert all(not v for v in r["result"]["points_to"].values())
         stats = session.request("stats")["result"]
-        assert stats["reloads"]["retract"] == 1
+        assert stats["reloads"] == {"solved": 2, "certified": 2, "failed": 0}
 
     def test_new_file_via_update(self, session):
         u = session.request("update", {
@@ -165,7 +162,7 @@ class TestUpdates:
             "text": '#include "defs.h"\nint *late;'
                     "void f(void) { late = gp; }",
         })
-        assert u["ok"] and u["result"]["mode"] == "warm"
+        assert u["ok"] and u["result"]["compiled"] == 1
         r = session.request("points-to", {"name": "late"})
         assert r["result"]["points_to"] == {"late": ["shared"]}
 
@@ -226,7 +223,7 @@ class TestEvents:
                 session.request("update", {"file": "b.c",
                                            "text": SOURCE_B_GROWN})
             reloads = sink.of_kind("serve.reload")
-            assert [e.mode for e in reloads] == ["cold", "warm"]
+            assert [e.generation for e in reloads] == [1, 2]
             assert reloads[1].compiled == 1
             queries = sink.of_kind("serve.query")
             ops = [e.op for e in queries]
@@ -234,104 +231,12 @@ class TestEvents:
             assert [e.cache_hit for e in queries[:2]] == [False, True]
             assert all(e.generation >= 1 for e in queries)
 
-    def test_retract_events_carry_invalidation_scope(self, workspace):
-        with EVENTS.sink(MemorySink()) as sink:
-            with ServeSession(workspace=workspace) as session:
-                session.request("update", {"file": "b.c",
-                                           "text": SOURCE_B_SHRUNK})
-            reloads = sink.of_kind("serve.reload")
-            assert [e.mode for e in reloads] == ["cold", "retract"]
-            (retract,) = sink.of_kind("serve.retract")
-            assert retract.generation == reloads[-1].generation
-            assert retract.solver == "pretransitive"
-            assert 0 < retract.dirty_regions <= retract.regions
-            assert retract.resolved_rows <= retract.total_rows
-
     def test_error_queries_are_ledgered(self, workspace):
         with EVENTS.sink(MemorySink()) as sink:
             with ServeSession(workspace=workspace) as session:
                 session.request("frobnicate")
             event = sink.of_kind("serve.query")[-1]
             assert event.ok is False
-
-
-class TestConstraintSignature:
-    def test_identical_content_same_signature(self, tmp_path):
-        ws1 = make_workspace(tmp_path, "c1")
-        ws2 = make_workspace(tmp_path, "c2")
-        from repro.engine.pipeline import Pipeline
-
-        pipeline = Pipeline()
-        with pipeline.open_database(ws1.build()) as s1, \
-                pipeline.open_database(ws2.build()) as s2:
-            assert constraint_signature(s1) == constraint_signature(s2)
-        ws1.close()
-        ws2.close()
-
-    def test_additive_edit_grows_signature(self, tmp_path):
-        ws = make_workspace(tmp_path)
-        from repro.engine.pipeline import Pipeline
-
-        pipeline = Pipeline()
-        with pipeline.open_database(ws.build()) as store:
-            old = constraint_signature(store)
-        ws.update_source("b.c", SOURCE_B_GROWN)
-        with pipeline.open_database(ws.build()) as store:
-            new = constraint_signature(store)
-        assert old < new
-        ws.update_source("b.c", SOURCE_B_SHRUNK)
-        with pipeline.open_database(ws.build()) as store:
-            shrunk = constraint_signature(store)
-        assert not (old <= shrunk)
-        ws.close()
-
-    def test_per_unit_merge_matches_store_scan(self, tmp_path):
-        """The linked database's scanned signature equals the per-unit
-        signatures folded in link order — the equivalence the serving
-        layer's store-free signature path rests on."""
-        from repro.cla.linker import UnitSignatureIndex
-        from repro.engine.pipeline import Pipeline
-
-        ws = make_workspace(tmp_path)
-        pipeline = Pipeline()
-        index = UnitSignatureIndex()
-        for edit in (SOURCE_B_GROWN, SOURCE_B_SHRUNK, SOURCE_B):
-            path = ws.build()
-            with pipeline.open_database(path) as store:
-                scanned = constraint_signature(store)
-            merged = index.merged(
-                (obj, key) for _f, key, obj in ws.object_entries()
-            )
-            assert merged == scanned
-            ws.update_source("b.c", edit)
-        assert index.hits > 0, "unchanged units should be cache hits"
-        ws.close()
-
-
-class TestUpdateSignatureScan:
-    def test_update_never_scans_serving_store(self, workspace, monkeypatch):
-        """Signature diffs are computed from per-unit object files, so an
-        update must not fetch a single block from the serving database —
-        even for a solver that can never resume warm (the historical bug:
-        an O(database) signature scan ran before the resume check)."""
-        from repro.cla.reader import DatabaseStore
-
-        with ServeSession(workspace=workspace,
-                          solver="steensgaard") as session:
-            calls = []
-            original = DatabaseStore.fetch_block
-
-            def counted(self, name):
-                calls.append(name)
-                return original(self, name)
-
-            monkeypatch.setattr(DatabaseStore, "fetch_block", counted)
-            u = session.request("update", {"file": "b.c",
-                                           "text": SOURCE_B_GROWN})
-            assert u["ok"]
-            # Additive delta + non-resumable solver: a plain cold solve.
-            assert u["result"]["mode"] == "cold"
-            assert calls == [], "update scanned the serving store"
 
 
 class TestTraceRingDisabled:

@@ -1,19 +1,19 @@
-"""Tests for the baseline solvers (transitive, bit-vector, Steensgaard)."""
+"""Tests for the baseline solvers (transitive, Steensgaard) and the
+shared bit-vector helpers they run on."""
 
 import pytest
 
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore
 from repro.ir import lower_translation_unit
+from repro.ir.universe import bits
 from repro.solvers import (
-    BitVectorSolver,
     PreTransitiveSolver,
     SteensgaardSolver,
     TransitiveSolver,
 )
-from repro.solvers.bitvector import bits
 
-ANDERSEN_SOLVERS = [PreTransitiveSolver, TransitiveSolver, BitVectorSolver]
+ANDERSEN_SOLVERS = [PreTransitiveSolver, TransitiveSolver]
 
 
 def run(solver_cls, src, filename="t.c", field_based=True):

@@ -2,7 +2,7 @@
 
 import time
 
-from repro.metrics import (
+from repro.engine.obs import (
     Measurement,
     format_table,
     human_bytes,
