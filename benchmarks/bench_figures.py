@@ -75,9 +75,7 @@ def test_figure4_object_file(benchmark, report):
 
     def build():
         unit = lower_translation_unit(parse_c(FIGURE4, filename="a.c"))
-        writer = ObjectFileWriter()
-        writer.add_unit(unit)
-        return writer.serialize(), unit
+        return ObjectFileWriter(MemoryStore(unit)).serialize(), unit
 
     data, unit = benchmark(build)
     store = MemoryStore(unit)

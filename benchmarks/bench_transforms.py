@@ -16,19 +16,23 @@ Two experiments the paper describes around its architecture:
 import pytest
 
 from conftest import compiled_units
+from repro.cla.linker import absorb_object_files
+from repro.cla.store import MemoryStore
 from repro.cla.transform import (
     ContextSensitivity,
-    DatabaseImage,
     OfflineVariableSubstitution,
 )
+from repro.cla.writer import ObjectFileWriter
+from repro.ir.lower import UnitIR
 from repro.solvers import PreTransitiveSolver
 
 PROFILE = "gcc"
 
 
-def image_for(profile: str) -> DatabaseImage:
+def image_for(profile: str) -> UnitIR:
+    """The transforms' input: the linked database as one unit."""
     _program, units = compiled_units(profile)
-    return DatabaseImage.from_units(units)
+    return MemoryStore(units).to_unit()
 
 
 def test_ovs_shrinks_database(benchmark, report):
@@ -40,8 +44,8 @@ def test_ovs_shrinks_database(benchmark, report):
                              iterations=1)
     after = len(out.assignments)
     assert after < before
-    baseline = PreTransitiveSolver(image.to_store()).solve()
-    optimized = PreTransitiveSolver(out.to_store()).solve()
+    baseline = PreTransitiveSolver(MemoryStore(image)).solve()
+    optimized = PreTransitiveSolver(MemoryStore(out)).solve()
     # Survivors keep identical points-to sets; eliminated variables are
     # recoverable through the substitution map.
     for name in list(optimized.pts)[:500]:
@@ -58,12 +62,12 @@ def test_ovs_shrinks_database(benchmark, report):
 
 def test_context_sensitivity_cost_and_benefit(benchmark, report):
     image = image_for(PROFILE)
-    baseline = PreTransitiveSolver(image.to_store()).solve()
+    baseline = PreTransitiveSolver(MemoryStore(image)).solve()
     cs = ContextSensitivity(max_sites=4)
     transformed = cs.apply(image)
 
     def solve_sensitive():
-        return PreTransitiveSolver(transformed.to_store()).solve()
+        return PreTransitiveSolver(MemoryStore(transformed)).solve()
 
     sensitive = benchmark.pedantic(solve_sensitive, rounds=1, iterations=1)
     assert cs.cloned_functions > 0
@@ -97,7 +101,7 @@ def test_transform_pipeline_through_files(benchmark, report, tmp_path):
     image = image_for(PROFILE)
     in_path = str(tmp_path / "in.cla")
     out_path = str(tmp_path / "out.cla")
-    image.write(in_path)
+    ObjectFileWriter(MemoryStore(image), linked=True).write(in_path)
 
     def run():
         return transform_file(
@@ -106,9 +110,7 @@ def test_transform_pipeline_through_files(benchmark, report, tmp_path):
         )
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
-    result = PreTransitiveSolver(
-        DatabaseImage.from_file(out_path).to_store()
-    ).solve()
+    result = PreTransitiveSolver(absorb_object_files([out_path])).solve()
     assert result.points_to_relations() > 0
     report.append(
         f"[transform] file pipeline on {PROFILE}: "

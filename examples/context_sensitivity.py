@@ -15,9 +15,9 @@ Run with::
     python examples/context_sensitivity.py
 """
 
+from repro.cla.store import MemoryStore
 from repro.cla.transform import (
     ContextSensitivity,
-    DatabaseImage,
     OfflineVariableSubstitution,
 )
 from repro.driver import Project
@@ -51,15 +51,16 @@ def show(result, label):
 def main() -> None:
     project = Project()
     project.add_source("pick.c", SOURCE)
-    image = DatabaseImage.from_units(project.units())
+    # The transforms' input: the linked database as one unit.
+    image = project.store().to_unit()
 
-    insensitive = PreTransitiveSolver(image.to_store()).solve()
+    insensitive = PreTransitiveSolver(MemoryStore(image)).solve()
     show(insensitive, "context-INsensitive (the §5 join-point effect)")
     print()
 
     cs = ContextSensitivity(max_sites=4)
     transformed = cs.apply(image)
-    sensitive = PreTransitiveSolver(transformed.to_store()).solve()
+    sensitive = PreTransitiveSolver(MemoryStore(transformed)).solve()
     print(f"transform cloned {cs.cloned_functions} function(s), adding "
           f"{cs.added_assignments} duplicated assignments")
     show(sensitive, "context-sensitive via database duplication")
@@ -70,7 +71,7 @@ def main() -> None:
     print(f"off-line variable substitution (Rountev-Chandra [21]): "
           f"{len(image.assignments)} -> {len(shrunk.assignments)} "
           f"assignments ({len(ovs.substituted)} variables substituted)")
-    optimized = PreTransitiveSolver(shrunk.to_store()).solve()
+    optimized = PreTransitiveSolver(MemoryStore(shrunk)).solve()
     recovered = ovs.recover(optimized.pts, "pick.c::pick::chosen")
     print(f"eliminated variable recovered: pts(chosen) = "
           f"{sorted(recovered)}")

@@ -34,7 +34,7 @@ from ..cla.store import MemoryStore
 from ..driver.api import CompileOptions
 from ..engine.events import EVENTS, FuzzCaseEvent
 from ..engine.obs import REGISTRY
-from ..engine.pipeline import compile_source
+from ..engine.pipeline import Pipeline
 from ..solvers import SOLVERS, PreTransitiveSolver
 from ..synth.generator import HEADER_NAME, generate
 from ..synth.profiles import BENCHMARK_ORDER, get_profile
@@ -110,10 +110,7 @@ def compile_program(header: str, files: dict[str, str],
     """Compile a generated program's sources against its shared header."""
     options = CompileOptions(field_based=field_based)
     options.virtual_files[HEADER_NAME] = header
-    return [
-        compile_source(text, filename=name, options=options)
-        for name, text in sorted(files.items())
-    ]
+    return Pipeline(options).compile_units(files)
 
 
 def run_battery(

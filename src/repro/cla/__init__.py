@@ -5,13 +5,14 @@
 * :mod:`repro.cla.reader` — mmap demand-loading reader.
 * :mod:`repro.cla.linker` — merges object files into an executable database.
 * :mod:`repro.cla.store` — the ConstraintStore interface solvers consume,
-  with in-memory and on-disk implementations sharing load accounting.
+  with in-memory and on-disk implementations sharing load accounting; the
+  in-memory one holds the link rules.
 * :mod:`repro.cla.cache` — the keep-or-discard block cache bounding
   analyze-phase memory (§4's discard-and-reload strategy).
 """
 
 from .cache import BlockCache, wrap_store
-from .linker import LinkError, link_object_files, link_units, link_units_in_memory
+from .linker import LinkError, absorb_object_files, link_object_files
 from .objfile import ClaFormatError, FormatError, name_hash
 from .reader import DatabaseStore, ObjectFileReader
 from .store import (
@@ -26,7 +27,7 @@ from .writer import ObjectFileWriter, write_unit
 
 __all__ = [
     "BlockCache", "wrap_store",
-    "LinkError", "link_object_files", "link_units", "link_units_in_memory",
+    "LinkError", "absorb_object_files", "link_object_files",
     "ClaFormatError", "FormatError", "name_hash",
     "DatabaseStore", "ObjectFileReader",
     "Block", "ConstraintStore", "LoadStats", "MemoryStore",

@@ -18,8 +18,8 @@ assignment     trigger object  why
 ``x = &y``     *(static)*      creates the initial lvals
 =============  ==============  ===========================================
 
-Two implementations exist: :class:`MemoryStore` here (straight from lowered
-IR, for tests and in-process pipelines) and
+Two implementations exist: :class:`MemoryStore` here (the linked database
+in memory, and the one home of the link rules) and
 :class:`~repro.cla.reader.DatabaseStore` (mmap-backed demand loading from a
 CLA object file).  Both expose the same load accounting so Table 3's last
 three columns (in-core / loaded / in-file) can be produced for either.
@@ -241,65 +241,131 @@ def simple_name_of(canonical: str) -> str:
     return canonical
 
 
-class MemoryStore:
-    """A ConstraintStore over lowered in-memory IR (one or many units)."""
+class LinkError(Exception):
+    """Inputs that cannot be linked into one database: mixed struct
+    models, or two different definitions of one function."""
 
-    def __init__(self, units: UnitIR | Iterable[UnitIR]):
+
+def _same_definition(a: FunctionRecord, b: FunctionRecord) -> bool:
+    """Do two records describe one definition (seen twice)?  Locations
+    compare as ``<file:line>``: object files do not keep columns."""
+    return (
+        len(a.args) == len(b.args)
+        and a.ret == b.ret
+        and a.variadic == b.variadic
+        and a.location.brief() == b.location.brief()
+    )
+
+
+class MemoryStore:
+    """The in-memory linked database: a ConstraintStore over any number
+    of lowered units and object files.
+
+    Every link route merges through this class, so it alone holds the
+    link rules:
+
+    * a global seen in several inputs keeps the richest metadata;
+    * rows are grouped into the block of their trigger object;
+    * a pointer keeps its widest indirect-call record;
+    * identical function records keep the first, and two different
+      definitions of one function raise :class:`LinkError`;
+    * ``source_lines`` is the sum over the inputs;
+    * object files of another struct model raise :class:`LinkError`.
+
+    :meth:`absorb_unit` links a lowered unit row by row;
+    :meth:`absorb_object` links an object file block by block.
+    ``field_based`` is the struct model the store is written with.
+    """
+
+    def __init__(
+        self,
+        units: UnitIR | Iterable[UnitIR] = (),
+        field_based: bool = True,
+    ):
         if isinstance(units, UnitIR):
             units = [units]
+        self.field_based = field_based
+        self.source_lines = 0
         self.objects: dict[str, ProgramObject] = {}
         self._statics: list[PrimitiveAssignment] = []
         self._blocks: dict[str, Block] = {}
-        self._targets: dict[str, list[str]] = {}
+        #: simple name -> canonical names, built on first lookup: linking
+        #: and writing never need it.
+        self._targets: dict[str, list[str]] | None = None
         self.stats = LoadStats()
         self._loaded_blocks: set[str] = set()
         self._statics_loaded = False
         self._call_sites: list[CallSiteRecord] = []
         for unit in units:
-            self._absorb(unit)
+            self.absorb_unit(unit)
 
-    def _absorb(self, unit: UnitIR) -> None:
+    # -- linking -------------------------------------------------------------
+
+    def absorb_unit(self, unit: UnitIR) -> None:
+        """Link one lowered unit into the store.
+
+        Also the streaming seam: the huge synth tier compiles units one
+        at a time and absorbs each before generating the next, so a
+        million-line corpus is never materialised in memory at once.
+        """
+        self._targets = None
+        self.source_lines += unit.source_lines
         for name, obj in unit.objects.items():
-            existing = self.objects.get(name)
-            if existing is None:
-                self.objects[name] = obj
-                self._targets.setdefault(simple_name_of(name), []).append(name)
-            else:
-                # Linking a global seen in several units: keep the richest
-                # metadata (a definition beats a tentative declaration).
-                if existing.location.is_unknown and not obj.location.is_unknown:
-                    existing.location = obj.location
-                if not existing.type_str and obj.type_str:
-                    existing.type_str = obj.type_str
-                    existing.may_point = obj.may_point
-                existing.is_funcptr = existing.is_funcptr or obj.is_funcptr
+            self._merge_object(name, obj)
         for a in unit.assignments:
             trigger = trigger_object(a)
             if trigger is None:
                 self._statics.append(a)
             else:
-                block = self._ensure_block(trigger)
-                block.assignments.append(a)
-            self.stats.in_file += 1
-        for fname, record in unit.function_records.items():
-            self._ensure_block(fname).function_record = record
-        for pname, record in unit.indirect_calls.items():
-            block = self._ensure_block(pname)
-            if (
-                block.indirect_record is None
-                or len(block.indirect_record.args) < len(record.args)
-            ):
-                block.indirect_record = record
+                self._ensure_block(trigger).assignments.append(a)
+        self.stats.in_file += len(unit.assignments)
+        for name, record in unit.function_records.items():
+            self._add_function_record(self._ensure_block(name), record)
+        for name, record in unit.indirect_calls.items():
+            self._add_indirect_record(self._ensure_block(name), record)
         self._call_sites.extend(unit.call_sites)
 
-    def absorb_unit(self, unit: UnitIR) -> None:
-        """Incrementally link one more unit into the store.
+    def absorb_object(self, reader) -> None:
+        """Link one open object file (an
+        :class:`~repro.cla.reader.ObjectFileReader`) into the store, one
+        decoded block at a time."""
+        if reader.field_based != self.field_based:
+            raise LinkError(
+                f"{reader.path}: struct model differs from earlier inputs "
+                "(field-based vs field-independent)"
+            )
+        self._targets = None
+        self.source_lines += reader.source_lines
+        for obj in reader.objects():
+            self._merge_object(obj.name, obj)
+        statics = reader.static_assignments()
+        self._statics.extend(statics)
+        in_file = len(statics)
+        self._call_sites.extend(reader.call_sites())
+        for name in reader.block_names():
+            theirs = reader.load_block(name)
+            mine = self._ensure_block(name)
+            mine.assignments.extend(theirs.assignments)
+            in_file += len(theirs.assignments)
+            if theirs.function_record is not None:
+                self._add_function_record(mine, theirs.function_record)
+            if theirs.indirect_record is not None:
+                self._add_indirect_record(mine, theirs.indirect_record)
+        self.stats.in_file += in_file
 
-        The streaming seam: the huge synth tier compiles units one at a
-        time and absorbs each before generating the next, so a
-        million-line corpus is never materialised in memory at once.
-        """
-        self._absorb(unit)
+    def _merge_object(self, name: str, obj: ProgramObject) -> None:
+        existing = self.objects.get(name)
+        if existing is None:
+            self.objects[name] = obj
+            return
+        # A global seen in several inputs: keep the richest metadata (a
+        # definition beats a tentative declaration).
+        if existing.location.is_unknown and not obj.location.is_unknown:
+            existing.location = obj.location
+        if not existing.type_str and obj.type_str:
+            existing.type_str = obj.type_str
+            existing.may_point = obj.may_point
+        existing.is_funcptr = existing.is_funcptr or obj.is_funcptr
 
     def _ensure_block(self, name: str) -> Block:
         block = self._blocks.get(name)
@@ -308,10 +374,47 @@ class MemoryStore:
             if obj is None:
                 obj = ProgramObject(name=name, kind=ObjectKind.VARIABLE)
                 self.objects[name] = obj
-                self._targets.setdefault(simple_name_of(name), []).append(name)
             block = Block(obj=obj)
             self._blocks[name] = block
         return block
+
+    @staticmethod
+    def _add_function_record(block: Block, record: FunctionRecord) -> None:
+        """The one function-record rule: the same definition reaching the
+        link twice (a shared header, an object linked twice) keeps the
+        first record; two different definitions of one function are the
+        moral equivalent of ``multiple definition of `f'``, since letting
+        either win would bind every call site to it silently."""
+        current = block.function_record
+        if current is None:
+            block.function_record = record
+        elif not _same_definition(current, record):
+            raise LinkError(
+                f"duplicate definition of function '{block.obj.name}': "
+                f"{current.location.brief()} and {record.location.brief()}"
+            )
+
+    @staticmethod
+    def _add_indirect_record(block: Block, record: IndirectCallRecord) -> None:
+        current = block.indirect_record
+        if current is None or len(current.args) < len(record.args):
+            block.indirect_record = record
+
+    def to_unit(self) -> UnitIR:
+        """The whole database as one unit (statics first, then each
+        block's rows): the input and output form of the §4
+        database-to-database transforms.  Absorbing it into a new store
+        rebuilds this one."""
+        unit = UnitIR(filename="<linked>", objects=dict(self.objects),
+                      assignments=self.all_assignments(),
+                      call_sites=list(self._call_sites),
+                      source_lines=self.source_lines)
+        for name, block in self._blocks.items():
+            if block.function_record is not None:
+                unit.function_records[name] = block.function_record
+            if block.indirect_record is not None:
+                unit.indirect_calls[name] = block.indirect_record
+        return unit
 
     # -- ConstraintStore interface ----------------------------------------
 
@@ -343,7 +446,12 @@ class MemoryStore:
         return self.objects.get(name)
 
     def find_targets(self, simple_name: str) -> list[str]:
-        return list(self._targets.get(simple_name, []))
+        if self._targets is None:
+            targets: dict[str, list[str]] = {}
+            for name in self.objects:
+                targets.setdefault(simple_name_of(name), []).append(name)
+            self._targets = targets
+        return list(self._targets.get(simple_name, ()))
 
     def block_names(self) -> Iterable[str]:
         return self._blocks.keys()

@@ -9,10 +9,10 @@ in the compile, link or analyze components of our system."
 
 This module provides exactly that plumbing:
 
-* :class:`DatabaseImage` — a neutral in-memory form of a CLA database that
-  round-trips through :class:`~repro.cla.reader.ObjectFileReader` /
-  :class:`~repro.cla.writer.ObjectFileWriter`, so transforms compose and
-  work file-to-file;
+* the input and output of every transform is one
+  :class:`~repro.ir.lower.UnitIR` holding the whole database
+  (:meth:`~repro.cla.store.MemoryStore.to_unit`), so transforms compose,
+  and :func:`transform_file` runs them file to file;
 * :class:`ContextSensitivity` — the paper's experiment: for functions with
   few call sites, duplicate the function's argument/return plumbing and
   body assignments once per call site (bounded cloning, the
@@ -27,115 +27,43 @@ This module provides exactly that plumbing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from dataclasses import replace
+from typing import Protocol
 
 from ..ir.lower import UnitIR
 from ..ir.objects import ObjectKind, ProgramObject
-from ..ir.primitives import (
-    CallSiteRecord,
-    FunctionRecord,
-    IndirectCallRecord,
-    PrimitiveAssignment,
-    PrimitiveKind,
-)
-from .reader import ObjectFileReader
+from ..ir.primitives import PrimitiveAssignment, PrimitiveKind
+from .linker import absorb_object_files
 from .store import MemoryStore
 from .writer import ObjectFileWriter
 
 
-@dataclass
-class DatabaseImage:
-    """A CLA database as plain data, independent of storage."""
+def address_taken(unit: UnitIR) -> set[str]:
+    """Every object whose address is taken somewhere in ``unit``."""
+    return {a.src for a in unit.assignments if a.kind is PrimitiveKind.ADDR}
 
-    objects: dict[str, ProgramObject] = field(default_factory=dict)
-    assignments: list[PrimitiveAssignment] = field(default_factory=list)
-    function_records: dict[str, FunctionRecord] = field(default_factory=dict)
-    indirect_records: dict[str, IndirectCallRecord] = field(
-        default_factory=dict
-    )
-    call_sites: list[CallSiteRecord] = field(default_factory=list)
-    source_lines: int = 0
-    field_based: bool = True
 
-    # -- construction -------------------------------------------------------
+def _ensure_object(unit: UnitIR, name: str,
+                   like: ProgramObject | None) -> None:
+    """Give ``name`` an object, copying ``like``'s metadata if given."""
+    if name in unit.objects:
+        return
+    if like is None:
+        unit.objects[name] = ProgramObject(name=name,
+                                           kind=ObjectKind.VARIABLE)
+    else:
+        unit.objects[name] = replace(like, name=name)
 
-    @classmethod
-    def from_file(cls, path: str) -> "DatabaseImage":
-        with ObjectFileReader(path) as reader:
-            image = cls(source_lines=reader.source_lines,
-                        field_based=reader.field_based)
-            for obj in reader.objects():
-                image.objects[obj.name] = obj
-            image.assignments.extend(reader.static_assignments())
-            for name in reader.block_names():
-                block = reader.load_block(name)
-                if block is None:
-                    continue
-                image.assignments.extend(block.assignments)
-                if block.function_record is not None:
-                    image.function_records[name] = block.function_record
-                if block.indirect_record is not None:
-                    image.indirect_records[name] = block.indirect_record
-            image.call_sites = reader.call_sites()
-        return image
 
-    @classmethod
-    def from_units(cls, units: Iterable[UnitIR],
-                   field_based: bool = True) -> "DatabaseImage":
-        image = cls(field_based=field_based)
-        store = MemoryStore(list(units))
-        image.objects = dict(store.objects)
-        image.assignments = store.all_assignments()
-        for name, block in store.blocks().items():
-            if block.function_record is not None:
-                image.function_records[name] = block.function_record
-            if block.indirect_record is not None:
-                image.indirect_records[name] = block.indirect_record
-        image.call_sites = store.call_sites()
-        return image
-
-    # -- output -------------------------------------------------------------
-
-    def to_unit(self) -> UnitIR:
-        unit = UnitIR(filename="<transformed>")
-        unit.objects = dict(self.objects)
-        unit.assignments = list(self.assignments)
-        unit.function_records = dict(self.function_records)
-        unit.indirect_calls = dict(self.indirect_records)
-        unit.call_sites = list(self.call_sites)
-        unit.source_lines = self.source_lines
-        return unit
-
-    def to_store(self) -> MemoryStore:
-        return MemoryStore(self.to_unit())
-
-    def write(self, path: str) -> None:
-        writer = ObjectFileWriter(field_based=self.field_based, linked=True)
-        writer.add_unit(self.to_unit())
-        writer.source_lines = self.source_lines
-        writer.write(path)
-
-    # -- helpers shared by transforms ----------------------------------------
-
-    def address_taken(self) -> set[str]:
-        return {a.src for a in self.assignments
-                if a.kind is PrimitiveKind.ADDR}
-
-    def ensure_object(self, name: str, like: ProgramObject | None = None,
-                      kind: ObjectKind = ObjectKind.VARIABLE) -> None:
-        if name in self.objects:
-            return
-        if like is not None:
-            self.objects[name] = ProgramObject(
-                name=name, kind=like.kind, type_str=like.type_str,
-                location=like.location,
-                enclosing_function=like.enclosing_function,
-                is_global=like.is_global, may_point=like.may_point,
-                is_funcptr=like.is_funcptr,
-            )
-        else:
-            self.objects[name] = ProgramObject(name=name, kind=kind)
+def _output(image: UnitIR, objects: dict[str, ProgramObject],
+            assignments: list[PrimitiveAssignment]) -> UnitIR:
+    """A transform's output: ``objects`` and ``assignments`` plus copies
+    of ``image``'s records, so changing the output never changes the
+    input."""
+    return replace(image, objects=objects, assignments=assignments,
+                   function_records=dict(image.function_records),
+                   indirect_calls=dict(image.indirect_calls),
+                   call_sites=list(image.call_sites))
 
 
 class DatabaseTransform(Protocol):
@@ -143,18 +71,20 @@ class DatabaseTransform(Protocol):
 
     name: str
 
-    def apply(self, image: DatabaseImage) -> DatabaseImage: ...
+    def apply(self, image: UnitIR) -> UnitIR: ...
 
 
 def transform_file(
     in_path: str, out_path: str, transforms: list[DatabaseTransform]
-) -> DatabaseImage:
+) -> UnitIR:
     """Run transforms file-to-file, exactly as the paper describes."""
-    image = DatabaseImage.from_file(in_path)
+    store = absorb_object_files([in_path])
+    unit = store.to_unit()
     for transform in transforms:
-        image = transform.apply(image)
-    image.write(out_path)
-    return image
+        unit = transform.apply(unit)
+    out = MemoryStore(unit, store.field_based)
+    ObjectFileWriter(out, linked=True).write(out_path)
+    return unit
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +116,9 @@ class ContextSensitivity:
         self.cloned_functions = 0
         self.added_assignments = 0
 
-    def apply(self, image: DatabaseImage) -> DatabaseImage:
-        address_taken = image.address_taken()
-        out = DatabaseImage(
-            objects=dict(image.objects),
-            function_records=dict(image.function_records),
-            indirect_records=dict(image.indirect_records),
-            call_sites=list(image.call_sites),
-            source_lines=image.source_lines,
-            field_based=image.field_based,
-        )
+    def apply(self, image: UnitIR) -> UnitIR:
+        taken = address_taken(image)
+        out = _output(image, dict(image.objects), [])
 
         interface: dict[str, str] = {}  # f$argN / f$ret -> function
         for fname, record in image.function_records.items():
@@ -260,7 +183,7 @@ class ContextSensitivity:
         cloneable: set[str] = set()
         for fname, sites in site_keys.items():
             record = image.function_records.get(fname)
-            if record is None or fname in address_taken \
+            if record is None or fname in taken \
                     or fname in uncloneable:
                 continue
             if 2 <= len(sites) <= self.max_sites:
@@ -294,13 +217,13 @@ class ContextSensitivity:
             src = rename(a.src, fname, k)
             for name, original in ((dst, a.dst), (src, a.src)):
                 if name != original:
-                    out.ensure_object(name, like=image.objects.get(original))
+                    _ensure_object(out, name, image.objects.get(original))
             return PrimitiveAssignment(
                 kind=a.kind, dst=dst, src=src, strength=a.strength,
                 op=a.op, location=a.location,
             )
 
-        emitted: list[PrimitiveAssignment] = []
+        emitted = out.assignments
         for i, a in enumerate(image.assignments):
             owner, callee = owners[i], callees[i]
             if owner in cloneable:
@@ -316,7 +239,6 @@ class ContextSensitivity:
             else:
                 emitted.append(a)
 
-        out.assignments = emitted
         return out
 
 
@@ -346,8 +268,8 @@ class OfflineVariableSubstitution:
         self.substituted: dict[str, str] = {}
         self.removed_assignments = 0
 
-    def apply(self, image: DatabaseImage) -> DatabaseImage:
-        address_taken = image.address_taken()
+    def apply(self, image: UnitIR) -> UnitIR:
+        taken = address_taken(image)
         sources: dict[str, list[PrimitiveAssignment]] = {}
         store_written: set[str] = set()
         protected: set[str] = set()
@@ -355,7 +277,7 @@ class OfflineVariableSubstitution:
         for record in image.function_records.values():
             protected.update(record.args)
             protected.add(record.ret)
-        for record in image.indirect_records.values():
+        for record in image.indirect_calls.values():
             protected.update(record.args)
             protected.add(record.ret)
 
@@ -370,7 +292,7 @@ class OfflineVariableSubstitution:
                 pass
 
         def substitutable(name: str) -> str | None:
-            if name in address_taken or name in protected:
+            if name in taken or name in protected:
                 return None
             obj = image.objects.get(name)
             if obj is not None and obj.kind in (ObjectKind.FUNCTION,
@@ -412,14 +334,7 @@ class OfflineVariableSubstitution:
             name: final for name, final in resolved.items() if final != name
         }
 
-        out = DatabaseImage(
-            objects={},
-            function_records=dict(image.function_records),
-            indirect_records=dict(image.indirect_records),
-            call_sites=list(image.call_sites),
-            source_lines=image.source_lines,
-            field_based=image.field_based,
-        )
+        out = _output(image, {}, [])
         for name, obj in image.objects.items():
             if name not in self.substituted:
                 out.objects[name] = obj
@@ -443,8 +358,8 @@ class OfflineVariableSubstitution:
                 kind=a.kind, dst=dst, src=src, strength=a.strength,
                 op=a.op, location=a.location,
             ))
-            out.ensure_object(dst, like=image.objects.get(a.dst))
-            out.ensure_object(src, like=image.objects.get(a.src))
+            _ensure_object(out, dst, image.objects.get(a.dst))
+            _ensure_object(out, src, image.objects.get(a.src))
         return out
 
     def recover(self, result_pts: dict[str, frozenset[str]],

@@ -2,7 +2,8 @@
 
 The same writer serves the compile phase (one translation unit's IR) and
 the link phase (merged databases): "The 'executable' file produced has the
-same format as the object files" (§4).
+same format as the object files" (§4).  Either way its input is a
+:class:`~repro.cla.store.MemoryStore`, which did the merging.
 """
 
 from __future__ import annotations
@@ -13,15 +14,10 @@ import tempfile
 
 from ..cfront.source import Location
 from ..ir.lower import UnitIR
-from ..ir.objects import ProgramObject
 from ..ir.objects import ObjectKind
-from ..ir.primitives import (
-    CallSiteRecord,
-    PrimitiveAssignment,
-    PrimitiveKind,
-)
+from ..ir.primitives import PrimitiveAssignment, PrimitiveKind
 from . import objfile as F
-from .store import Block, MemoryStore, simple_name_of, trigger_object
+from .store import MemoryStore, simple_name_of
 
 
 def _ensure_fits_byte(enum_cls) -> None:
@@ -39,89 +35,12 @@ def _ensure_fits_byte(enum_cls) -> None:
 
 
 class ObjectFileWriter:
-    """Accumulates database content, then writes one object file."""
+    """Serializes one linked :class:`~repro.cla.store.MemoryStore` to the
+    CLA format; merging is the store's job, not the writer's."""
 
-    def __init__(self, field_based: bool = True, linked: bool = False):
-        self.field_based = field_based
+    def __init__(self, store: MemoryStore, linked: bool = False):
+        self.store = store
         self.linked = linked
-        self.source_lines = 0
-        self.objects: dict[str, ProgramObject] = {}
-        self.statics: list[PrimitiveAssignment] = []
-        self.blocks: dict[str, Block] = {}
-        self.call_sites: list[CallSiteRecord] = []
-
-    # -- content intake -----------------------------------------------------
-
-    def add_unit(self, unit: UnitIR) -> None:
-        """Add one lowered translation unit (the compile phase)."""
-        self.source_lines += unit.source_lines
-        for name, obj in unit.objects.items():
-            self._merge_object(name, obj)
-        for a in unit.assignments:
-            self.add_assignment(a)
-        for record in unit.function_records.values():
-            self._ensure_block(record.function).function_record = record
-        for record in unit.indirect_calls.values():
-            block = self._ensure_block(record.pointer)
-            if (
-                block.indirect_record is None
-                or len(block.indirect_record.args) < len(record.args)
-            ):
-                block.indirect_record = record
-        self.call_sites.extend(unit.call_sites)
-
-    def add_store(self, store: MemoryStore, source_lines: int = 0) -> None:
-        """Add a merged in-memory database (the link phase)."""
-        self.source_lines += source_lines
-        for name, obj in store.objects.items():
-            self._merge_object(name, obj)
-        for a in store.static_assignments():
-            self.statics.append(a)
-        for name, block in store.blocks().items():
-            mine = self._ensure_block(name)
-            mine.assignments.extend(block.assignments)
-            if block.function_record is not None:
-                mine.function_record = block.function_record
-            if block.indirect_record is not None:
-                if (
-                    mine.indirect_record is None
-                    or len(mine.indirect_record.args)
-                    < len(block.indirect_record.args)
-                ):
-                    mine.indirect_record = block.indirect_record
-        self.call_sites.extend(store.call_sites())
-
-    def add_assignment(self, a: PrimitiveAssignment) -> None:
-        trigger = trigger_object(a)
-        if trigger is None:
-            self.statics.append(a)
-        else:
-            self._ensure_block(trigger).assignments.append(a)
-
-    def _merge_object(self, name: str, obj: ProgramObject) -> None:
-        existing = self.objects.get(name)
-        if existing is None:
-            self.objects[name] = obj
-            return
-        if existing.location.is_unknown and not obj.location.is_unknown:
-            existing.location = obj.location
-        if not existing.type_str and obj.type_str:
-            existing.type_str = obj.type_str
-            existing.may_point = obj.may_point
-        existing.is_funcptr = existing.is_funcptr or obj.is_funcptr
-
-    def _ensure_block(self, name: str) -> Block:
-        block = self.blocks.get(name)
-        if block is None:
-            obj = self.objects.get(name)
-            if obj is None:
-                obj = ProgramObject(name=name, kind=ObjectKind.VARIABLE)
-                self.objects[name] = obj
-            block = Block(obj=obj)
-            self.blocks[name] = block
-        return block
-
-    # -- serialization --------------------------------------------------------
 
     def write(self, path: str) -> None:
         """Serialize to ``path`` atomically.
@@ -156,6 +75,7 @@ class ObjectFileWriter:
         # silent truncation.
         _ensure_fits_byte(ObjectKind)
         _ensure_fits_byte(PrimitiveKind)
+        store = self.store
         strtab = F.StringTable()
 
         def loc_refs(loc: Location) -> tuple[int, int]:
@@ -171,7 +91,7 @@ class ObjectFileWriter:
 
         # global section ----------------------------------------------------
         global_buf = io.BytesIO()
-        ordered_objects = sorted(self.objects.values(), key=lambda o: o.name)
+        ordered_objects = sorted(store.objects.values(), key=lambda o: o.name)
         global_buf.write(F.COUNT.pack(len(ordered_objects)))
         for obj in ordered_objects:
             flags = 0
@@ -193,8 +113,9 @@ class ObjectFileWriter:
 
         # static section ----------------------------------------------------
         static_buf = io.BytesIO()
-        static_buf.write(F.COUNT.pack(len(self.statics)))
-        for a in self.statics:
+        statics = store.fetch_statics()
+        static_buf.write(F.COUNT.pack(len(statics)))
+        for a in statics:
             static_buf.write(pack_assignment(a))
 
         # target section ----------------------------------------------------
@@ -214,8 +135,9 @@ class ObjectFileWriter:
         # dynamic section + index ---------------------------------------------
         dynamic_buf = io.BytesIO()
         index_entries: list[tuple[int, int, int, int]] = []
-        for name in sorted(self.blocks):
-            block = self.blocks[name]
+        blocks = store.blocks()
+        for name in sorted(blocks):
+            block = blocks[name]
             offset = dynamic_buf.tell()
             flags = 0
             if block.function_record is not None:
@@ -263,8 +185,9 @@ class ObjectFileWriter:
 
         # calls section ------------------------------------------------------
         calls_buf = io.BytesIO()
-        calls_buf.write(F.COUNT.pack(len(self.call_sites)))
-        for record in self.call_sites:
+        call_sites = store.call_sites()
+        calls_buf.write(F.COUNT.pack(len(call_sites)))
+        for record in call_sites:
             file_ref, line = loc_refs(record.location)
             flags = F.CALL_FLAG_INDIRECT if record.indirect else 0
             calls_buf.write(F.CALL_ENTRY.pack(
@@ -283,7 +206,7 @@ class ObjectFileWriter:
             (F.SEC_CALLS, calls_buf.getvalue()),
         ]
         flags = 0
-        if self.field_based:
+        if store.field_based:
             flags |= F.FLAG_FIELD_BASED
         if self.linked:
             flags |= F.FLAG_LINKED
@@ -291,7 +214,7 @@ class ObjectFileWriter:
         out = io.BytesIO()
         out.write(
             F.HEADER.pack(F.MAGIC, F.VERSION, flags, len(sections), 0,
-                          self.source_lines, 0)
+                          store.source_lines, 0)
         )
         offset = header_size
         for tag, data in sections:
@@ -304,6 +227,4 @@ class ObjectFileWriter:
 
 def write_unit(unit: UnitIR, path: str, field_based: bool = True) -> None:
     """Compile-phase convenience: one translation unit -> one object file."""
-    writer = ObjectFileWriter(field_based=field_based)
-    writer.add_unit(unit)
-    writer.write(path)
+    ObjectFileWriter(MemoryStore(unit, field_based)).write(path)

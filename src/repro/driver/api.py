@@ -34,6 +34,7 @@ from ..engine.pipeline import (
     Pipeline,
     compile_file,
     compile_source,
+    read_source,
 )
 from ..solvers.base import PointsToResult
 
@@ -98,6 +99,5 @@ def build_project_from_dir(
             if name.endswith(".c"):
                 project.add_file(path)
             elif name.endswith(".h"):
-                with open(path, "r", errors="replace") as f:
-                    project.add_header(path, f.read())
+                project.add_header(path, read_source(path))
     return project

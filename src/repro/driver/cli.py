@@ -27,10 +27,11 @@ from contextlib import contextmanager
 from ..cla.cache import wrap_store
 from ..cla.objfile import ClaFormatError
 from ..cla.reader import ObjectFileReader
+from ..cla.store import LinkError
 from ..depend.chains import render_all, summarize
 from ..engine.events import EVENTS, JsonlSink, ProgressSink
 from ..engine.obs import REGISTRY, Tracer, human_count, measure
-from ..engine.pipeline import Pipeline
+from ..engine.pipeline import BuildError, Pipeline, read_source
 from ..solvers import SOLVERS
 from . import tables
 from .api import CompileOptions, link_objects
@@ -355,28 +356,26 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         include_dirs=args.include,
         predefined=predefined,
     )
-    pipeline = Pipeline(options)
     if len(args.sources) == 1 and not os.path.isdir(args.output):
-        unit = pipeline.compile_to_object(args.sources[0], args.output)
-        print(
-            f"{args.output}: {len(unit.assignments)} primitive assignments, "
-            f"{len(unit.objects)} objects"
-        )
-        return 0
-    # Several sources: the output is a directory of per-file objects.
-    os.makedirs(args.output, exist_ok=True)
-    out_paths = [
-        os.path.join(
-            args.output,
-            os.path.splitext(os.path.basename(src))[0] + ".o",
-        )
-        for src in args.sources
-    ]
-    if len(set(out_paths)) != len(out_paths):
-        print("error: source basenames collide in the output directory",
-              file=sys.stderr)
-        return 1
-    pipeline.compile_files_to_objects(args.sources, out_paths, jobs=args.jobs)
+        out_paths = [args.output]
+    else:
+        # Several sources: the output is a directory of per-file objects.
+        os.makedirs(args.output, exist_ok=True)
+        out_paths = [
+            os.path.join(
+                args.output,
+                os.path.splitext(os.path.basename(src))[0] + ".o",
+            )
+            for src in args.sources
+        ]
+        if len(set(out_paths)) != len(out_paths):
+            print("error: source basenames collide in the output directory",
+                  file=sys.stderr)
+            return 1
+    Pipeline(options).compile(
+        {src: read_source(src) for src in args.sources},
+        dict(zip(args.sources, out_paths)), jobs=args.jobs,
+    )
     for out in out_paths:
         with ObjectFileReader(out) as reader:
             print(
@@ -431,10 +430,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with _event_sinks(args.events_out, args.progress), \
                 tracer.span("session", command="analyze"):
             if c_files:
-                sources = {}
-                for path in c_files:
-                    with open(path, "r", errors="replace") as f:
-                        sources[path] = f.read()
+                sources = {path: read_source(path) for path in c_files}
                 units = pipeline.compile_units(sources)
                 store = wrap_store(
                     pipeline.link_units(units), args.max_core_assignments
@@ -637,10 +633,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         with _event_sinks(args.events_out, args.progress):
             if c_files:
-                sources = {}
-                for path in c_files:
-                    with open(path, "r", errors="replace") as f:
-                        sources[path] = f.read()
+                sources = {path: read_source(path) for path in c_files}
                 store = pipeline.link_units(pipeline.compile_units(sources))
             else:
                 store = pipeline.open_database(args.inputs[0])
@@ -925,7 +918,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         make_http_server,
         serve_jsonl,
     )
-    from .incremental import BuildError, Workspace
+    from .incremental import Workspace
 
     c_files = [p for p in args.inputs if p.endswith((".c", ".h"))]
     if c_files and len(c_files) != len(args.inputs):
@@ -952,38 +945,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     session = None
     try:
         with _event_sinks(args.events_out, args.progress):
-            try:
-                if c_files:
-                    workspace = Workspace(
-                        cache_dir=args.cache_dir,
-                        options=CompileOptions(include_dirs=args.include),
-                        tracer=tracer,
-                    )
-                    for path in c_files:
-                        with open(path, "r", errors="replace") as f:
-                            text = f.read()
-                        if path.endswith(".h"):
-                            workspace.add_header(path, text)
-                        else:
-                            workspace.add_source(path, text)
-                    session = ServeSession(
-                        workspace=workspace, solver=args.solver,
-                        cache_entries=args.cache_entries,
-                        certify=args.certify,
-                        slow_query_ms=args.slow_query_ms,
-                        trace_ring=args.trace_ring,
-                    )
-                else:
-                    session = ServeSession(
-                        database=args.inputs[0], solver=args.solver,
-                        cache_entries=args.cache_entries,
-                        certify=args.certify, tracer=tracer,
-                        slow_query_ms=args.slow_query_ms,
-                        trace_ring=args.trace_ring,
-                    )
-            except BuildError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            if c_files:
+                workspace = Workspace(
+                    cache_dir=args.cache_dir,
+                    options=CompileOptions(include_dirs=args.include),
+                    tracer=tracer,
+                )
+                for path in c_files:
+                    if path.endswith(".h"):
+                        workspace.add_header(path, read_source(path))
+                    else:
+                        workspace.add_source(path, read_source(path))
+                session = ServeSession(
+                    workspace=workspace, solver=args.solver,
+                    cache_entries=args.cache_entries,
+                    certify=args.certify,
+                    slow_query_ms=args.slow_query_ms,
+                    trace_ring=args.trace_ring,
+                )
+            else:
+                session = ServeSession(
+                    database=args.inputs[0], solver=args.solver,
+                    cache_entries=args.cache_entries,
+                    certify=args.certify, tracer=tracer,
+                    slow_query_ms=args.slow_query_ms,
+                    trace_ring=args.trace_ring,
+                )
             ticker = None
             if args.metrics_interval > 0:
                 ticker = ResourceTicker(interval=args.metrics_interval)
@@ -1067,8 +1054,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ClaFormatError as exc:
-        # Corrupt/truncated database: one line, no traceback.
+    except (ClaFormatError, BuildError, LinkError) as exc:
+        # A corrupt/truncated database, sources that do not compile
+        # (every failing file named) or inputs that do not link: one
+        # line, no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

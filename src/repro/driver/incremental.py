@@ -19,41 +19,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
-
 from ..cla.objfile import ClaFormatError
 from ..cla.reader import ObjectFileReader
 from ..engine.obs import Tracer
-from ..engine.pipeline import (
-    CompileOptions,
-    Pipeline,
-    compile_unit_to_path,
-    resolve_jobs,
-)
+from ..engine.pipeline import CompileOptions, Pipeline, resolve_jobs
 from ..solvers.base import PointsToResult
-
-#: Historical name for the parallel-build worker (now an engine concern).
-_compile_to_path = compile_unit_to_path
-
-
-class BuildError(Exception):
-    """One or more units failed to compile in a :meth:`Workspace.build`.
-
-    Collects *every* failing unit (a parallel batch used to raise on the
-    first ``future.result()``, discarding sibling outcomes), so one build
-    reports all broken files at once.  Units that compiled successfully
-    in the same batch keep their cache entries — fixing the broken files
-    and rebuilding never redoes their work.
-    """
-
-    def __init__(self, failures: list[tuple[str, Exception]]):
-        self.failures = failures
-        lines = "; ".join(
-            f"{filename}: {error}" for filename, error in failures
-        )
-        count = len(failures)
-        noun = "unit" if count == 1 else "units"
-        super().__init__(f"{count} {noun} failed to compile: {lines}")
 
 
 @dataclass
@@ -184,13 +154,13 @@ class Workspace:
 
         A failing unit does not abort the batch: every other pending unit
         still compiles (and commits its cache entry), then one
-        :class:`BuildError` reports all failures together.
+        :class:`~repro.engine.pipeline.BuildError` reports all failures
+        together.
         """
-        jobs = resolve_jobs(jobs)
         self.stats = WorkspaceStats(builds=self.stats.builds + 1)
         changed = False
         object_paths: list[str] = []
-        pending: list[tuple[str, _SourceEntry, str, str]] = []
+        pending: dict[str, tuple[_SourceEntry, str, str]] = {}
         for filename in sorted(self._sources):
             entry = self._sources[filename]
             key = self._content_key(filename, entry)
@@ -209,54 +179,25 @@ class Workspace:
                 # the content-keyed path and must not be reused.
                 if os.path.exists(object_path):
                     self._discard_object(object_path)
-                pending.append((filename, entry, key, object_path))
+                pending[filename] = (entry, key, object_path)
                 changed = True
             object_paths.append(object_path)
-        failures: list[tuple[str, Exception]] = []
-
-        def commit(filename: str, entry: _SourceEntry, key: str,
-                   object_path: str) -> None:
-            entry.content_key = key
-            entry.object_path = object_path
-            self.stats.compiled += 1
-
         if pending:
-            with self.pipeline.tracer.span(
-                "compile", files=len(pending), jobs=jobs
-            ):
-                if jobs > 1 and len(pending) > 1:
-                    workers = min(jobs, len(pending))
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        futures = {}
-                        for item in pending:
-                            filename, entry, _key, object_path = item
-                            futures[pool.submit(
-                                compile_unit_to_path, filename, entry.text,
-                                object_path, self.options,
-                            )] = item
-                        for future in as_completed(futures):
-                            filename, entry, key, object_path = \
-                                futures[future]
-                            try:
-                                future.result()
-                            except Exception as exc:
-                                failures.append((filename, exc))
-                            else:
-                                commit(filename, entry, key, object_path)
-                else:
-                    for filename, entry, key, object_path in pending:
-                        try:
-                            compile_unit_to_path(
-                                filename, entry.text, object_path,
-                                self.options,
-                            )
-                        except Exception as exc:
-                            failures.append((filename, exc))
-                        else:
-                            commit(filename, entry, key, object_path)
-        if failures:
-            failures.sort(key=lambda pair: pair[0])
-            raise BuildError(failures)
+            try:
+                self.pipeline.compile(
+                    {name: entry.text for name, (entry, _k, _p)
+                     in pending.items()},
+                    {name: path for name, (_e, _k, path) in pending.items()},
+                    jobs=resolve_jobs(jobs),
+                )
+            finally:
+                # Every unit that wrote its object file keeps its cache
+                # entry, even when others in the batch failed.
+                for entry, key, path in pending.values():
+                    if os.path.exists(path):
+                        entry.content_key = key
+                        entry.object_path = path
+                        self.stats.compiled += 1
         if not object_paths:
             raise ValueError("workspace has no sources")
         executable = os.path.join(self.cache_dir, "workspace.cla")

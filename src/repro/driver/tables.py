@@ -20,15 +20,14 @@ import tempfile
 from ..cfront.preprocessor import Preprocessor
 from ..cfront.source import SourceFile
 from ..cla.cache import BlockCache, wrap_store
-from ..cla.linker import link_object_files
 from ..cla.reader import DatabaseStore
-from ..cla.writer import ObjectFileWriter
 from ..engine.obs import format_table, human_count, measure
+from ..engine.pipeline import CompileOptions, Pipeline
 from ..ir import assignment_mix
 from ..solvers import SOLVERS, PreTransitiveSolver
 from ..synth import BENCHMARK_ORDER, generate
 from ..synth.generator import HEADER_NAME, SynthProgram
-from .api import analyze_store, compile_source
+from .api import analyze_store
 
 #: Paper Table 3 reference values: (pointer vars, relations, user time s,
 #: size MB, in core, loaded, in file) — used by the benches to print
@@ -128,29 +127,15 @@ def build_database(
     This is the real pipeline — object files on disk, mmap reads — not the
     in-memory shortcut, so Table 2/3 measurements include the CLA layer.
     """
-    object_paths = []
-    for name, text in sorted(program.files.items()):
-        unit = compile_source(
-            text,
-            filename=name,
-            options=_options(program, field_based),
-        )
-        writer = ObjectFileWriter(field_based=field_based)
-        writer.add_unit(unit)
-        path = os.path.join(directory, name + ".o")
-        writer.write(path)
-        object_paths.append(path)
-    out = os.path.join(directory, "program.cla")
-    link_object_files(object_paths, out)
-    return out
-
-
-def _options(program: SynthProgram, field_based: bool):
-    from .api import CompileOptions
-
     options = CompileOptions(field_based=field_based)
     options.virtual_files[HEADER_NAME] = program.header
-    return options
+    pipeline = Pipeline(options)
+    sources = dict(sorted(program.files.items()))
+    objects = {name: os.path.join(directory, name + ".o") for name in sources}
+    pipeline.compile(sources, objects)
+    out = os.path.join(directory, "program.cla")
+    pipeline.link_objects(list(objects.values()), out)
+    return out
 
 
 def table2_rows(

@@ -37,9 +37,9 @@ from .stats import SolverStats
 
 _PIPELINE_EXPORTS = (
     "AnalysisSession",
+    "BuildError",
     "CompileOptions",
     "Pipeline",
-    "compile_unit_to_path",
 )
 
 __all__ = [

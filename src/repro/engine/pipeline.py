@@ -15,10 +15,13 @@ the one instrumented spine all entry points go through:
   :class:`repro.driver.incremental.Workspace` drives its builds through
   the same stage methods.
 
-Parallel compilation (§4: the architecture "supports separate and/or
-parallel compilation of collections of source files") is a Pipeline
-concern: any compile stage accepts ``jobs``; workers share nothing and
-only the cheap link phase is serial.
+Every build compiles through :meth:`Pipeline.compile`, the one driver,
+which also owns parallel compilation (§4: the architecture "supports
+separate and/or parallel compilation of collections of source files"):
+workers share nothing and only the cheap link phase is serial.  Only the
+streamed synth tier (:mod:`repro.synth.stream`) calls
+:func:`compile_source` itself, linking one unit at a time to bound
+memory.
 """
 
 from __future__ import annotations
@@ -126,32 +129,53 @@ def compile_source(
     )
 
 
+def read_source(path: str) -> str:
+    """A source file's text, decoding errors replaced."""
+    with open(path, "r", errors="replace") as f:
+        return f.read()
+
+
 def compile_file(path: str, options: CompileOptions | None = None) -> UnitIR:
     """Compile one ``.c`` file from disk to IR."""
-    with open(path, "r", errors="replace") as f:
-        text = f.read()
-    return compile_source(text, filename=path, options=options)
+    return compile_source(read_source(path), filename=path, options=options)
 
 
-def compile_unit_to_path(
-    filename: str, text: str, object_path: str, options: CompileOptions
-) -> str:
-    """Worker for parallel builds: compile one file, write its object.
+def _compile_job(
+    filename: str,
+    text: str,
+    options: CompileOptions,
+    object_path: str | None,
+) -> tuple[UnitIR | None, int, int]:
+    """Compile one unit; returns it with its assignment and object
+    counts.  With ``object_path`` the unit goes to that object file
+    instead, and only its counts come back.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it.  The CLA
-    design is what makes this embarrassingly parallel (§4) — workers share
-    nothing and only the cheap link phase is serial.
+    Module-level so :class:`ProcessPoolExecutor` can pickle it.
     """
     unit = compile_source(text, filename=filename, options=options)
+    sizes = len(unit.assignments), len(unit.objects)
+    if object_path is None:
+        return unit, *sizes
     write_unit(unit, object_path, field_based=options.field_based)
-    return object_path
+    return None, *sizes
 
 
-def _compile_unit_worker(
-    filename: str, text: str, options: CompileOptions
-) -> UnitIR:
-    """Worker for in-memory parallel compiles: returns the pickled IR."""
-    return compile_source(text, filename=filename, options=options)
+class BuildError(Exception):
+    """One or more units failed to compile.
+
+    Collects *every* failing unit, sorted by file name, after all the
+    others have compiled (and written their object files), so one build
+    reports all broken files at once and the good ones never redo work.
+    """
+
+    def __init__(self, failures: list[tuple[str, Exception]]):
+        self.failures = failures
+        lines = "; ".join(
+            f"{filename}: {error}" for filename, error in failures
+        )
+        count = len(failures)
+        noun = "unit" if count == 1 else "units"
+        super().__init__(f"{count} {noun} failed to compile: {lines}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,125 +233,102 @@ class Pipeline:
 
     # -- compile stage -------------------------------------------------------
 
+    def compile(
+        self,
+        sources: dict[str, str],
+        object_paths: dict[str, str] | None = None,
+        jobs: int | None = None,
+    ) -> list[UnitIR | None]:
+        """The compile driver: every build runs here (the CLI, the
+        library API, the workspace, the paper tables and the fuzzer).
+
+        Compiles ``sources`` (file name -> text) in order, writing each
+        unit named in ``object_paths`` to its object file.  In process
+        when ``jobs`` is 1 or only one source is pending, otherwise in one
+        process pool of up to ``jobs`` workers.  Returns the units in
+        ``sources`` order.  A unit written to an object file comes back as
+        ``None``: the file holds it, so building many objects keeps no
+        unit's IR alive.
+
+        One ``compile`` stage covers the batch, with a ``unit`` span per
+        in-process unit and a ``compile.unit`` event per compiled unit.
+        A failing unit does not stop the others: once every unit has run,
+        one :class:`BuildError` names each failure.
+        """
+        jobs = self._jobs(jobs)
+        object_paths = object_paths or {}
+        stray = object_paths.keys() - sources.keys()
+        if stray:
+            raise ValueError("object paths must pair up with sources; none "
+                             f"for {', '.join(sorted(stray))}")
+        names = list(sources)
+        total = len(names)
+        units: list[UnitIR | None] = [None] * total
+        sizes: list[tuple[int, int]] = []
+        failures: list[tuple[str, Exception]] = []
+
+        def done(i: int, result: tuple[UnitIR | None, int, int]) -> None:
+            units[i], assignments, objects = result
+            sizes.append((assignments, objects))
+            if EVENTS:
+                EVENTS.emit(UnitCompiledEvent(
+                    file=names[i], index=len(sizes), total=total,
+                    assignments=assignments, objects=objects,
+                ))
+
+        with self._stage("compile", files=total, jobs=jobs) as span:
+            if jobs > 1 and total > 1:
+                with ProcessPoolExecutor(
+                        max_workers=min(jobs, total)) as pool:
+                    futures = {
+                        pool.submit(
+                            _compile_job, name, sources[name], self.options,
+                            object_paths.get(name),
+                        ): i
+                        for i, name in enumerate(names)
+                    }
+                    for future in as_completed(futures):
+                        i = futures[future]
+                        try:
+                            result = future.result()
+                        except Exception as exc:
+                            failures.append((names[i], exc))
+                        else:
+                            done(i, result)
+            else:
+                for i, name in enumerate(names):
+                    try:
+                        with self.tracer.span("unit", file=name):
+                            result = _compile_job(
+                                name, sources[name], self.options,
+                                object_paths.get(name),
+                            )
+                    except Exception as exc:
+                        failures.append((name, exc))
+                    else:
+                        done(i, result)
+            span.annotate(assignments=sum(a for a, _ in sizes),
+                          objects=sum(o for _, o in sizes))
+            if failures:
+                raise BuildError(sorted(failures, key=lambda f: f[0]))
+        return units
+
     def compile_units(
         self, sources: dict[str, str], jobs: int | None = None
     ) -> list[UnitIR]:
-        """Compile many in-memory sources to IR, optionally in parallel."""
-        jobs = self._jobs(jobs)
-        items = sorted(sources.items())
-        total = len(items)
-        with self._stage("compile", files=total, jobs=jobs) as span:
-            if jobs > 1 and total > 1:
-                workers = min(jobs, total)
-                results: list[UnitIR | None] = [None] * total
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(
-                            _compile_unit_worker, name, text, self.options
-                        ): i
-                        for i, (name, text) in enumerate(items)
-                    }
-                    done = 0
-                    for f in as_completed(futures):
-                        i = futures[f]
-                        unit = f.result()
-                        results[i] = unit
-                        done += 1
-                        if EVENTS:
-                            EVENTS.emit(UnitCompiledEvent(
-                                file=items[i][0], index=done, total=total,
-                                assignments=len(unit.assignments),
-                                objects=len(unit.objects),
-                            ))
-                units = results
-            else:
-                units = []
-                for i, (name, text) in enumerate(items):
-                    with self.tracer.span("unit", file=name):
-                        unit = compile_source(
-                            text, filename=name, options=self.options
-                        )
-                    units.append(unit)
-                    if EVENTS:
-                        EVENTS.emit(UnitCompiledEvent(
-                            file=name, index=i + 1, total=total,
-                            assignments=len(unit.assignments),
-                            objects=len(unit.objects),
-                        ))
-            span.annotate(
-                assignments=sum(len(u.assignments) for u in units),
-                objects=sum(len(u.objects) for u in units),
-            )
-        return units
+        """Compile many in-memory sources to IR, in file-name order."""
+        return self.compile(dict(sorted(sources.items())), jobs=jobs)
 
-    def compile_to_object(self, path: str, out_path: str) -> UnitIR:
+    def compile_to_object(self, path: str, out_path: str) -> None:
         """The compile phase proper: source file -> CLA object file."""
-        with self._stage("compile", files=1, jobs=1) as span:
-            unit = compile_file(path, self.options)
-            write_unit(unit, out_path, field_based=self.options.field_based)
-            span.annotate(
-                assignments=len(unit.assignments), objects=len(unit.objects)
-            )
-            if EVENTS:
-                EVENTS.emit(UnitCompiledEvent(
-                    file=path, index=1, total=1,
-                    assignments=len(unit.assignments),
-                    objects=len(unit.objects),
-                ))
-        return unit
-
-    def compile_files_to_objects(
-        self,
-        paths: list[str],
-        out_paths: list[str],
-        jobs: int | None = None,
-    ) -> list[str]:
-        """Compile many source files to object files, optionally in
-        parallel (the ``repro-cla compile --jobs`` path)."""
-        if len(paths) != len(out_paths):
-            raise ValueError("paths and out_paths must pair up")
-        jobs = self._jobs(jobs)
-        texts = []
-        for path in paths:
-            with open(path, "r", errors="replace") as f:
-                texts.append(f.read())
-        total = len(paths)
-        with self._stage("compile", files=total, jobs=jobs):
-            if jobs > 1 and total > 1:
-                workers = min(jobs, total)
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(
-                            compile_unit_to_path, path, text, out, self.options
-                        ): path
-                        for path, text, out in zip(paths, texts, out_paths)
-                    }
-                    done = 0
-                    for f in as_completed(futures):
-                        f.result()
-                        done += 1
-                        if EVENTS:
-                            EVENTS.emit(UnitCompiledEvent(
-                                file=futures[f], index=done, total=total,
-                            ))
-            else:
-                for i, (path, text, out) in enumerate(
-                    zip(paths, texts, out_paths)
-                ):
-                    with self.tracer.span("unit", file=path):
-                        compile_unit_to_path(path, text, out, self.options)
-                    if EVENTS:
-                        EVENTS.emit(UnitCompiledEvent(
-                            file=path, index=i + 1, total=total,
-                        ))
-        return out_paths
+        self.compile({path: read_source(path)}, {path: out_path})
 
     # -- link stage ----------------------------------------------------------
 
     def link_units(self, units: list[UnitIR]) -> MemoryStore:
         """Link compiled units into an in-memory constraint store."""
         with self._stage("link", units=len(units)) as span:
-            store = MemoryStore(units)
+            store = MemoryStore(units, self.options.field_based)
             span.annotate(
                 objects=len(store.objects),
                 assignments=store.stats.in_file,
@@ -344,12 +345,8 @@ class Pipeline:
     def write_executable(self, units: list[UnitIR], out_path: str) -> str:
         """Serialize linked units straight to an executable database."""
         with self._stage("link", units=len(units)) as span:
-            writer = ObjectFileWriter(
-                field_based=self.options.field_based, linked=True
-            )
-            for unit in units:
-                writer.add_unit(unit)
-            writer.write(out_path)
+            store = MemoryStore(units, self.options.field_based)
+            ObjectFileWriter(store, linked=True).write(out_path)
             span.annotate(output=out_path)
         return out_path
 
@@ -477,8 +474,7 @@ class AnalysisSession:
         return self
 
     def add_file(self, path: str) -> "AnalysisSession":
-        with open(path, "r", errors="replace") as f:
-            return self.add_source(path, f.read())
+        return self.add_source(path, read_source(path))
 
     def add_header(self, filename: str, text: str) -> "AnalysisSession":
         """A header visible to ``#include`` but not compiled on its own."""

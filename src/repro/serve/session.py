@@ -32,9 +32,9 @@ import time
 from dataclasses import dataclass, field
 
 from ..checker import check_result
-from ..cla.store import ConstraintStore
+from ..cla.store import ConstraintStore, LinkError
 from ..depend.chains import render_all, summarize
-from ..driver.incremental import BuildError, Workspace
+from ..driver.incremental import Workspace
 from ..engine.events import (
     EVENTS,
     ServeQueryEvent,
@@ -42,7 +42,7 @@ from ..engine.events import (
     ServeSlowQueryEvent,
 )
 from ..engine.obs import REGISTRY, Histogram, Tracer
-from ..engine.pipeline import Pipeline
+from ..engine.pipeline import BuildError, Pipeline
 from ..engine.prom import CONTENT_TYPE, render_prometheus
 from ..ir.strength import Strength
 from ..solvers import SOLVERS
@@ -221,7 +221,8 @@ class ServeSession:
     ) -> dict:
         """Serve one request; returns the response envelope (sans ``id``).
 
-        Client errors (:class:`ServeError`, :class:`BuildError`) become
+        Client errors (:class:`ServeError`, and the :class:`BuildError` or
+        :class:`LinkError` of an edit that does not build) become
         ``{"ok": false, "error": ...}`` responses; anything else is a
         daemon bug and propagates.  Latency and hit-rate are recorded per
         op and a ``serve.query`` event is emitted either way.
@@ -258,7 +259,7 @@ class ServeSession:
                 else:
                     known = ", ".join(KNOWN_OPS)
                     raise ServeError(f"unknown op {op!r} (known: {known})")
-            except (ServeError, BuildError) as exc:
+            except (ServeError, BuildError, LinkError) as exc:
                 ok, error = False, str(exc)
             wall_ms = (time.perf_counter() - started) * 1000.0
             response = {
@@ -555,11 +556,12 @@ class ServeSession:
     def _load(self) -> dict:
         """(Re)build, (re)open and solve; swap in the new fixpoint.
 
-        On any failure — compile errors, a certification rejection — the
-        previous store/result/generation stay in place untouched, so the
-        daemon keeps serving the last good fixpoint (or, from the
-        constructor, fails to start at all); the failure is recorded in
-        ``reloads["failed"]`` / ``last_failure`` for healthz and stats.
+        On any failure — compile or link errors, a certification
+        rejection — the previous store/result/generation stay in place
+        untouched, so the daemon keeps serving the last good fixpoint (or,
+        from the constructor, fails to start at all); the failure is
+        recorded in ``reloads["failed"]`` / ``last_failure`` for healthz
+        and stats.
         """
         started = time.perf_counter()
         try:

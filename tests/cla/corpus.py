@@ -26,6 +26,7 @@ from repro.cla.writer import write_unit
 from repro.driver.tables import build_database
 from repro.engine.pipeline import compile_source
 from repro.synth import BENCHMARK_ORDER, generate
+from repro.synth.generator import HEADER_NAME
 
 SCALE = 0.01
 SEED = 0
@@ -49,6 +50,15 @@ def figure_source(case: str) -> tuple[str, str]:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return getattr(module, constant), filename
+
+
+def case_sources(case: str) -> tuple[dict[str, str], dict[str, str]]:
+    """One case's source files and headers, by file name."""
+    if case in FIGURES:
+        text, filename = figure_source(case)
+        return {filename: text}, {}
+    program = generate(case, scale=SCALE, seed=SEED)
+    return dict(program.files), {HEADER_NAME: program.header}
 
 
 def build_case(case: str, directory: str) -> list[str]:

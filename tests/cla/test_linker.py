@@ -3,9 +3,17 @@
 import pytest
 
 from repro.cfront import parse_c
-from repro.cla.linker import LinkError, link_object_files, link_units
+from repro.cla.linker import LinkError, link_object_files
 from repro.cla.reader import DatabaseStore, ObjectFileReader
 from repro.cla.writer import write_unit
+from repro.driver.cli import main
+from repro.driver.incremental import Workspace
+from repro.engine.pipeline import (
+    AnalysisSession,
+    CompileOptions,
+    Pipeline,
+    compile_source,
+)
 from repro.ir import lower_translation_unit
 
 
@@ -72,6 +80,15 @@ class TestLinking:
             assert record is not None
             assert record.args == ["work$arg1"]
 
+    def test_same_object_linked_twice(self, tmp_path):
+        """An object file linked twice repeats one definition: its
+        function record is kept once, not a conflict."""
+        a = compile_to(tmp_path, "a.c", "int work(int n) { return n; }")
+        out = str(tmp_path / "prog.cla")
+        link_object_files([a, a], out)
+        with ObjectFileReader(out) as r:
+            assert r.load_block("work").function_record.args == ["work$arg1"]
+
     def test_source_lines_sum(self, tmp_path):
         unit_a = lower_translation_unit(
             parse_c("int a;\nint b;\n", filename="a.c"),
@@ -105,7 +122,7 @@ class TestLinking:
                                            filename="a.c")),
         ]
         out = str(tmp_path / "prog.cla")
-        link_units(units, out)
+        Pipeline().write_executable(units, out)
         store = DatabaseStore.open(out)
         assert store.stats.in_file == 1
         store.close()
@@ -139,53 +156,123 @@ class TestLinking:
         disk.close()
 
 
+def link_objects_route(tmp_path, capsys, sources, headers):
+    """Each source compiled to its own object file, then linked."""
+    options = CompileOptions(virtual_files=dict(headers))
+    paths = []
+    for name, text in sources.items():
+        path = str(tmp_path / (name + ".o"))
+        write_unit(compile_source(text, name, options), path)
+        paths.append(path)
+    out = str(tmp_path / "prog.cla")
+    link_object_files(paths, out)
+    with ObjectFileReader(out) as r:
+        return r.load_block("work").function_record
+
+
+def session_route(tmp_path, capsys, sources, headers):
+    """The library's in-memory link."""
+    session = AnalysisSession()
+    for name, text in headers.items():
+        session.add_header(name, text)
+    for name, text in sources.items():
+        session.add_source(name, text)
+    return session.store().load_block("work").function_record
+
+
+#: What the CLI route returns on a clean link: the command keeps no
+#: database, so it has no function record to hand back.
+NO_DATABASE = object()
+
+
+def cli_route(tmp_path, capsys, sources, headers):
+    """``repro-cla analyze a.c b.c``: a link error is one line, exit 2."""
+    for name, text in {**headers, **sources}.items():
+        (tmp_path / name).write_text(text)
+    rc = main(["analyze", *(str(tmp_path / name) for name in sources)])
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert err.startswith("error: duplicate definition of function")
+        assert "Traceback" not in err
+        raise LinkError(err)
+    assert rc == 0, err
+    return NO_DATABASE
+
+
+def workspace_route(tmp_path, capsys, sources, headers):
+    """A workspace build, the serve daemon's route."""
+    with Workspace(cache_dir=str(tmp_path / "ws")) as ws:
+        for name, text in headers.items():
+            ws.add_header(name, text)
+        for name, text in sources.items():
+            ws.add_source(name, text)
+        with ObjectFileReader(ws.build(jobs=1)) as r:
+            return r.load_block("work").function_record
+
+
+LINK_ROUTES = {
+    "objects": link_objects_route,
+    "session": session_route,
+    "cli": cli_route,
+    "workspace": workspace_route,
+}
+
+
 class TestDuplicateFunctionRecords:
-    def test_conflicting_definitions_rejected(self, tmp_path):
-        """Two object files each defining ``work`` used to merge silently,
-        last record winning; now that is a link error."""
-        a = compile_to(tmp_path, "a.c", "int work(int n) { return n; }")
-        b = compile_to(tmp_path, "b.c", "int work(int n, int m) { return m; }")
+    """Every route links through one store, so every route applies the
+    same function-record rule."""
+
+    @pytest.fixture(params=list(LINK_ROUTES))
+    def link(self, request, tmp_path, capsys):
+        route = LINK_ROUTES[request.param]
+        return lambda sources, headers=None: route(
+            tmp_path, capsys, sources, headers or {})
+
+    def test_conflicting_definitions_rejected(self, link):
+        """Two units each defining ``work`` are a link error: letting
+        either record win would bind every call to it silently."""
         with pytest.raises(LinkError) as exc:
-            link_object_files([a, b], str(tmp_path / "prog.cla"))
+            link({"a.c": "int work(int n) { return n; }",
+                  "b.c": "int work(int n, int m) { return m; }"})
         message = str(exc.value)
         assert "work" in message
         assert "a.c" in message and "b.c" in message
 
-    def test_same_definition_twice_keeps_first(self, tmp_path):
-        """The same object file linked twice is not a conflict: the
-        records are identical, so the first is kept."""
-        a = compile_to(tmp_path, "a.c", "int work(int n) { return n; }")
-        out = str(tmp_path / "prog.cla")
-        link_object_files([a, a], out)
-        with ObjectFileReader(out) as r:
-            record = r.load_block("work").function_record
+    def test_same_definition_twice_keeps_first(self, link):
+        """One definition reaching the link twice (here through a shared
+        header) is not a conflict: the records are identical, so the
+        first is kept."""
+        record = link(
+            {"a.c": '#include "work.h"\nint *pa;',
+             "b.c": '#include "work.h"\nint *pb;'},
+            {"work.h": "int work(int n) { return n; }\n"},
+        )
+        if record is not NO_DATABASE:
             assert record is not None
             assert record.args == ["work$arg1"]
 
-    def test_declaration_plus_definition_still_links(self, tmp_path):
+    def test_declaration_plus_definition_still_links(self, link):
         """A declaration-only unit carries no function record; linking it
         with the defining unit is untouched by the conflict check."""
-        a = compile_to(tmp_path, "a.c", "int work(int n) { return n; }")
-        b = compile_to(tmp_path, "b.c",
-                       "int work(int); void f(void) { work(3); }")
-        out = str(tmp_path / "prog.cla")
-        link_object_files([b, a], out)  # definition last: must not "win"
-        with ObjectFileReader(out) as r:
-            record = r.load_block("work").function_record
+        record = link({  # definition last: must not "win" by order
+            "a.c": "int work(int); void f(void) { work(3); }",
+            "b.c": "int work(int n) { return n; }",
+        })
+        if record is not NO_DATABASE:
             assert record is not None
-            assert "a.c" in record.location.brief()
+            assert "b.c" in record.location.brief()
 
 
 class TestLinkUnitsSourceLines:
     def test_link_units_sums_source_lines(self, tmp_path):
-        """Regression pin: the in-memory link shortcut must report the
-        same source-line total as the object-file route."""
+        """Regression pin: writing linked units straight to a database
+        reports the same source-line total as the object-file route."""
         unit_a = lower_translation_unit(
             parse_c("int a;\nint b;\n", filename="a.c"))
         unit_a.source_lines = 2
         unit_b = lower_translation_unit(parse_c("int c;\n", filename="b.c"))
         unit_b.source_lines = 3
         out = str(tmp_path / "prog.cla")
-        link_units([unit_a, unit_b], out)
+        Pipeline().write_executable([unit_a, unit_b], out)
         with ObjectFileReader(out) as r:
             assert r.source_lines == 5

@@ -10,8 +10,9 @@ from repro.cfront.source import Location
 from repro.cla import objfile as F
 from repro.cla.objfile import ClaFormatError, FormatError, name_hash
 from repro.cla.reader import DatabaseStore, ObjectFileReader
-from repro.cla.store import trigger_object
-from repro.cla.writer import ObjectFileWriter
+from repro.cla.store import MemoryStore, trigger_object
+from repro.cla.writer import ObjectFileWriter, write_unit
+from repro.ir.lower import UnitIR
 from repro.ir.objects import ObjectKind, ProgramObject
 from repro.ir.primitives import (
     FunctionRecord,
@@ -58,9 +59,14 @@ objects = st.builds(
 )
 
 
-def write_and_read(tmp_path, writer):
+def unit_of(*assignments, **fields) -> UnitIR:
+    """A unit holding ``assignments`` plus any other UnitIR ``fields``."""
+    return UnitIR("t.c", assignments=list(assignments), **fields)
+
+
+def write_and_read(tmp_path, unit):
     path = str(tmp_path / "t.o")
-    writer.write(path)
+    write_unit(unit, path)
     return ObjectFileReader(path)
 
 
@@ -70,17 +76,15 @@ def write_and_read(tmp_path, writer):
 class TestHeader:
     def test_flags_round_trip(self, tmp_path):
         for field_based in (True, False):
-            w = ObjectFileWriter(field_based=field_based, linked=True)
             path = str(tmp_path / f"t{field_based}.o")
-            w.write(path)
+            store = MemoryStore(field_based=field_based)
+            ObjectFileWriter(store, linked=True).write(path)
             with ObjectFileReader(path) as r:
                 assert r.field_based == field_based
                 assert r.linked
 
     def test_source_lines_round_trip(self, tmp_path):
-        w = ObjectFileWriter()
-        w.source_lines = 12345
-        with write_and_read(tmp_path, w) as r:
+        with write_and_read(tmp_path, unit_of(source_lines=12345)) as r:
             assert r.source_lines == 12345
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -97,8 +101,7 @@ class TestHeader:
             ObjectFileReader(path)
 
     def test_all_sections_present(self, tmp_path):
-        w = ObjectFileWriter()
-        with write_and_read(tmp_path, w) as r:
+        with write_and_read(tmp_path, unit_of()) as r:
             tags = {t.rstrip(b"\x00").decode() for t in r.sections}
             assert tags == {
                 "strtab", "global", "static", "target", "dynamic", "dynidx",
@@ -108,79 +111,70 @@ class TestHeader:
 
 class TestAssignments:
     def test_static_round_trip(self, tmp_path):
-        w = ObjectFileWriter()
         a = PrimitiveAssignment(
             kind=PrimitiveKind.ADDR, dst="p", src="x",
             strength=Strength.DIRECT, location=Location("a.c", 7),
         )
-        w.add_assignment(a)
-        with write_and_read(tmp_path, w) as r:
+        with write_and_read(tmp_path, unit_of(a)) as r:
             [back] = r.static_assignments()
             assert back.kind is PrimitiveKind.ADDR
             assert (back.dst, back.src) == ("p", "x")
             assert back.location == Location("a.c", 7)
 
     def test_block_round_trip(self, tmp_path):
-        w = ObjectFileWriter()
         a = PrimitiveAssignment(
             kind=PrimitiveKind.COPY, dst="x", src="y", op="+",
             strength=Strength.STRONG, location=Location("a.c", 3),
         )
-        w.add_assignment(a)
-        with write_and_read(tmp_path, w) as r:
+        with write_and_read(tmp_path, unit_of(a)) as r:
             block = r.load_block("y")
             [back] = block.assignments
             assert back.op == "+"
             assert back.strength is Strength.STRONG
 
     def test_assignment_count(self, tmp_path):
-        w = ObjectFileWriter()
-        for i in range(5):
-            w.add_assignment(PrimitiveAssignment(
-                kind=PrimitiveKind.COPY, dst=f"d{i}", src="s"))
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.ADDR, dst="p", src="x"))
-        with write_and_read(tmp_path, w) as r:
+        unit = unit_of(*(
+            PrimitiveAssignment(kind=PrimitiveKind.COPY, dst=f"d{i}", src="s")
+            for i in range(5)
+        ), PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst="p", src="x"))
+        with write_and_read(tmp_path, unit) as r:
             assert r.assignment_count() == 6
 
     def test_missing_block_is_none(self, tmp_path):
-        w = ObjectFileWriter()
-        with write_and_read(tmp_path, w) as r:
+        with write_and_read(tmp_path, unit_of()) as r:
             assert r.load_block("ghost") is None
 
 
 class TestRecords:
     def test_function_record_round_trip(self, tmp_path):
-        w = ObjectFileWriter()
-        w._ensure_block("f").function_record = FunctionRecord(
+        unit = unit_of(function_records={"f": FunctionRecord(
             function="f", args=["f$arg1", "f$arg2"], ret="f$ret",
             variadic=True, location=Location("a.c", 1),
-        )
-        with write_and_read(tmp_path, w) as r:
+        )})
+        with write_and_read(tmp_path, unit) as r:
             record = r.load_block("f").function_record
             assert record.args == ["f$arg1", "f$arg2"]
             assert record.ret == "f$ret"
             assert record.variadic
 
     def test_indirect_record_round_trip(self, tmp_path):
-        w = ObjectFileWriter()
-        w._ensure_block("fp").indirect_record = IndirectCallRecord(
+        unit = unit_of(indirect_calls={"fp": IndirectCallRecord(
             pointer="fp", args=["<fp>$arg1"], ret="<fp>$ret",
             location=Location("b.c", 9),
-        )
-        with write_and_read(tmp_path, w) as r:
+        )})
+        with write_and_read(tmp_path, unit) as r:
             record = r.load_block("fp").indirect_record
             assert record.args == ["<fp>$arg1"]
             assert record.ret == "<fp>$ret"
 
     def test_both_records_one_block(self, tmp_path):
-        w = ObjectFileWriter()
-        block = w._ensure_block("f")
-        block.function_record = FunctionRecord(
-            function="f", args=[], ret="f$ret")
-        block.indirect_record = IndirectCallRecord(
-            pointer="f", args=[], ret="<f>$ret")
-        with write_and_read(tmp_path, w) as r:
+        unit = unit_of(
+            function_records={"f": FunctionRecord(
+                function="f", args=[], ret="f$ret")},
+            indirect_calls={"f": IndirectCallRecord(
+                pointer="f", args=[], ret="<f>$ret")},
+        )
+        with write_and_read(tmp_path, unit) as r:
             block = r.load_block("f")
             assert block.function_record is not None
             assert block.indirect_record is not None
@@ -188,14 +182,12 @@ class TestRecords:
 
 class TestObjects:
     def test_object_metadata_round_trip(self, tmp_path):
-        w = ObjectFileWriter()
         obj = ProgramObject(
             name="a.c::f::x", kind=ObjectKind.VARIABLE, type_str="short *",
             location=Location("a.c", 4), enclosing_function="f",
             is_global=False, may_point=True, is_funcptr=False,
         )
-        w._merge_object(obj.name, obj)
-        with write_and_read(tmp_path, w) as r:
+        with write_and_read(tmp_path, unit_of(objects={obj.name: obj})) as r:
             back = r.find_object("a.c::f::x")
             assert back == obj
             assert back.type_str == "short *"
@@ -203,21 +195,21 @@ class TestObjects:
             assert not back.is_global
 
     def test_find_object_binary_search(self, tmp_path):
-        w = ObjectFileWriter()
-        for name in ["zeta", "alpha", "mid", "beta", "omega"]:
-            w._merge_object(name, ProgramObject(name=name,
-                                                kind=ObjectKind.VARIABLE))
-        with write_and_read(tmp_path, w) as r:
+        unit = unit_of(objects={
+            name: ProgramObject(name=name, kind=ObjectKind.VARIABLE)
+            for name in ["zeta", "alpha", "mid", "beta", "omega"]
+        })
+        with write_and_read(tmp_path, unit) as r:
             for name in ["alpha", "beta", "mid", "omega", "zeta"]:
                 assert r.find_object(name).name == name
             assert r.find_object("nope") is None
 
     def test_targets_lookup(self, tmp_path):
-        w = ObjectFileWriter()
-        for name in ["a.c::f::v", "b.c::g::v", "w"]:
-            w._merge_object(name, ProgramObject(name=name,
-                                                kind=ObjectKind.VARIABLE))
-        with write_and_read(tmp_path, w) as r:
+        unit = unit_of(objects={
+            name: ProgramObject(name=name, kind=ObjectKind.VARIABLE)
+            for name in ["a.c::f::v", "b.c::g::v", "w"]
+        })
+        with write_and_read(tmp_path, unit) as r:
             assert sorted(r.find_targets("v")) == ["a.c::f::v", "b.c::g::v"]
             assert r.find_targets("w") == ["w"]
             assert r.find_targets("zzz") == []
@@ -225,13 +217,11 @@ class TestObjects:
 
 class TestDatabaseStore:
     def _database(self, tmp_path) -> str:
-        w = ObjectFileWriter()
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.ADDR, dst="p", src="x"))
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.COPY, dst="q", src="p"))
         path = str(tmp_path / "db.o")
-        w.write(path)
+        write_unit(unit_of(
+            PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst="p", src="x"),
+            PrimitiveAssignment(kind=PrimitiveKind.COPY, dst="q", src="p"),
+        ), path)
         return path
 
     def test_load_accounting(self, tmp_path):
@@ -290,9 +280,8 @@ class TestEnumWidthGuard:
     slots, instead of silently truncating through struct packing."""
 
     def test_normal_enums_serialize(self):
-        w = ObjectFileWriter()
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.ADDR, dst="p", src="x"))
+        w = ObjectFileWriter(MemoryStore(unit_of(PrimitiveAssignment(
+            kind=PrimitiveKind.ADDR, dst="p", src="x"))))
         assert w.serialize()  # both enums fit a byte today
 
     def test_wide_member_rejected(self, monkeypatch):
@@ -305,7 +294,7 @@ class TestEnumWidthGuard:
             OVERFLOW = 256  # one past the byte slot
 
         monkeypatch.setattr(writer_mod, "PrimitiveKind", WidePrimitiveKind)
-        w = ObjectFileWriter()
+        w = ObjectFileWriter(MemoryStore())
         with pytest.raises(ClaFormatError) as excinfo:
             w.serialize()
         message = str(excinfo.value)
@@ -321,7 +310,7 @@ class TestEnumWidthGuard:
             BOGUS = -1
 
         monkeypatch.setattr(writer_mod, "ObjectKind", SignedObjectKind)
-        w = ObjectFileWriter()
+        w = ObjectFileWriter(MemoryStore())
         with pytest.raises(ClaFormatError):
             w.serialize()
 
@@ -336,11 +325,9 @@ class TestCorruptDatabases:
     never a bare struct.error from a short or garbage read."""
 
     def valid_bytes(self, tmp_path) -> bytes:
-        w = ObjectFileWriter()
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.ADDR, dst="p", src="x"))
         path = str(tmp_path / "valid.o")
-        w.write(path)
+        write_unit(unit_of(PrimitiveAssignment(
+            kind=PrimitiveKind.ADDR, dst="p", src="x")), path)
         with open(path, "rb") as f:
             return f.read()
 
@@ -401,13 +388,11 @@ class TestCorruptRecords:
     def corrupt(self, tmp_path, patch) -> str:
         """A database with one static row (``p = &x``) and one block
         (``p``: ``q = p``), bytes changed by ``patch(data, sections)``."""
-        w = ObjectFileWriter()
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.ADDR, dst="p", src="x"))
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.COPY, dst="q", src="p"))
         path = str(tmp_path / "db.cla")
-        w.write(path)
+        write_unit(unit_of(
+            PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst="p", src="x"),
+            PrimitiveAssignment(kind=PrimitiveKind.COPY, dst="q", src="p"),
+        ), path)
         with ObjectFileReader(path) as r:
             sections = dict(r.sections)
         with open(path, "rb") as f:
@@ -496,20 +481,18 @@ class TestCorruptRecords:
 def test_database_round_trip(tmp_path_factory, assigns, objs):
     """Any database survives write -> mmap read unchanged."""
     tmp = tmp_path_factory.mktemp("objfile")
-    w = ObjectFileWriter()
+    first: dict[str, ProgramObject] = {}
     for obj in objs:
-        w._merge_object(obj.name, obj)
-    for a in assigns:
-        w.add_assignment(a)
+        first.setdefault(obj.name, obj)
     path = str(tmp / "prop.o")
-    w.write(path)
+    write_unit(unit_of(*assigns, objects=first), path)
     with ObjectFileReader(path) as r:
         # Every written object is findable with identical metadata.
         merged = {o.name: o for o in objs}
         for name, obj in list(merged.items())[:5]:
             back = r.find_object(name)
             assert back is not None
-            assert back.kind == w.objects[name].kind
+            assert back.kind == first[name].kind
         # Assignment multiset is preserved.
         def key(a):
             return (a.kind, a.dst, a.src, a.strength, a.op,
@@ -537,11 +520,9 @@ class TestAtomicWrite:
     truncated file at the final path (the content-keyed Workspace cache
     would reuse it forever)."""
 
-    def _writer(self) -> ObjectFileWriter:
-        w = ObjectFileWriter()
-        w.add_assignment(PrimitiveAssignment(
-            kind=PrimitiveKind.ADDR, dst="p", src="x"))
-        return w
+    def _writer(self, *extra) -> ObjectFileWriter:
+        return ObjectFileWriter(MemoryStore(unit_of(PrimitiveAssignment(
+            kind=PrimitiveKind.ADDR, dst="p", src="x"), *extra)))
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = tmp_path / "out.o"
@@ -562,8 +543,7 @@ class TestAtomicWrite:
             raise OSError("simulated crash mid-write")
 
         monkeypatch.setattr("repro.cla.writer.os.replace", boom)
-        w2 = self._writer()
-        w2.add_assignment(PrimitiveAssignment(
+        w2 = self._writer(PrimitiveAssignment(
             kind=PrimitiveKind.ADDR, dst="q", src="y"))
         with pytest.raises(OSError):
             w2.write(str(path))

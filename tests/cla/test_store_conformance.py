@@ -18,7 +18,7 @@ import pytest
 from repro.cla.cache import BlockCache
 from repro.cla.reader import DatabaseStore
 from repro.cla.store import MemoryStore
-from repro.cla.writer import ObjectFileWriter
+from repro.cla.writer import write_unit
 from repro.ir.lower import UnitIR
 from repro.ir.primitives import PrimitiveAssignment, PrimitiveKind
 
@@ -40,18 +40,17 @@ BACKENDS = [
 ]
 
 
+def _unit() -> UnitIR:
+    return UnitIR(filename="conformance.c", assignments=list(ASSIGNMENTS))
+
+
 def _memory_store() -> MemoryStore:
-    unit = UnitIR(filename="conformance.c")
-    unit.assignments = list(ASSIGNMENTS)
-    return MemoryStore(unit)
+    return MemoryStore(_unit())
 
 
 def _database_store(tmp_path) -> DatabaseStore:
-    writer = ObjectFileWriter()
-    for a in ASSIGNMENTS:
-        writer.add_assignment(a)
     path = str(tmp_path / "conformance.o")
-    writer.write(path)
+    write_unit(_unit(), path)
     return DatabaseStore.open(path)
 
 

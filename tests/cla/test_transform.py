@@ -2,24 +2,35 @@
 
 
 from repro.cfront import parse_c
+from repro.cla.linker import absorb_object_files
+from repro.cla.store import MemoryStore
 from repro.cla.transform import (
     ContextSensitivity,
-    DatabaseImage,
     OfflineVariableSubstitution,
+    address_taken,
     transform_file,
 )
+from repro.cla.writer import ObjectFileWriter
 from repro.ir import lower_translation_unit
 from repro.solvers import PreTransitiveSolver
 
 
+def unit_of(src, filename="t.c"):
+    return lower_translation_unit(parse_c(src, filename=filename))
+
+
 def image_of(src, filename="t.c"):
-    return DatabaseImage.from_units(
-        [lower_translation_unit(parse_c(src, filename=filename))]
-    )
+    """The transform input: the linked database as one unit."""
+    return MemoryStore(unit_of(src, filename)).to_unit()
 
 
 def solve(image):
-    return PreTransitiveSolver(image.to_store()).solve()
+    return PreTransitiveSolver(MemoryStore(image)).solve()
+
+
+def write(image, path):
+    """Write a transform input as a linked database."""
+    ObjectFileWriter(MemoryStore(image), linked=True).write(path)
 
 
 ID_FUNCTION = """
@@ -43,26 +54,22 @@ class TestDatabaseImage:
     def test_file_round_trip(self, tmp_path):
         image = image_of(ID_FUNCTION)
         path = str(tmp_path / "db.cla")
-        image.write(path)
-        back = DatabaseImage.from_file(path)
+        write(image, path)
+        back = absorb_object_files([path]).to_unit()
         assert len(back.assignments) == len(image.assignments)
         assert set(back.function_records) == set(image.function_records)
+        assert back.source_lines == image.source_lines
 
     def test_to_store_solves_identically(self):
         image = image_of(ID_FUNCTION)
-        direct = PreTransitiveSolver(
-            DatabaseImage.from_units(
-                [lower_translation_unit(parse_c(ID_FUNCTION,
-                                                filename="t.c"))]
-            ).to_store()
-        ).solve()
+        direct = PreTransitiveSolver(MemoryStore(unit_of(ID_FUNCTION))).solve()
         via_image = solve(image)
         for name in set(direct.pts) | set(via_image.pts):
             assert direct.points_to(name) == via_image.points_to(name)
 
     def test_address_taken(self):
         image = image_of("int v, *p; void f(void) { p = &v; }")
-        assert "v" in image.address_taken()
+        assert "v" in address_taken(image)
 
 
 class TestContextSensitivity:
@@ -267,13 +274,11 @@ class TestTransformFile:
         image = image_of(ID_FUNCTION, filename="cs.c")
         src_path = str(tmp_path / "in.cla")
         out_path = str(tmp_path / "out.cla")
-        image.write(src_path)
+        write(image, src_path)
         transform_file(src_path, out_path,
                        [OfflineVariableSubstitution(),
                         ContextSensitivity()])
-        result = PreTransitiveSolver(
-            DatabaseImage.from_file(out_path).to_store()
-        ).solve()
+        result = PreTransitiveSolver(absorb_object_files([out_path])).solve()
         assert result.points_to("a") == {"x"}
         assert result.points_to("b") == {"y"}
 
@@ -284,3 +289,18 @@ class TestTransformFile:
         )
         result = solve(composed)
         assert result.points_to("a") == {"x"}
+
+
+class TestTransformOutput:
+    def test_output_shares_no_container_with_input(self):
+        """Changing a transform's output never changes its input."""
+        image = image_of(ID_FUNCTION + "void (*fp)(void);\n"
+                         "void g(void) { fp = f; fp(); }\n")
+        assert image.function_records and image.indirect_calls
+        assert image.call_sites
+        for transform in (ContextSensitivity(),
+                          OfflineVariableSubstitution()):
+            out = transform.apply(image)
+            for field in ("objects", "assignments", "function_records",
+                          "indirect_calls", "call_sites"):
+                assert getattr(out, field) is not getattr(image, field)

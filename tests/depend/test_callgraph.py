@@ -167,10 +167,7 @@ class TestEdgeCases:
             store.close()
 
     def test_survives_transform_round_trip(self):
-        from repro.cla.transform import DatabaseImage
-
         unit = lower_translation_unit(parse_c(SRC, filename="cg.c"))
-        image = DatabaseImage.from_units([unit])
-        store = image.to_store()
+        store = MemoryStore(MemoryStore(unit).to_unit())
         g = build_call_graph(store, PreTransitiveSolver(store).solve())
         assert g.callees("top") == {"middle", "leaf_b"}

@@ -138,6 +138,63 @@ class TestCliFailureModes:
                      "--no-diff", "--no-cycle-elim"]) == 0
 
 
+class TestBuildAndLinkErrors:
+    """Sources that do not compile and objects that do not link fail with
+    one ``error:`` line and exit code 2, naming every broken file."""
+
+    BAD = "int broken('"
+    BAD2 = "void also_broken(void) { @ }"
+
+    def err(self, capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        return err
+
+    def write(self, tmp_path, name, text) -> str:
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_compile_error(self, tmp_path, capsys):
+        bad = self.write(tmp_path, "bad.c", self.BAD)
+        assert main(["compile", bad, "-o", str(tmp_path / "bad.o")]) == 2
+        err = self.err(capsys)
+        assert "1 unit failed to compile" in err and bad in err
+
+    def test_analyze_compile_error(self, tmp_path, capsys):
+        bad = self.write(tmp_path, "bad.c", self.BAD)
+        assert main(["analyze", bad]) == 2
+        assert bad in self.err(capsys)
+
+    def test_parallel_compile_names_every_failure(self, sources, tmp_path,
+                                                  capsys):
+        _, a, _ = sources
+        bad = self.write(tmp_path, "bad.c", self.BAD)
+        bad2 = self.write(tmp_path, "bad2.c", self.BAD2)
+        assert main(["compile", "-j", "2", bad, bad2, a,
+                     "-o", str(tmp_path / "out")]) == 2
+        err = self.err(capsys)
+        assert "2 units failed to compile" in err
+        assert bad in err and bad2 in err and a not in err
+        assert err.index(bad + ":") < err.index(bad2 + ":")  # by name
+
+    def test_link_conflicting_definitions(self, tmp_path, capsys):
+        objects = []
+        for name, var in (("a.c", "x"), ("b.c", "y")):
+            src = self.write(tmp_path, name,
+                             f"int {var}, *p{var}; void f(void) "
+                             f"{{ p{var} = &{var}; }}\n")
+            objects.append(src[:-2] + ".o")
+            assert main(["compile", src, "-o", objects[-1]]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "prog.cla")
+        assert main(["link", *objects, "-o", out]) == 2
+        err = self.err(capsys)
+        assert "duplicate definition of function 'f'" in err
+        assert "a.c" in err and "b.c" in err
+
+
 class TestDepend:
     def test_dependence_output(self, database, capsys):
         assert main(["depend", database, "--target", "tgt"]) == 0

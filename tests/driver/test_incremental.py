@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.driver.incremental import BuildError, Workspace
+from repro.driver.incremental import Workspace
+from repro.engine.pipeline import BuildError
 
 
 @pytest.fixture

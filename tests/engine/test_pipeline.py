@@ -99,17 +99,16 @@ class TestParallelCompile:
             assert set(s.objects) == set(p.objects)
 
     def test_parallel_objects_byte_identical(self, tmp_path):
-        paths = []
-        for name, text in (("a.c", A_C), ("b.c", B_C)):
-            path = tmp_path / name
-            path.write_text(text)
-            paths.append(str(path))
-        serial_out = [str(tmp_path / "s_a.o"), str(tmp_path / "s_b.o")]
-        parallel_out = [str(tmp_path / "p_a.o"), str(tmp_path / "p_b.o")]
-        Pipeline().compile_files_to_objects(paths, serial_out, jobs=1)
-        Pipeline().compile_files_to_objects(paths, parallel_out, jobs=2)
-        for s, p in zip(serial_out, parallel_out):
-            with open(s, "rb") as fs, open(p, "rb") as fp:
+        sources = {"a.c": A_C, "b.c": B_C}
+        serial_out = {name: str(tmp_path / f"s_{name}.o") for name in sources}
+        parallel_out = {name: str(tmp_path / f"p_{name}.o")
+                        for name in sources}
+        serial = Pipeline().compile(sources, serial_out, jobs=1)
+        parallel = Pipeline().compile(sources, parallel_out, jobs=2)
+        assert serial == parallel == [None, None]  # the files hold the IR
+        for name in sources:
+            with open(serial_out[name], "rb") as fs, \
+                    open(parallel_out[name], "rb") as fp:
                 assert fs.read() == fp.read()
 
     def test_session_jobs_parameter(self):
@@ -119,7 +118,7 @@ class TestParallelCompile:
 
     def test_mismatched_out_paths_raise(self):
         with pytest.raises(ValueError, match="pair up"):
-            Pipeline().compile_files_to_objects(["a.c"], [])
+            Pipeline().compile({}, {"a.c": "a.o"})
 
 
 class TestResolveJobs:

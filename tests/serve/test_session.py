@@ -102,11 +102,18 @@ class TestQueryCacheSemantics:
         assert session.request("points-to",
                                {"name": "extra"})["cache_hit"]
 
-    def test_failed_update_keeps_serving_old_generation(self, session):
+    @pytest.mark.parametrize("file, bad, good", [
+        ("b.c", "int bad(", SOURCE_B),
+        # t.c defines a.c's init() a second time: it compiles, but the
+        # workspace no longer links.
+        ("t.c", "int y;\nint *init(void) { return &y; }\n", "int y;\n"),
+    ], ids=["compile", "link"])
+    def test_failed_update_keeps_serving_old_generation(
+            self, session, file, bad, good):
         session.request("points-to", {"name": "mine"})
         before = session.generation
-        u = session.request("update", {"file": "b.c", "text": "int bad("})
-        assert not u["ok"] and "b.c" in u["error"]
+        u = session.request("update", {"file": file, "text": bad})
+        assert not u["ok"] and file in u["error"]
         assert session.generation == before
         r = session.request("points-to", {"name": "mine"})
         assert r["cache_hit"], "old generation's cache should still serve"
@@ -118,13 +125,13 @@ class TestQueryCacheSemantics:
         failure = health["last_failure"]
         assert failure is not None
         assert failure["generation"] == before
-        assert "b.c" in failure["error"]
+        assert file in failure["error"]
         assert failure["age_s"] >= 0.0
         stats = session.request("stats")["result"]
         assert stats["reloads"]["failed"] == 1
-        assert "b.c" in stats["last_failure"]["error"]
+        assert file in stats["last_failure"]["error"]
         # Fixing the file recovers; the failure record stays on display.
-        u = session.request("update", {"file": "b.c", "text": SOURCE_B})
+        u = session.request("update", {"file": file, "text": good})
         assert u["ok"]
         assert session.generation == before + 1
         assert session.health()["last_update"]["generation"] == before + 1
@@ -230,6 +237,26 @@ class TestEvents:
             assert ops == ["points-to", "points-to", "update"]
             assert [e.cache_hit for e in queries[:2]] == [False, True]
             assert all(e.generation >= 1 for e in queries)
+
+    def test_update_compile_is_a_stage(self, workspace):
+        """An update's workspace build compiles through the pipeline's
+        one compile driver: a ``compile`` stage in the ledger with one
+        ``compile.unit`` event, and a ``unit`` span in the trace."""
+        with ServeSession(workspace=workspace) as session:
+            with EVENTS.sink(MemorySink()) as sink:
+                session.request("update", {"file": "b.c",
+                                           "text": SOURCE_B_GROWN})
+        stages = [(e.stage, e.phase) for e in sink.of_kind("stage")]
+        assert stages == [
+            ("compile", "begin"), ("compile", "end"),
+            ("link", "begin"), ("link", "end"),
+            ("analyze", "begin"), ("analyze", "end"),
+        ]
+        [unit] = sink.of_kind("compile.unit")
+        assert unit.file == "b.c" and unit.assignments > 0
+        compile_span = workspace.pipeline.tracer.find("compile")[-1]
+        assert [c.attrs["file"] for c in compile_span.children
+                if c.name == "unit"] == ["b.c"]
 
     def test_error_queries_are_ledgered(self, workspace):
         with EVENTS.sink(MemorySink()) as sink:
