@@ -55,7 +55,7 @@ def run_config(config: str, n: int):
     solver = PreTransitiveSolver(store, **CONFIGS[config])
     t0 = time.perf_counter()
     result = solver.solve()
-    return result, time.perf_counter() - t0, solver.metrics.nodes_visited
+    return result, time.perf_counter() - t0, solver.stats.nodes_visited
 
 
 @pytest.mark.parametrize("config", list(CONFIGS))
@@ -142,7 +142,7 @@ def test_diff_propagation(benchmark, config, report):
         return holder["result"]
 
     benchmark.pedantic(run, setup=setup, rounds=1, iterations=1)
-    m = holder["solver"].metrics
+    m = holder["solver"].stats
     benchmark.extra_info["relations"] = (
         holder["result"].points_to_relations()
     )
@@ -166,7 +166,7 @@ def test_diff_propagation_cuts_work_and_preserves_result(benchmark, report):
         result = solver.solve()
         results[config] = (
             {k: v for k, v in result.pts.items() if v},
-            solver.metrics.delta_lvals_processed,
+            solver.stats.delta_lvals_processed,
         )
     pts_on, processed_on = results["diff-on"]
     pts_off, processed_off = results["diff-off"]

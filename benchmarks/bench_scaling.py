@@ -68,7 +68,7 @@ def test_subquadratic_growth(benchmark, report):
         solver.solve()
         elapsed = time.perf_counter() - t0
         points.append((store.stats.loaded, elapsed,
-                       solver.metrics.nodes_visited))
+                       solver.stats.nodes_visited))
     (n1, t1, w1), (_n2, _t2, _w2), (n3, t3, w3) = points
     size_ratio = n3 / n1
     work_ratio = w3 / max(w1, 1)
@@ -97,8 +97,8 @@ def test_diff_propagation_pays_off_at_scale(benchmark, report):
         result = solver.solve()
         runs[diff] = (
             {k: v for k, v in result.pts.items() if v},
-            solver.metrics.delta_lvals_processed,
-            solver.metrics.lvals_skipped_by_diff,
+            solver.stats.delta_lvals_processed,
+            solver.stats.lvals_skipped_by_diff,
         )
     pts_on, processed_on, skipped_on = runs[True]
     pts_off, processed_off, _ = runs[False]

@@ -61,9 +61,9 @@ def main() -> None:
     assert result.points_to("z") == {"y"}
     assert result.points_to("y") == {"x"}
     print()
-    print(f"solver: {result.metrics.rounds} iteration rounds, "
-          f"{result.metrics.edges_added} edges, "
-          f"{result.metrics.lval_queries} getLvals queries")
+    print(f"solver: {result.stats.rounds} iteration rounds, "
+          f"{result.stats.edges_added} edges, "
+          f"{result.stats.lval_queries} getLvals queries")
 
 
 if __name__ == "__main__":

@@ -48,8 +48,8 @@ def main() -> None:
     print()
     print(f"pointer variables: {result.pointer_variables()}")
     print(f"points-to relations: {result.points_to_relations()}")
-    print(f"solver rounds: {result.metrics.rounds}, "
-          f"edges added: {result.metrics.edges_added}")
+    print(f"solver rounds: {result.stats.rounds}, "
+          f"edges added: {result.stats.edges_added}")
 
     # may_alias is the aliasing question the dependence tool needs.
     print()

@@ -13,7 +13,7 @@
 
 from .cache import BlockCache, wrap_store
 from .linker import LinkError, absorb_object_files, link_object_files
-from .objfile import ClaFormatError, FormatError, name_hash
+from .objfile import ClaFormatError, name_hash
 from .reader import DatabaseStore, ObjectFileReader
 from .store import (
     Block,
@@ -28,7 +28,7 @@ from .writer import ObjectFileWriter, write_unit
 __all__ = [
     "BlockCache", "wrap_store",
     "LinkError", "absorb_object_files", "link_object_files",
-    "ClaFormatError", "FormatError", "name_hash",
+    "ClaFormatError", "name_hash",
     "DatabaseStore", "ObjectFileReader",
     "Block", "ConstraintStore", "LoadStats", "MemoryStore",
     "simple_name_of", "trigger_object",

@@ -21,14 +21,13 @@ from .writer import ObjectFileWriter
 def absorb_object_files(paths: Iterable[str]) -> MemoryStore:
     """Link object files into one in-memory store; the first file sets
     the struct model every later one must share."""
-    store: MemoryStore | None = None
+    paths = list(paths)
+    if not paths:
+        raise LinkError("no input object files")
+    store = MemoryStore()
     for path in paths:
         with ObjectFileReader(path) as reader:
-            if store is None:
-                store = MemoryStore(field_based=reader.field_based)
             store.absorb_object(reader)
-    if store is None:
-        raise LinkError("no input object files")
     return store
 
 

@@ -33,6 +33,13 @@ VERSION = 1
 
 FLAG_FIELD_BASED = 0x0001
 FLAG_LINKED = 0x0002
+FLAG_OFFSET_BASED = 0x0004
+#: Header flag bits per struct model; field-independent sets neither.
+STRUCT_MODEL_FLAGS = {
+    "field_based": FLAG_FIELD_BASED,
+    "field_independent": 0,
+    "offset_based": FLAG_OFFSET_BASED,
+}
 
 SEC_STRTAB = b"strtab\x00\x00"
 SEC_GLOBAL = b"global\x00\x00"
@@ -154,6 +161,3 @@ class ClaFormatError(Exception):
     a one-line error instead of a traceback.
     """
 
-
-#: Historical name; kept so existing ``except FormatError`` sites work.
-FormatError = ClaFormatError

@@ -135,8 +135,13 @@ class ObjectFileReader:
         self._dynamic_end = sum(self.sections.get(F.SEC_DYNAMIC, (0, 0)))
 
     @property
-    def field_based(self) -> bool:
-        return bool(self.flags & F.FLAG_FIELD_BASED)
+    def struct_model(self) -> str:
+        """The struct model the file was compiled under."""
+        if self.flags & F.FLAG_OFFSET_BASED:
+            return "offset_based"
+        if self.flags & F.FLAG_FIELD_BASED:
+            return "field_based"
+        return "field_independent"
 
     @property
     def linked(self) -> bool:

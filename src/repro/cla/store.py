@@ -270,21 +270,19 @@ class MemoryStore:
     * identical function records keep the first, and two different
       definitions of one function raise :class:`LinkError`;
     * ``source_lines`` is the sum over the inputs;
-    * object files of another struct model raise :class:`LinkError`.
+    * the first input sets :attr:`struct_model`, and an input of another
+      struct model raises :class:`LinkError`.
 
     :meth:`absorb_unit` links a lowered unit row by row;
     :meth:`absorb_object` links an object file block by block.
-    ``field_based`` is the struct model the store is written with.
     """
 
-    def __init__(
-        self,
-        units: UnitIR | Iterable[UnitIR] = (),
-        field_based: bool = True,
-    ):
+    def __init__(self, units: UnitIR | Iterable[UnitIR] = ()):
         if isinstance(units, UnitIR):
             units = [units]
-        self.field_based = field_based
+        #: The struct model of every input (field-based while empty).
+        self.struct_model = "field_based"
+        self._has_inputs = False
         self.source_lines = 0
         self.objects: dict[str, ProgramObject] = {}
         self._statics: list[PrimitiveAssignment] = []
@@ -308,6 +306,7 @@ class MemoryStore:
         at a time and absorbs each before generating the next, so a
         million-line corpus is never materialised in memory at once.
         """
+        self._link_struct_model(unit.struct_model, unit.filename)
         self._targets = None
         self.source_lines += unit.source_lines
         for name, obj in unit.objects.items():
@@ -329,11 +328,7 @@ class MemoryStore:
         """Link one open object file (an
         :class:`~repro.cla.reader.ObjectFileReader`) into the store, one
         decoded block at a time."""
-        if reader.field_based != self.field_based:
-            raise LinkError(
-                f"{reader.path}: struct model differs from earlier inputs "
-                "(field-based vs field-independent)"
-            )
+        self._link_struct_model(reader.struct_model, reader.path)
         self._targets = None
         self.source_lines += reader.source_lines
         for obj in reader.objects():
@@ -352,6 +347,15 @@ class MemoryStore:
             if theirs.indirect_record is not None:
                 self._add_indirect_record(mine, theirs.indirect_record)
         self.stats.in_file += in_file
+
+    def _link_struct_model(self, model: str, source: str) -> None:
+        if self._has_inputs and model != self.struct_model:
+            raise LinkError(
+                f"{source}: struct model {model} differs from earlier "
+                f"inputs ({self.struct_model})"
+            )
+        self.struct_model = model
+        self._has_inputs = True
 
     def _merge_object(self, name: str, obj: ProgramObject) -> None:
         existing = self.objects.get(name)
@@ -408,7 +412,8 @@ class MemoryStore:
         unit = UnitIR(filename="<linked>", objects=dict(self.objects),
                       assignments=self.all_assignments(),
                       call_sites=list(self._call_sites),
-                      source_lines=self.source_lines)
+                      source_lines=self.source_lines,
+                      struct_model=self.struct_model)
         for name, block in self._blocks.items():
             if block.function_record is not None:
                 unit.function_records[name] = block.function_record

@@ -82,7 +82,7 @@ def transform_file(
     unit = store.to_unit()
     for transform in transforms:
         unit = transform.apply(unit)
-    out = MemoryStore(unit, store.field_based)
+    out = MemoryStore(unit)
     ObjectFileWriter(out, linked=True).write(out_path)
     return unit
 

@@ -205,9 +205,7 @@ class ObjectFileWriter:
             (F.SEC_DYNIDX, index_buf.getvalue()),
             (F.SEC_CALLS, calls_buf.getvalue()),
         ]
-        flags = 0
-        if store.field_based:
-            flags |= F.FLAG_FIELD_BASED
+        flags = F.STRUCT_MODEL_FLAGS[store.struct_model]
         if self.linked:
             flags |= F.FLAG_LINKED
         header_size = F.HEADER.size + len(sections) * F.SECTION_ENTRY.size
@@ -225,6 +223,6 @@ class ObjectFileWriter:
         return out.getvalue()
 
 
-def write_unit(unit: UnitIR, path: str, field_based: bool = True) -> None:
+def write_unit(unit: UnitIR, path: str) -> None:
     """Compile-phase convenience: one translation unit -> one object file."""
-    ObjectFileWriter(MemoryStore(unit, field_based)).write(path)
+    ObjectFileWriter(MemoryStore(unit)).write(path)

@@ -18,9 +18,10 @@ or, going through real object files on disk::
     api.link_objects(["a.o", "b.o"], "prog.cla")
     result = api.analyze_database("prog.cla")
 
-Everything here is a thin wrapper over :mod:`repro.engine.pipeline`; pass
-a :class:`~repro.engine.obs.Tracer` to :class:`Project` (or build your own
-:class:`~repro.engine.pipeline.Pipeline`) to see the per-stage spans.
+Everything here is a thin wrapper over :mod:`repro.engine.pipeline`;
+attach a :class:`~repro.engine.obs.Tracer` to the event bus
+(``with EVENTS.sink(Tracer()) as tracer: ...``) to see the per-stage
+spans.
 """
 
 from __future__ import annotations

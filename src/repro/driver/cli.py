@@ -30,7 +30,7 @@ from ..cla.reader import ObjectFileReader
 from ..cla.store import LinkError
 from ..depend.chains import render_all, summarize
 from ..engine.events import EVENTS, JsonlSink, ProgressSink
-from ..engine.obs import REGISTRY, Tracer, human_count, measure
+from ..engine.obs import REGISTRY, Tracer, human_count, measure, span
 from ..engine.pipeline import BuildError, Pipeline, read_source
 from ..solvers import SOLVERS
 from . import tables
@@ -38,12 +38,16 @@ from .api import CompileOptions, link_objects
 
 
 @contextmanager
-def _event_sinks(events_out: str | None, progress: bool):
-    """Attach the requested ledger sinks to the process bus for one
-    command (``--events FILE`` and/or ``--progress``)."""
+def _event_sinks(events_out: str | None, progress: bool,
+                 trace_out: str | None = None):
+    """Attach the requested sinks to the process bus for one command
+    (``--events FILE``, ``--progress`` and ``--trace FILE``).  The trace
+    is written on the way out, so a failed run still leaves a partial
+    one."""
     jsonl = JsonlSink(events_out) if events_out else None
+    tracer = Tracer() if trace_out else None
     sinks = [s for s in (
-        jsonl, ProgressSink() if progress else None
+        jsonl, ProgressSink() if progress else None, tracer
     ) if s is not None]
     for sink in sinks:
         EVENTS.add_sink(sink)
@@ -54,6 +58,36 @@ def _event_sinks(events_out: str | None, progress: bool):
             EVENTS.remove_sink(sink)
         if jsonl is not None:
             jsonl.close()
+        if tracer is not None:
+            tracer.write(trace_out)
+
+
+def _write_output(path: str, text: str, end: str = "") -> None:
+    """Write ``text`` to the file ``path``, or to stdout followed by
+    ``end`` when ``path`` is ``-``."""
+    if path == "-":
+        print(text, end=end)
+    else:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
+def _source_inputs(command: str, inputs: list[str],
+                   suffixes: tuple[str, ...] = (".c",)) -> list[str] | None:
+    """The source files among ``inputs``: every input a source (a build
+    from sources), or none and exactly one input (a database).  Any
+    other mix prints an error and returns ``None``."""
+    sources = [p for p in inputs if p.endswith(suffixes)]
+    kinds = "/".join(suffixes)
+    if sources and len(sources) != len(inputs):
+        print(f"error: cannot mix {kinds} sources with a database",
+              file=sys.stderr)
+        return None
+    if not sources and len(inputs) != 1:
+        print(f"error: {command} takes one database or a set of {kinds} "
+              "sources", file=sys.stderr)
+        return None
+    return sources
 
 
 def _add_ledger_flags(p: argparse.ArgumentParser) -> None:
@@ -84,13 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="add an #include search directory")
     p.add_argument("-D", "--define", action="append", default=[],
                    help="predefine a macro (NAME or NAME=VALUE)")
-    p.add_argument("--field-independent", action="store_true",
-                   help="use the field-independent struct model")
-    p.add_argument("--struct-model",
-                   choices=["field_based", "field_independent",
-                            "offset_based"],
-                   help="struct model (overrides --field-independent); "
-                        "offset_based is the paper's future-work model")
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--field-independent", action="store_true",
+                       help="use the field-independent struct model")
+    model.add_argument("--struct-model",
+                       choices=["field_based", "field_independent",
+                                "offset_based"],
+                       help="struct model; offset_based is the paper's "
+                            "future-work model")
     p.add_argument("--track-strings", action="store_true",
                    help="model string literals as objects")
     p.add_argument("--heap-model", default="site",
@@ -395,15 +430,19 @@ def _cmd_link(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_cache_line(budget: int, st) -> None:
+    """The block-cache accounting line under ``--max-core-assignments``."""
+    print(
+        f"cache: budget={budget} "
+        f"peak in core={st.peak_in_core} reloads={st.reloads} "
+        f"hits={st.block_hits} misses={st.block_misses} "
+        f"evictions={st.block_evictions}"
+    )
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    c_files = [p for p in args.inputs if p.endswith(".c")]
-    if c_files and len(c_files) != len(args.inputs):
-        print("error: cannot mix .c sources with a database",
-              file=sys.stderr)
-        return 2
-    if not c_files and len(args.inputs) != 1:
-        print("error: analyze takes one database or a set of .c sources",
-              file=sys.stderr)
+    c_files = _source_inputs("analyze", args.inputs)
+    if c_files is None:
         return 2
     # Map the pretransitive-only toggles; passing one alongside another
     # solver is an error, not a silent no-op.
@@ -422,13 +461,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    tracer = Tracer()
-    pipeline = Pipeline(tracer=tracer)
+    pipeline = Pipeline()
     store = None
     try:
         kwargs = {kw: value for _f, on, kw, value in toggles if on}
-        with _event_sinks(args.events_out, args.progress), \
-                tracer.span("session", command="analyze"):
+        with _event_sinks(args.events_out, args.progress, args.trace_out), \
+                span("session", command="analyze"):
             if c_files:
                 sources = {path: read_source(path) for path in c_files}
                 units = pipeline.compile_units(sources)
@@ -461,13 +499,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"loaded={store.stats.loaded} in file={store.stats.in_file}"
         )
         if args.max_core_assignments is not None:
-            st = store.stats
-            print(
-                f"cache: budget={args.max_core_assignments} "
-                f"peak in core={st.peak_in_core} reloads={st.reloads} "
-                f"hits={st.block_hits} misses={st.block_misses} "
-                f"evictions={st.block_evictions}"
-            )
+            _print_cache_line(args.max_core_assignments, store.stats)
         if args.profile_out:
             from ..engine.profiling import render_hotspots
 
@@ -490,12 +522,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.dot_out:
             from .export import points_to_dot
 
-            dot = points_to_dot(result, include=args.query)
-            if args.dot_out == "-":
-                print(dot, end="")
-            else:
-                with open(args.dot_out, "w") as f:
-                    f.write(dot)
+            _write_output(args.dot_out,
+                          points_to_dot(result, include=args.query))
         if args.json_out:
             import json
 
@@ -516,15 +544,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     if targets
                 },
             }, indent=2)
-            if args.json_out == "-":
-                print(payload)
-            else:
-                with open(args.json_out, "w") as f:
-                    f.write(payload)
+            _write_output(args.json_out, payload, end="\n")
     finally:
-        # Written in finally so a failed run still leaves a partial trace.
-        if args.trace_out:
-            tracer.write(args.trace_out)
         if store is not None and hasattr(store, "close"):
             store.close()
     return 0
@@ -533,16 +554,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_depend(args: argparse.Namespace) -> int:
     from ..ir.strength import Strength
 
-    tracer = Tracer()
-    pipeline = Pipeline(tracer=tracer)
+    pipeline = Pipeline()
     # One cache serves both phases: the depend phase re-requests blocks
     # the analysis already touched, so retained blocks come back as hits
     # instead of re-reads.
     store = pipeline.open_database(args.database, args.max_core_assignments)
     try:
         threshold = Strength[args.min_strength.upper()]
-        with _event_sinks(args.events_out, args.progress), \
-                tracer.span("session", command="depend"):
+        with _event_sinks(args.events_out, args.progress, args.trace_out), \
+                span("session", command="depend"):
             points_to = pipeline.analyze(store, args.solver)
             try:
                 result = pipeline.depend(
@@ -561,13 +581,7 @@ def _cmd_depend(args: argparse.Namespace) -> int:
             f"weak={counts['weak']}); blocks loaded: {result.blocks_loaded}"
         )
         if args.max_core_assignments is not None:
-            st = store.stats
-            print(
-                f"cache: budget={args.max_core_assignments} "
-                f"peak in core={st.peak_in_core} reloads={st.reloads} "
-                f"hits={st.block_hits} misses={st.block_misses} "
-                f"evictions={st.block_evictions}"
-            )
+            _print_cache_line(args.max_core_assignments, store.stats)
         if args.stats:
             print(points_to.stats.render())
         if args.tree:
@@ -580,34 +594,16 @@ def _cmd_depend(args: argparse.Namespace) -> int:
         if args.json_out:
             from ..depend.report import to_json
 
-            payload = to_json(store, result)
-            if args.json_out == "-":
-                print(payload)
-            else:
-                with open(args.json_out, "w") as f:
-                    f.write(payload)
+            _write_output(args.json_out, to_json(store, result), end="\n")
         if args.csv_out:
             from ..depend.report import to_csv
 
-            payload = to_csv(store, result)
-            if args.csv_out == "-":
-                print(payload, end="")
-            else:
-                with open(args.csv_out, "w") as f:
-                    f.write(payload)
+            _write_output(args.csv_out, to_csv(store, result))
         if args.dot_out:
             from .export import dependence_dot
 
-            payload = dependence_dot(store, result)
-            if args.dot_out == "-":
-                print(payload, end="")
-            else:
-                with open(args.dot_out, "w") as f:
-                    f.write(payload)
+            _write_output(args.dot_out, dependence_dot(store, result))
     finally:
-        # Written in finally so a failed run still leaves a partial trace.
-        if args.trace_out:
-            tracer.write(args.trace_out)
         store.close()
     return 0
 
@@ -615,14 +611,8 @@ def _cmd_depend(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from ..checker import check_result
 
-    c_files = [p for p in args.inputs if p.endswith(".c")]
-    if c_files and len(c_files) != len(args.inputs):
-        print("error: cannot mix .c sources with a database",
-              file=sys.stderr)
-        return 2
-    if not c_files and len(args.inputs) != 1:
-        print("error: check takes one database or a set of .c sources",
-              file=sys.stderr)
+    c_files = _source_inputs("check", args.inputs)
+    if c_files is None:
         return 2
     solvers = sorted(SOLVERS) if args.all_solvers else [args.solver]
     pipeline = Pipeline(CompileOptions(
@@ -735,12 +725,7 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
             for fn in dead:
                 print(f"  dead: {fn}")
         if args.dot_out:
-            dot = graph.to_dot()
-            if args.dot_out == "-":
-                print(dot, end="")
-            else:
-                with open(args.dot_out, "w") as f:
-                    f.write(dot)
+            _write_output(args.dot_out, graph.to_dot())
     finally:
         store.close()
     return 0
@@ -749,7 +734,7 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
 def _cmd_dump(args: argparse.Namespace) -> int:
     with ObjectFileReader(args.objectfile) as reader:
         kind = "executable" if reader.linked else "object file"
-        model = "field-based" if reader.field_based else "field-independent"
+        model = reader.struct_model.replace("_", "-")
         print(f"{args.objectfile}: CLA {kind}, {model}, "
               f"{reader.source_lines} source lines")
         b_nul = b"\x00"
@@ -825,18 +810,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    tracer = Tracer()
     kwargs = {"scale": args.scale, "seed": args.seed}
     if args.profile:
         kwargs["profiles"] = args.profile
-    try:
-        with _event_sinks(args.events_out, args.progress), \
-                tracer.span("bench", table=args.table):
-            headers, rows, title = _bench_table(args, kwargs)
-    finally:
-        # Written in finally so a failed run still leaves a partial trace.
-        if args.trace_out:
-            tracer.write(args.trace_out)
+    with _event_sinks(args.events_out, args.progress, args.trace_out), \
+            span("bench", table=args.table):
+        headers, rows, title = _bench_table(args, kwargs)
     print(tables.render(title, headers, rows))
     if args.stats:
         for name, value in REGISTRY.snapshot().items():
@@ -920,14 +899,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from .incremental import Workspace
 
-    c_files = [p for p in args.inputs if p.endswith((".c", ".h"))]
-    if c_files and len(c_files) != len(args.inputs):
-        print("error: cannot mix .c/.h sources with a database",
-              file=sys.stderr)
-        return 2
-    if not c_files and len(args.inputs) != 1:
-        print("error: serve takes one database or a set of .c/.h sources",
-              file=sys.stderr)
+    c_files = _source_inputs("serve", args.inputs, (".c", ".h"))
+    if c_files is None:
         return 2
     host, port = "127.0.0.1", None
     if args.http:
@@ -940,7 +913,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"error: --http wants [HOST:]PORT (got {args.http!r})",
                   file=sys.stderr)
             return 2
-    tracer = Tracer()
     workspace = None
     session = None
     try:
@@ -949,7 +921,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 workspace = Workspace(
                     cache_dir=args.cache_dir,
                     options=CompileOptions(include_dirs=args.include),
-                    tracer=tracer,
                 )
                 for path in c_files:
                     if path.endswith(".h"):
@@ -967,7 +938,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 session = ServeSession(
                     database=args.inputs[0], solver=args.solver,
                     cache_entries=args.cache_entries,
-                    certify=args.certify, tracer=tracer,
+                    certify=args.certify,
                     slow_query_ms=args.slow_query_ms,
                     trace_ring=args.trace_ring,
                 )
@@ -1025,11 +996,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output == "-":
-        print(text, end="")
-    else:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+    _write_output(args.output, text)
     return 0
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from ..cla.objfile import ClaFormatError
 from ..cla.reader import ObjectFileReader
-from ..engine.obs import Tracer
 from ..engine.pipeline import CompileOptions, Pipeline, resolve_jobs
 from ..solvers.base import PointsToResult
 
@@ -50,9 +49,8 @@ class Workspace:
         self,
         cache_dir: str | None = None,
         options: CompileOptions | None = None,
-        tracer: Tracer | None = None,
     ):
-        self.pipeline = Pipeline(options=options, tracer=tracer)
+        self.pipeline = Pipeline(options=options)
         self.options = self.pipeline.options
         if cache_dir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="cla-ws-")

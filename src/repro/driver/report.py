@@ -2,11 +2,12 @@
 
 ``repro-cla report`` turns the machine-readable outputs of a run —
 ``--trace trace.json`` (stage spans + counters), ``--events events.jsonl``
-(the run ledger), and ``BENCH_*.json`` files — into the tables the paper
-reports results with: a per-phase cost table (§6's wall/user/space
-breakdown), the solver convergence curve (§5's per-round behaviour, with
-a sparkline), CLA load/cache accounting (§4 / Table 3's last columns),
-and the bench stats.  Output is text (the paper's aligned tables) or
+(the run ledger, which carries the same spans), and ``BENCH_*.json``
+files — into the tables the paper reports results with: a per-phase cost
+table (§6's wall/user/space breakdown, from either file), the solver
+convergence curve (§5's per-round behaviour, with a sparkline), CLA
+load/cache accounting (§4 / Table 3's last columns), and the bench
+stats.  Output is text (the paper's aligned tables) or
 markdown for PR descriptions and CI summaries.
 
 Every section is optional: the report renders whatever artifacts it is
@@ -20,6 +21,7 @@ import os
 from typing import Any, Callable, Iterator
 
 from ..engine.events import read_events
+from ..engine.obs import span_tree
 from .benchcmp import DEFAULT_MIN_ABS_DELTA, DEFAULT_THRESHOLD, load_bench
 from .tables import render, render_markdown
 
@@ -73,15 +75,17 @@ def _attr_summary(attrs: dict[str, Any], limit: int = 48) -> str:
     return " ".join(parts)
 
 
-def phase_rows(trace: dict) -> tuple[list[str], list[list[str]]]:
-    """The §6-style per-phase cost table from a trace tree.
+def phase_rows(roots: list[dict]) -> tuple[list[str], list[list[str]]]:
+    """The §6-style per-phase cost table from a span tree: a trace
+    file's ``trace`` list, or :func:`~repro.engine.obs.span_tree` over a
+    ledger's ``stage`` records.
 
     Per-file ``unit`` spans are folded into their parent compile span's
     ``files`` attribute rather than listed (they would drown the table).
     """
     headers = ["phase", "start", "wall", "user", "rss Δ", "detail"]
     rows = []
-    for span, depth in _iter_spans(trace.get("trace", [])):
+    for span, depth in _iter_spans(roots):
         if span.get("name") == "unit":
             continue
         rows.append([
@@ -92,24 +96,6 @@ def phase_rows(trace: dict) -> tuple[list[str], list[list[str]]]:
             f"{span.get('rss_delta_mb', 0.0):.1f}MB",
             _attr_summary(span.get("attrs", {})),
         ])
-    return headers, rows
-
-
-def stage_rows_from_events(
-    records: list[dict],
-) -> tuple[list[str], list[list[str]]]:
-    """Phase table reconstructed from the ledger alone (no trace file):
-    one row per ``stage`` end event."""
-    headers = ["phase", "at", "wall", "detail"]
-    rows = []
-    for r in records:
-        if r.get("kind") == "stage" and r.get("phase") == "end":
-            rows.append([
-                str(r.get("stage", "?")),
-                f"{r.get('ts', 0.0):.3f}s",
-                f"{r.get('wall_s', 0.0):.3f}s",
-                _attr_summary(r.get("attrs") or {}),
-            ])
     return headers, rows
 
 
@@ -487,7 +473,7 @@ def render_report(
             trace = None
             _skip(trace_path, exc)
         if trace is not None:
-            headers, rows = phase_rows(trace)
+            headers, rows = phase_rows(trace["trace"])
             if rows:
                 sections.append(table("Phases", headers, rows))
             headers, rows = counter_rows(trace)
@@ -502,7 +488,7 @@ def render_report(
             _skip(events_path, exc)
         if records is not None:
             if trace_path is None or trace is None:
-                headers, rows = stage_rows_from_events(records)
+                headers, rows = phase_rows(span_tree(records))
                 if rows:
                     sections.append(
                         table("Phases (from ledger)", headers, rows)

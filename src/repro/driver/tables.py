@@ -347,7 +347,7 @@ def ablation_rows(
             for name in list(store.block_names()):
                 store.load_block(name)
             solver.stats.absorb_load_stats(store.stats)
-        work = solver.metrics.nodes_visited
+        work = solver.stats.nodes_visited
         baseline_key = kernel.split("+")[0]
         if baseline_key not in baselines:
             baselines[baseline_key] = (
@@ -363,10 +363,10 @@ def ablation_rows(
             f"{m.user_seconds / baseline_time:.0f}x",
             str(work),
             f"{work / baseline_work:.0f}x",
-            str(solver.metrics.delta_lvals_processed),
-            str(solver.metrics.lvals_skipped_by_diff),
+            str(solver.stats.delta_lvals_processed),
+            str(solver.stats.lvals_skipped_by_diff),
             str(block_budget),
-            str(solver.metrics.assignments_reloaded),
+            str(solver.stats.assignments_reloaded),
         ])
     return headers, rows
 

@@ -7,7 +7,8 @@ and caching work can land on):
   :class:`AnalysisSession`: compile → link → analyze → depend as named,
   composable, traced stages.  :class:`repro.driver.api.Project` and
   :class:`repro.driver.incremental.Workspace` are thin wrappers over it.
-* :mod:`repro.engine.obs` — spans, tracing, the process-wide
+* :mod:`repro.engine.obs` — :func:`span` (timing regions published on
+  the event bus), the :class:`Tracer` sink, the process-wide
   :class:`MetricsRegistry`, and the point-measurement helpers
   (:func:`measure`, :func:`format_table`, ...).
 * :mod:`repro.engine.stats` — the uniform :class:`SolverStats` record all
@@ -32,6 +33,7 @@ from .obs import (
     human_count,
     measure,
     peak_rss_mb,
+    span,
 )
 from .stats import SolverStats
 
@@ -57,6 +59,7 @@ __all__ = [
     "human_count",
     "measure",
     "peak_rss_mb",
+    "span",
     *_PIPELINE_EXPORTS,
 ]
 

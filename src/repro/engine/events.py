@@ -9,7 +9,8 @@ them observable data:
 
 * typed events — :class:`SolverRoundEvent` (one per fixpoint round, with
   per-round deltas), :class:`SolverBeginEvent`/:class:`SolverEndEvent`,
-  :class:`StageEvent` (pipeline stage begin/end),
+  :class:`SpanEvent` (the begin and end of every
+  :func:`~repro.engine.obs.span`),
   :class:`UnitCompiledEvent` (per-translation-unit compile completion),
   and the CLA pressure events :class:`BlockLoadEvent` /
   :class:`BlockReloadEvent` / :class:`BlockEvictEvent`;
@@ -20,7 +21,8 @@ them observable data:
   measurable overhead);
 * pluggable sinks — :class:`MemorySink` (tests), :class:`JsonlSink`
   (the CLI's ``--events out.jsonl``), :class:`ProgressSink` (the CLI's
-  ``--progress`` live stderr renderer).
+  ``--progress`` live stderr renderer); :class:`~repro.engine.obs.Tracer`
+  (the CLI's ``--trace``) is one more.
 
 Schema (v1): each JSONL record is flat — ``{"kind": ..., "ts": ...,
 <event fields>}`` — with a ``{"kind": "events.header", "schema": 1}``
@@ -61,18 +63,23 @@ class Event:
 
 
 @dataclass(slots=True)
-class StageEvent(Event):
-    """A pipeline stage opened (``phase="begin"``) or closed (``"end"``).
+class SpanEvent(Event):
+    """A span opened (``phase="begin"``) or closed (``"end"``).
 
-    End events carry the closed span's wall time and final attributes, so
-    a JSONL ledger alone reconstructs the per-phase table."""
+    ``id`` and ``parent`` place the span in its tree.  End records carry
+    the span's wall time, user time, peak-RSS growth and final
+    attributes, so a ledger alone rebuilds the trace tree."""
 
     KIND: ClassVar[str] = "stage"
 
-    stage: str = ""
+    stage: str = ""  # the span's name
     phase: str = "begin"  # "begin" | "end"
+    id: int = 0
+    parent: int | None = None
     attrs: dict[str, Any] | None = None
     wall_s: float = 0.0
+    user_s: float = 0.0
+    rss_delta_mb: float = 0.0
     ts: float = 0.0
 
 
@@ -323,10 +330,13 @@ class EventBus:
         finally:
             self.remove_sink(sink)
 
-    def emit(self, event: Event) -> None:
+    def emit(self, event: Event, at: float | None = None) -> None:
+        """Stamp ``event`` and hand it to every sink.  ``at`` is the
+        :func:`time.perf_counter` reading the event happened at, when
+        that is not now (a span stamps its records with its own clock)."""
         if not self._sinks:
             return
-        now = time.perf_counter()
+        now = time.perf_counter() if at is None else at
         if self._epoch is None:
             self._epoch = now
         event.ts = round(now - self._epoch, 6)
@@ -448,8 +458,11 @@ class ProgressSink:
     round, edges added, lval-cache hit rate, blocks loaded — rewritten in
     place on a TTY, line-per-update otherwise.  High-frequency CLA
     pressure events are throttled to ``min_interval`` seconds; round and
-    stage boundaries always render.
+    stage boundaries always render.  Of the spans, only the pipeline
+    stages in :attr:`STAGES` render.
     """
+
+    STAGES = ("compile", "link", "analyze", "depend")
 
     def __init__(self, stream: TextIO | None = None,
                  min_interval: float = 0.1):
@@ -475,7 +488,8 @@ class ProgressSink:
     def handle(self, event: Event) -> None:
         kind = event.KIND
         if kind == "stage":
-            self._on_stage(event)
+            if event.stage in self.STAGES:
+                self._on_stage(event)
         elif kind == "compile.unit":
             self._units_done = event.index
             self._units_total = event.total
@@ -543,7 +557,7 @@ class ProgressSink:
                 final=True,
             )
 
-    def _on_stage(self, event: StageEvent) -> None:
+    def _on_stage(self, event: SpanEvent) -> None:
         if event.phase == "begin":
             self._stage = event.stage
             self._render(f"[{event.stage}] ...")

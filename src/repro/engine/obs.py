@@ -5,12 +5,14 @@ analysis time and memory go (§6 reports wall clock, user time and process
 size per phase; Table 3's last three columns are load accounting).  This
 module is the measurement spine the rest of the system reports through:
 
-* :class:`Span` / :class:`Tracer` — nested, named timing regions.  Every
-  span records wall time (:func:`time.perf_counter`), user time
-  (:func:`os.times`) and the peak-RSS delta across its extent, plus
-  arbitrary attributes (solver name, file counts, solver stats).  Traces
-  export as a JSON tree or flat JSONL (see docs/OBSERVABILITY.md for the
-  schema).
+* :func:`span` — nested, named timing regions published on the event
+  bus (:mod:`repro.engine.events`).  Every span records wall time
+  (:func:`time.perf_counter`), user time (:func:`os.times`) and the
+  peak-RSS delta across its extent, plus arbitrary attributes (solver
+  name, file counts, solver stats).  The :class:`Tracer` sink assembles
+  them into a trace that exports as a JSON tree or flat JSONL (see
+  docs/OBSERVABILITY.md for the schema); the ``--events`` ledger carries
+  the same records.
 * :class:`Counter` / :class:`MetricsRegistry` — process-wide monotonic
   counters.  The CLA store layer feeds its load accounting here
   (``cla.blocks_loaded``, ``cla.assignments_loaded``) and every solver
@@ -26,13 +28,16 @@ Absolute values are not comparable to the paper's 800 MHz C implementation
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import resource
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator
+
+from .events import EVENTS, SpanEvent
 
 # ---------------------------------------------------------------------------
 # Point measurements
@@ -127,137 +132,200 @@ def human_bytes(n: int) -> str:
 # Spans and tracing
 # ---------------------------------------------------------------------------
 
+#: The open spans, innermost last.  One stack serves the process: the
+#: serve daemon runs one request at a time under its session lock, and
+#: compile workers are separate processes.
+_OPEN: list["Span"] = []
+#: Ambient attribute layers (see :class:`ambient`), innermost last.
+_AMBIENT: list[dict[str, Any]] = []
+_IDS = itertools.count(1)
 
-@dataclass
+
 class Span:
-    """One named timing region; spans nest to form a trace tree."""
+    """One open, named timing region, published on the event bus.
 
-    name: str
-    attrs: dict[str, Any] = field(default_factory=dict)
-    children: list["Span"] = field(default_factory=list)
-    start_wall: float = 0.0
-    end_wall: float | None = None
-    start_user: float = 0.0
-    end_user: float | None = None
-    start_rss_mb: float = 0.0
-    end_rss_mb: float | None = None
+    Entering emits a ``begin`` :class:`~repro.engine.events.SpanEvent`;
+    leaving emits the ``end`` record with the wall time, user time and
+    peak-RSS growth across the span and its final attributes (plus
+    ``error`` when an exception escapes).  ``id`` and ``parent`` place it
+    in the tree of open spans.  :func:`span` makes one only while a sink
+    listens.
+    """
 
-    def begin(self) -> "Span":
-        self.start_user = process_user_s()
-        self.start_rss_mb = peak_rss_mb()
-        self.start_wall = time.perf_counter()
-        return self
+    __slots__ = ("name", "attrs", "id", "parent", "_wall", "_user", "_rss")
 
-    def finish(self) -> "Span":
-        self.end_wall = time.perf_counter()
-        self.end_user = process_user_s()
-        self.end_rss_mb = peak_rss_mb()
-        return self
-
-    @property
-    def closed(self) -> bool:
-        return self.end_wall is not None
-
-    @property
-    def wall_seconds(self) -> float:
-        end = self.end_wall if self.end_wall is not None \
-            else time.perf_counter()
-        return end - self.start_wall
-
-    @property
-    def user_seconds(self) -> float:
-        end = self.end_user if self.end_user is not None \
-            else process_user_s()
-        return end - self.start_user
-
-    @property
-    def rss_delta_mb(self) -> float:
-        end = self.end_rss_mb if self.end_rss_mb is not None else peak_rss_mb()
-        return end - self.start_rss_mb
+    def __init__(self, name: str, attrs: dict[str, Any]):
+        self.name = name
+        self.attrs = attrs
 
     def annotate(self, **attrs: Any) -> "Span":
         self.attrs.update(attrs)
         return self
 
-    def to_dict(self, epoch: float | None = None) -> dict[str, Any]:
-        epoch = self.start_wall if epoch is None else epoch
-        return {
-            "name": self.name,
-            "start_s": round(self.start_wall - epoch, 6),
-            "wall_s": round(self.wall_seconds, 6),
-            "user_s": round(self.user_seconds, 6),
-            "rss_delta_mb": round(self.rss_delta_mb, 3),
-            "attrs": dict(self.attrs),
-            "children": [c.to_dict(epoch) for c in self.children],
+    def __enter__(self) -> "Span":
+        self.id = next(_IDS)
+        self.parent = _OPEN[-1].id if _OPEN else None
+        if _AMBIENT:
+            merged: dict[str, Any] = {}
+            for layer in _AMBIENT:
+                merged.update(layer)
+            merged.update(self.attrs)
+            self.attrs = merged
+        _OPEN.append(self)
+        self._user = process_user_s()
+        self._rss = peak_rss_mb()
+        # Both records are stamped with the span's own clock readings, so
+        # a child's extent always lies inside its parent's.
+        self._wall = time.perf_counter()
+        EVENTS.emit(SpanEvent(stage=self.name, phase="begin", id=self.id,
+                              parent=self.parent, attrs=dict(self.attrs)),
+                    at=self._wall)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        end = time.perf_counter()
+        user = process_user_s() - self._user
+        rss = peak_rss_mb() - self._rss
+        if exc_type is not None:
+            self.attrs["error"] = repr(exc)
+        while _OPEN and _OPEN.pop() is not self:
+            pass  # a span entered but never left by hand
+        EVENTS.emit(SpanEvent(
+            stage=self.name, phase="end", id=self.id, parent=self.parent,
+            attrs=self.attrs, wall_s=round(end - self._wall, 6),
+            user_s=round(user, 6), rss_delta_mb=round(rss, 3),
+        ), at=end)
+
+
+class _NullSpan:
+    """What :func:`span` returns while no sink listens: records nothing."""
+
+    __slots__ = ()
+
+    def annotate(self, **attrs: Any) -> "_NullSpan":
+        return self
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
+
+
+def span(name: str, **attrs: Any) -> Span | _NullSpan:
+    """A named timing region around a ``with`` block::
+
+        with span("link", units=3) as s:
+            ...
+            s.annotate(objects=12)
+
+    Spans opened inside the block nest under it.  With no sink on
+    :data:`~repro.engine.events.EVENTS` this costs one truthiness check
+    and keeps nothing; attach a :class:`Tracer` (``--trace``) or a
+    :class:`~repro.engine.events.JsonlSink` (``--events``) to see them.
+    """
+    if EVENTS:
+        return Span(name, attrs)
+    return _NULL_SPAN
+
+
+class ambient:
+    """Attributes stamped onto every span opened inside the block.
+
+    The serve daemon wraps each request in ``ambient(trace=...)`` so the
+    pipeline spans it opens carry the request's trace id without
+    threading it through every call.  Explicit span attributes win on a
+    key collision; blocks nest, the innermost winning.
+    """
+
+    __slots__ = ("_attrs",)
+
+    def __init__(self, **attrs: Any):
+        self._attrs = attrs
+
+    def __enter__(self) -> dict[str, Any]:
+        _AMBIENT.append(self._attrs)
+        return self._attrs
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # Tolerate exits out of order (mirrors Span's unwind tolerance).
+        if self._attrs in _AMBIENT:
+            _AMBIENT.remove(self._attrs)
+
+
+def span_tree(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Assemble flat span records into the schema-v1 trace tree.
+
+    ``records`` are ``stage`` records as a :class:`Tracer` collects them
+    or an events ledger holds them; other kinds are skipped.  A span's
+    start is its ``begin`` record's ``ts`` (``end`` ts less ``wall_s``
+    for a ledger without ids), and every ``start_s`` counts from the
+    first span's start.  Returns the roots, children in start order.
+    """
+    begun: dict[int, float] = {}
+    ends: list[dict[str, Any]] = []
+    for r in records:
+        if r.get("kind") != "stage":
+            continue
+        if r.get("phase") == "end":
+            ends.append(r)
+        elif r.get("id") is not None:
+            begun[r["id"]] = r.get("ts", 0.0)
+    starts = [
+        begun.get(r.get("id"), r.get("ts", 0.0) - r.get("wall_s", 0.0))
+        for r in ends
+    ]
+    epoch = min(starts, default=0.0)
+    roots: list[dict[str, Any]] = []
+    nodes: dict[int, dict[str, Any]] = {}
+    # Ids are handed out as spans open, so id order is start order and
+    # every parent comes before its children.
+    for start, r in sorted(zip(starts, ends),
+                           key=lambda pair: pair[1].get("id") or 0):
+        node = {
+            "name": r.get("stage", "?"),
+            "start_s": round(start - epoch, 6),
+            "wall_s": r.get("wall_s", 0.0),
+            "user_s": r.get("user_s", 0.0),
+            "rss_delta_mb": r.get("rss_delta_mb", 0.0),
+            "attrs": r.get("attrs") or {},
+            "children": [],
         }
+        parent = nodes.get(r.get("parent"))
+        (roots if parent is None else parent["children"]).append(node)
+        if r.get("id") is not None:
+            nodes[r["id"]] = node
+    return roots
 
 
 class Tracer:
-    """Collects a tree of spans; one per pipeline run (or process).
+    """An event sink that collects span records into a trace tree.
 
-    Usage::
+    Attach it to the bus for a run, then write it (the CLI's
+    ``--trace`` does exactly this)::
 
-        tracer = Tracer()
-        with tracer.span("compile", files=3):
-            with tracer.span("unit", file="a.c"):
-                ...
+        with EVENTS.sink(Tracer()) as tracer:
+            with span("compile", files=2):
+                with span("unit", file="a.c"):
+                    ...
         tracer.write("trace.json")
+
+    Tree nodes are the schema-v1 dicts :func:`span_tree` builds.
     """
 
     def __init__(self) -> None:
-        self.roots: list[Span] = []
-        self._stack: list[Span] = []
-        self._epoch: float | None = None
-        self._ambient: list[dict[str, Any]] = []
+        self.records: list[dict[str, Any]] = []
 
-    def span(self, name: str, **attrs: Any) -> "_SpanContext":
-        """A context manager opening a child span of the current span."""
-        return _SpanContext(self, name, attrs)
-
-    def context(self, **attrs: Any) -> "_AmbientContext":
-        """Ambient attributes stamped onto every span begun inside.
-
-        The serving layer wraps each request's dispatch in
-        ``tracer.context(trace=...)`` so nested pipeline/solver spans all
-        carry the request's trace id without threading it through every
-        call signature.  Explicit span attributes win on key collision;
-        contexts nest (innermost wins among themselves).
-        """
-        return _AmbientContext(self, attrs)
+    def handle(self, event) -> None:
+        if event.KIND == "stage":
+            self.records.append(event.as_record())
 
     @property
-    def current(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
-
-    def annotate(self, **attrs: Any) -> None:
-        """Attach attributes to the innermost open span (no-op outside)."""
-        if self._stack:
-            self._stack[-1].annotate(**attrs)
-
-    def _push(self, span: Span) -> Span:
-        if self._ambient:
-            merged: dict[str, Any] = {}
-            for layer in self._ambient:
-                merged.update(layer)
-            merged.update(span.attrs)
-            span.attrs = merged
-        span.begin()
-        if self._epoch is None:
-            self._epoch = span.start_wall
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
-        return span
-
-    def _pop(self, span: Span) -> None:
-        span.finish()
-        # Tolerate exceptions unwinding several frames at once.
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
-                break
+    def roots(self) -> list[dict[str, Any]]:
+        return span_tree(self.records)
 
     # -- export --------------------------------------------------------------
 
@@ -265,12 +333,9 @@ class Tracer:
         registry = REGISTRY if registry is None else registry
         return {
             "schema": TRACE_SCHEMA_VERSION,
-            "trace": [r.to_dict(self._epoch) for r in self.roots],
+            "trace": self.roots,
             "counters": registry.snapshot(),
         }
-
-    def to_json(self, registry: "MetricsRegistry | None" = None) -> str:
-        return json.dumps(self.to_dict(registry), indent=2, sort_keys=True)
 
     def write(self, path: str) -> None:
         """Write the trace: a JSON tree, or flat JSONL for ``.jsonl``
@@ -279,85 +344,35 @@ class Tracer:
             self.write_jsonl(path)
             return
         with open(path, "w") as f:
-            f.write(self.to_json())
+            f.write(json.dumps(self.to_dict(), indent=2, sort_keys=True))
             f.write("\n")
 
-    @property
-    def total_wall_s(self) -> float:
-        """Wall clock covered by the trace: first span start to last span
-        end (open spans count up to now).  0.0 for an empty trace."""
-        if not self.roots:
-            return 0.0
-        start = min(r.start_wall for r in self.roots)
-        end = max(
-            r.end_wall if r.end_wall is not None else time.perf_counter()
-            for r in self.roots
-        )
-        return end - start
-
-    def iter_spans(self) -> Iterator[tuple[Span, Span | None]]:
+    def iter_spans(self) -> Iterator[tuple[dict, dict | None]]:
         """Depth-first (span, parent) pairs over the whole trace."""
-        stack: list[tuple[Span, Span | None]] = [
+        stack: list[tuple[dict, dict | None]] = [
             (r, None) for r in reversed(self.roots)
         ]
         while stack:
-            span, parent = stack.pop()
-            yield span, parent
-            for child in reversed(span.children):
-                stack.append((child, span))
+            node, parent = stack.pop()
+            yield node, parent
+            for child in reversed(node["children"]):
+                stack.append((child, node))
 
     def write_jsonl(self, path: str) -> None:
         """Flat export: one span per line with id/parent references."""
         ids: dict[int, int] = {}
         with open(path, "w") as f:
-            for i, (span, parent) in enumerate(self.iter_spans()):
-                ids[id(span)] = i
-                record = span.to_dict(self._epoch)
-                record.pop("children")
+            for i, (node, parent) in enumerate(self.iter_spans()):
+                ids[id(node)] = i
+                record = {k: v for k, v in node.items() if k != "children"}
                 record["id"] = i
-                record["parent"] = ids.get(id(parent)) if parent else None
+                record["parent"] = ids[id(parent)] if parent else None
                 f.write(json.dumps(record, sort_keys=True))
                 f.write("\n")
 
-    def find(self, name: str) -> list[Span]:
+    def find(self, name: str) -> list[dict]:
         """All spans with this name, depth-first order."""
-        return [s for s, _ in self.iter_spans() if s.name == name]
-
-
-class _SpanContext:
-    __slots__ = ("_tracer", "_name", "_attrs", "span")
-
-    def __init__(self, tracer: Tracer, name: str, attrs: dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self.span: Span | None = None
-
-    def __enter__(self) -> Span:
-        self.span = self._tracer._push(Span(self._name, dict(self._attrs)))
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.span.annotate(error=repr(exc))
-        self._tracer._pop(self.span)
-
-
-class _AmbientContext:
-    __slots__ = ("_tracer", "_attrs")
-
-    def __init__(self, tracer: Tracer, attrs: dict[str, Any]):
-        self._tracer = tracer
-        self._attrs = attrs
-
-    def __enter__(self) -> dict[str, Any]:
-        self._tracer._ambient.append(self._attrs)
-        return self._attrs
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Tolerate exits out of order (mirrors _pop's unwind tolerance).
-        if self._attrs in self._tracer._ambient:
-            self._tracer._ambient.remove(self._attrs)
+        return [s for s, _ in self.iter_spans() if s["name"] == name]
 
 
 TRACE_SCHEMA_VERSION = 1

@@ -6,7 +6,7 @@ report per-phase sizes, load accounting and solver times).  This module is
 the one instrumented spine all entry points go through:
 
 * :class:`Pipeline` — the stage engine.  Each stage method runs under a
-  named :class:`~repro.engine.obs.Span` ("compile", "link", "analyze",
+  named :func:`~repro.engine.obs.span` ("compile", "link", "analyze",
   "depend"), annotates the span with its key counters, and feeds the
   process-wide :class:`~repro.engine.obs.MetricsRegistry`.
 * :class:`AnalysisSession` — a stateful multi-file project built on
@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ..cfront import IncludeResolver, parse_c
 from ..cla.cache import BlockCache
@@ -43,8 +41,8 @@ from ..ir.lower import UnitIR, lower_translation_unit
 from ..ir.strength import Strength
 from ..solvers import SOLVERS
 from ..solvers.base import PointsToResult
-from .events import EVENTS, StageEvent, UnitCompiledEvent
-from .obs import Span, Tracer
+from .events import EVENTS, UnitCompiledEvent
+from .obs import span
 
 
 @dataclass
@@ -156,7 +154,7 @@ def _compile_job(
     sizes = len(unit.assignments), len(unit.objects)
     if object_path is None:
         return unit, *sizes
-    write_unit(unit, object_path, field_based=options.field_based)
+    write_unit(unit, object_path)
     return None, *sizes
 
 
@@ -186,50 +184,22 @@ class BuildError(Exception):
 class Pipeline:
     """Instrumented compile→link→analyze→depend stage engine.
 
-    Stateless apart from its options and tracer: every method takes its
-    inputs and returns its outputs, so stages compose freely and callers
-    (Project, Workspace, the CLI) share one observability spine.
+    Stateless apart from its options: every method takes its inputs and
+    returns its outputs, so stages compose freely and callers (Project,
+    Workspace, the CLI) share one observability spine, the spans on the
+    process event bus.
     """
-
-    #: The named stages, in pipeline order.
-    STAGES = ("compile", "link", "analyze", "depend")
 
     def __init__(
         self,
         options: CompileOptions | None = None,
-        tracer: Tracer | None = None,
         jobs: int = 1,
     ):
         self.options = options or CompileOptions()
-        self.tracer = tracer or Tracer()
         self.jobs = jobs
 
     def _jobs(self, jobs: int | None) -> int:
         return resolve_jobs(self.jobs if jobs is None else jobs)
-
-    @contextmanager
-    def _stage(self, name: str, **attrs) -> Iterator[Span]:
-        """A tracer span that is also a stage begin/end on the event bus.
-
-        The end event carries the span's final attributes and wall time,
-        so an events.jsonl ledger alone reconstructs the per-phase table.
-        It is emitted in a ``finally`` — a failing stage still closes its
-        ledger entry (with the span's ``error`` attribute attached)."""
-        if EVENTS:
-            EVENTS.emit(StageEvent(stage=name, phase="begin",
-                                   attrs=dict(attrs)))
-        span = None
-        try:
-            with self.tracer.span(name, **attrs) as span:
-                yield span
-        finally:
-            # Emitted after the span closes so the end event sees the
-            # final attributes (including ``error`` on a failing stage).
-            if EVENTS and span is not None:
-                EVENTS.emit(StageEvent(
-                    stage=name, phase="end", attrs=dict(span.attrs),
-                    wall_s=round(span.wall_seconds, 6),
-                ))
 
     # -- compile stage -------------------------------------------------------
 
@@ -276,7 +246,7 @@ class Pipeline:
                     assignments=assignments, objects=objects,
                 ))
 
-        with self._stage("compile", files=total, jobs=jobs) as span:
+        with span("compile", files=total, jobs=jobs) as stage:
             if jobs > 1 and total > 1:
                 with ProcessPoolExecutor(
                         max_workers=min(jobs, total)) as pool:
@@ -298,7 +268,7 @@ class Pipeline:
             else:
                 for i, name in enumerate(names):
                     try:
-                        with self.tracer.span("unit", file=name):
+                        with span("unit", file=name):
                             result = _compile_job(
                                 name, sources[name], self.options,
                                 object_paths.get(name),
@@ -307,8 +277,8 @@ class Pipeline:
                         failures.append((name, exc))
                     else:
                         done(i, result)
-            span.annotate(assignments=sum(a for a, _ in sizes),
-                          objects=sum(o for _, o in sizes))
+            stage.annotate(assignments=sum(a for a, _ in sizes),
+                           objects=sum(o for _, o in sizes))
             if failures:
                 raise BuildError(sorted(failures, key=lambda f: f[0]))
         return units
@@ -327,9 +297,9 @@ class Pipeline:
 
     def link_units(self, units: list[UnitIR]) -> MemoryStore:
         """Link compiled units into an in-memory constraint store."""
-        with self._stage("link", units=len(units)) as span:
-            store = MemoryStore(units, self.options.field_based)
-            span.annotate(
+        with span("link", units=len(units)) as stage:
+            store = MemoryStore(units)
+            stage.annotate(
                 objects=len(store.objects),
                 assignments=store.stats.in_file,
             )
@@ -337,17 +307,16 @@ class Pipeline:
 
     def link_objects(self, object_paths: list[str], out_path: str) -> str:
         """The link phase: object files -> executable database."""
-        with self._stage("link", objects=len(object_paths)) as span:
+        with span("link", objects=len(object_paths)) as stage:
             link_object_files(object_paths, out_path)
-            span.annotate(output=out_path)
+            stage.annotate(output=out_path)
         return out_path
 
     def write_executable(self, units: list[UnitIR], out_path: str) -> str:
         """Serialize linked units straight to an executable database."""
-        with self._stage("link", units=len(units)) as span:
-            store = MemoryStore(units, self.options.field_based)
-            ObjectFileWriter(store, linked=True).write(out_path)
-            span.annotate(output=out_path)
+        with span("link", units=len(units)) as stage:
+            ObjectFileWriter(MemoryStore(units), linked=True).write(out_path)
+            stage.annotate(output=out_path)
         return out_path
 
     # -- analyze stage -------------------------------------------------------
@@ -385,9 +354,9 @@ class Pipeline:
             raise ValueError(
                 f"unknown solver {solver!r} (known: {known})"
             ) from None
-        with self._stage("analyze", solver=solver) as span:
+        with span("analyze", solver=solver) as stage:
             result = cls(store, **solver_kwargs).solve()
-            span.annotate(**result.stats.counter_fields())
+            stage.annotate(**result.stats.counter_fields())
         return result
 
     def analyze_database(
@@ -415,7 +384,7 @@ class Pipeline:
         min_strength: Strength = Strength.WEAK,
     ) -> DependenceResult:
         """Forward dependence query by source-level target name."""
-        with self._stage("depend", target=target) as span:
+        with span("depend", target=target) as stage:
             analysis = DependenceAnalysis(store, points_to)
             targets = analysis.resolve_targets(target)
             if not targets:
@@ -423,7 +392,7 @@ class Pipeline:
             result = analysis.analyze(
                 targets, frozenset(non_targets), min_strength=min_strength
             )
-            span.annotate(
+            stage.annotate(
                 dependents=len(result.dependents),
                 blocks_loaded=result.blocks_loaded,
             )
@@ -442,16 +411,16 @@ class AnalysisSession:
     any header placed in :attr:`CompileOptions.virtual_files`.  Compiled
     units, the linked store and analysis results are cached until a source
     changes; every stage runs through the owned :class:`Pipeline`, so a
-    session's tracer shows the nested compile/link/analyze/depend spans.
+    :class:`~repro.engine.obs.Tracer` on the bus shows the nested
+    compile/link/analyze/depend spans.
     """
 
     def __init__(
         self,
         options: CompileOptions | None = None,
-        tracer: Tracer | None = None,
         jobs: int = 1,
     ):
-        self.pipeline = Pipeline(options=options, tracer=tracer, jobs=jobs)
+        self.pipeline = Pipeline(options=options, jobs=jobs)
         self._sources: dict[str, str] = {}
         self._units: list[UnitIR] | None = None
         self._store: MemoryStore | None = None
@@ -460,10 +429,6 @@ class AnalysisSession:
     @property
     def options(self) -> CompileOptions:
         return self.pipeline.options
-
-    @property
-    def tracer(self) -> Tracer:
-        return self.pipeline.tracer
 
     # -- source management ---------------------------------------------------
 

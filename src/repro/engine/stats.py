@@ -61,11 +61,6 @@ class SolverStats:
     block_misses: int = 0
     block_evictions: int = 0
 
-    @property
-    def iterations(self) -> int:
-        """Paper-facing alias for :attr:`rounds`."""
-        return self.rounds
-
     def absorb_load_stats(self, load_stats) -> "SolverStats":
         """Snapshot a :class:`~repro.cla.store.LoadStats` (duck-typed)."""
         self.blocks_loaded = getattr(load_stats, "blocks_loaded", 0)

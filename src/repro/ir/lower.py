@@ -118,6 +118,10 @@ class UnitIR:
     indirect_calls: dict[str, IndirectCallRecord] = dataclass_field(default_factory=dict)
     call_sites: list[CallSiteRecord] = dataclass_field(default_factory=list)
     source_lines: int = 0
+    #: The struct model the rows were lowered under (one of the
+    #: ``Lowerer`` model names); object files record it and the link
+    #: refuses to mix models.
+    struct_model: str = "field_based"
 
     def variables(self) -> list[ProgramObject]:
         """Named program objects (Table 2's "program variables" count):
@@ -171,7 +175,7 @@ class Lowerer:
         # follows the field-based paths.
         self.field_based = struct_model != self.FIELD_INDEPENDENT
         self.track_strings = track_strings
-        self.ir = UnitIR(filename=filename)
+        self.ir = UnitIR(filename=filename, struct_model=struct_model)
         self._scopes: list[_Scope] = [_Scope()]
         self._current_function: str | None = None  # canonical name
         self._current_function_record: FunctionRecord | None = None

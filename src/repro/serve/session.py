@@ -41,7 +41,7 @@ from ..engine.events import (
     ServeReloadEvent,
     ServeSlowQueryEvent,
 )
-from ..engine.obs import REGISTRY, Histogram, Tracer
+from ..engine.obs import REGISTRY, Histogram, ambient
 from ..engine.pipeline import BuildError, Pipeline
 from ..engine.prom import CONTENT_TYPE, render_prometheus
 from ..ir.strength import Strength
@@ -160,7 +160,6 @@ class ServeSession:
         solver: str = "pretransitive",
         cache_entries: int = 1024,
         certify: bool = False,
-        tracer: Tracer | None = None,
         slow_query_ms: float | None = None,
         trace_ring: int = 256,
     ):
@@ -175,8 +174,7 @@ class ServeSession:
         self.workspace = workspace
         self.database_path = database
         self.pipeline = (
-            workspace.pipeline if workspace is not None
-            else Pipeline(tracer=tracer)
+            workspace.pipeline if workspace is not None else Pipeline()
         )
         self.generation = 0
         self.reloads = {"solved": 0, "certified": 0, "failed": 0}
@@ -230,8 +228,8 @@ class ServeSession:
         ``trace`` is the request's trace id (the transports pass the
         client-supplied request ``id``); one is generated when absent.
         The id rides on the response envelope, the ``serve.query`` event,
-        the recent-trace ring, and — via the tracer's ambient context —
-        every pipeline/solver span the request opens.
+        the recent-trace ring, and — as an ambient span attribute while a
+        sink listens — every span the request opens.
         """
         params = params or {}
         started = time.perf_counter()
@@ -250,12 +248,10 @@ class ServeSession:
                     if result is not None:
                         cache_hit = True
                     else:
-                        with self.pipeline.tracer.context(trace=trace):
-                            result = self._dispatch(op, params)
+                        result = self._dispatch(op, params, trace)
                         self._cache.put(key, result)
                 elif op in KNOWN_OPS:
-                    with self.pipeline.tracer.context(trace=trace):
-                        result = self._dispatch(op, params)
+                    result = self._dispatch(op, params, trace)
                 else:
                     known = ", ".join(KNOWN_OPS)
                     raise ServeError(f"unknown op {op!r} (known: {known})")
@@ -358,9 +354,12 @@ class ServeSession:
         with self._lock:
             self._drain_telemetry()
 
-    def _dispatch(self, op: str, params: dict) -> dict:
+    def _dispatch(self, op: str, params: dict, trace: str) -> dict:
         handler = getattr(self, "_op_" + op.replace("-", "_"))
-        return handler(params)
+        if not EVENTS:
+            return handler(params)
+        with ambient(trace=trace):
+            return handler(params)
 
     # -- query ops -----------------------------------------------------------
 

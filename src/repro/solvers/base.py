@@ -78,16 +78,10 @@ class PointsToResult:
 
     solver: str
     pts: Mapping[str, frozenset[str]]
-    metrics: SolverStats = field(default_factory=SolverStats)
+    stats: SolverStats = field(default_factory=SolverStats)
     load_stats: LoadStats = field(default_factory=LoadStats)
     #: Object metadata snapshot for reporting (name -> ProgramObject).
     objects: dict[str, ProgramObject] = field(default_factory=dict)
-
-    @property
-    def stats(self) -> SolverStats:
-        """The uniform stats record (preferred name; ``metrics`` is the
-        historical field name)."""
-        return self.metrics
 
     def points_to(self, name: str) -> frozenset[str]:
         return self.pts.get(name, frozenset())
@@ -174,8 +168,6 @@ class BaseSolver:
     def __init__(self, store: ConstraintStore):
         self.store = store
         self.stats = SolverStats(solver=self.name)
-        #: Historical alias: counters were formerly ``solver.metrics``.
-        self.metrics = self.stats
         self.universe = ObjectUniverse(store)
         self._linker = FunPtrLinker(store)
         self._funcptrs: set[str] = set()
@@ -317,7 +309,7 @@ class BaseSolver:
         return PointsToResult(
             solver=self.name,
             pts=pts,
-            metrics=self.stats,
+            stats=self.stats,
             load_stats=self.store.stats,
             objects=objects,
         )

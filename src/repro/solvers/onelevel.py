@@ -135,7 +135,7 @@ class OneLevelFlowSolver(BaseSolver):
             y.direct = 0
             y.flow_out = set()
             y.members = []
-            self.metrics.cycles_collapsed += 1
+            self.stats.cycles_collapsed += 1
             py, y.pointee = y.pointee, None
             if py is not None:
                 if x.pointee is None:
@@ -151,7 +151,7 @@ class OneLevelFlowSolver(BaseSolver):
         if src is dst or dst in src.flow_out:
             return
         src.flow_out.add(dst)
-        self.metrics.edges_added += 1
+        self.stats.edges_added += 1
 
     # -- constraints -----------------------------------------------------------
 
@@ -164,7 +164,7 @@ class OneLevelFlowSolver(BaseSolver):
 
     def _ingest_row(self, kind: int, dst: int, src: int) -> None:
         """One id-space constraint row (``src`` is a target id for ADDR)."""
-        self.metrics.constraints += 1
+        self.stats.constraints += 1
         if kind == _ADDR:
             x = self._ecr(dst)
             x.direct |= 1 << src
@@ -208,7 +208,7 @@ class OneLevelFlowSolver(BaseSolver):
         universe = self.universe
         target_name = universe.target_name
         while True:
-            self.metrics.rounds += 1
+            self.stats.rounds += 1
             pts = self._propagate()
             new_constraints: list[tuple[str, str]] = []
             for fp in self._funcptrs:
@@ -221,7 +221,7 @@ class OneLevelFlowSolver(BaseSolver):
                 self._emit_round()
                 break
             for dst, src in new_constraints:
-                self.metrics.funcptr_links += 1
+                self.stats.funcptr_links += 1
                 self._ingest_link_copy(dst, src)
             self._emit_round()
 

@@ -187,7 +187,7 @@ class PreTransitiveSolver(BaseSolver):
         src.succ_uids.add(dst.uid)
         src.succ.append(dst)
         src.cache_token = 0  # reachability from src changed
-        self.metrics.edges_added += 1
+        self.stats.edges_added += 1
         self._changed = True
         return True
 
@@ -204,7 +204,7 @@ class PreTransitiveSolver(BaseSolver):
             other.succ_uids = set()
             other.skip = rep
             other.cache_token = 0
-            self.metrics.cycles_collapsed += 1
+            self.stats.cycles_collapsed += 1
         return rep
 
     # ------------------------------------------------------------------
@@ -355,7 +355,7 @@ class PreTransitiveSolver(BaseSolver):
 
         def push(n: _Node) -> None:
             nonlocal index_counter
-            self.metrics.nodes_visited += 1
+            self.stats.nodes_visited += 1
             n.t_stamp = stamp
             n.t_index = n.t_low = index_counter
             index_counter += 1
@@ -435,7 +435,7 @@ class PreTransitiveSolver(BaseSolver):
         stack = [root]
         while stack:
             node = stack.pop()
-            self.metrics.nodes_visited += 1
+            self.stats.nodes_visited += 1
             lvals |= node.base
             succ = node.succ
             for i in range(len(succ)):
@@ -474,7 +474,7 @@ class PreTransitiveSolver(BaseSolver):
         while True:
             self._round += 1
             self._cache_token = self._round
-            self.metrics.rounds = self._round
+            self.stats.rounds = self._round
             self._changed = False
             self._lval_interning.clear()  # flushed each pass (§5)
             # Index-based iteration: demand loading may append to C.
@@ -519,7 +519,7 @@ class PreTransitiveSolver(BaseSolver):
             if not self._changed:
                 break
 
-        self.metrics.constraints = len(self._complex)
+        self.stats.constraints = len(self._complex)
         # Report what the analyzer keeps (§4: complex assignments stay in
         # core, simple ones are folded into the graph and dropped).  On a
         # plain store this *is* the in-core figure; a BlockCache ignores
@@ -554,7 +554,7 @@ class PreTransitiveSolver(BaseSolver):
             funcs = self._lvals(self._find(node)) & universe.function_mask
             callees = [target_name(b) for b in bits(funcs)]
             for dst, src in self._linker.link(pointer, callees):
-                self.metrics.funcptr_links += 1
+                self.stats.funcptr_links += 1
                 self._ingest_assignment(PrimitiveKind.COPY, dst, src)
                 self._ensure_loaded(dst)
                 self._ensure_loaded(src)

@@ -104,7 +104,7 @@ class SteensgaardSolver(BaseSolver):
             a.rank += 1
         a.lvals |= b.lvals
         b.lvals = 0
-        self.metrics.cycles_collapsed += 1  # unifications, for comparison
+        self.stats.cycles_collapsed += 1  # unifications, for comparison
         pb, b.pointee = b.pointee, None
         if pb is not None:
             if a.pointee is None:
@@ -131,7 +131,7 @@ class SteensgaardSolver(BaseSolver):
                 a.rank += 1
             a.lvals |= b.lvals
             b.lvals = 0
-            self.metrics.cycles_collapsed += 1
+            self.stats.cycles_collapsed += 1
             pb, b.pointee = b.pointee, None
             if pb is not None:
                 if a.pointee is None:
@@ -167,7 +167,7 @@ class SteensgaardSolver(BaseSolver):
             a = self._pointee(self._pointee(self._ecr(dst)))
             b = self._pointee(self._pointee(self._ecr(src)))
             self._join(a, b)
-        self.metrics.constraints += 1
+        self.stats.constraints += 1
 
     def _ingest_link_copy(self, dst: str, src: str) -> None:
         """A funcptr-link copy constraint arriving mid-solve, by name."""
@@ -191,7 +191,7 @@ class SteensgaardSolver(BaseSolver):
         universe = self.universe
         target_name = universe.target_name
         while True:
-            self.metrics.rounds += 1
+            self.stats.rounds += 1
             new_constraints: list[tuple[str, str]] = []
             for fp in self._funcptrs:
                 pointee = self._pointee(self._ecr(universe.intern(fp)))
@@ -202,7 +202,7 @@ class SteensgaardSolver(BaseSolver):
                 self._emit_round()
                 break
             for dst, src in new_constraints:
-                self.metrics.funcptr_links += 1
+                self.stats.funcptr_links += 1
                 self._ingest_link_copy(dst, src)
             self._emit_round()
 

@@ -81,7 +81,7 @@ class TransitiveSolver(BaseSolver):
             new = row_mask & ~succ.get(src, 0)
             if new:
                 succ[src] = succ.get(src, 0) | new
-                self.metrics.edges_added += new.bit_count()
+                self.stats.edges_added += new.bit_count()
         copy = int(PrimitiveKind.COPY)
         addr = int(PrimitiveKind.ADDR)
         load = int(PrimitiveKind.LOAD)
@@ -104,12 +104,12 @@ class TransitiveSolver(BaseSolver):
 
     def _add_load(self, x: int, p: int) -> None:
         self._loads_on.setdefault(p, []).append(x)
-        self.metrics.constraints += 1
+        self.stats.constraints += 1
         self._replay(p)
 
     def _add_store(self, p: int, y: int) -> None:
         self._stores_on.setdefault(p, []).append(y)
-        self.metrics.constraints += 1
+        self.stats.constraints += 1
         self._replay(p)
 
     def _ingest_link_copy(self, dst: str, src: str) -> None:
@@ -132,7 +132,7 @@ class TransitiveSolver(BaseSolver):
         if mask & bit:
             return False
         self._succ[src] = mask | bit
-        self.metrics.edges_added += 1
+        self.stats.edges_added += 1
         current = self._pts.get(src, 0)
         if current:
             self._add_pts(dst, current)
@@ -162,8 +162,8 @@ class TransitiveSolver(BaseSolver):
         universe = self.universe
         target_name = universe.target_name
         while self._worklist:
-            self.metrics.rounds += 1
-            if not self.metrics.rounds & self._ROUND_EVENT_MASK:
+            self.stats.rounds += 1
+            if not self.stats.rounds & self._ROUND_EVENT_MASK:
                 self._emit_round()  # one event per pop batch
             node = self._worklist.popleft()
             self._queued.discard(node)
@@ -199,11 +199,11 @@ class TransitiveSolver(BaseSolver):
                     callees = [target_name(b) for b in bits(new_funcs)]
                     pointer = universe.name_of(node)
                     for dst, src in self._linker.link(pointer, callees):
-                        self.metrics.funcptr_links += 1
+                        self.stats.funcptr_links += 1
                         self._ingest_link_copy(dst, src)
 
         self._emit_round()  # the final (possibly partial) pop batch
-        self.store.discard(self.metrics.constraints)
+        self.store.discard(self.stats.constraints)
         return self._result()
 
     def _target_node(self, t: int) -> int:

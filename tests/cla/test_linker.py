@@ -5,6 +5,7 @@ import pytest
 from repro.cfront import parse_c
 from repro.cla.linker import LinkError, link_object_files
 from repro.cla.reader import DatabaseStore, ObjectFileReader
+from repro.cla.store import MemoryStore
 from repro.cla.writer import write_unit
 from repro.driver.cli import main
 from repro.driver.incremental import Workspace
@@ -22,7 +23,17 @@ def compile_to(tmp_path, filename, src, field_based=True):
         parse_c(src, filename=filename), field_based=field_based
     )
     path = str(tmp_path / (filename + ".o"))
-    write_unit(unit, path, field_based=field_based)
+    write_unit(unit, path)
+    return path
+
+
+MODELS = ("field_based", "field_independent", "offset_based")
+
+
+def compile_model(tmp_path, filename, src, model):
+    path = str(tmp_path / f"{model}-{filename}.o")
+    Pipeline(CompileOptions(struct_model=model)).compile(
+        {filename: src}, {filename: path})
     return path
 
 
@@ -111,6 +122,37 @@ class TestLinking:
         with pytest.raises(LinkError):
             link_object_files([a, b], str(tmp_path / "prog.cla"))
 
+    @pytest.mark.parametrize("first, second", [
+        (a, b) for a in MODELS for b in MODELS if a != b
+    ])
+    def test_every_mixed_model_pair_names_both(self, tmp_path, first,
+                                               second):
+        a = compile_model(tmp_path, "a.c", "int x;", first)
+        b = compile_model(tmp_path, "b.c", "int y;", second)
+        with pytest.raises(LinkError) as excinfo:
+            link_object_files([a, b], str(tmp_path / "prog.cla"))
+        assert f"struct model {second} differs" in str(excinfo.value)
+        assert f"({first})" in str(excinfo.value)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_objects_of_one_model_link_and_keep_it(self, tmp_path, model):
+        a = compile_model(tmp_path, "a.c", "int x;", model)
+        b = compile_model(tmp_path, "b.c", "int y;", model)
+        out = str(tmp_path / "prog.cla")
+        link_object_files([a, b], out)
+        for path in (a, b, out):
+            with ObjectFileReader(path) as r:
+                assert r.struct_model == model
+
+    def test_in_memory_link_rejects_mixed_models(self):
+        units = [
+            lower_translation_unit(parse_c("int x;", filename="a.c")),
+            lower_translation_unit(parse_c("int y;", filename="b.c"),
+                                   struct_model="offset_based"),
+        ]
+        with pytest.raises(LinkError, match="offset_based differs"):
+            MemoryStore(units)
+
     def test_no_inputs_rejected(self, tmp_path):
         with pytest.raises(LinkError):
             link_object_files([], str(tmp_path / "prog.cla"))
@@ -129,7 +171,6 @@ class TestLinking:
 
     def test_linked_database_analyzes_identically(self, tmp_path):
         """End-to-end: disk pipeline == in-memory pipeline."""
-        from repro.cla.store import MemoryStore
         from repro.solvers import PreTransitiveSolver
 
         src_a = "int x, *p; void f(void) { p = &x; }"

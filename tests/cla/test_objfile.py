@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cfront.source import Location
 from repro.cla import objfile as F
-from repro.cla.objfile import ClaFormatError, FormatError, name_hash
+from repro.cla.objfile import ClaFormatError, name_hash
 from repro.cla.reader import DatabaseStore, ObjectFileReader
 from repro.cla.store import MemoryStore, trigger_object
 from repro.cla.writer import ObjectFileWriter, write_unit
@@ -75,12 +75,12 @@ def write_and_read(tmp_path, unit):
 
 class TestHeader:
     def test_flags_round_trip(self, tmp_path):
-        for field_based in (True, False):
-            path = str(tmp_path / f"t{field_based}.o")
-            store = MemoryStore(field_based=field_based)
+        for model in ("field_based", "field_independent", "offset_based"):
+            path = str(tmp_path / f"{model}.o")
+            store = MemoryStore(unit_of(struct_model=model))
             ObjectFileWriter(store, linked=True).write(path)
             with ObjectFileReader(path) as r:
-                assert r.field_based == field_based
+                assert r.struct_model == model
                 assert r.linked
 
     def test_source_lines_round_trip(self, tmp_path):
@@ -91,13 +91,13 @@ class TestHeader:
         path = str(tmp_path / "junk.o")
         with open(path, "wb") as f:
             f.write(b"NOTCLA__" + b"\x00" * 64)
-        with pytest.raises(FormatError):
+        with pytest.raises(ClaFormatError):
             ObjectFileReader(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = str(tmp_path / "empty.o")
         open(path, "wb").close()
-        with pytest.raises(FormatError):
+        with pytest.raises(ClaFormatError):
             ObjectFileReader(path)
 
     def test_all_sections_present(self, tmp_path):
@@ -375,9 +375,6 @@ class TestCorruptDatabases:
         with open(path, "wb") as f:
             f.write(bytes(range(256)) * 2)
         self.expect_format_error(path, "bad magic")
-
-    def test_legacy_alias_preserved(self):
-        assert FormatError is ClaFormatError
 
 
 class TestCorruptRecords:

@@ -44,6 +44,54 @@ class TestCompileAndLink:
         obj = str(tmp_path / "fi.o")
         assert main(["compile", a, "-o", obj, "--field-independent"]) == 0
 
+    @pytest.mark.parametrize("model, shown", [
+        ("field_based", "field-based"),
+        ("field_independent", "field-independent"),
+        ("offset_based", "offset-based"),
+    ])
+    def test_struct_model_is_recorded_and_links(self, sources, capsys,
+                                                 model, shown):
+        tmp_path, a, b = sources
+        objs = str(tmp_path / "objs")
+        assert main(["compile", a, b, "-o", objs,
+                     "--struct-model", model]) == 0
+        prog = str(tmp_path / "prog.cla")
+        assert main(["link", f"{objs}/a.o", f"{objs}/b.o", "-o", prog]) == 0
+        capsys.readouterr()
+        for path in (f"{objs}/a.o", prog):
+            assert main(["dump", path]) == 0
+            assert f", {shown}, " in capsys.readouterr().out
+
+    def test_both_field_independent_spellings_link(self, sources):
+        tmp_path, a, b = sources
+        obj_a, obj_b = str(tmp_path / "a.o"), str(tmp_path / "b.o")
+        assert main(["compile", a, "-o", obj_a, "--field-independent"]) == 0
+        assert main(["compile", b, "-o", obj_b,
+                     "--struct-model", "field_independent"]) == 0
+        assert main(["link", obj_a, obj_b,
+                     "-o", str(tmp_path / "prog.cla")]) == 0
+
+    def test_mixed_struct_models_fail_to_link(self, sources, capsys):
+        tmp_path, a, b = sources
+        obj_a, obj_b = str(tmp_path / "a.o"), str(tmp_path / "b.o")
+        assert main(["compile", a, "-o", obj_a,
+                     "--struct-model", "offset_based"]) == 0
+        assert main(["compile", b, "-o", obj_b]) == 0
+        capsys.readouterr()
+        assert main(["link", obj_a, obj_b,
+                     "-o", str(tmp_path / "prog.cla")]) == 2
+        err = capsys.readouterr().err
+        assert "struct model field_based differs" in err
+        assert "(offset_based)" in err
+
+    def test_struct_model_flags_are_exclusive(self, sources, capsys):
+        tmp_path, a, _ = sources
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", a, "-o", str(tmp_path / "a.o"),
+                  "--field-independent", "--struct-model", "offset_based"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_link_reports_totals(self, sources, capsys):
         tmp_path, a, b = sources
         obj_a = str(tmp_path / "a.o")
@@ -287,6 +335,38 @@ class TestDependReports:
         obj = str(tmp_path / "om.o")
         assert main(["compile", a, "-o", obj,
                      "--struct-model", "offset_based"]) == 0
+
+
+class TestOutputTargets:
+    """Every ``FILE or -`` flag writes the same text either way; the JSON
+    flags add a newline on stdout only."""
+
+    @pytest.mark.parametrize("command, flag, end", [
+        (["analyze", "{db}"], "--dot", ""),
+        (["analyze", "{db}"], "--json", "\n"),
+        (["depend", "{db}", "--target", "tgt"], "--json", "\n"),
+        (["depend", "{db}", "--target", "tgt"], "--csv", ""),
+        (["depend", "{db}", "--target", "tgt"], "--dot", ""),
+        (["callgraph", "{db}"], "--dot", ""),
+        (["report", "--events", "{events}"], "-o", ""),
+    ])
+    def test_stdout_matches_file(self, database, tmp_path, capsys, command,
+                                 flag, end):
+        events = str(tmp_path / "e.jsonl")
+        assert main(["analyze", database, "--events", events]) == 0
+        argv = [a.format(db=database, events=events) for a in command]
+        out_file = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + [flag, str(out_file)]) == 0
+        on_disk = out_file.read_bytes().decode()
+        stdout_without = capsys.readouterr().out
+        assert main(argv + [flag, "-"]) == 0
+        stdout = capsys.readouterr().out
+        # The lines before the payload carry timings, so only their
+        # count is compared.
+        assert on_disk and stdout.endswith(on_disk + end)
+        head = stdout[:len(stdout) - len(on_disk + end)]
+        assert head.count("\n") == stdout_without.count("\n")
 
 
 class TestCallgraphCli:

@@ -266,6 +266,45 @@ class TestLedgerSmoke:
         assert "Convergence: pretransitive" in out
         assert "CLA load accounting" in out
 
+    def test_ledger_alone_renders_the_trace_phases(self, sources, tmp_path,
+                                                   capsys):
+        """Every span reaches the ledger with its id and parent, so the
+        report's Phases table has the same rows and nesting from
+        ``--events`` alone as from ``--trace``."""
+        from repro.engine.events import read_events
+
+        _, a, b = sources
+        trace = tmp_path / "t.json"
+        events = tmp_path / "e.jsonl"
+        assert main(["analyze", a, b, "--trace", str(trace),
+                     "--events", str(events)]) == 0
+        ends = [r for r in read_events(str(events))
+                if r["kind"] == "stage" and r["phase"] == "end"]
+        assert sorted(r["stage"] for r in ends) == [
+            "analyze", "compile", "link", "session", "unit", "unit"]
+        assert all({"id", "parent", "user_s", "rss_delta_mb"} <= set(r)
+                   for r in ends)
+
+        def phase_names(*flags):
+            capsys.readouterr()
+            assert main(["report", *flags]) == 0
+            table = capsys.readouterr().out.split("\n\n")[1]
+            lines = table.splitlines()
+            assert lines[0].startswith("Phases")
+            width = lines[2].index("  ")  # the phase column's rule
+            return [line[:width] for line in lines[3:]]
+
+        from_trace = phase_names("--trace", str(trace))
+        assert from_trace == phase_names("--events", str(events))
+        assert [name.strip() for name in from_trace] == [
+            "session", "compile", "link", "analyze"]
+        by_name = {r["stage"]: r for r in ends}
+        session_id = by_name["session"]["id"]
+        assert by_name["session"]["parent"] is None
+        assert all(by_name[name]["parent"] == session_id
+                   for name in ("compile", "link", "analyze"))
+        assert by_name["unit"]["parent"] == by_name["compile"]["id"]
+
     def test_report_markdown_to_file(self, database, tmp_path, capsys):
         events = tmp_path / "e.jsonl"
         assert main(["analyze", database, "--events", str(events)]) == 0

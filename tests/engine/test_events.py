@@ -19,7 +19,7 @@ from repro.engine.events import (
     SolverBeginEvent,
     SolverEndEvent,
     SolverRoundEvent,
-    StageEvent,
+    SpanEvent,
     UnitCompiledEvent,
     read_events,
 )
@@ -288,12 +288,20 @@ class TestPipelineEvents:
             pipeline.analyze(store, "pretransitive")
         stages = [(e.stage, e.phase) for e in sink.of_kind("stage")]
         assert stages == [
-            ("compile", "begin"), ("compile", "end"),
+            ("compile", "begin"),
+            ("unit", "begin"), ("unit", "end"),
+            ("unit", "begin"), ("unit", "end"),
+            ("compile", "end"),
             ("link", "begin"), ("link", "end"),
             ("analyze", "begin"), ("analyze", "end"),
         ]
-        compile_end = [e for e in sink.of_kind("stage")
-                       if e.stage == "compile" and e.phase == "end"][0]
+        spans = {(e.stage, e.phase): e for e in sink.of_kind("stage")}
+        compile_id = spans["compile", "begin"].id
+        assert [e.parent for e in sink.of_kind("stage")
+                if e.stage == "unit"] == [compile_id] * 4
+        assert spans["link", "end"].parent is None
+        compile_end = spans["compile", "end"]
+        assert compile_end.id == compile_id
         assert compile_end.attrs["files"] == 2
         assert compile_end.attrs["assignments"] > 0
         assert compile_end.wall_s >= 0.0
@@ -340,9 +348,12 @@ class TestProgressSink:
 
     def test_renders_run_narrative(self):
         bus, out = self._bus_with_progress()
-        bus.emit(StageEvent(stage="compile", phase="begin"))
+        bus.emit(SpanEvent(stage="session", phase="begin"))
+        bus.emit(SpanEvent(stage="compile", phase="begin"))
+        bus.emit(SpanEvent(stage="unit", phase="begin"))
         bus.emit(UnitCompiledEvent(file="a.c", index=1, total=3))
-        bus.emit(StageEvent(stage="compile", phase="end", wall_s=0.25))
+        bus.emit(SpanEvent(stage="unit", phase="end", wall_s=0.125))
+        bus.emit(SpanEvent(stage="compile", phase="end", wall_s=0.25))
         bus.emit(SolverBeginEvent(solver="pretransitive", in_file=10))
         bus.emit(SolverRoundEvent(solver="pretransitive", round=1,
                                   edges_added=5, cache_hit_rate=0.5))
@@ -355,6 +366,9 @@ class TestProgressSink:
         assert "round 1" in text and "edges +5" in text
         assert "50.0%" in text
         assert "done in 1 rounds" in text
+        # Only the pipeline stages render, not session or unit spans.
+        assert "session" not in text and "unit]" not in text
+        assert "0.12s" not in text
         # Non-TTY stream: line-per-update, no carriage returns.
         assert "\r" not in text
 

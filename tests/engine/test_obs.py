@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine.events import EVENTS, JsonlSink, MemorySink, read_events
 from repro.engine.obs import (
     DEFAULT_LATENCY_BOUNDS,
     REGISTRY,
@@ -11,91 +12,122 @@ from repro.engine.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Span,
     Tracer,
     TRACE_SCHEMA_VERSION,
+    ambient,
     process_user_s,
+    span,
+    span_tree,
 )
 
 
+@pytest.fixture
+def tracer():
+    """A Tracer attached to the process bus for one test."""
+    with EVENTS.sink(Tracer()) as t:
+        yield t
+
+
 class TestSpanNesting:
-    def test_nested_spans_form_a_tree(self):
-        tracer = Tracer()
-        with tracer.span("compile", files=2):
-            with tracer.span("unit", file="a.c"):
+    def test_nested_spans_form_a_tree(self, tracer):
+        with span("compile", files=2):
+            with span("unit", file="a.c"):
                 pass
-            with tracer.span("unit", file="b.c"):
+            with span("unit", file="b.c"):
                 pass
-        with tracer.span("analyze", solver="pretransitive"):
+        with span("analyze", solver="pretransitive"):
             pass
-        assert [r.name for r in tracer.roots] == ["compile", "analyze"]
+        assert [r["name"] for r in tracer.roots] == ["compile", "analyze"]
         compile_span = tracer.roots[0]
-        assert [c.name for c in compile_span.children] == ["unit", "unit"]
-        assert compile_span.children[0].attrs["file"] == "a.c"
+        assert [c["name"] for c in compile_span["children"]] \
+            == ["unit", "unit"]
+        assert compile_span["children"][0]["attrs"]["file"] == "a.c"
 
     def test_current_and_annotate(self):
-        tracer = Tracer()
-        assert tracer.current is None
-        with tracer.span("link") as span:
-            assert tracer.current is span
-            tracer.annotate(objects=7)
-        assert tracer.current is None
-        assert span.attrs["objects"] == 7
-        tracer.annotate(ignored=True)  # no open span: must not raise
-
-    def test_find_and_iter_spans_parents(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                with tracer.span("c"):
+        """The innermost open span is the parent of the next one, and
+        ``annotate`` lands on the span's end record."""
+        with EVENTS.sink(MemorySink()) as sink:
+            with span("link") as link:
+                link.annotate(objects=7)
+                with span("inner") as inner:
                     pass
-        pairs = {s.name: (p.name if p else None)
+            with span("after") as after:
+                pass
+        assert inner.parent == link.id
+        assert link.parent is None and after.parent is None
+        (end,) = [e for e in sink.of_kind("stage")
+                  if e.stage == "link" and e.phase == "end"]
+        assert end.attrs == {"objects": 7}
+        # No sink: annotating the no-op span must not raise.
+        with span("off") as off:
+            off.annotate(ignored=True)
+
+    def test_find_and_iter_spans_parents(self, tracer):
+        with span("a"):
+            with span("b"):
+                with span("c"):
+                    pass
+        pairs = {s["name"]: (p["name"] if p else None)
                  for s, p in tracer.iter_spans()}
         assert pairs == {"a": None, "b": "a", "c": "b"}
-        assert [s.name for s in tracer.find("b")] == ["b"]
+        assert [s["name"] for s in tracer.find("b")] == ["b"]
 
-    def test_exception_annotates_and_unwinds(self):
-        tracer = Tracer()
+    def test_exception_annotates_and_unwinds(self, tracer):
         with pytest.raises(RuntimeError):
-            with tracer.span("outer"):
-                with tracer.span("inner"):
+            with span("outer"):
+                with span("inner"):
                     raise RuntimeError("boom")
-        assert tracer.current is None
         inner = tracer.find("inner")[0]
-        assert "boom" in inner.attrs["error"]
-        assert inner.closed and tracer.find("outer")[0].closed
+        assert "boom" in inner["attrs"]["error"]
+        assert "boom" in tracer.find("outer")[0]["attrs"]["error"]
+        # Both closed: the next span is a root again.
+        with span("next"):
+            pass
+        assert [r["name"] for r in tracer.roots] == ["outer", "next"]
+
+    def test_no_sink_records_nothing(self):
+        assert not EVENTS
+        with span("quiet", x=1) as quiet:
+            with span("nested"):
+                pass
+        assert not isinstance(quiet, Span)
 
 
 class TestSpanTiming:
     def test_timing_monotonicity(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                sum(range(10_000))
-        outer, inner = tracer.find("outer")[0], tracer.find("inner")[0]
-        assert outer.closed and inner.closed
-        assert inner.wall_seconds >= 0
-        assert outer.wall_seconds >= inner.wall_seconds
-        assert inner.start_wall >= outer.start_wall
-        assert inner.end_wall <= outer.end_wall
-        assert outer.user_seconds >= 0
+        with EVENTS.sink(MemorySink()) as sink:
+            with span("outer"):
+                with span("inner"):
+                    sum(range(10_000))
+        ends = {e.stage: e for e in sink.of_kind("stage")
+                if e.phase == "end"}
+        begins = {e.stage: e for e in sink.of_kind("stage")
+                  if e.phase == "begin"}
+        outer, inner = ends["outer"], ends["inner"]
+        assert inner.wall_s >= 0
+        assert outer.wall_s >= inner.wall_s
+        assert begins["inner"].ts >= begins["outer"].ts
+        assert inner.ts <= outer.ts
+        assert outer.user_s >= 0
 
-    def test_open_span_reports_live_duration(self):
-        tracer = Tracer()
-        ctx = tracer.span("open")
-        span = ctx.__enter__()
-        try:
-            assert not span.closed
-            assert span.wall_seconds >= 0
-        finally:
-            ctx.__exit__(None, None, None)
-        assert span.closed
+    def test_open_span_reports_its_begin_record(self):
+        with EVENTS.sink(MemorySink()) as sink:
+            ctx = span("open", k=1)
+            opened = ctx.__enter__()
+            try:
+                (begin,) = sink.of_kind("stage")
+                assert (begin.stage, begin.phase) == ("open", "begin")
+                assert begin.id == opened.id and begin.attrs == {"k": 1}
+            finally:
+                ctx.__exit__(None, None, None)
+        assert [e.phase for e in sink.of_kind("stage")] == ["begin", "end"]
 
 
 class TestTraceExport:
-    def test_to_dict_schema(self):
-        tracer = Tracer()
-        with tracer.span("compile", files=1):
-            with tracer.span("unit", file="a.c"):
+    def test_to_dict_schema(self, tracer):
+        with span("compile", files=1):
+            with span("unit", file="a.c"):
                 pass
         doc = tracer.to_dict(registry=MetricsRegistry())
         assert doc["schema"] == TRACE_SCHEMA_VERSION
@@ -107,21 +139,19 @@ class TestTraceExport:
         assert root["start_s"] == 0.0
         assert root["wall_s"] >= root["children"][0]["wall_s"]
 
-    def test_write_json(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("analyze"):
+    def test_write_json(self, tracer, tmp_path):
+        with span("analyze"):
             pass
         out = tmp_path / "trace.json"
         tracer.write(str(out))
         doc = json.loads(out.read_text())
         assert doc["trace"][0]["name"] == "analyze"
 
-    def test_write_dispatches_on_jsonl_extension(self, tmp_path):
+    def test_write_dispatches_on_jsonl_extension(self, tracer, tmp_path):
         """``Tracer.write`` must honour the documented contract: a
         ``.jsonl`` path gets the flat one-span-per-line format."""
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
+        with span("a"):
+            with span("b"):
                 pass
         out = tmp_path / "trace.jsonl"
         tracer.write(str(out))
@@ -134,33 +164,13 @@ class TestTraceExport:
         tree = tracer.to_dict(registry=MetricsRegistry())
         assert tree["trace"][0]["name"] == "a"
         assert {r["name"] for r in records} \
-            == {s.name for s, _ in tracer.iter_spans()}
+            == {s["name"] for s, _ in tracer.iter_spans()}
 
-    def test_total_wall_s(self):
-        tracer = Tracer()
-        assert tracer.total_wall_s == 0.0
-        with tracer.span("a"):
-            sum(range(1000))
-        with tracer.span("b"):
-            pass
-        total = tracer.total_wall_s
-        a, b = tracer.roots
-        assert total >= a.wall_seconds
-        assert abs(total - (b.end_wall - a.start_wall)) < 1e-9
-        # An open root counts up to now.
-        ctx = tracer.span("open")
-        ctx.__enter__()
-        try:
-            assert tracer.total_wall_s >= total
-        finally:
-            ctx.__exit__(None, None, None)
-
-    def test_write_jsonl_parent_references(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
+    def test_write_jsonl_parent_references(self, tracer, tmp_path):
+        with span("a"):
+            with span("b"):
                 pass
-        with tracer.span("c"):
+        with span("c"):
             pass
         out = tmp_path / "trace.jsonl"
         tracer.write_jsonl(str(out))
@@ -170,6 +180,33 @@ class TestTraceExport:
         assert by_name["b"]["parent"] == by_name["a"]["id"]
         assert by_name["c"]["parent"] is None
         assert all("children" not in r for r in records)
+
+    def test_ledger_records_rebuild_the_same_tree(self, tracer, tmp_path):
+        """A ledger holds the records a Tracer sees, so ``span_tree``
+        over the ledger file gives the Tracer's tree."""
+        path = str(tmp_path / "e.jsonl")
+        jsonl = JsonlSink(path)
+        with EVENTS.sink(jsonl):
+            with span("session"):
+                with span("compile", files=1):
+                    with span("unit", file="a.c"):
+                        pass
+                with span("analyze"):
+                    pass
+        jsonl.close()
+        assert span_tree(read_events(path)) == tracer.roots
+
+    def test_records_without_ids_become_roots(self):
+        roots = span_tree([
+            {"kind": "stage", "stage": "compile", "phase": "end",
+             "attrs": {"files": 2}, "wall_s": 0.4, "ts": 0.5},
+            {"kind": "solver.end", "ts": 0.6},
+        ])
+        assert roots == [{
+            "name": "compile", "start_s": 0.0, "wall_s": 0.4,
+            "user_s": 0.0, "rss_delta_mb": 0.0, "attrs": {"files": 2},
+            "children": [],
+        }]
 
 
 class TestCounters:
@@ -303,45 +340,41 @@ class TestHistogram:
 
 
 class TestTracerAmbientContext:
-    def test_context_attaches_attrs_to_spans(self):
-        tracer = Tracer()
-        with tracer.context(trace="t7"):
-            with tracer.span("analyze", solver="s"):
-                with tracer.span("inner"):
+    def test_context_attaches_attrs_to_spans(self, tracer):
+        with ambient(trace="t7"):
+            with span("analyze", solver="s"):
+                with span("inner"):
                     pass
-        with tracer.span("outside"):
+        with span("outside"):
             pass
         analyze, inner = tracer.find("analyze")[0], tracer.find("inner")[0]
-        assert analyze.attrs == {"solver": "s", "trace": "t7"}
-        assert inner.attrs == {"trace": "t7"}
-        assert "trace" not in tracer.find("outside")[0].attrs
+        assert analyze["attrs"] == {"solver": "s", "trace": "t7"}
+        assert inner["attrs"] == {"trace": "t7"}
+        assert "trace" not in tracer.find("outside")[0]["attrs"]
 
-    def test_explicit_attrs_win_over_ambient(self):
-        tracer = Tracer()
-        with tracer.context(trace="outer", extra=1):
-            with tracer.context(trace="inner"):
-                with tracer.span("s"):
+    def test_explicit_attrs_win_over_ambient(self, tracer):
+        with ambient(trace="outer", extra=1):
+            with ambient(trace="inner"):
+                with span("s"):
                     pass
-        span = tracer.find("s")[0]
-        assert span.attrs == {"trace": "inner", "extra": 1}
+        span_ = tracer.find("s")[0]
+        assert span_["attrs"] == {"trace": "inner", "extra": 1}
 
-    def test_span_attr_beats_ambient(self):
-        tracer = Tracer()
-        with tracer.context(trace="ambient"):
-            with tracer.span("s", trace="explicit"):
+    def test_span_attr_beats_ambient(self, tracer):
+        with ambient(trace="ambient"):
+            with span("s", trace="explicit"):
                 pass
-        assert tracer.find("s")[0].attrs["trace"] == "explicit"
+        assert tracer.find("s")[0]["attrs"]["trace"] == "explicit"
 
-    def test_out_of_order_exit_is_tolerated(self):
-        tracer = Tracer()
-        a = tracer.context(trace="a")
-        b = tracer.context(trace="b")
+    def test_out_of_order_exit_is_tolerated(self, tracer):
+        a = ambient(trace="a")
+        b = ambient(trace="b")
         a.__enter__()
         b.__enter__()
         a.__exit__(None, None, None)  # exits before b: must not raise
-        with tracer.span("s"):
+        with span("s"):
             pass
-        assert tracer.find("s")[0].attrs["trace"] == "b"
+        assert tracer.find("s")[0]["attrs"]["trace"] == "b"
         b.__exit__(None, None, None)
         a.__exit__(None, None, None)  # double exit: must not raise
 
@@ -365,9 +398,9 @@ class TestUserTime:
                        f"void fn{i}(void) {{ p{i} = &x{i}; }}\n"
             for i in range(4)
         }
-        pipeline = Pipeline(jobs=2)
-        pipeline.compile_units(sources)
-        span = pipeline.tracer.find("compile")[0]
+        with EVENTS.sink(Tracer()) as tracer:
+            Pipeline(jobs=2).compile_units(sources)
+        compile_span = tracer.find("compile")[0]
         # Children's CPU is only visible after wait(); the invariant that
         # must hold is that the measurement is well-formed, not negative.
-        assert span.user_seconds >= 0.0
+        assert compile_span["user_s"] >= 0.0

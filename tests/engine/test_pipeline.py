@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.events import EVENTS
 from repro.engine.obs import Tracer
 from repro.engine.pipeline import (
     AnalysisSession,
@@ -17,32 +18,32 @@ B_C = ("extern int *p; int *q; short tgt, out;\n"
 
 class TestStageSpans:
     def test_session_traces_all_stages(self):
-        tracer = Tracer()
-        session = AnalysisSession(tracer=tracer)
+        session = AnalysisSession()
         session.add_source("a.c", A_C).add_source("b.c", B_C)
-        result = session.points_to()
-        session.dependence("tgt")
+        with EVENTS.sink(Tracer()) as tracer:
+            result = session.points_to()
+            session.dependence("tgt")
         assert result.points_to("q") == frozenset({"x"})
         for stage in ("compile", "link", "analyze", "depend"):
             assert tracer.find(stage), f"missing span {stage!r}"
         compile_span = tracer.find("compile")[0]
-        units = [c for c in compile_span.children if c.name == "unit"]
-        assert [u.attrs["file"] for u in units] == ["a.c", "b.c"]
-        assert compile_span.attrs["assignments"] > 0
+        units = [c for c in compile_span["children"] if c["name"] == "unit"]
+        assert [u["attrs"]["file"] for u in units] == ["a.c", "b.c"]
+        assert compile_span["attrs"]["assignments"] > 0
         analyze = tracer.find("analyze")[0]
-        assert analyze.attrs["solver"] == "pretransitive"
-        assert analyze.attrs["assignments_in_file"] > 0
+        assert analyze["attrs"]["solver"] == "pretransitive"
+        assert analyze["attrs"]["assignments_in_file"] > 0
 
     def test_disk_roundtrip_traced(self, tmp_path):
-        tracer = Tracer()
-        pipeline = Pipeline(tracer=tracer)
+        pipeline = Pipeline()
         src = tmp_path / "a.c"
         src.write_text(A_C)
         obj = str(tmp_path / "a.o")
         db = str(tmp_path / "prog.cla")
-        pipeline.compile_to_object(str(src), obj)
-        pipeline.link_objects([obj], db)
-        result = pipeline.analyze_database(db)
+        with EVENTS.sink(Tracer()) as tracer:
+            pipeline.compile_to_object(str(src), obj)
+            pipeline.link_objects([obj], db)
+            result = pipeline.analyze_database(db)
         assert result.points_to("p") == frozenset({"x"})
         assert tracer.find("compile") and tracer.find("link")
         assert tracer.find("analyze")

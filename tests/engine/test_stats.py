@@ -3,7 +3,7 @@
 The contract under test: every solver fills the *same* schema through
 the shared hook in ``repro.solvers.base``, the Table 3 load-accounting
 columns read from the stats record are identical to the store's own
-accounting, and the legacy ``.metrics`` name keeps working.
+accounting.
 """
 
 import pytest
@@ -73,8 +73,7 @@ class TestUniformStats:
         store = fresh_store()
         solver = SOLVERS[solver_name](store)
         result = solver.solve()
-        assert solver.stats is solver.metrics  # legacy attribute name
-        assert result.stats is result.metrics is solver.stats
+        assert result.stats is solver.stats
 
     def test_table3_columns_match_store_accounting(self, solver_name):
         store = fresh_store()
@@ -97,10 +96,6 @@ class TestUniformStats:
 
 
 class TestStatsRecord:
-    def test_iterations_alias(self):
-        stats = SolverStats(rounds=7)
-        assert stats.iterations == 7
-
     def test_as_dict_and_counter_fields(self):
         stats = SolverStats(solver="x", rounds=2, edges_added=3)
         d = stats.as_dict()

@@ -241,22 +241,24 @@ class TestEvents:
     def test_update_compile_is_a_stage(self, workspace):
         """An update's workspace build compiles through the pipeline's
         one compile driver: a ``compile`` stage in the ledger with one
-        ``compile.unit`` event, and a ``unit`` span in the trace."""
+        ``compile.unit`` event and one ``unit`` span inside it."""
         with ServeSession(workspace=workspace) as session:
             with EVENTS.sink(MemorySink()) as sink:
                 session.request("update", {"file": "b.c",
                                            "text": SOURCE_B_GROWN})
         stages = [(e.stage, e.phase) for e in sink.of_kind("stage")]
         assert stages == [
-            ("compile", "begin"), ("compile", "end"),
+            ("compile", "begin"),
+            ("unit", "begin"), ("unit", "end"),
+            ("compile", "end"),
             ("link", "begin"), ("link", "end"),
             ("analyze", "begin"), ("analyze", "end"),
         ]
         [unit] = sink.of_kind("compile.unit")
         assert unit.file == "b.c" and unit.assignments > 0
-        compile_span = workspace.pipeline.tracer.find("compile")[-1]
-        assert [c.attrs["file"] for c in compile_span.children
-                if c.name == "unit"] == ["b.c"]
+        begin, unit_begin = sink.of_kind("stage")[:2]
+        assert unit_begin.parent == begin.id
+        assert unit_begin.attrs["file"] == "b.c"
 
     def test_error_queries_are_ledgered(self, workspace):
         with EVENTS.sink(MemorySink()) as sink:

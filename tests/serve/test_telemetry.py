@@ -1,12 +1,13 @@
 """Serve-daemon telemetry tests: trace ids, rings, slow-query log,
 the metrics/traces ops, and the resource ticker."""
 
+import gc
 import time
 
 import pytest
 
 from repro.engine.events import EVENTS, MemorySink
-from repro.engine.obs import MetricsRegistry
+from repro.engine.obs import MetricsRegistry, Span
 from repro.serve import ResourceTicker, ServeSession, TraceRing
 
 from .conftest import make_workspace
@@ -40,28 +41,51 @@ class TestTraceIds:
         assert second == f"t{n + 1}"
 
     def test_trace_id_reaches_nested_spans(self, session):
-        session.request("chain", {"target": "shared"}, trace="chain-1")
-        (span,) = session.pipeline.tracer.find("depend")
-        assert span.attrs["trace"] == "chain-1"
-        assert span.attrs["target"] == "shared"
+        with EVENTS.sink(MemorySink()) as sink:
+            session.request("chain", {"target": "shared"}, trace="chain-1")
+        depend = [e for e in sink.of_kind("stage") if e.stage == "depend"]
+        assert [e.phase for e in depend] == ["begin", "end"]
+        assert all(e.attrs["trace"] == "chain-1" for e in depend)
+        assert depend[1].attrs["target"] == "shared"
 
     def test_update_spans_carry_the_trace(self, session):
         from .conftest import SOURCE_B_GROWN
 
-        session.request(
-            "update", {"file": "b.c", "text": SOURCE_B_GROWN}, trace="up-1"
-        )
-        analyze = [s for s in session.pipeline.tracer.find("analyze")
-                   if s.attrs.get("trace") == "up-1"]
-        assert analyze, "the update's analyze span lost its trace id"
+        with EVENTS.sink(MemorySink()) as sink:
+            session.request(
+                "update", {"file": "b.c", "text": SOURCE_B_GROWN},
+                trace="up-1",
+            )
+        spans = {e.stage for e in sink.of_kind("stage")
+                 if e.phase == "end" and e.attrs.get("trace") == "up-1"}
+        assert {"compile", "unit", "link", "analyze"} <= spans, \
+            "the update's spans lost its trace id"
 
     def test_cache_hit_reuses_no_spans_but_keeps_trace(self, session):
-        session.request("points-to", {"name": "mine"}, trace="a")
-        before = sum(1 for _ in session.pipeline.tracer.iter_spans())
-        response = session.request("points-to", {"name": "mine"}, trace="b")
+        session.request("chain", {"target": "shared"}, trace="a")
+        with EVENTS.sink(MemorySink()) as sink:
+            response = session.request("chain", {"target": "shared"},
+                                       trace="b")
         assert response["cache_hit"]
         assert response["trace"] == "b"
-        assert sum(1 for _ in session.pipeline.tracer.iter_spans()) == before
+        assert sink.of_kind("stage") == []
+
+    def test_no_sink_keeps_no_spans(self, session):
+        """With nothing listening, serving opens no span objects at all,
+        so a long-lived daemon keeps no per-request telemetry."""
+        from .conftest import SOURCE_B, SOURCE_B_GROWN
+
+        assert not EVENTS
+        for i in range(100):
+            response = session.request(
+                "chain", {"target": "shared", "limit": i})
+            assert response["ok"] and not response["cache_hit"]
+        for i in range(10):
+            text = SOURCE_B_GROWN if i % 2 == 0 else SOURCE_B
+            assert session.request(
+                "update", {"file": "b.c", "text": text})["ok"]
+        gc.collect()
+        assert sum(isinstance(o, Span) for o in gc.get_objects()) == 0
 
 
 class TestTracesOp:

@@ -69,7 +69,7 @@ class TestEdgeBookkeeping:
             (K.ADDR, "b", "t"),
         ))
         s.solve()
-        assert s.metrics.edges_added == 1
+        assert s.stats.edges_added == 1
 
     def test_self_edges_rejected(self):
         s = PreTransitiveSolver(store_of(
@@ -110,8 +110,8 @@ class TestDifferencePropagation:
     def test_second_round_skips_processed_pairs(self):
         s = PreTransitiveSolver(store_of(*self.SYSTEM))
         s.solve()
-        assert s.metrics.lvals_skipped_by_diff > 0
-        processed = s.metrics.delta_lvals_processed
+        assert s.stats.lvals_skipped_by_diff > 0
+        processed = s.stats.delta_lvals_processed
         # Each (constraint, lval) pair was processed exactly once.
         assert processed == sum(e[3].bit_count() for e in s._complex)
 
@@ -121,9 +121,9 @@ class TestDifferencePropagation:
         off = PreTransitiveSolver(store_of(*self.SYSTEM),
                                   enable_diff_propagation=False)
         off.solve()
-        assert off.metrics.lvals_skipped_by_diff == 0
-        assert off.metrics.delta_lvals_processed > (
-            on.metrics.delta_lvals_processed
+        assert off.stats.lvals_skipped_by_diff == 0
+        assert off.stats.delta_lvals_processed > (
+            on.stats.delta_lvals_processed
         )
         # Seen masks stay empty when the discipline is off.
         assert all(not e[3] for e in off._complex)
@@ -161,7 +161,7 @@ class TestCacheSemantics:
         s.solve()
         # Both stores query p each round; with caching the second query
         # each round is a hit, so traversal work stays small.
-        assert s.metrics.lval_queries > s.metrics.nodes_visited / 4
+        assert s.stats.lval_queries > s.stats.nodes_visited / 4
 
     def test_cache_disabled_recomputes(self):
         chain = [(K.COPY, f"q{i}", f"q{i + 1}") for i in range(10)]
@@ -178,7 +178,7 @@ class TestCacheSemantics:
                 enable_cache=cache,
             )
             s.solve()
-            return s.metrics.nodes_visited
+            return s.stats.nodes_visited
 
         assert run(False) > run(True)
 
@@ -204,7 +204,7 @@ class TestMetrics:
             (K.LOAD, "r", "a"),
         ))
         s.solve()
-        assert s.metrics.rounds >= 2  # store adds an edge -> extra round
+        assert s.stats.rounds >= 2  # store adds an edge -> extra round
 
     def test_constraints_equal_retained(self):
         store = store_of(
@@ -217,7 +217,7 @@ class TestMetrics:
         # STORE_LOAD splits into two constraints (+1 for the LOAD); the
         # STORE *p = y is never loaded at all — its trigger y carries no
         # pointer flow, so demand loading correctly skips its block.
-        assert s.metrics.constraints == 3
+        assert s.stats.constraints == 3
         assert store.stats.in_core == 3
 
     def test_funcptr_links_counted(self):
@@ -233,4 +233,4 @@ class TestMetrics:
         """, filename="m.c"))
         s = PreTransitiveSolver(MemoryStore(unit))
         s.solve()
-        assert s.metrics.funcptr_links >= 1
+        assert s.stats.funcptr_links >= 1

@@ -89,7 +89,7 @@ class TestCycles:
         void f(void) { a = b; b = c; c = a; a = &x; }
         """)
         assert r.points_to("a") == r.points_to("b") == r.points_to("c") == {"x"}
-        assert s.metrics.cycles_collapsed >= 2
+        assert s.stats.cycles_collapsed >= 2
 
     def test_self_loop(self):
         _, r = solve("int *a, x; void f(void) { a = a; a = &x; }")
@@ -140,7 +140,7 @@ class TestCycles:
         src = f"{src_prefix()}{decls} void f(void) {{ {body} v0 = &x; }}"
         s, r = solve(src)
         assert r.points_to(f"v{n // 2}") == {"x"}
-        assert s.metrics.cycles_collapsed >= n - 1
+        assert s.stats.cycles_collapsed >= n - 1
 
 
 def src_prefix():
@@ -172,7 +172,7 @@ class TestOptimizationToggles:
 
     def test_no_cycle_elim_never_unifies(self):
         s, _ = solve(self.SRC, enable_cycle_elimination=False)
-        assert s.metrics.cycles_collapsed == 0
+        assert s.stats.cycles_collapsed == 0
 
     def test_demand_vs_full_loading_agree(self):
         expected = self.expected()
@@ -229,9 +229,9 @@ class TestGetLvals:
         int x, *p, *q, **pp;
         void f(void) { p = &x; q = p; pp = &p; *pp = q; }
         """)
-        assert s.metrics.rounds >= 1
-        assert s.metrics.edges_added >= 2
-        assert s.metrics.lval_queries > 0
+        assert s.stats.rounds >= 1
+        assert s.stats.edges_added >= 2
+        assert s.stats.lval_queries > 0
 
 
 class TestPrecision:

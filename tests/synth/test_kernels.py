@@ -42,7 +42,7 @@ class TestAblationKernel:
             enable_cycle_elimination=False,
         )
         slow.solve()
-        assert slow.metrics.nodes_visited > 20 * fast.metrics.nodes_visited
+        assert slow.stats.nodes_visited > 20 * fast.stats.nodes_visited
 
 
 class TestJoinPointKernel:
@@ -59,7 +59,7 @@ class TestJoinPointKernel:
         # The point of the pre-transitive design: the answer has 20K+
         # relations, but computing it traverses only O(nodes) once.
         assert result.points_to_relations() > 20_000
-        assert solver.metrics.nodes_visited < 2_000
+        assert solver.stats.nodes_visited < 2_000
 
     def test_agreement_across_solvers(self):
         stores = [join_point_kernel(25, 15) for _ in range(2)]
