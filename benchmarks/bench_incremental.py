@@ -1,5 +1,5 @@
 """§4's interactive-tool claim, measured: editing one file costs one
-recompile plus a relink, not a whole-code-base rebuild.
+recompile plus an in-memory relink, not a whole-code-base rebuild.
 
 "if we are to build interactive tools based on an analysis, then it is
 important to avoid re-parsing/reprocessing the entire code base when
@@ -12,6 +12,7 @@ import pytest
 
 from conftest import profile_scale
 from repro.driver.incremental import Workspace
+from repro.engine.pipeline import Pipeline
 from repro.synth import generate
 from repro.synth.generator import HEADER_NAME
 
@@ -73,13 +74,13 @@ def test_incremental_analysis_correctness(benchmark, report, tmp_path):
         "void cla_added(void) { cla_new_ptr = &cla_new_target; }\n"
     )
     workspace.update_source(victim, edited)
-    incremental = workspace.analyze()
+    incremental = workspace.points_to()
 
     fresh = Workspace(cache_dir=str(tmp_path / "fresh"))
     fresh.add_header(HEADER_NAME, program.header)
     for name, text in sorted(program.files.items()):
         fresh.add_source(name, edited if name == victim else text)
-    full = fresh.analyze()
+    full = Pipeline().analyze_database(fresh.build())
 
     assert incremental.points_to("cla_new_ptr") == {"cla_new_target"}
     for name in set(incremental.pts) | set(full.pts):

@@ -249,8 +249,8 @@ def test_serve_update_shrink(benchmark, report):
 
 def test_serve_reload(benchmark, report):
     """Solve-only cost of a generation: ``reload`` with unchanged
-    content reuses every object and the linked database, so the timed
-    body is opening and solving it."""
+    content reuses every held unit, so the timed body is the in-memory
+    relink and the solve."""
     session = serving_session()
 
     def run():
@@ -262,7 +262,7 @@ def test_serve_reload(benchmark, report):
     reload_s = benchmark.stats.stats.min
     benchmark.extra_info.update({"compiled": 0, "resolve_s": reload_s})
     report.append(
-        f"[serve] {PROFILE} reload (open + solve): {reload_s * 1e3:.1f} ms"
+        f"[serve] {PROFILE} reload (relink + solve): {reload_s * 1e3:.1f} ms"
     )
 
 

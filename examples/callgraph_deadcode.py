@@ -14,7 +14,7 @@ Run with::
 """
 
 from repro.depend import build_call_graph
-from repro.driver import Project
+from repro.driver import Workspace
 
 SOURCE = """
 #include <stdlib.h>
@@ -51,7 +51,7 @@ int main(void) {
 
 
 def main() -> None:
-    project = Project()
+    project = Workspace()
     project.add_source("cmds.c", SOURCE)
     store = project.store()
     points_to = project.points_to()

@@ -20,7 +20,7 @@ from repro.cla.transform import (
     ContextSensitivity,
     OfflineVariableSubstitution,
 )
-from repro.driver import Project
+from repro.driver import Workspace
 from repro.solvers import PreTransitiveSolver
 
 SOURCE = """
@@ -49,7 +49,7 @@ def show(result, label):
 
 
 def main() -> None:
-    project = Project()
+    project = Workspace()
     project.add_source("pick.c", SOURCE)
     # The transforms' input: the linked database as one unit.
     image = project.store().to_unit()

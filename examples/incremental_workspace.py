@@ -7,8 +7,10 @@ changes are made to one or two files."
 
 This example builds a synthetic multi-file code base, then simulates an
 edit-analyze loop: each edit recompiles exactly one file, relinks the
-database, and reruns the points-to analysis — while a naive pipeline would
-reparse everything.
+units the workspace holds in memory, and reruns the points-to analysis —
+while a naive pipeline would reparse everything.  Undoing the edits
+recompiles nothing: the original unit is read back from the object-file
+cache.
 
 Run with::
 
@@ -35,7 +37,7 @@ def main() -> None:
             workspace.add_source(name, text)
 
         t0 = time.perf_counter()
-        result = workspace.analyze()
+        result = workspace.points_to()
         cold = time.perf_counter() - t0
         print(f"cold build+analyze: {cold:.2f}s "
               f"(compiled {workspace.stats.compiled} files); "
@@ -51,7 +53,7 @@ def main() -> None:
             )
             t0 = time.perf_counter()
             workspace.update_source(victim, edited)
-            result = workspace.analyze()
+            result = workspace.points_to()
             warm = time.perf_counter() - t0
             pts = result.points_to(f"probe_{round_number}")
             print(f"edit {round_number}: {warm:.2f}s "
@@ -59,6 +61,14 @@ def main() -> None:
                   f"reused {workspace.stats.reused}) "
                   f"pts(probe_{round_number}) = {sorted(pts)} "
                   f"[{cold / warm:.1f}x faster than cold]")
+
+        t0 = time.perf_counter()
+        workspace.update_source(victim, program.files[victim])
+        result = workspace.points_to()
+        undo = time.perf_counter() - t0
+        print(f"undo: {undo:.2f}s (recompiled {workspace.stats.compiled}, "
+              f"read back {workspace.stats.read} from the cache); "
+              f"{result.pointer_variables()} pointers")
 
 
 if __name__ == "__main__":

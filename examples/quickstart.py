@@ -6,7 +6,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.driver import Project
+from repro.driver import Workspace
 
 SOURCE = """
 #include <stdlib.h>
@@ -33,7 +33,7 @@ void use(void) {
 
 
 def main() -> None:
-    project = Project()
+    project = Workspace()
     project.add_source("quick.c", SOURCE)
 
     # The analyze phase: field-based Andersen's analysis with the paper's

@@ -15,7 +15,7 @@ Run with::
 """
 
 from repro.depend import DependenceAnalysis, render_all, summarize
-from repro.driver import Project
+from repro.driver import Workspace
 
 MSG_H = """
 struct message {
@@ -80,7 +80,7 @@ void transmit(struct message *m) {
 
 
 def main() -> None:
-    project = Project()
+    project = Workspace()
     project.add_header("msg.h", MSG_H)
     project.add_source("protocol.c", PROTOCOL_C)
     project.add_source("log.c", LOG_C)

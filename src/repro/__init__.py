@@ -19,15 +19,16 @@ The package implements the paper's full system in pure Python:
 
 Quickstart::
 
-    from repro.driver import Project
+    from repro import Workspace
 
-    project = Project()
+    project = Workspace()
     project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
     print(project.points_to().points_to("p"))   # frozenset({'x'})
 """
 
-from .driver.api import CompileOptions, Project, analyze_database
+from .driver.api import CompileOptions, analyze_database
+from .driver.incremental import Workspace
 
 __version__ = "1.0.0"
 
-__all__ = ["CompileOptions", "Project", "analyze_database", "__version__"]
+__all__ = ["CompileOptions", "Workspace", "analyze_database", "__version__"]

@@ -244,11 +244,13 @@ class IncludeResolver:
         self.include_dirs = list(include_dirs or [])
         self.virtual_files = dict(virtual_files or {})
         self.use_builtin_headers = use_builtin_headers
-        #: Raw token streams per (filename, text hash, tolerant): headers
-        #: are tokenized once per project instead of once per including
-        #: unit.  Safe because tokens are never mutated downstream — the
-        #: preprocessor builds *new* tokens for macro expansions.
-        self.token_cache: dict[tuple, list] = {}
+        #: Raw token streams of included files, one entry per file name
+        #: as ``(text, tolerant, tokens)``, replaced when the text
+        #: changes: headers are tokenized once per project instead of once
+        #: per including unit.  Safe because tokens are never mutated
+        #: downstream — the preprocessor builds *new* tokens for macro
+        #: expansions.
+        self.token_cache: dict[str, tuple[str, bool, list]] = {}
 
     def resolve(
         self, name: str, angled: bool, including_file: str
@@ -335,17 +337,19 @@ class Preprocessor:
             )
         from .lexer import Lexer
 
-        cache = getattr(self.resolver, "token_cache", None)
-        key = None
-        tokens = None
-        if cache is not None:
-            key = (source.filename, len(source.text), hash(source.text),
-                   self.tolerant)
-            tokens = cache.get(key)
-        if tokens is None:
+        # Only included files are cached.  A top-level unit is compiled
+        # once per text and its caller keeps the result, so an entry for
+        # it would only pin a copy of every version ever compiled.
+        cache = (getattr(self.resolver, "token_cache", None)
+                 if self._include_depth else None)
+        entry = cache.get(source.filename) if cache is not None else None
+        if (entry is not None and entry[1] == self.tolerant
+                and entry[0] == source.text):
+            tokens = entry[2]
+        else:
             tokens = Lexer(source, tolerant=self.tolerant).tokens()
             if cache is not None:
-                cache[key] = tokens
+                cache[source.filename] = (source.text, self.tolerant, tokens)
         out: list[Token] = []
         conditionals: list[_ConditionalState] = []
         i = 0

@@ -272,13 +272,16 @@ class ObjectFileReader:
 
     @cached_property
     def _target_index(self) -> dict[str, list[str]]:
-        """Simple name -> canonical names, in index order."""
+        """Simple name -> canonical names, sorted: the order every store
+        answers in, whatever order the section holds them in."""
         strings = self.strings
         targets: dict[str, list[str]] = {}
         for _h, simple_ref, name_ref in self._entries(
                 F.SEC_TARGET, F.TARGET_ENTRY):
             targets.setdefault(strings[simple_ref], []).append(
                 strings[name_ref])
+        for names in targets.values():
+            names.sort()
         return targets
 
     # -- section access -------------------------------------------------------

@@ -27,7 +27,7 @@ three columns (in-core / loaded / in-file) can be produced for either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Protocol
 
 from ..engine.events import EVENTS, BlockLoadEvent, BlockReloadEvent
@@ -264,7 +264,9 @@ class MemoryStore:
     Every link route merges through this class, so it alone holds the
     link rules:
 
-    * a global seen in several inputs keeps the richest metadata;
+    * a global seen in several inputs keeps the richest metadata, in a
+      copy: an input is never written into, so one unit can be linked
+      again and again;
     * rows are grouped into the block of their trigger object;
     * a pointer keeps its widest indirect-call record;
     * identical function records keep the first, and two different
@@ -363,13 +365,24 @@ class MemoryStore:
             self.objects[name] = obj
             return
         # A global seen in several inputs: keep the richest metadata (a
-        # definition beats a tentative declaration).
+        # definition beats a tentative declaration).  The objects belong
+        # to the inputs, which later links reuse, so a merge that changes
+        # one copies it instead of writing into it.
+        changes = {}
         if existing.location.is_unknown and not obj.location.is_unknown:
-            existing.location = obj.location
+            changes["location"] = obj.location
         if not existing.type_str and obj.type_str:
-            existing.type_str = obj.type_str
-            existing.may_point = obj.may_point
-        existing.is_funcptr = existing.is_funcptr or obj.is_funcptr
+            changes["type_str"] = obj.type_str
+            changes["may_point"] = obj.may_point
+        if obj.is_funcptr and not existing.is_funcptr:
+            changes["is_funcptr"] = True
+        if not changes:
+            return
+        merged = replace(existing, **changes)
+        self.objects[name] = merged
+        block = self._blocks.get(name)
+        if block is not None:
+            block.obj = merged
 
     def _ensure_block(self, name: str) -> Block:
         block = self._blocks.get(name)
@@ -404,12 +417,12 @@ class MemoryStore:
         if current is None or len(current.args) < len(record.args):
             block.indirect_record = record
 
-    def to_unit(self) -> UnitIR:
+    def to_unit(self, filename: str = "<linked>") -> UnitIR:
         """The whole database as one unit (statics first, then each
         block's rows): the input and output form of the §4
         database-to-database transforms.  Absorbing it into a new store
         rebuilds this one."""
-        unit = UnitIR(filename="<linked>", objects=dict(self.objects),
+        unit = UnitIR(filename=filename, objects=dict(self.objects),
                       assignments=self.all_assignments(),
                       call_sites=list(self._call_sites),
                       source_lines=self.source_lines,
@@ -455,6 +468,8 @@ class MemoryStore:
             targets: dict[str, list[str]] = {}
             for name in self.objects:
                 targets.setdefault(simple_name_of(name), []).append(name)
+            for names in targets.values():
+                names.sort()
             self._targets = targets
         return list(self._targets.get(simple_name, ()))
 
@@ -466,6 +481,9 @@ class MemoryStore:
 
     def discard(self, assignments_kept: int) -> None:
         self.stats.in_core = assignments_kept
+
+    def close(self) -> None:
+        """Nothing to release: the store holds no file."""
 
     # -- convenience (not part of the protocol) -----------------------------
 

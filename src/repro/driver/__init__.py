@@ -3,7 +3,6 @@
 from .incremental import Workspace, WorkspaceStats
 from .api import (
     CompileOptions,
-    Project,
     analyze_database,
     analyze_store,
     build_project_from_dir,
@@ -15,7 +14,7 @@ from .api import (
 
 __all__ = [
     "Workspace", "WorkspaceStats",
-    "CompileOptions", "Project", "analyze_database", "analyze_store",
+    "CompileOptions", "analyze_database", "analyze_store",
     "build_project_from_dir", "compile_file", "compile_source",
     "compile_to_object", "link_objects",
 ]

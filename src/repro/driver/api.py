@@ -2,9 +2,9 @@
 
 This is the public face of the library.  Typical use::
 
-    from repro.driver.api import Project
+    from repro.driver import Workspace
 
-    project = Project()
+    project = Workspace()
     project.add_source("a.c", "int x, *p; void f(void){ p = &x; }")
     result = project.points_to()
     result.points_to("p")          # frozenset({'x'})
@@ -18,7 +18,8 @@ or, going through real object files on disk::
     api.link_objects(["a.o", "b.o"], "prog.cla")
     result = api.analyze_database("prog.cla")
 
-Everything here is a thin wrapper over :mod:`repro.engine.pipeline`;
+Everything here is a thin wrapper over :mod:`repro.engine.pipeline`
+(and :class:`~repro.driver.incremental.Workspace` for projects);
 attach a :class:`~repro.engine.obs.Tracer` to the event bus
 (``with EVENTS.sink(Tracer()) as tracer: ...``) to see the per-stage
 spans.
@@ -30,7 +31,6 @@ import os
 
 from ..cla.store import ConstraintStore
 from ..engine.pipeline import (
-    AnalysisSession,
     CompileOptions,
     Pipeline,
     compile_file,
@@ -38,10 +38,11 @@ from ..engine.pipeline import (
     read_source,
 )
 from ..solvers.base import PointsToResult
+from .incremental import Workspace
 
 __all__ = [
     "CompileOptions",
-    "Project",
+    "Workspace",
     "analyze_database",
     "analyze_store",
     "build_project_from_dir",
@@ -78,21 +79,12 @@ def analyze_database(
     return Pipeline().analyze_database(path, solver, **solver_kwargs)
 
 
-class Project(AnalysisSession):
-    """An in-memory multi-file project: the whole pipeline without disk.
-
-    The historical name for :class:`~repro.engine.pipeline.AnalysisSession`
-    — the implementation moved into the engine when the pipeline grew its
-    observability spine; the public surface here is unchanged.
-    """
-
-
 def build_project_from_dir(
     directory: str, options: CompileOptions | None = None
-) -> Project:
-    """A project from every ``.c`` file under ``directory`` (recursively);
+) -> Workspace:
+    """A workspace of every ``.c`` file under ``directory`` (recursively);
     ``.h`` files become visible headers."""
-    project = Project(options)
+    project = Workspace(options=options)
     project.options.include_dirs.append(directory)
     for root, _dirs, files in os.walk(directory):
         for name in sorted(files):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from contextlib import contextmanager
 
 from ..cla.cache import wrap_store
@@ -915,12 +916,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
     workspace = None
     session = None
+    own_cache = None
     try:
         with _event_sinks(args.events_out, args.progress):
             if c_files:
+                cache_dir = args.cache_dir
+                if cache_dir is None:
+                    # The daemon's own object cache: an undone edit reads
+                    # its unit back instead of recompiling it.
+                    own_cache = tempfile.TemporaryDirectory(
+                        prefix="cla-serve-")
+                    cache_dir = own_cache.name
                 workspace = Workspace(
-                    cache_dir=args.cache_dir,
+                    cache_dir=cache_dir,
                     options=CompileOptions(include_dirs=args.include),
+                    jobs=None,
                 )
                 for path in c_files:
                     if path.endswith(".h"):
@@ -973,6 +983,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             session.close()
         if workspace is not None:
             workspace.close()
+        if own_cache is not None:
+            own_cache.cleanup()
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Incremental compile–link–analyze workspace.
+"""The workspace: a multi-file project that an edit costs one unit.
 
 The architecture's raison d'etre (§4): "if we are to build interactive
 tools based on an analysis, then it is important to avoid
@@ -6,10 +6,16 @@ re-parsing/reprocessing the entire code base when changes are made to one
 or two files."  CLA makes the compile phase per-file and the link phase a
 cheap database merge, so an edit costs one recompile plus a relink.
 
-:class:`Workspace` implements that loop: object files are cached on disk
-keyed by a content hash of the source (plus everything it can ``#include``
-and the compile options), so ``update`` followed by ``analyze`` recompiles
-exactly the changed files.
+:class:`Workspace` implements that loop.  It holds each current source's
+compiled unit under a content key: a hash of the source, of every header
+and of the compile options.  A build compiles only the sources whose key
+it does not hold, links the held units in memory
+(:class:`~repro.cla.store.MemoryStore`) and solves that store.  With a
+``cache_dir`` every compiled unit also goes to an object file named by its
+key, the persistent cache: a unit the workspace no longer holds (an
+undone edit, a restarted daemon) is read back from it, not recompiled.
+The executable database is written only when a caller asks for its path
+(:meth:`Workspace.build`).
 """
 
 from __future__ import annotations
@@ -19,9 +25,14 @@ import os
 import tempfile
 from dataclasses import dataclass
 
+from ..cla.linker import absorb_object_files
 from ..cla.objfile import ClaFormatError
-from ..cla.reader import ObjectFileReader
-from ..engine.pipeline import CompileOptions, Pipeline, resolve_jobs
+from ..cla.store import MemoryStore
+from ..cla.writer import write_unit
+from ..depend.analysis import DependenceResult
+from ..engine.pipeline import BuildError, CompileOptions, Pipeline, read_source
+from ..ir.lower import UnitIR
+from ..ir.strength import Strength
 from ..solvers.base import PointsToResult
 
 
@@ -29,56 +40,65 @@ from ..solvers.base import PointsToResult
 class WorkspaceStats:
     """What the last build actually did."""
 
-    compiled: int = 0  # files (re)compiled this build
-    reused: int = 0  # object files served from cache
+    compiled: int = 0  # units (re)compiled
+    reused: int = 0  # units held in memory or read back from the cache
+    read: int = 0  # of those, units read back from object files
     linked: bool = False
-    builds: int = 0
-
-
-@dataclass
-class _SourceEntry:
-    text: str
-    object_path: str | None = None
-    content_key: str | None = None
 
 
 class Workspace:
-    """A persistent multi-file project with cached object files."""
+    """A multi-file project: sources in; held units, a linked store,
+    solved results and, on request, an executable database out.
+
+    Sources added with :meth:`add_source` can ``#include`` each other and
+    any header added with :meth:`add_header`.  Without ``cache_dir`` the
+    workspace writes no object files.  ``jobs`` is the compile
+    parallelism (``None``: every core); values above one compile pending
+    units in worker processes, sound because CLA units are independent.
+    """
 
     def __init__(
         self,
         cache_dir: str | None = None,
         options: CompileOptions | None = None,
+        jobs: int | None = 1,
     ):
-        self.pipeline = Pipeline(options=options)
-        self.options = self.pipeline.options
-        if cache_dir is None:
-            self._tempdir = tempfile.TemporaryDirectory(prefix="cla-ws-")
-            cache_dir = self._tempdir.name
-        else:
-            self._tempdir = None
+        self.pipeline = Pipeline(options=options, jobs=jobs)
+        if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
         self.cache_dir = cache_dir
-        self._sources: dict[str, _SourceEntry] = {}
+        self._tempdir: tempfile.TemporaryDirectory | None = None
+        self._sources: dict[str, str] = {}
         self._headers: dict[str, str] = {}
-        self._executable: str | None = None
-        self._executable_stale = True
+        #: content key -> unit, for the current sources (plus the units a
+        #: failed build compiled, until the next good one)
+        self._held: dict[str, UnitIR] = {}
+        #: the content keys, file-name order, of the last good build
+        self._keys: list[str] = []
+        self._units: list[UnitIR] = []
+        self._store: MemoryStore | None = None
+        self._points_to: dict[str, PointsToResult] = {}
+        self._database: str | None = None
         self.stats = WorkspaceStats()
+
+    @property
+    def options(self) -> CompileOptions:
+        return self.pipeline.options
 
     # -- source management -----------------------------------------------------
 
     def add_source(self, filename: str, text: str) -> "Workspace":
-        self._sources[filename] = _SourceEntry(text=text)
+        self._sources[filename] = text
         self.options.virtual_files[filename] = text
-        self._executable_stale = True
         return self
 
+    def add_file(self, path: str) -> "Workspace":
+        return self.add_source(path, read_source(path))
+
     def add_header(self, filename: str, text: str) -> "Workspace":
+        """A header visible to ``#include`` but not compiled on its own."""
         self._headers[filename] = text
         self.options.virtual_files[filename] = text
-        # A header edit can affect every source file; the per-file content
-        # key hashes header content, so stale entries re-key themselves.
-        self._executable_stale = True
         return self
 
     def update_source(self, filename: str, text: str) -> "Workspace":
@@ -94,7 +114,6 @@ class Workspace:
     def remove_source(self, filename: str) -> "Workspace":
         self._sources.pop(filename, None)
         self.options.virtual_files.pop(filename, None)
-        self._executable_stale = True
         return self
 
     def sources(self) -> list[str]:
@@ -102,119 +121,163 @@ class Workspace:
 
     # -- building ---------------------------------------------------------------
 
-    def _content_key(self, filename: str, entry: _SourceEntry) -> str:
-        h = hashlib.sha256()
-        h.update(entry.text.encode())
-        # Headers are hashed wholesale: cheaper than tracking the real
-        # include graph and still correct (any header edit re-keys all).
+    def _content_keys(self) -> dict[str, str]:
+        """Every source's content key, in file-name order.  Headers are
+        hashed wholesale, once per build: cheaper than tracking the real
+        include graph and still correct (any header edit re-keys all)."""
+        shared = hashlib.sha256()
         for name in sorted(self._headers):
-            h.update(name.encode())
-            h.update(self._headers[name].encode())
-        h.update(repr((
-            self.options.field_based, self.options.struct_model,
-            self.options.heap_model,
-            self.options.track_strings, self.options.tolerant,
-            sorted(self.options.predefined.items()),
+            shared.update(f"{name}\0{self._headers[name]}\0".encode())
+        options = self.options
+        shared.update(repr((
+            options.field_based, options.struct_model, options.heap_model,
+            options.track_strings, options.tolerant,
+            sorted(options.predefined.items()),
         )).encode())
-        h.update(filename.encode())
-        return h.hexdigest()[:24]
-
-    @staticmethod
-    def _usable_object(path: str) -> bool:
-        """Is the cached object at ``path`` present and structurally valid?
-
-        Atomic writes (:meth:`~repro.cla.writer.ObjectFileWriter.write`)
-        keep *this* workspace from producing truncated objects, but the
-        cache directory is shared and persistent — a file planted or
-        mangled by anything else would otherwise be reused forever, since
-        its name *is* its content key.  Opening the reader validates
-        size, magic, version and section bounds without parsing content.
-        """
-        try:
-            ObjectFileReader(path).close()
-        except (ClaFormatError, OSError):
-            return False
-        return True
-
-    def _discard_object(self, path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def build(self, jobs: int | None = None) -> str:
-        """Compile what changed, relink if anything did; returns the
-        executable database path.
-
-        ``jobs`` defaults to every core (``os.cpu_count()``); values above
-        one compile the outdated files in parallel worker processes —
-        sound because CLA object files are per-file and independent.
-
-        A failing unit does not abort the batch: every other pending unit
-        still compiles (and commits its cache entry), then one
-        :class:`~repro.engine.pipeline.BuildError` reports all failures
-        together.
-        """
-        self.stats = WorkspaceStats(builds=self.stats.builds + 1)
-        changed = False
-        object_paths: list[str] = []
-        pending: dict[str, tuple[_SourceEntry, str, str]] = {}
+        keys = {}
         for filename in sorted(self._sources):
-            entry = self._sources[filename]
-            key = self._content_key(filename, entry)
-            object_path = os.path.join(self.cache_dir, f"{key}.o")
-            if entry.content_key == key and entry.object_path \
-                    and os.path.exists(entry.object_path):
-                self.stats.reused += 1
-            elif self._usable_object(object_path):
-                # Another build of identical content (e.g. an undone edit).
-                entry.content_key = key
-                entry.object_path = object_path
-                self.stats.reused += 1
-                changed = True
+            h = shared.copy()
+            h.update(f"\0{filename}\0{self._sources[filename]}".encode())
+            keys[filename] = h.hexdigest()[:24]
+        return keys
+
+    def _object_path(self, key: str) -> str:
+        return os.path.join(self.cache_dir, f"{key}.o")
+
+    def _read_object(self, filename: str, key: str) -> UnitIR | None:
+        """The unit cached under ``key``, or None when there is no usable
+        object file.  The cache directory is shared and persistent, so a
+        file planted or mangled by anything else is discarded, not
+        trusted forever because its name is its content key."""
+        if self.cache_dir is None:
+            return None
+        path = self._object_path(key)
+        if not os.path.exists(path):
+            return None
+        try:
+            return absorb_object_files([path]).to_unit(filename)
+        except (ClaFormatError, OSError):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return None
+
+    def units(self, jobs: int | None = None) -> list[UnitIR]:
+        """Every source's unit, in file-name order.
+
+        A held unit is used as it is, another is read back from its
+        object file, and only the rest compile.  A failing unit does not
+        abort the batch: every other pending unit still compiles, is held
+        and written, then one :class:`~repro.engine.pipeline.BuildError`
+        reports all failures together.
+        """
+        self.stats = WorkspaceStats()
+        keys = self._content_keys()
+        if not keys:
+            raise ValueError("workspace has no sources")
+        if list(keys.values()) == self._keys:
+            self.stats.reused = len(keys)
+            return self._units
+        held: dict[str, UnitIR] = {}
+        pending: dict[str, str] = {}
+        for filename, key in keys.items():
+            unit = self._held.get(key)
+            if unit is None:
+                unit = self._read_object(filename, key)
+                if unit is not None:
+                    self.stats.read += 1
+            if unit is None:
+                pending[filename] = key
             else:
-                # Never compiled — or a corrupt/truncated file squats at
-                # the content-keyed path and must not be reused.
-                if os.path.exists(object_path):
-                    self._discard_object(object_path)
-                pending[filename] = (entry, key, object_path)
-                changed = True
-            object_paths.append(object_path)
+                held[key] = unit
+                self.stats.reused += 1
+        failure = None
         if pending:
             try:
-                self.pipeline.compile(
-                    {name: entry.text for name, (entry, _k, _p)
-                     in pending.items()},
-                    {name: path for name, (_e, _k, path) in pending.items()},
-                    jobs=resolve_jobs(jobs),
-                )
-            finally:
-                # Every unit that wrote its object file keeps its cache
-                # entry, even when others in the batch failed.
-                for entry, key, path in pending.values():
-                    if os.path.exists(path):
-                        entry.content_key = key
-                        entry.object_path = path
-                        self.stats.compiled += 1
-        if not object_paths:
-            raise ValueError("workspace has no sources")
-        executable = os.path.join(self.cache_dir, "workspace.cla")
-        if changed or self._executable_stale or self._executable is None \
-                or not os.path.exists(executable):
-            self.pipeline.link_objects(object_paths, executable)
-            self.stats.linked = True
-        self._executable = executable
-        self._executable_stale = False
-        return executable
+                compiled = dict(zip(pending, self.pipeline.compile(
+                    {name: self._sources[name] for name in pending},
+                    jobs=jobs,
+                )))
+            except BuildError as exc:
+                compiled, failure = exc.units, exc
+            for filename, unit in compiled.items():
+                key = pending[filename]
+                if self.cache_dir is not None:
+                    write_unit(unit, self._object_path(key))
+                held[key] = unit
+                self.stats.compiled += 1
+        if failure is not None:
+            self._held.update(held)
+            raise failure
+        self._held = held
+        self._keys = list(keys.values())
+        self._units = [held[key] for key in self._keys]
+        self._store = None
+        return self._units
 
-    def analyze(self, solver: str = "pretransitive",
-                **solver_kwargs) -> PointsToResult:
-        path = self.build()
-        return self.pipeline.analyze_database(path, solver, **solver_kwargs)
+    def store(self, jobs: int | None = None) -> MemoryStore:
+        """The held units linked in memory; relinked only when they
+        changed.  A link that fails keeps nothing: the next call links
+        afresh, and the inputs were never written into."""
+        units = self.units(jobs)
+        if self._store is None:
+            self._store = self.pipeline.link_units(units)
+            self._points_to.clear()
+            self._database = None
+            self.stats.linked = True
+        return self._store
+
+    def points_to(
+        self, solver: str = "pretransitive", **solver_kwargs
+    ) -> PointsToResult:
+        """Run (and cache, per linked store) a points-to analysis."""
+        store = self.store()
+        key = solver + repr(sorted(solver_kwargs.items()))
+        if key not in self._points_to:
+            self._points_to[key] = self.pipeline.analyze(
+                store, solver, **solver_kwargs
+            )
+        return self._points_to[key]
+
+    def dependence(
+        self,
+        target: str,
+        non_targets: list[str] | frozenset[str] = frozenset(),
+        solver: str = "pretransitive",
+        min_strength: Strength = Strength.WEAK,
+    ) -> DependenceResult:
+        """Forward dependence query by source-level target name."""
+        return self.pipeline.depend(
+            self.store(), self.points_to(solver), target, non_targets,
+            min_strength=min_strength,
+        )
+
+    def write_executable(self, path: str) -> str:
+        """Serialize the linked store to an executable database."""
+        return self.pipeline.write_executable(self.store(), path)
+
+    def build(self, jobs: int | None = None) -> str:
+        """Compile and link what changed; returns the path of the
+        executable database, written only when the link changed since
+        the last build.  It lives in ``cache_dir``, or without one in a
+        temporary directory the workspace owns."""
+        store = self.store(jobs)
+        if self._database is None or not os.path.exists(self._database):
+            directory = self.cache_dir
+            if directory is None:
+                if self._tempdir is None:
+                    self._tempdir = tempfile.TemporaryDirectory(
+                        prefix="cla-ws-")
+                directory = self._tempdir.name
+            self._database = self.pipeline.write_executable(
+                store, os.path.join(directory, "workspace.cla"))
+        return self._database
 
     def close(self) -> None:
         if self._tempdir is not None:
             self._tempdir.cleanup()
+            self._tempdir = None
 
     def __enter__(self) -> "Workspace":
         return self

@@ -3,10 +3,10 @@
 One spine for the whole system (a single instrumented seam that batching
 and caching work can land on):
 
-* :mod:`repro.engine.pipeline` — :class:`Pipeline` and
-  :class:`AnalysisSession`: compile → link → analyze → depend as named,
-  composable, traced stages.  :class:`repro.driver.api.Project` and
-  :class:`repro.driver.incremental.Workspace` are thin wrappers over it.
+* :mod:`repro.engine.pipeline` — :class:`Pipeline`: compile → link →
+  analyze → depend as named, composable, traced stages.
+  :class:`repro.driver.incremental.Workspace`, the project type, builds
+  through it.
 * :mod:`repro.engine.obs` — :func:`span` (timing regions published on
   the event bus), the :class:`Tracer` sink, the process-wide
   :class:`MetricsRegistry`, and the point-measurement helpers
@@ -38,7 +38,6 @@ from .obs import (
 from .stats import SolverStats
 
 _PIPELINE_EXPORTS = (
-    "AnalysisSession",
     "BuildError",
     "CompileOptions",
     "Pipeline",

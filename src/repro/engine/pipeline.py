@@ -6,14 +6,12 @@ report per-phase sizes, load accounting and solver times).  This module is
 the one instrumented spine all entry points go through:
 
 * :class:`Pipeline` — the stage engine.  Each stage method runs under a
-  named :func:`~repro.engine.obs.span` ("compile", "link", "analyze",
-  "depend"), annotates the span with its key counters, and feeds the
-  process-wide :class:`~repro.engine.obs.MetricsRegistry`.
-* :class:`AnalysisSession` — a stateful multi-file project built on
-  :class:`Pipeline`: sources in, cached units/store/results out.
-  :class:`repro.driver.api.Project` is a thin alias of it, and
-  :class:`repro.driver.incremental.Workspace` drives its builds through
-  the same stage methods.
+  named :func:`~repro.engine.obs.span` ("compile", "link", "write",
+  "analyze", "depend"), annotates the span with its key counters, and
+  feeds the process-wide :class:`~repro.engine.obs.MetricsRegistry`.
+* :class:`repro.driver.incremental.Workspace` — the stateful multi-file
+  project on top: sources in, held units, a linked store and solved
+  results out, every build through the stage methods here.
 
 Every build compiles through :meth:`Pipeline.compile`, the one driver,
 which also owns parallel compilation (§4: the architecture "supports
@@ -163,11 +161,15 @@ class BuildError(Exception):
 
     Collects *every* failing unit, sorted by file name, after all the
     others have compiled (and written their object files), so one build
-    reports all broken files at once and the good ones never redo work.
+    reports all broken files at once and the good ones never redo work:
+    :attr:`units` holds them by file name, as :meth:`Pipeline.compile`
+    would have returned them.
     """
 
-    def __init__(self, failures: list[tuple[str, Exception]]):
+    def __init__(self, failures: list[tuple[str, Exception]],
+                 units: dict[str, UnitIR | None] | None = None):
         self.failures = failures
+        self.units = units or {}
         lines = "; ".join(
             f"{filename}: {error}" for filename, error in failures
         )
@@ -185,15 +187,16 @@ class Pipeline:
     """Instrumented compile→link→analyze→depend stage engine.
 
     Stateless apart from its options: every method takes its inputs and
-    returns its outputs, so stages compose freely and callers (Project,
+    returns its outputs, so stages compose freely and callers (the
     Workspace, the CLI) share one observability spine, the spans on the
-    process event bus.
+    process event bus.  ``jobs`` is the default compile parallelism;
+    ``None`` means every core.
     """
 
     def __init__(
         self,
         options: CompileOptions | None = None,
-        jobs: int = 1,
+        jobs: int | None = 1,
     ):
         self.options = options or CompileOptions()
         self.jobs = jobs
@@ -223,7 +226,8 @@ class Pipeline:
         One ``compile`` stage covers the batch, with a ``unit`` span per
         in-process unit and a ``compile.unit`` event per compiled unit.
         A failing unit does not stop the others: once every unit has run,
-        one :class:`BuildError` names each failure.
+        one :class:`BuildError` names each failure and carries the units
+        that did compile.
         """
         jobs = self._jobs(jobs)
         object_paths = object_paths or {}
@@ -280,7 +284,12 @@ class Pipeline:
             stage.annotate(assignments=sum(a for a, _ in sizes),
                            objects=sum(o for _, o in sizes))
             if failures:
-                raise BuildError(sorted(failures, key=lambda f: f[0]))
+                failed = {name for name, _exc in failures}
+                raise BuildError(
+                    sorted(failures, key=lambda f: f[0]),
+                    {name: unit for name, unit in zip(names, units)
+                     if name not in failed},
+                )
         return units
 
     def compile_units(
@@ -312,10 +321,10 @@ class Pipeline:
             stage.annotate(output=out_path)
         return out_path
 
-    def write_executable(self, units: list[UnitIR], out_path: str) -> str:
-        """Serialize linked units straight to an executable database."""
-        with span("link", units=len(units)) as stage:
-            ObjectFileWriter(MemoryStore(units), linked=True).write(out_path)
+    def write_executable(self, store: MemoryStore, out_path: str) -> str:
+        """Serialize a linked store to an executable database."""
+        with span("write", objects=len(store.objects)) as stage:
+            ObjectFileWriter(store, linked=True).write(out_path)
             stage.annotate(output=out_path)
         return out_path
 
@@ -397,105 +406,3 @@ class Pipeline:
                 blocks_loaded=result.blocks_loaded,
             )
         return result
-
-
-# ---------------------------------------------------------------------------
-# Stateful sessions over the engine
-# ---------------------------------------------------------------------------
-
-
-class AnalysisSession:
-    """An in-memory multi-file project: the whole pipeline without disk.
-
-    Sources added with :meth:`add_source` can ``#include`` each other and
-    any header placed in :attr:`CompileOptions.virtual_files`.  Compiled
-    units, the linked store and analysis results are cached until a source
-    changes; every stage runs through the owned :class:`Pipeline`, so a
-    :class:`~repro.engine.obs.Tracer` on the bus shows the nested
-    compile/link/analyze/depend spans.
-    """
-
-    def __init__(
-        self,
-        options: CompileOptions | None = None,
-        jobs: int = 1,
-    ):
-        self.pipeline = Pipeline(options=options, jobs=jobs)
-        self._sources: dict[str, str] = {}
-        self._units: list[UnitIR] | None = None
-        self._store: MemoryStore | None = None
-        self._points_to: dict[str, PointsToResult] = {}
-
-    @property
-    def options(self) -> CompileOptions:
-        return self.pipeline.options
-
-    # -- source management ---------------------------------------------------
-
-    def add_source(self, filename: str, text: str) -> "AnalysisSession":
-        self._sources[filename] = text
-        self.options.virtual_files.setdefault(filename, text)
-        self._invalidate()
-        return self
-
-    def add_file(self, path: str) -> "AnalysisSession":
-        return self.add_source(path, read_source(path))
-
-    def add_header(self, filename: str, text: str) -> "AnalysisSession":
-        """A header visible to ``#include`` but not compiled on its own."""
-        self.options.virtual_files[filename] = text
-        self._invalidate()
-        return self
-
-    def _invalidate(self) -> None:
-        self._units = None
-        self._store = None
-        self._points_to.clear()
-
-    def sources(self) -> list[str]:
-        return sorted(self._sources)
-
-    # -- staged, cached products ---------------------------------------------
-
-    def units(self, jobs: int | None = None) -> list[UnitIR]:
-        """Compile every source (cached)."""
-        if self._units is None:
-            self._units = self.pipeline.compile_units(self._sources, jobs)
-        return self._units
-
-    def store(self) -> MemoryStore:
-        """Link the compiled units in memory (cached)."""
-        if self._store is None:
-            self._store = self.pipeline.link_units(self.units())
-        return self._store
-
-    def write_executable(self, path: str) -> None:
-        """Serialize the linked database to disk."""
-        self.pipeline.write_executable(self.units(), path)
-
-    def points_to(
-        self, solver: str = "pretransitive", **solver_kwargs
-    ) -> PointsToResult:
-        """Run (and cache) a points-to analysis."""
-        key = solver + repr(sorted(solver_kwargs.items()))
-        if key not in self._points_to:
-            self._points_to[key] = self.pipeline.analyze(
-                self.store(), solver, **solver_kwargs
-            )
-        return self._points_to[key]
-
-    def dependence(
-        self,
-        target: str,
-        non_targets: list[str] | frozenset[str] = frozenset(),
-        solver: str = "pretransitive",
-        min_strength: Strength = Strength.WEAK,
-    ) -> DependenceResult:
-        """Forward dependence query by source-level target name."""
-        return self.pipeline.depend(
-            self.store(),
-            self.points_to(solver),
-            target,
-            non_targets,
-            min_strength=min_strength,
-        )

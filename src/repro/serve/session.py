@@ -7,21 +7,23 @@ result at interactive latency.  Three properties matter and are owned
 here:
 
 * **Warm queries.**  The interned universe, points-to bitmasks and the
-  open database store stay resident between requests; repeated queries
-  hit a bounded LRU (:class:`~repro.serve.cache.QueryCache`) keyed on the
-  full query identity *including the database generation*.
+  store stay resident between requests; repeated queries hit a bounded
+  LRU (:class:`~repro.serve.cache.QueryCache`) keyed on the full query
+  identity *including the database generation*.
 * **Incremental builds, whole solves.**  An ``update`` request
-  recompiles only the changed unit (through the content-keyed
-  :class:`~repro.driver.incremental.Workspace` cache) and relinks, then
-  opens and solves the new database exactly as startup does: one
-  sequential ``SOLVERS[name](store).solve()``.  The session decides only
+  recompiles only the changed unit (the
+  :class:`~repro.driver.incremental.Workspace` holds every other one),
+  relinks the held units in memory and solves that store exactly as
+  startup does: one sequential ``SOLVERS[name](store).solve()``.  No
+  database is written or reopened on the way.  The session decides only
   *when* to solve, never *how*, so every served fixpoint is the one a
   cold solve of a fresh workspace computes.
 * **No stale answers.**  Every successful reload bumps ``generation``;
   cache keys lead with the generation, so entries from a previous
   database can never be *looked up*, let alone served.  With
   ``certify=True`` every solved fixpoint is validated by the checker
-  oracle before it is served; a rejection raises
+  oracle before it is served and, in workspace mode, compared with a
+  cold solve of the generation's written database; a rejection raises
   :class:`CertificationError` instead of serving.
 """
 
@@ -32,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..checker import check_result
-from ..cla.store import ConstraintStore, LinkError
+from ..cla.store import ConstraintStore, LinkError, simple_name_of
 from ..depend.chains import render_all, summarize
 from ..driver.incremental import Workspace
 from ..engine.events import (
@@ -82,8 +84,9 @@ class ServeError(Exception):
 
 class CertificationError(RuntimeError):
     """Certification failure: the checker oracle rejected a solved
-    fixpoint.  This is a solver bug, not a client error — it propagates
-    and stops the daemon rather than risk serving a wrong fixpoint."""
+    fixpoint, or the in-memory and database routes disagree.  This is a
+    bug, not a client error — it propagates and stops the daemon rather
+    than risk serving a wrong fixpoint."""
 
 
 @dataclass(slots=True)
@@ -534,15 +537,9 @@ class ServeSession:
         text = _require_str(params, "text", allow_empty=True)
         kind = params.get("kind", "source")
         if kind == "source":
-            if file in self.workspace._sources:
-                self.workspace.update_source(file, text)
-            else:
-                self.workspace.add_source(file, text)
+            self.workspace.add_source(file, text)
         elif kind == "header":
-            if file in self.workspace._headers:
-                self.workspace.update_header(file, text)
-            else:
-                self.workspace.add_header(file, text)
+            self.workspace.add_header(file, text)
         else:
             raise ServeError(f"unknown kind {kind!r} (known: source, header)")
         return self._load()
@@ -553,14 +550,16 @@ class ServeSession:
     # -- solving --------------------------------------------------------------
 
     def _load(self) -> dict:
-        """(Re)build, (re)open and solve; swap in the new fixpoint.
+        """(Re)build and solve; swap in the new fixpoint.
 
-        On any failure — compile or link errors, a certification
-        rejection — the previous store/result/generation stay in place
-        untouched, so the daemon keeps serving the last good fixpoint (or,
-        from the constructor, fails to start at all); the failure is
-        recorded in ``reloads["failed"]`` / ``last_failure`` for healthz
-        and stats.
+        In workspace mode the workspace compiles what changed, its held
+        units are linked in memory and that store is solved; in database
+        mode the database is (re)opened and solved.  On any failure —
+        compile or link errors, a certification rejection — the previous
+        store/result/generation stay in place untouched, so the daemon
+        keeps serving the last good fixpoint (or, from the constructor,
+        fails to start at all); the failure is recorded in
+        ``reloads["failed"]`` / ``last_failure`` for healthz and stats.
         """
         started = time.perf_counter()
         try:
@@ -578,13 +577,15 @@ class ServeSession:
 
     def _load_inner(self, started: float) -> dict:
         if self.workspace is not None:
-            path = self.workspace.build()
+            # Every generation links afresh: a store that failed to solve
+            # or certify is never served later.
+            units = self.workspace.units()
             compiled = self.workspace.stats.compiled
             reused = self.workspace.stats.reused
+            store = self.pipeline.link_units(units)
         else:
-            path = self.database_path
+            store = self.pipeline.open_database(self.database_path)
             compiled = reused = 0
-        store = self.pipeline.open_database(path)
         try:
             result = self.pipeline.analyze(store, self.solver)
             certified = False
@@ -629,7 +630,10 @@ class ServeSession:
     def _certify(self, store: ConstraintStore, result: PointsToResult) -> None:
         """Prove the fixpoint right before serving it: the checker oracle
         must find it a closed model of the store's constraints (and, for
-        Andersen-precision solvers, a minimal one)."""
+        Andersen-precision solvers, a minimal one).  In workspace mode the
+        generation was linked and solved in memory, so its database is
+        then written and solved cold as well, and the two routes must
+        agree."""
         report = check_result(
             store, result,
             check_minimal=self._solver_cls.precision == "andersen",
@@ -640,6 +644,35 @@ class ServeSession:
                 f"checker oracle rejected the solved fixpoint: "
                 f"{len(report.violations)} violation(s), first: {first}"
             )
+        if self.workspace is not None:
+            self._compare_routes(store, result)
+
+    def _compare_routes(self, store: ConstraintStore,
+                        result: PointsToResult) -> None:
+        """The in-memory generation against a cold solve of its written
+        database: the same points-to set for every object and the same
+        ``find_targets`` answer for every simple name."""
+        cold_store = self.pipeline.open_database(self.workspace.build())
+        try:
+            cold = self.pipeline.analyze(cold_store, self.solver)
+            names = set(store.object_names()) | set(cold_store.object_names())
+            for name in sorted(names):
+                if result.points_to(name) != cold.points_to(name):
+                    raise CertificationError(
+                        f"routes disagree on pts({name}): "
+                        f"{sorted(result.points_to(name))} in memory, "
+                        f"{sorted(cold.points_to(name))} from the database"
+                    )
+            for simple in sorted({simple_name_of(n) for n in names}):
+                mine = store.find_targets(simple)
+                theirs = cold_store.find_targets(simple)
+                if mine != theirs:
+                    raise CertificationError(
+                        f"routes disagree on the targets of {simple!r}: "
+                        f"{mine} in memory, {theirs} from the database"
+                    )
+        finally:
+            cold_store.close()
 
 
 def _require_str(params: dict, key: str, allow_empty: bool = False) -> str:

@@ -39,7 +39,8 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from ..driver.api import CompileOptions, Project
+from ..driver.api import CompileOptions
+from ..driver.incremental import Workspace
 from .profiles import SynthProfile, get_profile
 
 HEADER_NAME = "synth.h"
@@ -92,12 +93,12 @@ class SynthProgram:
 
     def project(self, field_based: bool = True,
                 track_strings: bool = False,
-                struct_model: str | None = None) -> Project:
+                struct_model: str | None = None) -> Workspace:
         options = CompileOptions(field_based=field_based,
                                  struct_model=struct_model,
                                  track_strings=track_strings)
-        options.virtual_files[self.header_name] = self.header
-        project = Project(options)
+        project = Workspace(options=options)
+        project.add_header(self.header_name, self.header)
         for name, text in self.files.items():
             project.add_source(name, text)
         return project

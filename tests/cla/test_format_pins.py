@@ -17,7 +17,7 @@ import pytest
 from repro.cla.store import MemoryStore
 from repro.cla.transform import transform_file
 from repro.cla.writer import ObjectFileWriter
-from repro.engine.pipeline import AnalysisSession
+from repro.driver.incremental import Workspace
 
 from .corpus import CASES, case_sources, pins
 
@@ -40,7 +40,7 @@ def test_every_route_links_the_same(cla_corpus, tmp_path, case):
     ``transform_file`` with no transform, and units written through the
     transform input."""
     sources, headers = case_sources(case)
-    session = AnalysisSession()
+    session = Workspace()
     for name, text in headers.items():
         session.add_header(name, text)
     for name, text in sources.items():

@@ -10,7 +10,6 @@ from repro.cla.writer import write_unit
 from repro.driver.cli import main
 from repro.driver.incremental import Workspace
 from repro.engine.pipeline import (
-    AnalysisSession,
     CompileOptions,
     Pipeline,
     compile_source,
@@ -164,7 +163,7 @@ class TestLinking:
                                            filename="a.c")),
         ]
         out = str(tmp_path / "prog.cla")
-        Pipeline().write_executable(units, out)
+        Pipeline().write_executable(MemoryStore(units), out)
         store = DatabaseStore.open(out)
         assert store.stats.in_file == 1
         store.close()
@@ -212,8 +211,9 @@ def link_objects_route(tmp_path, capsys, sources, headers):
 
 
 def session_route(tmp_path, capsys, sources, headers):
-    """The library's in-memory link."""
-    session = AnalysisSession()
+    """The library's in-memory link: a workspace's held units, merged in
+    a store that is never written."""
+    session = Workspace()
     for name, text in headers.items():
         session.add_header(name, text)
     for name, text in sources.items():
@@ -241,7 +241,8 @@ def cli_route(tmp_path, capsys, sources, headers):
 
 
 def workspace_route(tmp_path, capsys, sources, headers):
-    """A workspace build, the serve daemon's route."""
+    """A workspace build through its object-file cache to the written
+    database."""
     with Workspace(cache_dir=str(tmp_path / "ws")) as ws:
         for name, text in headers.items():
             ws.add_header(name, text)
@@ -314,6 +315,6 @@ class TestLinkUnitsSourceLines:
         unit_b = lower_translation_unit(parse_c("int c;\n", filename="b.c"))
         unit_b.source_lines = 3
         out = str(tmp_path / "prog.cla")
-        Pipeline().write_executable([unit_a, unit_b], out)
+        Pipeline().write_executable(MemoryStore([unit_a, unit_b]), out)
         with ObjectFileReader(out) as r:
             assert r.source_lines == 5

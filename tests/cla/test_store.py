@@ -1,5 +1,7 @@
 """Tests for the constraint store and block organisation (Figure 4)."""
 
+import dataclasses
+
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore, simple_name_of, trigger_object
 from repro.ir import PrimitiveAssignment, PrimitiveKind, lower_translation_unit
@@ -177,3 +179,51 @@ class TestMultiUnitLinking:
         block = store.load_block("callee")
         assert block.function_record is not None
         assert block.function_record.args == ["callee$arg1"]
+
+
+def _fields(obj):
+    """Every field of a program object: ``ProgramObject.__eq__`` compares
+    names only."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _unit(filename, src):
+    return lower_translation_unit(parse_c(src, filename=filename))
+
+
+class TestLinkLeavesInputsAlone:
+    """A link keeps the richest metadata of a global seen in several
+    units without writing it into any of them, so the same units can be
+    linked again after one of them changes."""
+
+    A_C = "int *h(void);\nint *(*fp)(void) = h;\n"
+    B_C = "extern int *(*fp)(void);\nint *r;\nvoid g(void) { r = fp(); }\n"
+    B_EDITED = "extern int *(*fp)(void);\nint *r;\nvoid g(void) { }\n"
+
+    def test_inputs_unchanged_by_a_link(self):
+        a, b = _unit("a.c", self.A_C), _unit("b.c", self.B_C)
+        before = {unit.filename: {name: _fields(obj)
+                                  for name, obj in unit.objects.items()}
+                  for unit in (a, b)}
+        store = MemoryStore([a, b])
+        assert store.objects["fp"].is_funcptr
+        for unit in (a, b):
+            for name, obj in unit.objects.items():
+                assert _fields(obj) == before[unit.filename][name], name
+
+    def test_relink_after_an_edit_matches_a_fresh_link(self):
+        a = _unit("a.c", self.A_C)
+        MemoryStore([a, _unit("b.c", self.B_C)])
+        relinked = MemoryStore([a, _unit("b.c", self.B_EDITED)])
+        fresh = MemoryStore([_unit("a.c", self.A_C),
+                             _unit("b.c", self.B_EDITED)])
+        assert not fresh.objects["fp"].is_funcptr
+        assert relinked.objects.keys() == fresh.objects.keys()
+        for name in fresh.objects:
+            assert _fields(relinked.objects[name]) == \
+                _fields(fresh.objects[name]), name
+
+    def test_block_sees_the_merged_object(self):
+        store = MemoryStore([_unit("a.c", self.A_C), _unit("b.c", self.B_C)])
+        for name, block in store.blocks().items():
+            assert block.obj is store.objects[name], name

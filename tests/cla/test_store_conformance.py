@@ -20,6 +20,7 @@ from repro.cla.reader import DatabaseStore
 from repro.cla.store import MemoryStore
 from repro.cla.writer import write_unit
 from repro.ir.lower import UnitIR
+from repro.ir.objects import ObjectKind, ProgramObject
 from repro.ir.primitives import PrimitiveAssignment, PrimitiveKind
 
 #: The shared program: 2 statics, block "p" (2 assignments), block "q" (1).
@@ -44,32 +45,31 @@ def _unit() -> UnitIR:
     return UnitIR(filename="conformance.c", assignments=list(ASSIGNMENTS))
 
 
-def _memory_store() -> MemoryStore:
-    return MemoryStore(_unit())
-
-
 def _database_store(tmp_path) -> DatabaseStore:
     path = str(tmp_path / "conformance.o")
     write_unit(_unit(), path)
     return DatabaseStore.open(path)
 
 
+def _backend(kind: str, unit: UnitIR, tmp_path):
+    if kind.endswith("memory"):
+        s = MemoryStore(unit)
+    else:
+        path = str(tmp_path / f"{unit.filename}.o")
+        write_unit(unit, path)
+        s = DatabaseStore.open(path)
+    if kind == "cached-database-tiny":  # statics only, no block retained
+        return BlockCache(s, N_STATICS)
+    if kind.startswith("cached"):
+        return BlockCache(s, None)
+    return s
+
+
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
-    if request.param == "memory":
-        s = _memory_store()
-    elif request.param == "database":
-        s = _database_store(tmp_path)
-    elif request.param == "cached-memory":
-        s = BlockCache(_memory_store(), None)
-    elif request.param == "cached-database":
-        s = BlockCache(_database_store(tmp_path), None)
-    else:  # cached-database-tiny: statics only, no block ever retained
-        s = BlockCache(_database_store(tmp_path), N_STATICS)
+    s = _backend(request.param, _unit(), tmp_path)
     yield s
-    close = getattr(s, "close", None)
-    if close is not None:
-        close()
+    s.close()
 
 
 def check_invariants(store):
@@ -148,6 +148,36 @@ class TestAccountingContract:
 
     def test_find_targets(self, store):
         assert store.find_targets("p") == ["p"]
+
+
+#: Objects sharing the simple name ``t``, none inserted in name order.
+#: ``A`` sorts first and its type string interns ``z.c::f::t`` ahead of
+#: every other ``t`` in the string table, which orders the target section.
+TWINS = ["z.c::f::t", "b.c::t", "a.c::g2::t", "a.c::g12::t"]
+
+
+def _twins_unit() -> UnitIR:
+    objects = {"A": ProgramObject(name="A", kind=ObjectKind.VARIABLE,
+                                  type_str=TWINS[0])}
+    for name in TWINS:
+        objects[name] = ProgramObject(name=name, kind=ObjectKind.VARIABLE)
+    return UnitIR(filename="twins.c", objects=objects, assignments=[
+        PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst=name, src="A")
+        for name in TWINS
+    ])
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_find_targets_answers_sorted(kind, tmp_path):
+    """Every backend names a simple name's definitions in one order, so
+    a daemon serving a store from memory and one serving the written
+    database resolve a name alike."""
+    store = _backend(kind, _twins_unit(), tmp_path)
+    try:
+        assert store.find_targets("t") == sorted(TWINS)
+        assert store.find_targets("A") == ["A"]
+    finally:
+        store.close()
 
 
 class TestTinyBudgetResidency:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.driver.api import (
     CompileOptions,
-    Project,
+    Workspace,
     analyze_database,
     build_project_from_dir,
     compile_source,
@@ -75,12 +75,12 @@ class TestCompileOptionsPickle:
 
 class TestProject:
     def test_quickstart(self):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
         assert project.points_to().points_to("p") == {"x"}
 
     def test_multi_file_with_cross_includes(self):
-        project = Project()
+        project = Workspace()
         project.add_header("shared.h", "extern int g2; extern int *gp;")
         project.add_source("a.c", '#include "shared.h"\n'
                                   "int g2; int *gp;"
@@ -92,19 +92,19 @@ class TestProject:
         assert result.points_to("local") == {"g2"}
 
     def test_sources_can_include_each_other(self):
-        project = Project()
+        project = Workspace()
         project.add_source("impl.c", "int deep; int *dp;"
                                      "void f(void) { dp = &deep; }")
         result = project.points_to()
         assert result.points_to("dp") == {"deep"}
 
     def test_points_to_cached(self):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
         assert project.points_to() is project.points_to()
 
     def test_adding_source_invalidates_cache(self):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
         first = project.points_to()
         project.add_source("b.c", "extern int *p; int y;"
@@ -114,19 +114,19 @@ class TestProject:
         assert second.points_to("p") == {"x", "y"}
 
     def test_solver_selection(self):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
         for solver in ("pretransitive", "transitive", "steensgaard"):
             assert project.points_to(solver).points_to("p") == {"x"}
 
     def test_unknown_solver(self):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", "int x;")
         with pytest.raises(ValueError, match="unknown solver"):
             project.points_to("magic")
 
     def test_dependence_query(self):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", """
         void f(void) { short t2, a, b; a = t2; b = a; }
         """)
@@ -136,13 +136,13 @@ class TestProject:
         assert deps == {"a", "b"}
 
     def test_dependence_unknown_target(self):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", "int x;")
         with pytest.raises(KeyError):
             project.dependence("ghost")
 
     def test_write_executable(self, tmp_path):
-        project = Project()
+        project = Workspace()
         project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
         path = str(tmp_path / "prog.cla")
         project.write_executable(path)

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.driver.incremental import Workspace
-from repro.engine.pipeline import BuildError
+from repro.engine.pipeline import BuildError, Pipeline
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ class TestCorruptCache:
     forever."""
 
     def _content_path(self, ws: Workspace, filename: str) -> str:
-        key = ws._content_key(filename, ws._sources[filename])
+        key = ws._content_keys()[filename]
         return os.path.join(ws.cache_dir, f"{key}.o")
 
     def test_truncated_object_is_recompiled(self, tmp_path):
@@ -111,7 +111,7 @@ class TestCorruptCache:
         path = self._content_path(ws, "a.c")
         with open(path, "wb") as f:
             f.write(b"CLA\x01trunc")
-        result = ws.analyze()
+        result = ws.points_to()
         assert ws.stats.compiled == 1
         assert ws.stats.reused == 0
         assert result.points_to("p") == {"x"}
@@ -198,14 +198,14 @@ class TestBuildFailureCollection:
 
 class TestAnalysisAcrossEdits:
     def test_results_track_edits(self, workspace):
-        r1 = workspace.analyze()
+        r1 = workspace.points_to()
         assert r1.points_to("mine") == {"shared"}
 
         workspace.update_source(
             "c.c", '#include "defs.h"\nint other;'
                    "void redirect(void) { gp = &other; }"
         )
-        r2 = workspace.analyze()
+        r2 = workspace.points_to()
         assert r2.points_to("mine") == {"shared", "other"}
         assert workspace.stats.compiled == 1  # only c.c
 
@@ -215,13 +215,13 @@ class TestAnalysisAcrossEdits:
             "b.c", '#include "defs.h"\nint *mine, **pp;'
                    "void use(void) { mine = gp; pp = &mine; }"
         )
-        incremental = workspace.analyze()
+        incremental = workspace.points_to()
 
         fresh = Workspace(cache_dir=str(tmp_path / "fresh"))
         fresh.add_header("defs.h", workspace._headers["defs.h"])
         for name in workspace.sources():
-            fresh.add_source(name, workspace._sources[name].text)
-        full = fresh.analyze()
+            fresh.add_source(name, workspace._sources[name])
+        full = Pipeline().analyze_database(fresh.build())
         for name in set(incremental.pts) | set(full.pts):
             assert incremental.points_to(name) == full.points_to(name), name
         fresh.close()
@@ -253,8 +253,7 @@ class TestParallelBuild:
             ws.add_header(HEADER_NAME, program.header)
             for name, text in sorted(program.files.items()):
                 ws.add_source(name, text)
-            ws.build(jobs=jobs)
-            result = ws.analyze()
+            result = Pipeline().analyze_database(ws.build(jobs=jobs))
             ws.close()
             return result
 

@@ -1,11 +1,12 @@
-"""Pipeline/AnalysisSession: staged, traced compile-link-analyze-depend."""
+"""Pipeline and the Workspace over it: staged, traced
+compile-link-analyze-depend."""
 
 import pytest
 
+from repro.driver.incremental import Workspace
 from repro.engine.events import EVENTS
 from repro.engine.obs import Tracer
 from repro.engine.pipeline import (
-    AnalysisSession,
     CompileOptions,
     Pipeline,
     resolve_jobs,
@@ -18,7 +19,7 @@ B_C = ("extern int *p; int *q; short tgt, out;\n"
 
 class TestStageSpans:
     def test_session_traces_all_stages(self):
-        session = AnalysisSession()
+        session = Workspace()
         session.add_source("a.c", A_C).add_source("b.c", B_C)
         with EVENTS.sink(Tracer()) as tracer:
             result = session.points_to()
@@ -57,7 +58,7 @@ class TestStageSpans:
             pipeline.analyze(store, "nonsense")
 
     def test_depend_unknown_target_raises(self):
-        session = AnalysisSession()
+        session = Workspace()
         session.add_source("a.c", A_C)
         with pytest.raises(KeyError, match="no object named"):
             session.dependence("does_not_exist")
@@ -65,14 +66,14 @@ class TestStageSpans:
 
 class TestSessionCaching:
     def test_products_are_cached(self):
-        session = AnalysisSession()
+        session = Workspace()
         session.add_source("a.c", A_C)
         assert session.units() is session.units()
         assert session.store() is session.store()
         assert session.points_to() is session.points_to()
 
     def test_add_source_invalidates(self):
-        session = AnalysisSession()
+        session = Workspace()
         session.add_source("a.c", A_C)
         first = session.points_to()
         session.add_source("b.c", B_C)
@@ -81,7 +82,7 @@ class TestSessionCaching:
         assert second.points_to("q") == frozenset({"x"})
 
     def test_solver_kwargs_key_cache(self):
-        session = AnalysisSession()
+        session = Workspace()
         session.add_source("a.c", A_C)
         demand = session.points_to("pretransitive")
         full = session.points_to("pretransitive", demand_load=False)
@@ -113,7 +114,7 @@ class TestParallelCompile:
                 assert fs.read() == fp.read()
 
     def test_session_jobs_parameter(self):
-        session = AnalysisSession(jobs=2)
+        session = Workspace(jobs=2)
         session.add_source("a.c", A_C).add_source("b.c", B_C)
         assert session.points_to().points_to("q") == frozenset({"x"})
 
@@ -135,7 +136,7 @@ class TestResolveJobs:
 class TestOptionsPropagate:
     def test_pipeline_options_reach_the_solver_inputs(self):
         options = CompileOptions(field_based=False)
-        session = AnalysisSession(options=options)
+        session = Workspace(options=options)
         assert session.options is options
         assert session.pipeline.options is options
         session.add_source("a.c", A_C)

@@ -9,7 +9,7 @@ accounting.
 import pytest
 
 from repro.cla.store import MemoryStore
-from repro.driver.api import CompileOptions, Project, compile_source
+from repro.driver.api import CompileOptions, Workspace, compile_source
 from repro.engine.obs import MetricsRegistry
 from repro.engine.stats import SolverStats
 from repro.solvers import SOLVERS
@@ -123,7 +123,7 @@ class TestTable3Parity:
     def test_database_store_parity_demand_and_full(self, tmp_path):
         from repro.engine.pipeline import Pipeline
 
-        project = Project()
+        project = Workspace()
         project.add_source("fixture.c", FIXTURE)
         path = str(tmp_path / "prog.cla")
         project.write_executable(path)

@@ -38,7 +38,7 @@ def cold_solve(tmp_path, tag, solver, sources):
     for filename, text in sources.items():
         ws.add_source(filename, text)
     try:
-        return ws.analyze(solver)
+        return Pipeline().analyze_database(ws.build(), solver)
     finally:
         ws.close()
 
@@ -261,7 +261,7 @@ class TestRandomEditScripts:
                 cold_ws.add_source("a.c", SOURCE_A)
                 cold_ws.add_source("b.c", _b_text(script[-1]))
                 try:
-                    cold = cold_ws.analyze(solver)
+                    cold = pipeline.analyze_database(cold_ws.build(), solver)
                 finally:
                     cold_ws.close()
                 assert_bit_identical(session._result, cold,

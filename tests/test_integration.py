@@ -12,7 +12,7 @@ import pytest
 from repro.cla.reader import DatabaseStore
 from repro.depend import DependenceAnalysis, render_chain
 from repro.driver.api import (
-    Project,
+    Workspace,
     analyze_database,
     link_objects,
     CompileOptions,
@@ -111,7 +111,7 @@ int dispatch(void) {
 
 @pytest.fixture(scope="module")
 def project():
-    p = Project()
+    p = Workspace()
     p.add_header("list.h", LIST_H)
     p.add_header("app.h", APP_H)
     p.add_source("list.c", LIST_C)
