@@ -72,17 +72,3 @@ def test_demand_loading(benchmark, profile, mode, report):
     )
     store.close()
 
-
-@pytest.mark.parametrize("profile", PROFILES)
-def test_demand_equals_full(benchmark, profile):
-    """Demand loading is a pure optimization: identical results."""
-    path = database_for(profile)
-    results = {}
-    for mode in (True, False):
-        store = DatabaseStore.open(path)
-        results[mode] = PreTransitiveSolver(store, demand_load=mode).solve()
-        store.close()
-    names = set(results[True].pts) | set(results[False].pts)
-    for name in names:
-        assert results[True].points_to(name) == results[False].points_to(name)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

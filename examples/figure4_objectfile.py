@@ -67,8 +67,7 @@ def main() -> None:
             print("dynamic section: per-object blocks, loaded on demand")
             for name in reader.block_names():
                 block = reader.load_block(name)
-                obj = block.obj
-                print(f"  {name} @ {obj.location}")
+                print(f"  {name} @ {reader.find_object(name).location}")
                 if not block.assignments:
                     print("    (no triggered assignments)")
                 for a in block.assignments:

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from ..cla.store import Block, ConstraintStore
 from ..engine.events import EVENTS, CheckViolationEvent
 from ..engine.obs import REGISTRY
-from ..ir.objects import ObjectKind
 from ..ir.primitives import (
     FunctionRecord,
     IndirectCallRecord,
@@ -117,22 +116,15 @@ class _Oracle:
         self.store = store
         self.result = result
         self.report = CheckReport(solver=result.solver)
-        self._may_point: dict[str, bool] = {}
+        self.flags = store.object_flags()
 
-    # -- relevance (mirrors BaseSolver._may_point_pair) --------------------
-
-    def _can_point(self, name: str) -> bool:
-        hit = self._may_point.get(name)
-        if hit is None:
-            obj = self.store.get_object(name)
-            hit = obj is None or obj.may_point
-            self._may_point[name] = hit
-        return hit
+    # -- relevance (mirrors the solvers' intake, ObjectUniverse.relevant) ---
 
     def _relevant(self, kind: PrimitiveKind, dst: str, src: str) -> bool:
-        if not self._can_point(dst):
+        non_pointers = self.flags.non_pointers
+        if dst in non_pointers:
             return False
-        if kind is not PrimitiveKind.ADDR and not self._can_point(src):
+        if kind is not PrimitiveKind.ADDR and src in non_pointers:
             return False
         return True
 
@@ -226,15 +218,8 @@ class _Oracle:
 
     def _check_calls(self) -> None:
         store = self.store
-        functions = {
-            name for name in store.object_names()
-            if (obj := store.get_object(name)) is not None
-            and obj.kind == ObjectKind.FUNCTION
-        }
-        for name in store.object_names():
-            obj = store.get_object(name)
-            if obj is None or not obj.is_funcptr:
-                continue
+        functions = self.flags.functions
+        for name in sorted(self.flags.funcptrs):
             block = store.fetch_block(name)
             if block is None or block.indirect_record is None:
                 continue

@@ -37,7 +37,7 @@ from typing import Iterable
 from ..engine.events import EVENTS, BlockEvictEvent
 from ..ir.objects import ProgramObject
 from ..ir.primitives import PrimitiveAssignment
-from .store import Block, ConstraintStore, LoadStats
+from .store import Block, ConstraintStore, LoadStats, ObjectFlags
 
 
 class BlockCache:
@@ -167,6 +167,9 @@ class BlockCache:
 
     def object_names(self) -> Iterable[str]:
         return self.store.object_names()
+
+    def object_flags(self) -> ObjectFlags:
+        return self.store.object_flags()
 
     def get_object(self, name: str) -> ProgramObject | None:
         return self.store.get_object(name)

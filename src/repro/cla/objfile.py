@@ -123,9 +123,10 @@ class StringReader(dict):
     A dict: the first lookup decodes the whole section in one pass (in a
     linked database nearly every string is an object name, which the
     reader's indexes need anyway), so ``strings[ref]`` is then one dict
-    hit.  A ref that does not start a string — past the end of the
-    section, say — raises :class:`ClaFormatError` instead of decoding as
-    ``""``.
+    hit.  The decode lets go of the map, so rows and objects that keep
+    the table to build their locations later never hold it.  A ref that
+    does not start a string — past the end of the section, say — raises
+    :class:`ClaFormatError` instead of decoding as ``""``.
     """
 
     def __init__(self, buf, base: int, size: int, path: str):
@@ -146,6 +147,7 @@ class StringReader(dict):
             # split() yields one more (empty) piece after the last NUL.
             self.pop(self._size, None)
             self._decoded = True
+            self._buf = None
             if ref in self:
                 return self[ref]
         raise ClaFormatError(

@@ -12,14 +12,23 @@ ever need it again").
 The on-disk hash indexes are sorted for binary search, but a Python
 reader pays more per probe than for one pass over a whole index.  So,
 leaving the format as it is, each reader scans an index section once, the
-first time it needs it, into a dict of names to ints: object name ->
-``global`` entry offset, block name -> block header offset, simple name
--> canonical names.  The tables live as long as the reader (one open) and
-hold only ints and names the string table already holds: a few hundred
-KiB for a 9.6k-LoC database.  Only the index sections are scanned; the
-static section and each block are still parsed on demand, each with one
-``Struct.iter_unpack`` pass over its rows, so Table 3's *loaded* column
-is what in-place lookups gave.
+first time it needs it, into a dict: object name -> ``global`` entry
+offset, kind and flags; block name -> block header offset; simple name ->
+canonical names.  The ``global`` table is the one pass over that section,
+and its kind and flag bytes answer every relevance and function question
+a solve asks (:meth:`ObjectFileReader.object_flags`) without decoding a
+single object.  An object is decoded only when asked for by name.  The
+static section and each block are parsed on demand, each with one
+``Struct.iter_unpack`` pass over its rows, so Table 3's *loaded* column is
+what in-place lookups gave.
+
+Decoding checks every string ref against the string table and every enum
+byte against its enum, but builds no :class:`Location`: a decoded row or
+object keeps its ``(file_ref, line)`` and builds its location the first
+time something reads it (dependence chains, ``dump``, the oracle's
+messages, the link).  No solver does.  The location tables hold the
+decoded string table and never the map, so locations resolve after the
+reader is closed.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from ..ir.primitives import (
 )
 from ..ir.strength import Strength
 from . import objfile as F
-from .store import Block, LoadStats
+from .store import Block, LoadStats, ObjectFlags
 
 
 def _members(enum_cls) -> dict:
@@ -51,6 +60,7 @@ def _members(enum_cls) -> dict:
 _KINDS = _members(PrimitiveKind)
 _STRENGTHS = _members(Strength)
 _OBJECT_KINDS = _members(ObjectKind)
+_FUNCTION = ObjectKind.FUNCTION.value
 
 
 def _tag_name(tag: bytes) -> str:
@@ -73,6 +83,40 @@ class _Locations(dict):
         location = Location(filename, line) if filename else Location.unknown()
         self[key] = location
         return location
+
+
+def _get_location(self) -> Location:
+    site = self._site
+    if site.__class__ is tuple:
+        locations, file_ref, line = site
+        site = self._site = locations[file_ref, line]
+    return site
+
+
+def _set_location(self, location: Location) -> None:
+    self._site = location
+
+
+#: ``location`` of a decoded row or object: ``_site`` holds the
+#: ``(locations, file_ref, line)`` it was decoded with until the first
+#: read builds (or finds) the interned :class:`Location`.
+_DEFERRED_LOCATION = property(_get_location, _set_location)
+
+
+class _Row(PrimitiveAssignment):
+    """An assignment row as decoded from a file: a
+    :class:`PrimitiveAssignment` whose location is built on first read."""
+
+    __slots__ = ("_site",)
+    location = _DEFERRED_LOCATION
+
+
+class _Object(ProgramObject):
+    """An object as decoded from a file's ``global`` section: a
+    :class:`ProgramObject` whose location is built on first read."""
+
+    __slots__ = ("_site",)
+    location = _DEFERRED_LOCATION
 
 
 class ObjectFileReader:
@@ -192,39 +236,51 @@ class ObjectFileReader:
         start, end = self._span(tag, entry)
         return entry.iter_unpack(self._map[start:end])
 
-    def _assignments(self, rows: bytes) -> list[PrimitiveAssignment]:
+    def _rows(self, data: bytes) -> list[PrimitiveAssignment]:
+        """The one row decoder, for the static section and every block.
+        Each string ref and enum byte is checked now; the location is
+        built when it is first read."""
         strings, locations = self.strings, self._locations
+        new = object.__new__
+        rows = []
+        append = rows.append
         try:
-            return [
-                PrimitiveAssignment(
-                    _KINDS[kind], strings[dst], strings[src],
-                    _STRENGTHS[strength], strings[op],
-                    locations[file_ref, line],
-                )
-                for kind, strength, _r, dst, src, op, file_ref, line
-                in F.ASSIGNMENT_ENTRY.iter_unpack(rows)
-            ]
+            for kind, strength, _r, dst, src, op, file_ref, line \
+                    in F.ASSIGNMENT_ENTRY.iter_unpack(data):
+                row = new(_Row)
+                row.kind = _KINDS[kind]
+                row.dst = strings[dst]
+                row.src = strings[src]
+                row.strength = _STRENGTHS[strength]
+                row.op = strings[op]
+                strings[file_ref]  # checked; the Location waits
+                row._site = (locations, file_ref, line)
+                append(row)
         except KeyError as exc:
             raise F.ClaFormatError(
                 f"{self.path}: bad assignment kind or strength {exc}"
             ) from None
+        return rows
 
     def _object(self, entry: tuple) -> ProgramObject:
         name, type_ref, file_ref, line, enclosing, kind, flags, _r = entry
         strings = self.strings
+        obj = object.__new__(_Object)
         try:
-            kind = _OBJECT_KINDS[kind]
+            obj.kind = _OBJECT_KINDS[kind]
         except KeyError:
             raise F.ClaFormatError(
                 f"{self.path}: bad object kind {kind}"
             ) from None
-        return ProgramObject(
-            strings[name], kind, strings[type_ref],
-            self._locations[file_ref, line], strings[enclosing],
-            bool(flags & F.OBJ_FLAG_GLOBAL),
-            bool(flags & F.OBJ_FLAG_MAY_POINT),
-            bool(flags & F.OBJ_FLAG_FUNCPTR),
-        )
+        obj.name = strings[name]
+        obj.type_str = strings[type_ref]
+        strings[file_ref]  # checked; the Location waits
+        obj._site = (self._locations, file_ref, line)
+        obj.enclosing_function = strings[enclosing]
+        obj.is_global = bool(flags & F.OBJ_FLAG_GLOBAL)
+        obj.may_point = bool(flags & F.OBJ_FLAG_MAY_POINT)
+        obj.is_funcptr = bool(flags & F.OBJ_FLAG_FUNCPTR)
+        return obj
 
     def _names(self, pos: int, count: int, block: str) -> list[str]:
         """``count`` string refs at ``pos`` in ``block``'s record."""
@@ -244,13 +300,17 @@ class ObjectFileReader:
     # -- lookup tables (one index scan each, on first use) --------------------
 
     @cached_property
-    def _object_index(self) -> dict[str, int]:
-        """Object name -> offset of its ``global`` entry."""
+    def _globals(self) -> dict[str, tuple[int, int, int]]:
+        """Object name -> (offset of its ``global`` entry, kind, flags):
+        the one pass over that section."""
         start, end = self._span(F.SEC_GLOBAL, F.OBJECT_ENTRY)
         strings = self.strings
-        names = [strings[entry[0]] for entry
-                 in F.OBJECT_ENTRY.iter_unpack(self._map[start:end])]
-        return dict(zip(names, range(start, end, F.OBJECT_ENTRY.size)))
+        return {
+            strings[name]: (pos, kind, flags)
+            for pos, (name, _t, _f, _l, _e, kind, flags, _r) in zip(
+                range(start, end, F.OBJECT_ENTRY.size),
+                F.OBJECT_ENTRY.iter_unpack(self._map[start:end]))
+        }
 
     @cached_property
     def _block_index(self) -> dict[str, int]:
@@ -288,10 +348,31 @@ class ObjectFileReader:
 
     def static_assignments(self) -> list[PrimitiveAssignment]:
         start, end = self._span(F.SEC_STATIC, F.ASSIGNMENT_ENTRY)
-        return self._assignments(self._map[start:end])
+        return self._rows(self._map[start:end])
 
     def objects(self) -> Iterator[ProgramObject]:
+        """Every object, decoded in file order (fresh objects)."""
         return map(self._object, self._entries(F.SEC_GLOBAL, F.OBJECT_ENTRY))
+
+    def object_names(self) -> Iterator[str]:
+        """Every object name, in file order; decodes no object."""
+        return iter(self._globals)
+
+    def object_flags(self) -> ObjectFlags:
+        """The function, function-pointer and non-pointer objects, read
+        from the kind and flag bytes of the ``global`` table."""
+        entries = self._globals.items()
+        return ObjectFlags(
+            functions=frozenset(
+                name for name, (_pos, kind, _flags) in entries
+                if kind == _FUNCTION),
+            funcptrs=frozenset(
+                name for name, (_pos, _kind, flags) in entries
+                if flags & F.OBJ_FLAG_FUNCPTR),
+            non_pointers=frozenset(
+                name for name, (_pos, _kind, flags) in entries
+                if not flags & F.OBJ_FLAG_MAY_POINT),
+        )
 
     def object_count(self) -> int:
         start, end = self._span(F.SEC_GLOBAL, F.OBJECT_ENTRY)
@@ -312,10 +393,10 @@ class ObjectFileReader:
 
     def find_object(self, name: str) -> ProgramObject | None:
         """One object's metadata by canonical name (a fresh object)."""
-        pos = self._object_index.get(name)
-        if pos is None:
+        entry = self._globals.get(name)
+        if entry is None:
             return None
-        return self._object(F.OBJECT_ENTRY.unpack_from(self._map, pos))
+        return self._object(F.OBJECT_ENTRY.unpack_from(self._map, entry[0]))
 
     def load_block(self, name: str) -> Block | None:
         """Parse one dynamic block.  Each call re-reads from the map."""
@@ -330,10 +411,7 @@ class ObjectFileReader:
         end = pos + nassign * F.ASSIGNMENT_ENTRY.size
         self._check_dynamic(end, name, "assignments")
         obj_name = self.strings[obj_ref]
-        obj = self.find_object(obj_name)
-        if obj is None:
-            obj = ProgramObject(name=obj_name, kind=ObjectKind.VARIABLE)
-        block = Block(obj=obj, assignments=self._assignments(data[pos:end]))
+        block = Block(assignments=self._rows(data[pos:end]))
         pos = end
         if flags & F.BLOCK_FLAG_FUNCTION:
             self._check_dynamic(pos + F.FUNC_RECORD_HEADER.size, name,
@@ -343,7 +421,7 @@ class ObjectFileReader:
             )
             pos += F.FUNC_RECORD_HEADER.size
             block.function_record = FunctionRecord(
-                function=obj.name, args=self._names(pos, nargs, name),
+                function=obj_name, args=self._names(pos, nargs, name),
                 ret=self.strings[ret], variadic=bool(variadic),
                 location=self._locations[file_ref, line],
             )
@@ -356,7 +434,7 @@ class ObjectFileReader:
             )
             pos += F.INDIRECT_RECORD_HEADER.size
             block.indirect_record = IndirectCallRecord(
-                pointer=obj.name, args=self._names(pos, nargs, name),
+                pointer=obj_name, args=self._names(pos, nargs, name),
                 ret=self.strings[ret],
                 location=self._locations[file_ref, line],
             )
@@ -454,15 +532,13 @@ class DatabaseStore:
         return self._statics
 
     def object_names(self) -> Iterator[str]:
-        """Every object name; decodes the global section in one pass and
-        caches each object, so a following :meth:`get_object` sweep does
-        not decode it again."""
-        cache = self._object_cache
-        for obj in self.reader.objects():
-            cache.setdefault(obj.name, obj)
-            yield obj.name
+        return self.reader.object_names()
+
+    def object_flags(self) -> ObjectFlags:
+        return self.reader.object_flags()
 
     def get_object(self, name: str) -> ProgramObject | None:
+        """One object, decoded the first time it is asked for and kept."""
         if name not in self._object_cache:
             self._object_cache[name] = self.reader.find_object(name)
         return self._object_cache[name]

@@ -55,12 +55,27 @@ def trigger_object(assignment: PrimitiveAssignment) -> str | None:
 
 @dataclass(slots=True)
 class Block:
-    """One dynamic-section block: an object plus its triggered assignments."""
+    """One dynamic-section block: the assignments its object triggers,
+    and the object's function and indirect-call records.  A store names
+    its blocks by their object's name; the object itself is
+    :meth:`ConstraintStore.get_object`'s."""
 
-    obj: ProgramObject
     assignments: list[PrimitiveAssignment] = field(default_factory=list)
     function_record: FunctionRecord | None = None
     indirect_record: IndirectCallRecord | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class ObjectFlags:
+    """Every question a solve asks of the object metadata, answered in
+    one pass: which objects are functions and which are function
+    pointers (§4's analysis-time linking), and which cannot carry a
+    pointer (§6: their value flow is irrelevant to aliasing).  A name the
+    store does not know is in none of the sets."""
+
+    functions: frozenset[str]
+    funcptrs: frozenset[str]
+    non_pointers: frozenset[str]
 
 
 #: Process-wide load accounting (module-level handles stay live across
@@ -204,6 +219,11 @@ class ConstraintStore(Protocol):
         ...
 
     def object_names(self) -> Iterable[str]:
+        ...
+
+    def object_flags(self) -> ObjectFlags:
+        """The function, function-pointer and non-pointer objects, from
+        one pass over the metadata; no object is decoded for it."""
         ...
 
     def get_object(self, name: str) -> ProgramObject | None:
@@ -378,21 +398,15 @@ class MemoryStore:
             changes["is_funcptr"] = True
         if not changes:
             return
-        merged = replace(existing, **changes)
-        self.objects[name] = merged
-        block = self._blocks.get(name)
-        if block is not None:
-            block.obj = merged
+        self.objects[name] = replace(existing, **changes)
 
     def _ensure_block(self, name: str) -> Block:
         block = self._blocks.get(name)
         if block is None:
-            obj = self.objects.get(name)
-            if obj is None:
-                obj = ProgramObject(name=name, kind=ObjectKind.VARIABLE)
-                self.objects[name] = obj
-            block = Block(obj=obj)
-            self._blocks[name] = block
+            if name not in self.objects:
+                self.objects[name] = ProgramObject(
+                    name=name, kind=ObjectKind.VARIABLE)
+            block = self._blocks[name] = Block()
         return block
 
     @staticmethod
@@ -407,7 +421,7 @@ class MemoryStore:
             block.function_record = record
         elif not _same_definition(current, record):
             raise LinkError(
-                f"duplicate definition of function '{block.obj.name}': "
+                f"duplicate definition of function '{record.function}': "
                 f"{current.location.brief()} and {record.location.brief()}"
             )
 
@@ -459,6 +473,18 @@ class MemoryStore:
 
     def object_names(self) -> Iterable[str]:
         return self.objects.keys()
+
+    def object_flags(self) -> ObjectFlags:
+        objects = self.objects.items()
+        return ObjectFlags(
+            functions=frozenset(
+                name for name, obj in objects
+                if obj.kind is ObjectKind.FUNCTION),
+            funcptrs=frozenset(
+                name for name, obj in objects if obj.is_funcptr),
+            non_pointers=frozenset(
+                name for name, obj in objects if not obj.may_point),
+        )
 
     def get_object(self, name: str) -> ProgramObject | None:
         return self.objects.get(name)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cla.store import ConstraintStore
-from ..ir.objects import ObjectKind
 from ..solvers.base import PointsToResult
 
 
@@ -108,11 +107,7 @@ def build_call_graph(
     """Build the call graph from the database's call-site records plus a
     points-to result for the indirect edges."""
     graph = CallGraph()
-    functions = {
-        name for name in store.object_names()
-        if (obj := store.get_object(name)) is not None
-        and obj.kind == ObjectKind.FUNCTION
-    }
+    functions = store.object_flags().functions
     graph.defined = frozenset(
         name for name in functions
         if (block := store.load_block(name)) is not None

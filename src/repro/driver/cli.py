@@ -753,7 +753,9 @@ def _cmd_dump(args: argparse.Namespace) -> int:
             if block is None:
                 print(f"no block for {args.block!r}")
                 return 1
-            print(f"block {args.block} ({block.obj.kind.name}):")
+            obj = reader.find_object(args.block)
+            kind = obj.kind.name if obj is not None else "VARIABLE"
+            print(f"block {args.block} ({kind}):")
             for a in block.assignments:
                 print(f"  {a.render()}  @ {a.location}")
             if block.function_record:

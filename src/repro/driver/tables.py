@@ -163,8 +163,8 @@ def table2_rows(
                     assignments.extend(block.assignments)
             mix.update(assignment_mix(assignments))
             n_vars = sum(
-                1 for o in store.reader.objects()
-                if not o.name.split("::")[-1].startswith("$")
+                1 for obj_name in store.object_names()
+                if not obj_name.split("::")[-1].startswith("$")
             )
             rows.append([
                 f"{name}@{s:g}",

@@ -60,6 +60,18 @@ class PrimitiveAssignment:
     op: str = ""  # operation the value flowed through, "" if none
     location: Location = field(default_factory=Location.unknown)
 
+    def __eq__(self, other: object) -> bool:
+        # isinstance, not the generated class test: a row decoded from an
+        # object file (a subclass that builds its location on first read)
+        # equals the assignment it was written from.
+        if not isinstance(other, PrimitiveAssignment):
+            return NotImplemented
+        return (
+            self.kind == other.kind and self.dst == other.dst
+            and self.src == other.src and self.strength == other.strength
+            and self.op == other.op and self.location == other.location
+        )
+
     def render(self) -> str:
         lhs = {"STORE": "*", "STORE_LOAD": "*"}.get(self.kind.name, "")
         rhs = {

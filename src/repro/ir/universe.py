@@ -27,19 +27,20 @@ all four solvers:
   targets) for the ingested copy graph, built once in ``BaseSolver``
   ingestion and walked without per-edge tuple allocation.
 
-The universe also owns the relevance test (``may_point``) and the decode
-cache used by the lazy result mapping, so identical final masks decode to
-one shared frozenset (§5's common-set table, now keyed by ints).
+The universe also owns the relevance test (``may_point``, and
+:meth:`ObjectUniverse.relevant`, the one intake every solver reads rows
+through) and the decode cache used by the lazy result mapping, so
+identical final masks decode to one shared frozenset (§5's common-set
+table, now keyed by ints).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from ..engine.obs import REGISTRY
-from .objects import ProgramObject
 from .primitives import PrimitiveKind
 
 #: Word size used for the ``solver.bitset.words`` accounting.  Python ints
@@ -163,34 +164,23 @@ class ConstraintBatch:
         return len(self.kinds)
 
     def absorb(self, assignments) -> None:
-        """Intern a run of ``PrimitiveAssignment``s into id-space rows.
+        """Intern a run of rows into id-space rows.
 
         This is the single choke point where string names are touched;
         every later pass over the rows is integer-only.  Re-absorbing a
         name already seen is one dict hit — no double-interning.
         """
         universe = self.universe
-        may_point = universe.may_point
         intern = universe.intern
         target_id = universe.target_id
         kinds, dsts, srcs = self.kinds, self.dsts, self.srcs
         addr = PrimitiveKind.ADDR
-        # ``kinds.append(a.kind)`` narrows the IntEnum through __index__ in
+        # ``kinds.append(kind)`` narrows the IntEnum through __index__ in
         # C — no Python-level int() call on this per-assignment path.
-        for a in assignments:
-            dst = a.dst
-            if not may_point(dst):
-                continue
-            kind = a.kind
-            src = a.src
-            if kind is addr:
-                kinds.append(kind)
-                dsts.append(intern(dst))
-                srcs.append(target_id(src))
-            elif may_point(src):
-                kinds.append(kind)
-                dsts.append(intern(dst))
-                srcs.append(intern(src))
+        for kind, dst, src in universe.relevant(assignments):
+            kinds.append(kind)
+            dsts.append(intern(dst))
+            srcs.append(target_id(src) if kind is addr else intern(src))
 
     def rows(self):
         """Iterate ``(kind_value, dst_id, src_id)`` rows in order."""
@@ -212,27 +202,28 @@ class ObjectUniverse:
 
     Ids are assigned in first-seen order, so they are stable within a run;
     ``name_of``/``target_name`` are the exact inverse tables.  The
-    relevance test caches ``ProgramObject.may_point`` per name, with the
-    pre-transitive solver's synthetic-name convention: deref placeholders
-    (``*p``) and store/load split temps (``$sl..``) always participate.
+    relevance test reads the store's non-pointer objects
+    (:class:`~repro.cla.store.ObjectFlags`): every other name takes
+    part, the pre-transitive solver's deref placeholders (``*p``) and
+    store/load split temps (``$sl..``) included.
     """
 
     __slots__ = (
-        "store", "_ids", "names", "_target_ids", "target_names",
-        "_may_point", "_decode_cache", "_decode_cache_entries",
+        "non_pointers", "_ids", "names", "_target_ids", "target_names",
+        "_decode_cache", "_decode_cache_entries",
         "_function_names", "function_mask", "_temp_counter",
     )
 
-    def __init__(self, store=None,
+    def __init__(self, non_pointers: Collection[str] = frozenset(),
                  decode_cache_entries: int = DECODE_CACHE_ENTRIES):
-        self.store = store
+        #: objects whose type cannot carry a pointer
+        self.non_pointers = non_pointers
         # node space
         self._ids: dict[str, int] = {}
         self.names: list[str] = []
         # target (points-to bit position) space
         self._target_ids: dict[str, int] = {}
         self.target_names: list[str] = []
-        self._may_point: dict[str, bool] = {}
         #: LRU over decoded masks, bounded like BlockCache: the budget is
         #: an entry count, eviction is oldest-first before insert.
         self._decode_cache: OrderedDict[int, frozenset[str]] = OrderedDict()
@@ -333,16 +324,26 @@ class ObjectUniverse:
 
     def may_point(self, name: str) -> bool:
         """Can this object's value carry pointers?  (§6: non-pointer value
-        flow is irrelevant to aliasing.)  Cached per name."""
-        hit = self._may_point.get(name)
-        if hit is None:
-            if name.startswith("*") or name.startswith("$sl"):
-                hit = True  # synthetic nodes always participate
-            else:
-                obj: ProgramObject | None = (
-                    self.store.get_object(name) if self.store is not None
-                    else None
-                )
-                hit = obj is None or obj.may_point
-            self._may_point[name] = hit
-        return hit
+        flow is irrelevant to aliasing.)"""
+        return name not in self.non_pointers
+
+    def relevant(self, rows) -> Iterator[tuple[PrimitiveKind, str, str]]:
+        """``(kind, dst, src)`` of each row that can carry a pointer
+        value: the intake all four solvers read rows through, whichever
+        store the rows came from.
+
+        A row is dropped when its destination cannot carry a pointer, or
+        its source cannot and it is not ``x = &y``: the *address* of a
+        non-pointer object is still a pointer value (``p = &v`` with
+        ``short v``, §2).  Only a row's kind, dst and src are read.
+        """
+        non_pointers = self.non_pointers
+        addr = PrimitiveKind.ADDR
+        for row in rows:
+            dst = row.dst
+            if dst in non_pointers:
+                continue
+            kind = row.kind
+            src = row.src
+            if kind is addr or src not in non_pointers:
+                yield kind, dst, src

@@ -19,8 +19,10 @@ paths are 404.  A ``POST`` body is read only after its ``Content-Length``
 checks out: a missing, non-integer or negative length is a 400 and one
 above :data:`MAX_BODY_BYTES` a 413, both answered without reading the
 body (and the connection is closed, since its unread body cannot be
-told from the next request).  Per-request access logging is off (the
-event ledger is the daemon's log).
+told from the next request).  A connection that sends nothing for
+:data:`REQUEST_TIMEOUT_S` — a client stalled mid-request, or an idle
+keep-alive — is closed, which frees its handler thread.  Per-request
+access logging is off (the event ledger is the daemon's log).
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..engine.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..engine.prom import render_prometheus
 from .protocol import handle_request
-from .session import ServeSession
+from .session import MAX_BODY_BYTES, ServeSession
 
-#: Largest ``POST /query`` body the daemon reads (16 MiB).
-MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Seconds a connection may go without sending a byte before the daemon
+#: closes it.
+REQUEST_TIMEOUT_S = 30.0
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -44,6 +47,10 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 class _ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-cla-serve/1"
     protocol_version = "HTTP/1.1"
+
+    @property
+    def timeout(self) -> float:  # read by StreamRequestHandler.setup
+        return REQUEST_TIMEOUT_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass

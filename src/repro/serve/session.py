@@ -62,6 +62,10 @@ _RELOADS_FAILED = REGISTRY.counter("serve.reloads.failed")
 #: histogram per op label.
 REQUEST_SECONDS = "serve.request.seconds"
 
+#: Largest payload the daemon takes in (16 MiB): a ``POST /query`` body,
+#: and the UTF-8 size of an ``update``'s ``text`` on either transport.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 #: Ops whose results are pure functions of (database generation, args).
 CACHEABLE_OPS = frozenset({"points-to", "alias", "chain"})
 
@@ -535,6 +539,12 @@ class ServeSession:
             )
         file = _require_str(params, "file")
         text = _require_str(params, "text", allow_empty=True)
+        # A character is at most four UTF-8 bytes, so only a long text
+        # needs encoding to be measured.
+        if (len(text) > MAX_BODY_BYTES // 4 and len(
+                text.encode("utf-8", "surrogatepass")) > MAX_BODY_BYTES):
+            raise ServeError(
+                f"update text exceeds the {MAX_BODY_BYTES}-byte limit")
         kind = params.get("kind", "source")
         if kind == "source":
             self.workspace.add_source(file, text)

@@ -5,7 +5,8 @@ and produces a :class:`PointsToResult`.  Shared here:
 
 * :class:`BaseSolver` — the skeleton all four solvers extend: store +
   uniform :class:`~repro.engine.stats.SolverStats` + function-pointer
-  linker + the interned :class:`~repro.ir.universe.ObjectUniverse`,
+  linker + the interned :class:`~repro.ir.universe.ObjectUniverse`, fed
+  by one :meth:`~repro.cla.store.ConstraintStore.object_flags` call,
   id-space full-database ingestion for the non-demand solvers
   (:meth:`BaseSolver._ingest_all_ids`), and the
   :meth:`BaseSolver._finalize_masks` reporting hook that wraps the final
@@ -34,7 +35,6 @@ from ..engine.events import (
 )
 from ..engine.stats import SolverStats
 from ..ir.objects import ObjectKind, ProgramObject
-from ..ir.primitives import PrimitiveKind
 from ..ir.universe import ConstraintBatch, ObjectUniverse, bitset_words
 
 
@@ -168,26 +168,16 @@ class BaseSolver:
     def __init__(self, store: ConstraintStore):
         self.store = store
         self.stats = SolverStats(solver=self.name)
-        self.universe = ObjectUniverse(store)
+        flags = store.object_flags()
+        self.universe = ObjectUniverse(flags.non_pointers)
+        self.universe.note_functions(flags.functions)
         self._linker = FunPtrLinker(store)
-        self._funcptrs: set[str] = set()
-        self._functions: set[str] = set()
+        self._funcptrs = flags.funcptrs
         #: previous (edges, hits, misses, cycles, delta_lvals, nodes)
         #: snapshot, for per-round event deltas
         self._round_mark = (0, 0, 0, 0, 0, 0)
 
     # -- constraint intake ----------------------------------------------------
-
-    def _may_point_pair(self, kind: PrimitiveKind, dst: str, src: str) -> bool:
-        """Non-pointer value flow is irrelevant to aliasing (§6).  The
-        exception is ``x = &y``: the *address* of a non-pointer object is
-        still a pointer value (p = &v with short v, §2)."""
-        may_point = self.universe.may_point
-        if not may_point(dst):
-            return False
-        if kind is not PrimitiveKind.ADDR and not may_point(src):
-            return False
-        return True
 
     def _ingest_all_ids(self) -> ConstraintBatch:
         """Full (non-demand) loading, straight into id space.
@@ -212,18 +202,6 @@ class BaseSolver:
                 continue
             batch.absorb(block.assignments)
         return batch
-
-    def _scan_functions(self) -> None:
-        """Populate the funcptr/function name sets from store metadata."""
-        for name in self.store.object_names():
-            obj = self.store.get_object(name)
-            if obj is None:
-                continue
-            if obj.is_funcptr:
-                self._funcptrs.add(name)
-            if obj.kind == ObjectKind.FUNCTION:
-                self._functions.add(name)
-        self.universe.note_functions(self._functions)
 
     # -- the run-ledger seam ---------------------------------------------------
 
@@ -344,10 +322,6 @@ class FunPtrLinker:
                 block.function_record if block is not None else None
             )
         return self._function_cache[function]
-
-    def is_linkable(self, pointer: str) -> bool:
-        obj = self.store.get_object(pointer)
-        return obj is not None and obj.is_funcptr
 
     def link(self, pointer: str, callees) -> list[tuple[str, str]]:
         """New copy constraints from linking ``pointer``'s callees."""

@@ -203,7 +203,6 @@ class OneLevelFlowSolver(BaseSolver):
         batch = self._ingest_all_ids()
         for kind, dst, src in batch.rows():
             self._ingest_row(kind, dst, src)
-        self._scan_functions()
 
         universe = self.universe
         target_name = universe.target_name

@@ -211,9 +211,6 @@ class PreTransitiveSolver(BaseSolver):
     # Loading (the CLA analyze-phase coupling)
     # ------------------------------------------------------------------
 
-    def _may_point(self, name: str) -> bool:
-        return self.universe.may_point(name)
-
     def _ensure_loaded(self, name: str) -> None:
         """Demand-load the dynamic block of ``name`` (once).
 
@@ -244,19 +241,18 @@ class PreTransitiveSolver(BaseSolver):
 
     def _ingest_block(self, name: str) -> None:
         block = self.store.load_block(name)
-        if block is None:
-            return
-        for a in block.assignments:
-            self._ingest_assignment(a.kind, a.dst, a.src)
+        if block is not None:
+            self._ingest_rows(block.assignments)
+
+    def _ingest_rows(self, rows) -> None:
+        """Rows through the shared intake: only those that can carry a
+        pointer value reach the graph (§6)."""
+        ingest = self._ingest_assignment
+        for kind, dst, src in self.universe.relevant(rows):
+            ingest(kind, dst, src)
 
     def _ingest_assignment(self, kind: PrimitiveKind, dst: str, src: str) -> None:
-        if not self._may_point(dst):
-            return  # destination cannot carry pointers
-        if kind is not PrimitiveKind.ADDR and not self._may_point(src):
-            # Non-pointer value flow is irrelevant to aliasing (§6).  The
-            # exception is x = &y: the *address* of a non-pointer object is
-            # still a pointer value (p = &v with short v, §2).
-            return
+        """One relevant assignment into the graph."""
         if kind is PrimitiveKind.COPY:
             if self._add_edge(self._node(dst), self._node(src)):
                 self._ensure_loaded(dst)
@@ -464,10 +460,7 @@ class PreTransitiveSolver(BaseSolver):
                 self._loaded.add(name)
                 self._ingest_block(name)
         # Statics (always loaded) seed the base elements.
-        for a in self.store.static_assignments():
-            self._ingest_assignment(a.kind, a.dst, a.src)
-
-        self._scan_functions()
+        self._ingest_rows(self.store.static_assignments())
 
         diff = self.enable_diff_propagation
         stats = self.stats
@@ -547,7 +540,8 @@ class PreTransitiveSolver(BaseSolver):
     def _link_function_pointers(self) -> None:
         universe = self.universe
         target_name = universe.target_name
-        for pointer in list(self._funcptrs):
+        may_point = universe.may_point
+        for pointer in self._funcptrs:
             node = self._nodes.get(pointer)
             if node is None:
                 continue
@@ -555,7 +549,8 @@ class PreTransitiveSolver(BaseSolver):
             callees = [target_name(b) for b in bits(funcs)]
             for dst, src in self._linker.link(pointer, callees):
                 self.stats.funcptr_links += 1
-                self._ingest_assignment(PrimitiveKind.COPY, dst, src)
+                if may_point(dst) and may_point(src):
+                    self._ingest_assignment(PrimitiveKind.COPY, dst, src)
                 self._ensure_loaded(dst)
                 self._ensure_loaded(src)
 

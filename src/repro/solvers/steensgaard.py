@@ -183,7 +183,6 @@ class SteensgaardSolver(BaseSolver):
         batch = self._ingest_all_ids()
         for kind, dst, src in batch.rows():
             self._ingest_row(kind, dst, src)
-        self._scan_functions()
 
         # Function-pointer linking can reveal new callees (a callee's body
         # stores other function addresses); iterate to a fixpoint.  The

@@ -215,7 +215,6 @@ class TransitiveSolver(BaseSolver):
         return node
 
     def _collect_funcptrs(self) -> None:
-        self._scan_functions()
         # Intern every funcptr up front so late-flowing pointers are
         # recognised when they pop; replay already-known targets.
         for name in self._funcptrs:

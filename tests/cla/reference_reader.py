@@ -228,7 +228,7 @@ class ReferenceReader:
         if obj is None:
             obj = ProgramObject(name=self._string(obj_ref),
                                 kind=ObjectKind.VARIABLE)
-        block = Block(obj=obj)
+        block = Block()
         for _ in range(nassign):
             a, pos = self._read_assignment(pos)
             block.assignments.append(a)

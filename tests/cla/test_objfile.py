@@ -425,6 +425,23 @@ class TestCorruptRecords:
                     store.static_assignments)
         store.close()
 
+    # The file ref of the first static row, and of the only object
+    # (``p``): refs whose Location is built only when it is read.
+    @pytest.mark.parametrize("section,offset", [
+        (F.SEC_STATIC, 16), (F.SEC_GLOBAL, 8),
+    ], ids=["row", "object"])
+    def test_file_ref_checked_when_decoded(self, tmp_path, section, offset):
+        def patch(data, sections):
+            start, _size = sections[section]
+            self.put(data, start + F.COUNT.size + offset, 1_000_000)
+
+        path = self.corrupt(tmp_path, patch)
+        with DatabaseStore.open(path) as store:
+            decode = (store.static_assignments if section == F.SEC_STATIC
+                      else lambda: store.get_object("p"))
+            self.expect(path, "string ref 1000000 does not start a string",
+                        decode)
+
     def test_block_offset_past_dynamic_section(self, tmp_path, capsys):
         def patch(data, sections):
             dynidx, _size = sections[F.SEC_DYNIDX]

@@ -224,6 +224,11 @@ class TestLinkLeavesInputsAlone:
                 _fields(fresh.objects[name]), name
 
     def test_block_sees_the_merged_object(self):
+        """A block is named by its object; the object the store answers
+        for that name is the merged one (``fp`` is a function pointer in
+        b.c only)."""
         store = MemoryStore([_unit("a.c", self.A_C), _unit("b.c", self.B_C)])
-        for name, block in store.blocks().items():
-            assert block.obj is store.objects[name], name
+        assert "fp" in store.blocks()
+        for name in store.blocks():
+            assert store.get_object(name) is store.objects[name], name
+        assert store.get_object("fp").is_funcptr

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cla.cache import BlockCache
 from repro.cla.reader import DatabaseStore
-from repro.cla.store import MemoryStore
+from repro.cla.store import MemoryStore, ObjectFlags
 from repro.cla.writer import write_unit
 from repro.ir.lower import UnitIR
 from repro.ir.objects import ObjectKind, ProgramObject
@@ -176,6 +176,38 @@ def test_find_targets_answers_sorted(kind, tmp_path):
     try:
         assert store.find_targets("t") == sorted(TWINS)
         assert store.find_targets("A") == ["A"]
+    finally:
+        store.close()
+
+
+def _flags_unit() -> UnitIR:
+    """A function, a function pointer, a pointer and a non-pointer."""
+    objects = {
+        "f": ProgramObject(name="f", kind=ObjectKind.FUNCTION),
+        "fp": ProgramObject(name="fp", kind=ObjectKind.VARIABLE,
+                            type_str="void (*)(void)", is_funcptr=True),
+        "p": ProgramObject(name="p", kind=ObjectKind.VARIABLE,
+                           type_str="int *"),
+        "n": ProgramObject(name="n", kind=ObjectKind.VARIABLE,
+                           type_str="int", may_point=False),
+    }
+    return UnitIR(filename="flags.c", objects=objects, assignments=[
+        PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst="fp", src="f"),
+        PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst="p", src="n"),
+        PrimitiveAssignment(kind=PrimitiveKind.COPY, dst="n", src="p"),
+    ])
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_object_flags_answer_alike(kind, tmp_path):
+    """Every backend answers the solver's metadata questions alike, from
+    one call."""
+    store = _backend(kind, _flags_unit(), tmp_path)
+    try:
+        assert store.object_flags() == ObjectFlags(
+            functions=frozenset({"f"}), funcptrs=frozenset({"fp"}),
+            non_pointers=frozenset({"n"}),
+        )
     finally:
         store.close()
 

@@ -3,11 +3,13 @@
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.serve import http as http_module
 from repro.serve import make_http_server
 from repro.serve.http import MAX_BODY_BYTES
 
@@ -225,3 +227,29 @@ class TestContentLength:
         )
         assert status == 200
         assert body["result"]["points_to"] == {"mine": ["shared"]}
+
+
+class TestStalledClient:
+    def test_half_request_line_frees_its_handler(self, server, monkeypatch):
+        """A client that sends half a request line and stalls holds its
+        handler thread only until the request timeout."""
+        monkeypatch.setattr(http_module, "REQUEST_TIMEOUT_S", 0.2)
+        base = server[0]
+        host, port = base.rsplit("/", 1)[1].split(":")
+        before = set(threading.enumerate())
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(b"POST /que")
+            handlers = []
+            for _ in range(100):
+                handlers = [t for t in threading.enumerate()
+                            if t not in before
+                            and "process_request" in t.name]
+                if handlers:
+                    break
+                time.sleep(0.05)
+            assert len(handlers) == 1
+            handlers[0].join(timeout=5)
+            assert not handlers[0].is_alive()
+            assert sock.recv(1) == b""  # the daemon hung up
+        status, response = post(base, {"op": "ping"})
+        assert status == 200 and response["ok"]

@@ -5,6 +5,7 @@ import io
 import json
 
 from repro.serve import PROTOCOL_VERSION, ServeSession, handle_request, serve_jsonl
+from repro.serve import session as session_module
 
 from .conftest import SOURCE_B_GROWN
 
@@ -129,3 +130,25 @@ class TestHandleRequest:
     def test_non_dict_request(self, session):
         response, stop = handle_request(session, "ping")
         assert not response["ok"] and not stop
+
+
+class TestOversizeUpdate:
+    def test_oversize_text_leaves_the_generation(self, session, monkeypatch):
+        """An ``update`` whose text is over the byte cap answers ok:false
+        and changes nothing: the next read answers from the generation
+        before it.  The text is under the cap in characters and over it
+        in UTF-8 bytes."""
+        monkeypatch.setattr(session_module, "MAX_BODY_BYTES", 1000)
+        text = SOURCE_B_GROWN + "/*" + "\u00e9" * 600 + "*/"
+        assert len(text) < 1000 < len(text.encode("utf-8"))
+        _hello, responses = run_jsonl(session, [
+            {"op": "points-to", "params": {"name": "mine"}, "id": 1},
+            {"op": "update", "params": {"file": "b.c", "text": text},
+             "id": 2},
+            {"op": "points-to", "params": {"name": "extra"}, "id": 3},
+        ])
+        before, update, after = responses
+        assert update["ok"] is False
+        assert "1000-byte limit" in update["error"]
+        assert after["ok"] and after["generation"] == before["generation"]
+        assert after["result"]["resolved"] == []
