@@ -64,12 +64,15 @@ def parse_c(
     ``resolver`` supplies ``#include`` search paths / virtual files;
     ``predefined`` adds ``-D``-style macro definitions; ``tolerant``
     recovers from unparseable external declarations instead of raising
-    (recovered errors land in ``unit.diagnostics``).
+    (recovered errors land in ``unit.diagnostics``, the files its
+    ``#include`` lines read in ``unit.includes``).
     """
     pp = Preprocessor(resolver=resolver, predefined=predefined,
                       tolerant=tolerant)
     tokens = pp.preprocess(SourceFile(filename, text))
-    return parse_tokens(tokens, filename, tolerant=tolerant)
+    unit = parse_tokens(tokens, filename, tolerant=tolerant)
+    unit.includes = pp.includes
+    return unit
 
 
 def parse_file(

@@ -279,6 +279,9 @@ class TranslationUnit(Node):
     items: list[Decl | FunctionDef] = field(default_factory=list)
     #: Errors recovered from in tolerant mode (empty in strict mode).
     diagnostics: list = field(default_factory=list)
+    #: Every ``#include`` preprocessing resolved: (name, angled,
+    #: including file) -> the :class:`SourceFile` it read.
+    includes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def functions(self) -> list[FunctionDef]:
         return [it for it in self.items if isinstance(it, FunctionDef)]

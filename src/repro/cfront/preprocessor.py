@@ -18,6 +18,7 @@ than shelling out to ``cpp``.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -251,6 +252,9 @@ class IncludeResolver:
         #: downstream — the preprocessor builds *new* tokens for macro
         #: expansions.
         self.token_cache: dict[str, tuple[str, bool, list]] = {}
+        #: sha256 of included texts, one entry per file name as
+        #: ``(text, digest)``, replaced when the text changes.
+        self.digests: dict[str, tuple[str, str]] = {}
 
     def resolve(
         self, name: str, angled: bool, including_file: str
@@ -272,6 +276,15 @@ class IncludeResolver:
         if self.use_builtin_headers and name in BUILTIN_HEADERS:
             return SourceFile(f"<builtin>/{name}", BUILTIN_HEADERS[name])
         return None
+
+    def digest(self, source: SourceFile) -> str:
+        """The sha256 of a resolved file's text, hashed once per text."""
+        entry = self.digests.get(source.filename)
+        if entry is None or entry[0] != source.text:
+            entry = (source.text,
+                     hashlib.sha256(source.text.encode()).hexdigest())
+            self.digests[source.filename] = entry
+        return entry[1]
 
 
 class _ConditionalState:
@@ -303,6 +316,9 @@ class Preprocessor:
         self.macros: dict[str, Macro] = {}
         self._include_depth = 0
         self._pragma_once: set[str] = set()
+        #: every ``#include`` resolved so far: (name, angled, including
+        #: file) -> the file read
+        self.includes: dict[tuple[str, bool, str], SourceFile] = {}
         defaults = {"__STDC__": "1", "__STDC_VERSION__": "199901L", "__repro_cla__": "1"}
         defaults.update(predefined or {})
         for name, value in defaults.items():
@@ -554,6 +570,7 @@ class Preprocessor:
         source = self.resolver.resolve(name, angled, loc.filename)
         if source is None:
             raise PreprocessorError(f"include file not found: {name}", loc)
+        self.includes[(name, angled, loc.filename)] = source
         if source.filename in self._pragma_once:
             return
         self._include_depth += 1

@@ -226,7 +226,7 @@ class _Oracle:
             record = block.indirect_record
             for callee in sorted(self.result.points_to(name)):
                 if callee not in functions:
-                    continue  # imprecision artifact, as in FunPtrLinker
+                    continue  # imprecision artifact, as in BaseSolver._link
                 fblock = store.fetch_block(callee)
                 if fblock is None or fblock.function_record is None:
                     continue

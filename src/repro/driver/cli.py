@@ -382,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compile(args: argparse.Namespace) -> int:
     predefined = {}
     for item in args.define:
-        name, _, value = item.partition("=")
-        predefined[name] = value or "1"
+        name, equals, value = item.partition("=")
+        predefined[name] = value if equals else "1"  # -DNAME= is empty
     options = CompileOptions(
         field_based=not args.field_independent,
         struct_model=args.struct_model,

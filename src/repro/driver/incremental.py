@@ -16,11 +16,18 @@ key, the persistent cache: a unit the workspace no longer holds (an
 undone edit, a restarted daemon) is read back from it, not recompiled.
 The executable database is written only when a caller asks for its path
 (:meth:`Workspace.build`).
+
+A key cannot see files outside the workspace, nor which sources a unit
+``#include``s, so each unit also records every file its preprocessing
+read, by name and sha256 (``UnitIR.includes``, kept in ``<key>.deps``
+beside the object file).  A held or cached unit is reused only while each
+of those includes still resolves to the same file and text.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from dataclasses import dataclass
@@ -34,6 +41,19 @@ from ..engine.pipeline import BuildError, CompileOptions, Pipeline, read_source
 from ..ir.lower import UnitIR
 from ..ir.strength import Strength
 from ..solvers.base import PointsToResult
+
+
+def _include_record(rows) -> dict:
+    """A ``<key>.deps`` record back as ``UnitIR.includes``.  It comes
+    from disk, so a row that is not four strings and the bool ``angled``
+    is a ValueError, not a crash when the include is resolved."""
+    includes = {}
+    for name, angled, includer, read, digest in rows:
+        if not (isinstance(angled, bool) and all(
+                isinstance(s, str) for s in (name, includer, read, digest))):
+            raise ValueError(f"malformed include record row {name!r}")
+        includes[(name, angled, includer)] = (read, digest)
+    return includes
 
 
 @dataclass
@@ -88,6 +108,8 @@ class Workspace:
     # -- source management -----------------------------------------------------
 
     def add_source(self, filename: str, text: str) -> "Workspace":
+        if filename in self._headers:
+            raise ValueError(f"{filename!r} is already a header")
         self._sources[filename] = text
         self.options.virtual_files[filename] = text
         return self
@@ -97,6 +119,8 @@ class Workspace:
 
     def add_header(self, filename: str, text: str) -> "Workspace":
         """A header visible to ``#include`` but not compiled on its own."""
+        if filename in self._sources:
+            raise ValueError(f"{filename!r} is already a source")
         self._headers[filename] = text
         self.options.virtual_files[filename] = text
         return self
@@ -132,7 +156,7 @@ class Workspace:
         shared.update(repr((
             options.field_based, options.struct_model, options.heap_model,
             options.track_strings, options.tolerant,
-            sorted(options.predefined.items()),
+            sorted(options.predefined.items()), options.include_dirs,
         )).encode())
         keys = {}
         for filename in sorted(self._sources):
@@ -141,52 +165,87 @@ class Workspace:
             keys[filename] = h.hexdigest()[:24]
         return keys
 
-    def _object_path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"{key}.o")
+    def _object_path(self, key: str, suffix: str = ".o") -> str:
+        return os.path.join(self.cache_dir, key + suffix)
+
+    def _write_object(self, key: str, unit: UnitIR) -> None:
+        """Cache ``unit`` under ``key``: its include record first, so an
+        object file never exists without the record that vouches for
+        it."""
+        record = [[*request, *read] for request, read in unit.includes.items()]
+        with open(self._object_path(key, ".deps"), "w") as f:
+            json.dump(record, f)
+        write_unit(unit, self._object_path(key))
 
     def _read_object(self, filename: str, key: str) -> UnitIR | None:
         """The unit cached under ``key``, or None when there is no usable
-        object file.  The cache directory is shared and persistent, so a
-        file planted or mangled by anything else is discarded, not
-        trusted forever because its name is its content key."""
+        object file and include record.  The cache directory is shared
+        and persistent, so a file planted or mangled by anything else is
+        discarded, not trusted forever because its name is its content
+        key."""
         if self.cache_dir is None:
             return None
         path = self._object_path(key)
         if not os.path.exists(path):
             return None
         try:
-            return absorb_object_files([path]).to_unit(filename)
-        except (ClaFormatError, OSError):
+            with open(self._object_path(key, ".deps")) as f:
+                includes = _include_record(json.load(f))
+            unit = absorb_object_files([path]).to_unit(filename)
+        except (ClaFormatError, OSError, ValueError, TypeError):
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return None
+        unit.includes = includes
+        return unit
+
+    def _current(self, unit: UnitIR, resolved: dict) -> bool:
+        """Does every file ``unit``'s preprocessing read still resolve to
+        the same file and text?  ``resolved`` holds one build's answers
+        per include request, so each is resolved and hashed once."""
+        resolver = self.options.resolver()
+        for request, read in unit.includes.items():
+            now = resolved.get(request)
+            if now is None:
+                source = resolver.resolve(*request)
+                now = resolved[request] = () if source is None else (
+                    source.filename, resolver.digest(source))
+            if now != read:
+                return False
+        return True
 
     def units(self, jobs: int | None = None) -> list[UnitIR]:
         """Every source's unit, in file-name order.
 
         A held unit is used as it is, another is read back from its
-        object file, and only the rest compile.  A failing unit does not
-        abort the batch: every other pending unit still compiles, is held
-        and written, then one :class:`~repro.engine.pipeline.BuildError`
-        reports all failures together.
+        object file, and only the rest compile; either way a unit is
+        reused only while its includes are unchanged.  A failing unit
+        does not abort the batch: every other pending unit still
+        compiles, is held and written, then one
+        :class:`~repro.engine.pipeline.BuildError` reports all failures
+        together.
         """
         self.stats = WorkspaceStats()
         keys = self._content_keys()
         if not keys:
             raise ValueError("workspace has no sources")
-        if list(keys.values()) == self._keys:
+        resolved: dict = {}
+        if list(keys.values()) == self._keys and all(
+                self._current(unit, resolved) for unit in self._units):
             self.stats.reused = len(keys)
             return self._units
         held: dict[str, UnitIR] = {}
         pending: dict[str, str] = {}
         for filename, key in keys.items():
             unit = self._held.get(key)
-            if unit is None:
+            if unit is None or not self._current(unit, resolved):
                 unit = self._read_object(filename, key)
-                if unit is not None:
+                if unit is not None and self._current(unit, resolved):
                     self.stats.read += 1
+                else:
+                    unit = None
             if unit is None:
                 pending[filename] = key
             else:
@@ -204,7 +263,7 @@ class Workspace:
             for filename, unit in compiled.items():
                 key = pending[filename]
                 if self.cache_dir is not None:
-                    write_unit(unit, self._object_path(key))
+                    self._write_object(key, unit)
                 held[key] = unit
                 self.stats.compiled += 1
         if failure is not None:

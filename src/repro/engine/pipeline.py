@@ -108,14 +108,15 @@ def compile_source(
 ) -> UnitIR:
     """Compile one translation unit from source text to IR."""
     options = options or CompileOptions()
+    resolver = options.resolver()
     unit = parse_c(
         text,
         filename=filename,
-        resolver=options.resolver(),
+        resolver=resolver,
         predefined=options.predefined,
         tolerant=options.tolerant,
     )
-    return lower_translation_unit(
+    ir = lower_translation_unit(
         unit,
         field_based=options.field_based,
         track_strings=options.track_strings,
@@ -123,6 +124,11 @@ def compile_source(
         struct_model=options.struct_model,
         heap_model=options.heap_model,
     )
+    ir.includes = {
+        request: (source.filename, resolver.digest(source))
+        for request, source in unit.includes.items()
+    }
+    return ir
 
 
 def read_source(path: str) -> str:

@@ -118,6 +118,11 @@ class UnitIR:
     indirect_calls: dict[str, IndirectCallRecord] = dataclass_field(default_factory=dict)
     call_sites: list[CallSiteRecord] = dataclass_field(default_factory=list)
     source_lines: int = 0
+    #: Every ``#include`` its preprocessing resolved: (name, angled,
+    #: including file) -> (file read, sha256 of its text).  Not part of
+    #: the object format: a workspace keeps it beside the object file.
+    includes: dict[tuple[str, bool, str], tuple[str, str]] = dataclass_field(
+        default_factory=dict, compare=False, repr=False)
     #: The struct model the rows were lowered under (one of the
     #: ``Lowerer`` model names); object files record it and the link
     #: refuses to mix models.

@@ -1,31 +1,30 @@
 """The interned integer object universe (ROADMAP item 2).
 
 The paper's "million lines in a second" rests on a compact solver
-substrate: objects are dense integer ids, graphs are packed adjacency, and
-points-to sets are bit vectors.  This module is that substrate, shared by
+substrate: objects are dense integer ids, graphs are id-keyed bitmask
+adjacency, and points-to sets are bit vectors.  This module is that substrate, shared by
 all four solvers:
 
 * :class:`ObjectUniverse` — interns canonical names to dense int ids at
   ingest.  Two id spaces exist because they have different densities:
 
   - the **node space** (``intern``/``name_of``) covers every name that
-    participates in pointer flow — graph nodes, worklist keys, CSR rows;
+    participates in pointer flow — graph nodes, worklist keys, union-find
+    classes;
   - the **target space** (``target_id``/``target_name``) covers only
     address-taken objects (the ``&y`` of some ``x = &y``) — every element
     of every points-to set enters through an ADDR edge, so bit *positions*
     in points-to masks come from this much denser space.
 
-  Both are stable within a run and round-trip (``name <-> id``).
+  Both are stable within a run and round-trip (``name <-> id``);
+  :meth:`ObjectUniverse.target_node` maps a points-to bit to the graph
+  node of the same object.
 
 * **Bitset points-to sets** — a set of target ids is one arbitrary-
   precision ``int``; union/merge/subset are word-parallel ``|``/``&``/
   ``& ~`` instead of per-element frozenset operations, and cardinality is
   one ``int.bit_count()``.  :func:`bits`, :func:`mask_of` and
   :func:`bitset_words` are the shared helpers.
-
-* :class:`CSRGraph` — packed CSR-style adjacency (``array('I')`` offsets +
-  targets) for the ingested copy graph, built once in ``BaseSolver``
-  ingestion and walked without per-edge tuple allocation.
 
 The universe also owns the relevance test (``may_point``, and
 :meth:`ObjectUniverse.relevant`, the one intake every solver reads rows
@@ -36,7 +35,6 @@ table, now keyed by ints).
 
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
 from typing import Collection, Iterable, Iterator
 
@@ -80,123 +78,6 @@ def bitset_words(mask: int, word_bits: int = WORD_BITS) -> int:
     return (mask.bit_length() + word_bits - 1) // word_bits
 
 
-class CSRGraph:
-    """Packed adjacency: ``row(i)`` is ``targets[offsets[i]:offsets[i+1]]``.
-
-    Built once from an edge list by counting sort; both arrays are
-    ``array('I')``, so a million-edge graph is two flat 4MB buffers rather
-    than a dict of Python sets.
-    """
-
-    __slots__ = ("offsets", "targets")
-
-    def __init__(self, offsets: array, targets: array):
-        self.offsets = offsets
-        self.targets = targets
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "CSRGraph":
-        """Build from ``(src, dst)`` edges over node ids ``0..n-1``.
-
-        Duplicate edges are dropped (first occurrence wins, so per-source
-        order is preserved): linking duplicate-inclined units repeats COPY
-        rows, and a repeated edge would both inflate ``edge_count``/
-        ``degree`` and retry the same propagation every round.
-        """
-        counts = [0] * (n + 1)
-        seen: set[tuple[int, int]] = set()
-        edge_list = []
-        for pair in pairs:
-            if pair not in seen:
-                seen.add(pair)
-                edge_list.append(pair)
-        for src, _dst in edge_list:
-            counts[src + 1] += 1
-        for i in range(1, n + 1):
-            counts[i] += counts[i - 1]
-        offsets = array("I", counts)
-        targets = array("I", bytes(4 * len(edge_list)))
-        cursor = list(offsets[:n])
-        for src, dst in edge_list:
-            targets[cursor[src]] = dst
-            cursor[src] += 1
-        return cls(offsets, targets)
-
-    def row(self, i: int) -> array:
-        """The successor ids of node ``i`` (a packed slice)."""
-        return self.targets[self.offsets[i]:self.offsets[i + 1]]
-
-    def degree(self, i: int) -> int:
-        return self.offsets[i + 1] - self.offsets[i]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.targets)
-
-
-class ConstraintBatch:
-    """A constraint set interned to id space, in ingestion order.
-
-    One row per *relevant* assignment (the §6 may-point filter applies at
-    intake): ``kinds[i]`` is the :class:`PrimitiveKind` value,
-    ``dsts[i]``/``srcs[i]`` are node-space ids — except ADDR rows, whose
-    ``srcs[i]`` is a *target-space* id (the address-taken object is a
-    points-to bit position).  Row order preserves the original ingestion
-    order, so order-sensitive consumers (unification ranks, worklist
-    seeding) behave exactly as string-keyed ingestion did.  All three
-    columns are packed ``array`` buffers: a million-assignment database is
-    ~9MB of flat rows instead of a million boxed objects.
-    """
-
-    __slots__ = ("universe", "kinds", "dsts", "srcs")
-
-    def __init__(self, universe: "ObjectUniverse"):
-        self.universe = universe
-        self.kinds = array("B")
-        self.dsts = array("I")
-        self.srcs = array("I")
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def absorb(self, assignments) -> None:
-        """Intern a run of rows into id-space rows.
-
-        This is the single choke point where string names are touched;
-        every later pass over the rows is integer-only.  Re-absorbing a
-        name already seen is one dict hit — no double-interning.
-        """
-        universe = self.universe
-        intern = universe.intern
-        target_id = universe.target_id
-        kinds, dsts, srcs = self.kinds, self.dsts, self.srcs
-        addr = PrimitiveKind.ADDR
-        # ``kinds.append(kind)`` narrows the IntEnum through __index__ in
-        # C — no Python-level int() call on this per-assignment path.
-        for kind, dst, src in universe.relevant(assignments):
-            kinds.append(kind)
-            dsts.append(intern(dst))
-            srcs.append(target_id(src) if kind is addr else intern(src))
-
-    def rows(self):
-        """Iterate ``(kind_value, dst_id, src_id)`` rows in order."""
-        return zip(self.kinds, self.dsts, self.srcs)
-
-    def copy_csr(self) -> CSRGraph:
-        """Packed CSR adjacency of the COPY rows (``src -> dst`` edges)."""
-        copy = int(PrimitiveKind.COPY)
-        pairs = [
-            (src, dst)
-            for kind, dst, src in self.rows()
-            if kind == copy
-        ]
-        return CSRGraph.from_pairs(len(self.universe), pairs)
-
-
 class ObjectUniverse:
     """Dense-id interning of the program-object universe for one solve.
 
@@ -210,7 +91,7 @@ class ObjectUniverse:
 
     __slots__ = (
         "non_pointers", "_ids", "names", "_target_ids", "target_names",
-        "_decode_cache", "_decode_cache_entries",
+        "_target_nodes", "_decode_cache", "_decode_cache_entries",
         "_function_names", "function_mask", "_temp_counter",
     )
 
@@ -224,6 +105,8 @@ class ObjectUniverse:
         # target (points-to bit position) space
         self._target_ids: dict[str, int] = {}
         self.target_names: list[str] = []
+        #: target id -> node id, filled as points-to bits need graph nodes
+        self._target_nodes: dict[int, int] = {}
         #: LRU over decoded masks, bounded like BlockCache: the budget is
         #: an entry count, eviction is oldest-first before insert.
         self._decode_cache: OrderedDict[int, frozenset[str]] = OrderedDict()
@@ -281,6 +164,14 @@ class ObjectUniverse:
 
     def target_name(self, t: int) -> str:
         return self.target_names[t]
+
+    def target_node(self, t: int) -> int:
+        """The node id of target id ``t``: the same object, interned into
+        node space the first time a constraint needs it as a node."""
+        node = self._target_nodes.get(t)
+        if node is None:
+            node = self._target_nodes[t] = self.intern(self.target_names[t])
+        return node
 
     @property
     def target_count(self) -> int:

@@ -539,19 +539,28 @@ class ServeSession:
             )
         file = _require_str(params, "file")
         text = _require_str(params, "text", allow_empty=True)
-        # A character is at most four UTF-8 bytes, so only a long text
-        # needs encoding to be measured.
-        if (len(text) > MAX_BODY_BYTES // 4 and len(
-                text.encode("utf-8", "surrogatepass")) > MAX_BODY_BYTES):
+        # JSON can carry lone surrogates, which no source file holds.
+        try:
+            file.encode()
+            size = len(text.encode())
+        except UnicodeEncodeError:
+            raise ServeError(
+                "update file and text must be valid Unicode "
+                "(no lone surrogates)") from None
+        if size > MAX_BODY_BYTES:
             raise ServeError(
                 f"update text exceeds the {MAX_BODY_BYTES}-byte limit")
         kind = params.get("kind", "source")
         if kind == "source":
-            self.workspace.add_source(file, text)
+            add = self.workspace.add_source
         elif kind == "header":
-            self.workspace.add_header(file, text)
+            add = self.workspace.add_header
         else:
             raise ServeError(f"unknown kind {kind!r} (known: source, header)")
+        try:
+            add(file, text)
+        except ValueError as exc:  # a header updated as a source, or back
+            raise ServeError(str(exc)) from None
         return self._load()
 
     def _op_reload(self, params: dict) -> dict:

@@ -16,7 +16,7 @@ All consume a :class:`~repro.cla.store.ConstraintStore` and produce a
 a fixpoint is computed.
 """
 
-from .base import BaseSolver, FunPtrLinker, PointsToResult, SolverStats
+from .base import BaseSolver, PointsToResult, SolverStats
 from .onelevel import OneLevelFlowSolver
 from .pretransitive import PreTransitiveSolver
 from .steensgaard import SteensgaardSolver
@@ -30,7 +30,7 @@ SOLVERS = {
 }
 
 __all__ = [
-    "BaseSolver", "FunPtrLinker", "PointsToResult", "SolverStats",
+    "BaseSolver", "PointsToResult", "SolverStats",
     "OneLevelFlowSolver", "PreTransitiveSolver", "SteensgaardSolver",
     "TransitiveSolver", "SOLVERS",
 ]

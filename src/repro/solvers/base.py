@@ -4,17 +4,16 @@ Every points-to solver consumes a :class:`~repro.cla.store.ConstraintStore`
 and produces a :class:`PointsToResult`.  Shared here:
 
 * :class:`BaseSolver` — the skeleton all four solvers extend: store +
-  uniform :class:`~repro.engine.stats.SolverStats` + function-pointer
-  linker + the interned :class:`~repro.ir.universe.ObjectUniverse`, fed
-  by one :meth:`~repro.cla.store.ConstraintStore.object_flags` call,
-  id-space full-database ingestion for the non-demand solvers
-  (:meth:`BaseSolver._ingest_all_ids`), and the
-  :meth:`BaseSolver._finalize_masks` reporting hook that wraps the final
-  id-space bitmasks in a lazily-decoding result mapping and snapshots the
-  CLA load accounting into the stats record.
-* Analysis-time function-pointer linking (§4: when ``g`` lands in the
-  points-to set of a pointer ``f`` used at an indirect call site, link
-  ``g$argN = <f>$argN`` and ``<f>$ret = g$ret``) — all solvers need it.
+  uniform :class:`~repro.engine.stats.SolverStats` + the interned
+  :class:`~repro.ir.universe.ObjectUniverse`, fed by one
+  :meth:`~repro.cla.store.ConstraintStore.object_flags` call; the
+  full-database intake of the non-demand solvers
+  (:meth:`BaseSolver._ingest_all_ids`, a stream of id-space rows);
+  analysis-time function-pointer linking (:meth:`BaseSolver._link` and
+  :meth:`BaseSolver._copy_ids`); and the result hooks
+  (:meth:`BaseSolver._finalize_nodes`, :meth:`BaseSolver._finalize_masks`)
+  that wrap the final id-space bitmasks in a lazily-decoding result
+  mapping and snapshot the CLA load accounting into the stats record.
 * :class:`PointsToResult` — the uniform output record.  Its ``pts``
   mapping may be a plain dict or a :class:`LazyPointsTo` view over solver
   bitmasks; both behave identically (``Mapping`` protocol, equality
@@ -25,6 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable, Iterator
 
 from ..cla.store import ConstraintStore, LoadStats
 from ..engine.events import (
@@ -35,7 +36,8 @@ from ..engine.events import (
 )
 from ..engine.stats import SolverStats
 from ..ir.objects import ObjectKind, ProgramObject
-from ..ir.universe import ConstraintBatch, ObjectUniverse, bitset_words
+from ..ir.primitives import PrimitiveKind
+from ..ir.universe import ObjectUniverse, bits, bitset_words
 
 
 class LazyPointsTo(Mapping):
@@ -138,12 +140,13 @@ class PointsToResult:
 class BaseSolver:
     """Skeleton shared by all four solvers.
 
-    Subclasses consume constraints either through the id-space batch
-    (:meth:`_ingest_all_ids`, the non-demand solvers) or by demand-loading
-    blocks themselves (the pre-transitive solver); they report results
-    through :meth:`_finalize_masks` (id-space bitmasks) or
-    :meth:`_finalize` (a prebuilt mapping), the single seam the stats
-    layer hangs off.
+    Subclasses consume constraints either through the id-space row
+    stream (:meth:`_ingest_all_ids`, the non-demand solvers) or by
+    demand-loading blocks themselves (the pre-transitive solver); all of
+    them link function pointers through :meth:`_link`, and report results
+    through :meth:`_finalize_nodes` (node-id keyed bitmasks) or
+    :meth:`_finalize_masks` (name keyed), the single seam the stats layer
+    hangs off.
     """
 
     name = "base"
@@ -171,37 +174,102 @@ class BaseSolver:
         flags = store.object_flags()
         self.universe = ObjectUniverse(flags.non_pointers)
         self.universe.note_functions(flags.functions)
-        self._linker = FunPtrLinker(store)
         self._funcptrs = flags.funcptrs
+        #: (pointer, callee) pairs already linked
+        self._linked: set[tuple[str, str]] = set()
+        #: (record attribute, name) -> the block's call record, or None
+        self._records: dict[tuple[str, str], object] = {}
         #: previous (edges, hits, misses, cycles, delta_lvals, nodes)
         #: snapshot, for per-round event deltas
         self._round_mark = (0, 0, 0, 0, 0, 0)
 
     # -- constraint intake ----------------------------------------------------
 
-    def _ingest_all_ids(self) -> ConstraintBatch:
+    def _ingest_all_ids(self) -> Iterator[tuple[PrimitiveKind, int, int]]:
         """Full (non-demand) loading, straight into id space.
+
+        Yields ``(kind, dst, src)`` for every relevant row (§6), statics
+        first, then each block in store order.  ``dst`` and ``src`` are
+        node ids, except that an ADDR row's ``src`` is a *target* id: the
+        address-taken object is a points-to bit position.  This is the
+        one place these solvers turn names into ids, each name once per
+        row, destination first.
 
         The transitively-closed baselines propagate eagerly and have no
         natural point to demand-load from (§4's contrast with prior
         architectures), so they ingest the whole database up front.  Each
-        block is requested exactly once, so even a tiny-budget
-        :class:`~repro.cla.cache.BlockCache` in front of the store keeps
-        ``in_core`` bounded here: blocks stream through the cache and are
-        evicted behind the scan.
-
-        Names are interned exactly once — the universe's per-name caches
-        are the only place string keys are touched, so a block fetched
-        through any store seam lands in id space without double-interning.
+        block is requested exactly once and read as it streams, so even a
+        tiny-budget :class:`~repro.cla.cache.BlockCache` in front of the
+        store keeps ``in_core`` bounded here: blocks pass through the
+        cache and are evicted behind the scan.
         """
-        batch = ConstraintBatch(self.universe)
-        batch.absorb(self.store.static_assignments())
-        for name in list(self.store.block_names()):
+        universe = self.universe
+        intern = universe.intern
+        target_id = universe.target_id
+        relevant = universe.relevant
+        addr = PrimitiveKind.ADDR
+        store = self.store
+        statics = store.static_assignments()
+        blocks = map(store.load_block, list(store.block_names()))
+        for rows in chain([statics], (
+            block.assignments for block in blocks if block is not None
+        )):
+            for kind, dst, src in relevant(rows):
+                dst = intern(dst)
+                yield kind, dst, target_id(src) if kind is addr else intern(src)
+
+    # -- function-pointer linking (§4) ----------------------------------------
+
+    def _record(self, attr: str, name: str):
+        """``name``'s block's ``function_record``/``indirect_record``
+        (None without one), loaded at most once per solve."""
+        key = (attr, name)
+        if key not in self._records:
             block = self.store.load_block(name)
-            if block is None:
+            self._records[key] = getattr(block, attr, None)
+        return self._records[key]
+
+    def _link(self, pointer: str, mask: int) -> list[tuple[str, str]]:
+        """Link the functions in ``mask`` as callees of ``pointer``.
+
+        When ``g`` lands in the points-to set of a pointer ``f`` used at
+        an indirect call site, link ``g$argN = <f>$argN`` and
+        ``<f>$ret = g$ret``.  Returns those ``(dst, src)`` copy pairs for
+        every callee not linked to ``pointer`` before, and counts them in
+        ``funcptr_links``.
+        """
+        record = self._record("indirect_record", pointer)
+        if record is None:
+            return []
+        links: list[tuple[str, str]] = []
+        target_names = self.universe.target_names
+        for t in bits(mask & self.universe.function_mask):
+            key = (pointer, target_names[t])
+            if key in self._linked:
                 continue
-            batch.absorb(block.assignments)
-        return batch
+            self._linked.add(key)
+            callee = self._record("function_record", key[1])
+            if callee is None:
+                continue  # not a function after all (imprecision artifact)
+            links.extend(zip(callee.args, record.args))
+            links.append((record.ret, callee.ret))
+        self.stats.funcptr_links += len(links)
+        return links
+
+    def _copy_ids(
+        self, links: Iterable[tuple[str, str]]
+    ) -> list[tuple[int, int]]:
+        """The ``(dst, src)`` node ids of the link pairs that can carry a
+        pointer value, source interned first."""
+        universe = self.universe
+        may_point = universe.may_point
+        intern = universe.intern
+        out = []
+        for dst, src in links:
+            if may_point(dst) and may_point(src):
+                src_id = intern(src)
+                out.append((intern(dst), src_id))
+        return out
 
     # -- the run-ledger seam ---------------------------------------------------
 
@@ -244,6 +312,17 @@ class BaseSolver:
         ))
 
     # -- the shared reporting hook ---------------------------------------------
+
+    def _finalize_nodes(self, masks: dict[int, int]) -> PointsToResult:
+        """:meth:`_finalize_masks` over node-id keys, without the ``$sl``
+        store/load split temps (they are not program objects)."""
+        names = self.universe.names
+        by_name = {}
+        for node, mask in masks.items():
+            name = names[node]
+            if not name.startswith("$sl"):
+                by_name[name] = mask
+        return self._finalize_masks(by_name)
 
     def _finalize_masks(self, masks: dict[str, int]) -> PointsToResult:
         """Wrap final id-space bitmasks in a lazily-decoding result.
@@ -291,53 +370,3 @@ class BaseSolver:
             load_stats=self.store.stats,
             objects=objects,
         )
-
-
-class FunPtrLinker:
-    """Analysis-time linking of indirect calls, shared across solvers.
-
-    ``link(pointer, callees)`` returns copy constraints ``(dst, src)`` that
-    were not produced before: for each newly seen callee ``g`` of funcptr
-    ``f``, ``g$argN ⊇ <f>$argN`` and ``<f>$ret ⊇ g$ret``.
-    """
-
-    def __init__(self, store: ConstraintStore):
-        self.store = store
-        self._linked: set[tuple[str, str]] = set()
-        self._indirect_cache: dict[str, object] = {}
-        self._function_cache: dict[str, object] = {}
-
-    def _indirect_record(self, pointer: str):
-        if pointer not in self._indirect_cache:
-            block = self.store.load_block(pointer)
-            self._indirect_cache[pointer] = (
-                block.indirect_record if block is not None else None
-            )
-        return self._indirect_cache[pointer]
-
-    def _function_record(self, function: str):
-        if function not in self._function_cache:
-            block = self.store.load_block(function)
-            self._function_cache[function] = (
-                block.function_record if block is not None else None
-            )
-        return self._function_cache[function]
-
-    def link(self, pointer: str, callees) -> list[tuple[str, str]]:
-        """New copy constraints from linking ``pointer``'s callees."""
-        record = self._indirect_record(pointer)
-        if record is None:
-            return []
-        out: list[tuple[str, str]] = []
-        for callee in callees:
-            key = (pointer, callee)
-            if key in self._linked:
-                continue
-            self._linked.add(key)
-            frecord = self._function_record(callee)
-            if frecord is None:
-                continue  # not a function after all (imprecision artifact)
-            for formal, actual in zip(frecord.args, record.args):
-                out.append((formal, actual))  # g$argN ⊇ <f>$argN
-            out.append((record.ret, frecord.ret))  # <f>$ret ⊇ g$ret
-        return out

@@ -538,17 +538,12 @@ class PreTransitiveSolver(BaseSolver):
         return out
 
     def _link_function_pointers(self) -> None:
-        universe = self.universe
-        target_name = universe.target_name
-        may_point = universe.may_point
+        may_point = self.universe.may_point
         for pointer in self._funcptrs:
             node = self._nodes.get(pointer)
             if node is None:
                 continue
-            funcs = self._lvals(self._find(node)) & universe.function_mask
-            callees = [target_name(b) for b in bits(funcs)]
-            for dst, src in self._linker.link(pointer, callees):
-                self.stats.funcptr_links += 1
+            for dst, src in self._link(pointer, self._lvals(node)):
                 if may_point(dst) and may_point(src):
                     self._ingest_assignment(PrimitiveKind.COPY, dst, src)
                 self._ensure_loaded(dst)
@@ -571,8 +566,3 @@ class PreTransitiveSolver(BaseSolver):
                 continue  # synthetic deref/split nodes are not objects
             masks[name] = self._lvals(self._find(node))
         return self._finalize_masks(masks)
-
-
-def solve(store: ConstraintStore, **kwargs) -> PointsToResult:
-    """Run the pre-transitive solver on a store."""
-    return PreTransitiveSolver(store, **kwargs).solve()

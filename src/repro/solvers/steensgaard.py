@@ -28,58 +28,64 @@ Representation (the integer core, ROADMAP item 2): ECRs are keyed by
 interned node ids and each class's lval set is an int bitmask over the
 shared target space, so the ``a.lvals |= b.lvals`` merge in ``join`` is
 one word-parallel OR regardless of class size.
+
+The union-find itself (:class:`UnificationSolver`) is shared with the
+one-level flow solver (:mod:`repro.solvers.onelevel`), which unifies
+everything below its directional top level the same way.
 """
 
 from __future__ import annotations
 
 from ..cla.store import ConstraintStore
 from ..ir.primitives import PrimitiveKind
-from ..ir.universe import bits
 from .base import BaseSolver, PointsToResult
 
-_COPY = int(PrimitiveKind.COPY)
-_ADDR = int(PrimitiveKind.ADDR)
-_STORE = int(PrimitiveKind.STORE)
-_LOAD = int(PrimitiveKind.LOAD)
+_COPY = PrimitiveKind.COPY
+_ADDR = PrimitiveKind.ADDR
+_STORE = PrimitiveKind.STORE
+_LOAD = PrimitiveKind.LOAD
 
 
-class _Ecr:
-    """One union-find equivalence class."""
+class Ecr:
+    """One union-find equivalence class; subclasses add what it holds."""
 
-    __slots__ = ("parent", "rank", "pointee", "lvals")
+    __slots__ = ("parent", "rank", "pointee")
 
     def __init__(self):
-        self.parent: "_Ecr | None" = None
+        self.parent: "Ecr | None" = None
         self.rank = 0
-        self.pointee: "_Ecr | None" = None
-        self.lvals = 0  # target-space bitmask of address-taken objects
+        self.pointee: "Ecr | None" = None
 
-    def lval_names(self, universe) -> frozenset[str]:
-        return universe.decode(self.lvals)
+    def absorb(self, other: "Ecr") -> None:
+        """Take over what ``other`` holds: it has just joined this class."""
 
 
-class SteensgaardSolver(BaseSolver):
-    """Unification-based points-to analysis on the CLA database."""
+class UnificationSolver(BaseSolver):
+    """The union-find and solve loop of the two unification solvers.
 
-    name = "steensgaard"
+    A subclass supplies its class type (:attr:`ecr_type`), its constraint
+    rules (:meth:`_ingest_row`), where its link loop finds each function
+    pointer's callees (:meth:`_callees`) and its final per-node masks
+    (:meth:`_node_masks`).
+    """
+
     precision = "over"  # unification: sound per-object superset of Andersen
+    ecr_type = Ecr
 
     def __init__(self, store: ConstraintStore):
         super().__init__(store)
-        self._ecrs: dict[int, _Ecr] = {}  # node id -> class
-        self._target_nodes: dict[int, int] = {}  # target id -> node id
+        self._ecrs: dict[int, Ecr] = {}  # node id -> class
 
     # -- union-find -----------------------------------------------------------
 
-    def _ecr(self, node: int) -> _Ecr:
+    def _ecr(self, node: int) -> Ecr:
         e = self._ecrs.get(node)
         if e is None:
-            e = _Ecr()
-            self._ecrs[node] = e
+            e = self._ecrs[node] = self.ecr_type()
         return self._find(e)
 
     @staticmethod
-    def _find(e: _Ecr) -> _Ecr:
+    def _find(e: Ecr) -> Ecr:
         root = e
         while root.parent is not None:
             root = root.parent
@@ -87,80 +93,109 @@ class SteensgaardSolver(BaseSolver):
             e.parent, e = root, e.parent
         return root
 
-    def _pointee(self, e: _Ecr) -> _Ecr:
+    def _pointee(self, e: Ecr) -> Ecr:
         e = self._find(e)
         if e.pointee is None:
-            e.pointee = _Ecr()
+            e.pointee = self.ecr_type()
         return self._find(e.pointee)
 
-    def _join(self, a: _Ecr, b: _Ecr) -> _Ecr:
-        a, b = self._find(a), self._find(b)
-        if a is b:
-            return a
-        if a.rank < b.rank:
-            a, b = b, a
-        b.parent = a
-        if a.rank == b.rank:
-            a.rank += 1
-        a.lvals |= b.lvals
-        b.lvals = 0
-        self.stats.cycles_collapsed += 1  # unifications, for comparison
-        pb, b.pointee = b.pointee, None
-        if pb is not None:
-            if a.pointee is None:
-                a.pointee = pb
-            else:
-                # Recursive pointee join — iterative to bound stack depth.
-                self._join_iterative(a.pointee, pb)
-        # The cascade above may have merged ``a`` itself into another class
-        # (cyclic types like v = &v): return the live representative, or a
-        # caller adding lvals would write to a dead node.
-        return self._find(a)
-
-    def _join_iterative(self, x: _Ecr, y: _Ecr) -> None:
-        stack = [(x, y)]
+    def _join(self, a: Ecr, b: Ecr) -> Ecr:
+        """Unify two classes, then their pointees, recursively; returns
+        the class ``a`` ends in.  Iterative, so pointee chains of any
+        depth (and cyclic ones, like ``v = &v``) are safe."""
+        find = self._find
+        stack = [(a, b)]
         while stack:
-            a, b = stack.pop()
-            a, b = self._find(a), self._find(b)
-            if a is b:
+            x, y = stack.pop()
+            x, y = find(x), find(y)
+            if x is y:
                 continue
-            if a.rank < b.rank:
-                a, b = b, a
-            b.parent = a
-            if a.rank == b.rank:
-                a.rank += 1
-            a.lvals |= b.lvals
-            b.lvals = 0
-            self.stats.cycles_collapsed += 1
-            pb, b.pointee = b.pointee, None
-            if pb is not None:
-                if a.pointee is None:
-                    a.pointee = pb
+            if x.rank < y.rank:
+                x, y = y, x
+            y.parent = x
+            if x.rank == y.rank:
+                x.rank += 1
+            x.absorb(y)
+            self.stats.cycles_collapsed += 1  # unifications, for comparison
+            py, y.pointee = y.pointee, None
+            if py is not None:
+                if x.pointee is None:
+                    x.pointee = py
                 else:
-                    stack.append((a.pointee, pb))
+                    stack.append((x.pointee, py))
+        return find(a)
 
-    # -- constraints -----------------------------------------------------------
+    # -- solving ---------------------------------------------------------------
 
-    def _target_node(self, t: int) -> int:
-        node = self._target_nodes.get(t)
-        if node is None:
-            node = self.universe.intern(self.universe.target_name(t))
-            self._target_nodes[t] = node
-        return node
+    def solve(self) -> PointsToResult:
+        self._emit_begin()
+        ingest = self._ingest_row
+        for kind, dst, src in self._ingest_all_ids():
+            ingest(kind, dst, src)
 
-    def _ingest_row(self, kind: int, dst: int, src: int) -> None:
+        # Function-pointer linking can reveal new callees (a callee's body
+        # stores other function addresses); iterate to a fixpoint.  The
+        # number of (pointer, callee) pairs bounds the loop.
+        while True:
+            self.stats.rounds += 1
+            links = []
+            for pointer, mask in self._callees():
+                links += self._link(pointer, mask)
+            for dst, src in self._copy_ids(links):
+                ingest(_COPY, dst, src)
+            self._emit_round()
+            if not links:
+                break
+
+        self.store.discard(0)  # unification keeps no assignments at all
+        return self._finalize_nodes(self._node_masks())
+
+    def _ingest_row(self, kind: PrimitiveKind, dst: int, src: int) -> None:
         """One id-space constraint row (``src`` is a target id for ADDR)."""
-        if kind == _ADDR:
+        raise NotImplementedError
+
+    def _callees(self):
+        """``(pointer, mask)`` for each function pointer, ``mask`` holding
+        its current targets (the functions among them are its callees)."""
+        raise NotImplementedError
+
+    def _node_masks(self) -> dict[int, int]:
+        """The final points-to mask of every node."""
+        raise NotImplementedError
+
+
+class _Lvals(Ecr):
+    """A Steensgaard class: its lval set is what its pointers point to."""
+
+    __slots__ = ("lvals",)
+
+    def __init__(self):
+        super().__init__()
+        self.lvals = 0  # target-space bitmask of address-taken objects
+
+    def absorb(self, other: "_Lvals") -> None:
+        self.lvals |= other.lvals
+        other.lvals = 0
+
+
+class SteensgaardSolver(UnificationSolver):
+    """Unification-based points-to analysis on the CLA database."""
+
+    name = "steensgaard"
+    ecr_type = _Lvals
+
+    def _ingest_row(self, kind: PrimitiveKind, dst: int, src: int) -> None:
+        if kind is _ADDR:
             p = self._pointee(self._ecr(dst))
-            target = self._join(p, self._ecr(self._target_node(src)))
-            target.lvals |= 1 << src
-        elif kind == _COPY:
+            node = self.universe.target_node(src)
+            self._join(p, self._ecr(node)).lvals |= 1 << src
+        elif kind is _COPY:
             self._join(self._pointee(self._ecr(dst)),
                        self._pointee(self._ecr(src)))
-        elif kind == _LOAD:
+        elif kind is _LOAD:
             p = self._pointee(self._pointee(self._ecr(src)))
             self._join(self._pointee(self._ecr(dst)), p)
-        elif kind == _STORE:
+        elif kind is _STORE:
             p = self._pointee(self._pointee(self._ecr(dst)))
             self._join(p, self._pointee(self._ecr(src)))
         else:  # STORE_LOAD
@@ -169,59 +204,15 @@ class SteensgaardSolver(BaseSolver):
             self._join(a, b)
         self.stats.constraints += 1
 
-    def _ingest_link_copy(self, dst: str, src: str) -> None:
-        """A funcptr-link copy constraint arriving mid-solve, by name."""
-        universe = self.universe
-        if not universe.may_point(dst) or not universe.may_point(src):
-            return
-        self._ingest_row(_COPY, universe.intern(dst), universe.intern(src))
+    def _callees(self):
+        intern = self.universe.intern
+        for pointer in self._funcptrs:
+            yield pointer, self._pointee(self._ecr(intern(pointer))).lvals
 
-    # -- solving ---------------------------------------------------------------
-
-    def solve(self) -> PointsToResult:
-        self._emit_begin()
-        batch = self._ingest_all_ids()
-        for kind, dst, src in batch.rows():
-            self._ingest_row(kind, dst, src)
-
-        # Function-pointer linking can reveal new callees (a callee's body
-        # stores other function addresses); iterate to a fixpoint.  The
-        # number of (pointer, callee) pairs bounds the loop.
-        universe = self.universe
-        target_name = universe.target_name
-        while True:
-            self.stats.rounds += 1
-            new_constraints: list[tuple[str, str]] = []
-            for fp in self._funcptrs:
-                pointee = self._pointee(self._ecr(universe.intern(fp)))
-                funcs = pointee.lvals & universe.function_mask
-                callees = [target_name(b) for b in bits(funcs)]
-                new_constraints.extend(self._linker.link(fp, callees))
-            if not new_constraints:
-                self._emit_round()
-                break
-            for dst, src in new_constraints:
-                self.stats.funcptr_links += 1
-                self._ingest_link_copy(dst, src)
-            self._emit_round()
-
-        self.store.discard(0)  # unification keeps no assignments at all
-        return self._result()
-
-    def _result(self) -> PointsToResult:
-        name_of = self.universe.name_of
-        masks: dict[str, int] = {}
-        for node in list(self._ecrs):
-            name = name_of(node)
-            if name.startswith("$sl"):
-                continue
-            e = self._find(self._ecrs[node])
-            if e.pointee is None:
-                masks[name] = 0
-                continue
-            masks[name] = self._find(e.pointee).lvals
-        return self._finalize_masks(masks)
-
-
-def solve(store: ConstraintStore) -> PointsToResult:
-    return SteensgaardSolver(store).solve()
+    def _node_masks(self) -> dict[int, int]:
+        find = self._find
+        masks = {}
+        for node, e in self._ecrs.items():
+            pointee = find(e).pointee
+            masks[node] = find(pointee).lvals if pointee is not None else 0
+        return masks

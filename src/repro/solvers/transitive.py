@@ -15,12 +15,11 @@ Unlike the pre-transitive solver, this baseline loads the entire database
 up front: a transitively-closed algorithm propagates eagerly and has no
 natural point to demand-load from (§4's contrast with prior architectures).
 
-Representation (the integer core, ROADMAP item 2): constraints are
-interned to dense ids through the shared
-:class:`~repro.ir.universe.ObjectUniverse`; the ingested copy graph
-arrives as packed CSR adjacency; both the per-node successor sets and the
-points-to/delta sets are int bitmasks, so propagation is word-parallel
-``|``/``& ~`` instead of per-element set algebra.  That core is the
+Representation (the integer core, ROADMAP item 2): constraints arrive
+as id-space rows through the shared
+:class:`~repro.ir.universe.ObjectUniverse`; both the per-node successor
+sets and the points-to/delta sets are int bitmasks, so propagation is
+word-parallel ``|``/``& ~`` instead of per-element set algebra.  That core is the
 bit-vector implementation §4 mentions; it is shared by every solver, so it
 no longer needs a solver of its own.
 """
@@ -33,6 +32,11 @@ from ..cla.store import ConstraintStore
 from ..ir.primitives import PrimitiveKind
 from ..ir.universe import bits
 from .base import BaseSolver, PointsToResult
+
+_COPY = PrimitiveKind.COPY
+_ADDR = PrimitiveKind.ADDR
+_LOAD = PrimitiveKind.LOAD
+_STORE = PrimitiveKind.STORE
 
 
 class TransitiveSolver(BaseSolver):
@@ -53,50 +57,32 @@ class TransitiveSolver(BaseSolver):
         self._worklist: deque[int] = deque()
         self._queued: set[int] = set()
         self._funcptr_ids: set[int] = set()
-        #: target-space id -> node-space id, filled lazily (a points-to
-        #: bit only needs a graph node once a complex constraint fires on
-        #: it)
-        self._target_nodes: dict[int, int] = {}
 
     # -- constraint intake ---------------------------------------------------
 
     def _seed(self) -> None:
-        """Ingest the whole database in id space.
+        """Ingest the whole database in id space, in row order.
 
-        The copy graph lands as one packed CSR pass; the remaining rows
-        replay in ingestion order.  Deferring propagation to the worklist
-        is safe: before the first pop every node's delta equals its full
-        points-to set, so the fixpoint is unchanged.
+        A COPY row only sets its successor bit: deferring propagation to
+        the worklist is safe, because before the first pop every node's
+        delta equals its full points-to set, so the fixpoint is unchanged.
         """
-        batch = self._ingest_all_ids()
-        csr = batch.copy_csr()
         succ = self._succ
-        for src in range(csr.node_count):
-            row = csr.row(src)
-            if not row:
-                continue
-            row_mask = 0
-            for dst in row:
-                row_mask |= 1 << dst
-            new = row_mask & ~succ.get(src, 0)
-            if new:
-                succ[src] = succ.get(src, 0) | new
-                self.stats.edges_added += new.bit_count()
-        copy = int(PrimitiveKind.COPY)
-        addr = int(PrimitiveKind.ADDR)
-        load = int(PrimitiveKind.LOAD)
-        store = int(PrimitiveKind.STORE)
-        store_load = int(PrimitiveKind.STORE_LOAD)
-        for kind, dst, src in batch.rows():
-            if kind == copy:
-                continue  # already in the CSR pass; copies dominate
-            if kind == addr:
+        stats = self.stats
+        for kind, dst, src in self._ingest_all_ids():
+            if kind is _COPY:  # copies dominate
+                mask = succ.get(src, 0)
+                bit = 1 << dst
+                if not mask & bit:  # linked units repeat COPY rows
+                    succ[src] = mask | bit
+                    stats.edges_added += 1
+            elif kind is _ADDR:
                 self._add_pts(dst, 1 << src)  # src is a target-space id
-            elif kind == load:
+            elif kind is _LOAD:
                 self._add_load(dst, src)
-            elif kind == store:
+            elif kind is _STORE:
                 self._add_store(dst, src)
-            elif kind == store_load:
+            else:
                 # *p = *q  ==>  t = *q; *p = t  (split, as in §5)
                 t = self.universe.fresh_temp()
                 self._add_load(t, src)
@@ -111,13 +97,6 @@ class TransitiveSolver(BaseSolver):
         self._stores_on.setdefault(p, []).append(y)
         self.stats.constraints += 1
         self._replay(p)
-
-    def _ingest_link_copy(self, dst: str, src: str) -> None:
-        """A funcptr-link constraint arriving mid-solve, by name."""
-        universe = self.universe
-        if not universe.may_point(dst) or not universe.may_point(src):
-            return
-        self._add_edge(universe.intern(src), universe.intern(dst))
 
     def _replay(self, p: int) -> None:
         """A new complex constraint on ``p``: replay its current targets."""
@@ -160,7 +139,7 @@ class TransitiveSolver(BaseSolver):
         self._collect_funcptrs()
 
         universe = self.universe
-        target_name = universe.target_name
+        target_node = universe.target_node
         while self._worklist:
             self.stats.rounds += 1
             if not self.stats.rounds & self._ROUND_EVENT_MASK:
@@ -183,9 +162,7 @@ class TransitiveSolver(BaseSolver):
             loads = self._loads_on.get(node)
             stores = self._stores_on.get(node)
             if loads or stores:
-                target_nodes = [
-                    self._target_node(z) for z in bits(delta)
-                ]
+                target_nodes = [target_node(z) for z in bits(delta)]
                 for x in loads or ():
                     for z in target_nodes:
                         self._add_edge(z, x)
@@ -193,26 +170,14 @@ class TransitiveSolver(BaseSolver):
                     for z in target_nodes:
                         self._add_edge(y, z)
             # Function pointers gaining callees.
-            if node in self._funcptr_ids:
-                new_funcs = delta & universe.function_mask
-                if new_funcs:
-                    callees = [target_name(b) for b in bits(new_funcs)]
-                    pointer = universe.name_of(node)
-                    for dst, src in self._linker.link(pointer, callees):
-                        self.stats.funcptr_links += 1
-                        self._ingest_link_copy(dst, src)
+            if node in self._funcptr_ids and delta & universe.function_mask:
+                links = self._link(universe.name_of(node), delta)
+                for dst, src in self._copy_ids(links):
+                    self._add_edge(src, dst)
 
         self._emit_round()  # the final (possibly partial) pop batch
         self.store.discard(self.stats.constraints)
-        return self._result()
-
-    def _target_node(self, t: int) -> int:
-        """Node id of a target-space id (same name, other id space)."""
-        node = self._target_nodes.get(t)
-        if node is None:
-            node = self.universe.intern(self.universe.target_name(t))
-            self._target_nodes[t] = node
-        return node
+        return self._finalize_nodes(self._pts)
 
     def _collect_funcptrs(self) -> None:
         # Intern every funcptr up front so late-flowing pointers are
@@ -221,16 +186,3 @@ class TransitiveSolver(BaseSolver):
             fp = self.universe.intern(name)
             self._funcptr_ids.add(fp)
             self._replay(fp)
-
-    def _result(self) -> PointsToResult:
-        name_of = self.universe.name_of
-        masks = {}
-        for node, mask in self._pts.items():
-            name = name_of(node)
-            if not name.startswith("$sl"):
-                masks[name] = mask
-        return self._finalize_masks(masks)
-
-
-def solve(store: ConstraintStore) -> PointsToResult:
-    return TransitiveSolver(store).solve()

@@ -39,6 +39,16 @@ class TestCompileAndLink:
         assert main(["compile", str(src), "-o", str(tmp_path / "d.o"),
                      "-D", "FEAT"]) == 0
 
+    def test_define_with_empty_value_is_empty(self, tmp_path, capsys):
+        """As with gcc, ``-DNAME=`` defines NAME as empty and ``-DNAME``
+        as 1."""
+        src = tmp_path / "e.c"
+        src.write_text("int marker = 1 EMPTY;\n")
+        obj = str(tmp_path / "e.o")
+        assert main(["compile", str(src), "-o", obj, "-DEMPTY="]) == 0
+        assert main(["compile", str(src), "-o", obj, "-DEMPTY"]) == 2
+        assert "expected ';', found '1'" in capsys.readouterr().err
+
     def test_compile_field_independent_flag(self, sources, capsys):
         tmp_path, a, _ = sources
         obj = str(tmp_path / "fi.o")

@@ -94,6 +94,119 @@ class TestCaching:
             workspace.update_source("ghost.c", "int x;")
 
 
+class TestIncludeRecords:
+    """A unit is reused only while every file its preprocessing read
+    still resolves to the same text, whether the workspace holds it or
+    reads it back from the cache."""
+
+    POINTER = "int x, y, *p; void f(void) { p = &TARGET; }\n"
+
+    def _project(self, tmp_path, header="#define TARGET x\n"):
+        (tmp_path / "foo.h").write_text(header)
+        path = tmp_path / "a.c"
+        path.write_text('#include "foo.h"\n' + self.POINTER)
+        ws = Workspace(cache_dir=str(tmp_path / "cache"))
+        ws.add_file(str(path))
+        return ws
+
+    def test_disk_header_edit_across_restart(self, tmp_path):
+        ws = self._project(tmp_path)
+        assert ws.points_to().points_to("p") == {"x"}
+        ws.close()
+        (tmp_path / "foo.h").write_text("#define TARGET y\n")
+        again = self._project(tmp_path, "#define TARGET y\n")
+        assert again.points_to().points_to("p") == {"y"}
+        assert (again.stats.compiled, again.stats.read) == (1, 0)
+        again.close()
+
+    def test_disk_header_edit_in_one_workspace(self, tmp_path):
+        ws = self._project(tmp_path)
+        ws.build()
+        (tmp_path / "foo.h").write_text("#define TARGET y\n")
+        assert ws.points_to().points_to("p") == {"y"}
+        assert ws.stats.compiled == 1
+        ws.close()
+
+    def test_unchanged_disk_header_reads_back(self, tmp_path):
+        self._project(tmp_path).build()
+        again = self._project(tmp_path)
+        again.build()
+        assert (again.stats.compiled, again.stats.read) == (0, 1)
+        again.build()
+        assert again.stats.reused == 1 and not again.stats.linked
+        again.close()
+
+    def test_included_source_update(self, tmp_path):
+        ws = Workspace(cache_dir=str(tmp_path / "cache"))
+        ws.add_source("impl.c", "#define TARGET x\n")
+        ws.add_source("a.c", '#include "impl.c"\n' + self.POINTER)
+        assert ws.points_to().points_to("p") == {"x"}
+        ws.update_source("impl.c", "#define TARGET y\n")
+        assert ws.points_to().points_to("p") == {"y"}
+        assert ws.stats.compiled == 2
+        ws.close()
+
+    def test_parallel_build_records_includes(self, tmp_path):
+        (tmp_path / "foo.h").write_text("#define TARGET x\n")
+        ws = Workspace(cache_dir=str(tmp_path / "cache"), jobs=2)
+        sources = {
+            "a.c": self.POINTER,
+            "b.c": "extern int x, y; int *bp; void g(void) { bp = &TARGET; }",
+        }
+        for name, text in sources.items():
+            path = tmp_path / name
+            path.write_text('#include "foo.h"\n' + text)
+            ws.add_file(str(path))
+        ws.build()
+        (tmp_path / "foo.h").write_text("#define TARGET y\n")
+        assert ws.points_to().points_to("bp") == {"y"}
+        assert ws.stats.compiled == 2
+        ws.close()
+
+    def test_object_without_its_record_is_recompiled(self, tmp_path):
+        ws = self._project(tmp_path)
+        ws.build()
+        key = ws._content_keys()[str(tmp_path / "a.c")]
+        record = os.path.join(ws.cache_dir, key + ".deps")
+        assert os.path.exists(record)
+        os.unlink(record)
+        again = self._project(tmp_path)
+        again.build()
+        assert again.stats.compiled == 1
+        assert os.path.exists(record)
+        ws.close()
+        again.close()
+
+    @pytest.mark.parametrize("record", [
+        '[[1, false, 2, "x", "y"]]', '[["foo.h"]]', "[3]", "not json",
+    ])
+    def test_mangled_record_is_recompiled(self, tmp_path, record):
+        ws = self._project(tmp_path)
+        ws.build()
+        key = ws._content_keys()[str(tmp_path / "a.c")]
+        with open(os.path.join(ws.cache_dir, key + ".deps"), "w") as f:
+            f.write(record)
+        again = self._project(tmp_path)
+        assert again.points_to().points_to("p") == {"x"}
+        assert again.stats.compiled == 1
+        ws.close()
+        again.close()
+
+    def test_include_dirs_are_part_of_the_key(self, tmp_path):
+        ws = Workspace(cache_dir=str(tmp_path / "cache"))
+        ws.add_source("a.c", "int x;")
+        before = ws._content_keys()
+        ws.options.include_dirs.append(str(tmp_path))
+        assert ws._content_keys() != before
+        ws.close()
+
+    def test_a_name_is_a_source_or_a_header(self, workspace):
+        with pytest.raises(ValueError, match="already a header"):
+            workspace.add_source("defs.h", "int x;")
+        with pytest.raises(ValueError, match="already a source"):
+            workspace.add_header("a.c", "int x;")
+
+
 class TestCorruptCache:
     """A killed process (or anything else) leaving a truncated object at
     a content-keyed cache path must trigger a recompile, not be reused

@@ -1,23 +1,25 @@
 """Tests for the interned integer object universe (the solver core's
-id spaces, bitset helpers, and CSR adjacency), plus an end-to-end
-checker-oracle pass proving every solver stays sound on top of it."""
+id spaces and bitset helpers) and the id-row intake the non-demand
+solvers read through, plus an end-to-end checker-oracle pass proving
+every solver stays sound on top of it."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checker import check_result
+from repro.cla.store import MemoryStore
+from repro.ir.lower import UnitIR
+from repro.ir.objects import ObjectKind, ProgramObject
 from repro.ir.primitives import PrimitiveAssignment, PrimitiveKind
 from repro.ir.universe import (
     WORD_BITS,
-    CSRGraph,
-    ConstraintBatch,
     ObjectUniverse,
     bits,
     bitset_words,
     mask_of,
 )
-from repro.solvers import SOLVERS, PreTransitiveSolver
+from repro.solvers import SOLVERS, BaseSolver, PreTransitiveSolver
 from repro.synth.kernels import diff_propagation_kernel
 
 names = st.text(
@@ -183,70 +185,67 @@ class TestBitsetAlgebra:
         assert evictions.value - e0 == 1
 
 
-# -- CSR adjacency ---------------------------------------------------------
+# -- the id-row intake ------------------------------------------------------
 
 
-class TestCSRGraph:
-    def test_rows_preserve_per_source_edge_order(self):
-        g = CSRGraph.from_pairs(4, [(0, 2), (1, 3), (0, 1), (3, 0)])
-        assert list(g.row(0)) == [2, 1]
-        assert list(g.row(1)) == [3]
-        assert list(g.row(2)) == []
-        assert list(g.row(3)) == [0]
-        assert g.node_count == 4
-        assert g.edge_count == 4
-        assert [g.degree(i) for i in range(4)] == [2, 1, 0, 1]
-
-    def test_empty_graph(self):
-        g = CSRGraph.from_pairs(0, [])
-        assert g.node_count == 0
-        assert g.edge_count == 0
-
-    def test_duplicate_edges_are_dropped(self):
-        """Regression: linked units repeat COPY rows;
-        duplicates must collapse to one edge (first occurrence keeps its
-        per-source position) or degree/edge_count inflate and the same
-        propagation retries every round."""
-        g = CSRGraph.from_pairs(
-            3, [(0, 1), (0, 2), (0, 1), (2, 1), (0, 2), (2, 1)]
+def store_of(*rows, non_pointers=()):
+    unit = UnitIR(filename="w.c")
+    for kind, dst, src in rows:
+        for name in (dst, src):
+            unit.objects[name] = ProgramObject(
+                name=name, kind=ObjectKind.VARIABLE,
+                may_point=name not in non_pointers,
+            )
+        unit.assignments.append(
+            PrimitiveAssignment(kind=kind, dst=dst, src=src)
         )
-        assert g.edge_count == 3
-        assert list(g.row(0)) == [1, 2]
-        assert list(g.row(2)) == [1]
-        assert g.degree(0) == 2
+    return MemoryStore(unit)
 
 
-class TestConstraintBatch:
-    def _assign(self, kind, dst, src):
-        return PrimitiveAssignment(kind=kind, dst=dst, src=src)
+class TestIngestAllIds:
+    """``BaseSolver._ingest_all_ids``: every relevant row, as ids."""
 
     def test_addr_srcs_are_target_space(self):
-        u = ObjectUniverse()
-        batch = ConstraintBatch(u)
-        batch.absorb([
-            self._assign(PrimitiveKind.ADDR, "p", "x"),
-            self._assign(PrimitiveKind.COPY, "q", "p"),
-        ])
-        rows = list(batch.rows())
+        solver = BaseSolver(store_of(
+            (PrimitiveKind.ADDR, "p", "x"),
+            (PrimitiveKind.COPY, "q", "p"),
+        ))
+        u = solver.universe
+        rows = list(solver._ingest_all_ids())
         assert len(rows) == 2
         kind, dst, src = rows[0]
-        assert kind == int(PrimitiveKind.ADDR)
+        assert kind is PrimitiveKind.ADDR
         assert u.name_of(dst) == "p"
         assert u.target_name(src) == "x"  # target space, not node space
         assert u.id_of("x") is None  # ADDR did not intern a node for x
+        assert u.name_of(u.target_node(src)) == "x"  # until one is needed
+        assert u.target_node(src) == u.id_of("x")
 
-    def test_copy_csr_covers_exactly_the_copy_rows(self):
-        u = ObjectUniverse()
-        batch = ConstraintBatch(u)
-        batch.absorb([
-            self._assign(PrimitiveKind.COPY, "a", "b"),
-            self._assign(PrimitiveKind.LOAD, "c", "a"),
-            self._assign(PrimitiveKind.COPY, "c", "b"),
-        ])
-        csr = batch.copy_csr()
-        b = u.id_of("b")
-        assert csr.edge_count == 2
-        assert sorted(u.name_of(d) for d in csr.row(b)) == ["a", "c"]
+    def test_yields_exactly_the_relevant_rows_in_order(self):
+        solver = BaseSolver(store_of(
+            (PrimitiveKind.COPY, "a", "b"),
+            (PrimitiveKind.COPY, "n", "b"),  # dst cannot carry a pointer
+            (PrimitiveKind.LOAD, "c", "a"),
+            (PrimitiveKind.ADDR, "a", "n"),  # &n is a pointer all the same
+            (PrimitiveKind.COPY, "c", "b"),
+            non_pointers={"n"},
+        ))
+        u = solver.universe
+        rows = [
+            (kind, u.name_of(dst),
+             u.target_name(src) if kind is PrimitiveKind.ADDR
+             else u.name_of(src))
+            for kind, dst, src in solver._ingest_all_ids()
+        ]
+        # a block is keyed by its rows' source
+        assert list(solver.store.block_names()) == ["b", "a"]
+        assert rows == [  # statics first, then each block in store order
+            (PrimitiveKind.ADDR, "a", "n"),
+            (PrimitiveKind.COPY, "a", "b"),
+            (PrimitiveKind.COPY, "c", "b"),
+            (PrimitiveKind.LOAD, "c", "a"),
+        ]
+        assert solver.store.stats.loaded == 5  # every row was read
 
 
 # -- the oracle gate: every solver, on the shared integer core -------------

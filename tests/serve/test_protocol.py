@@ -152,3 +152,19 @@ class TestOversizeUpdate:
         assert "1000-byte limit" in update["error"]
         assert after["ok"] and after["generation"] == before["generation"]
         assert after["result"]["resolved"] == []
+
+
+class TestUnencodableUpdate:
+    def test_lone_surrogate_is_a_client_error(self, session):
+        """JSON can carry a lone surrogate, which no source file holds:
+        an update with one in its file or text answers ok:false (it used
+        to escape ``handle_request`` as a UnicodeEncodeError)."""
+        for params in ({"file": "b.c", "text": "int x; /* \ud800 */"},
+                       {"file": "\udfff.c", "text": "int x;"},
+                       {"file": "defs.h", "text": "\ud800", "kind": "header"}):
+            response, stop = handle_request(
+                session, {"op": "update", "params": params})
+            assert not stop and response["ok"] is False
+            assert "lone surrogates" in response["error"]
+            assert response["generation"] == 1
+        assert handle_request(session, {"op": "ping"})[0]["ok"]

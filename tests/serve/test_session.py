@@ -3,6 +3,7 @@ query cache, incremental updates, and error envelopes."""
 
 import pytest
 
+from repro.driver.incremental import Workspace
 from repro.engine.events import EVENTS, MemorySink
 from repro.serve import ServeSession
 
@@ -181,6 +182,22 @@ class TestUpdates:
         })
         assert u["ok"]
         assert u["result"]["compiled"] == 2  # header edit re-keys all
+
+    def test_header_sent_as_source_is_a_client_error(self, tmp_path):
+        ws = Workspace(cache_dir=str(tmp_path / "cache"))
+        ws.add_header("h.h", "#define T x\n")
+        ws.add_source("a.c", '#include "h.h"\nint x, y, *p;'
+                             "void f(void) { p = &T; }")
+        session = ServeSession(workspace=ws)
+        edited = {"file": "h.h", "text": "#define T y\n"}
+        r = session.request("update", {**edited, "kind": "source"})
+        assert not r["ok"] and "already a header" in r["error"]
+        assert r["generation"] == 1
+        assert session.request("update", {**edited, "kind": "header"})["ok"]
+        r = session.request("points-to", {"name": "p"})
+        assert r["result"]["points_to"] == {"p": ["y"]}
+        session.close()
+        ws.close()
 
     def test_update_rejects_bad_kind(self, session):
         r = session.request("update",

@@ -6,6 +6,9 @@ import pytest
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore
 from repro.ir import lower_translation_unit
+from repro.ir.lower import UnitIR
+from repro.ir.objects import ObjectKind, ProgramObject
+from repro.ir.primitives import PrimitiveAssignment, PrimitiveKind
 from repro.ir.universe import bits
 from repro.solvers import (
     PreTransitiveSolver,
@@ -200,6 +203,31 @@ class TestSteensgaard:
             "int x, *p; void f(void) { p = &x; }")))
         SteensgaardSolver(store).solve()
         assert store.stats.in_core == 0
+
+
+class TestTransitiveIntake:
+    def test_duplicate_copy_rows_add_one_edge(self):
+        """Regression: linked units repeat COPY rows; each edge must be
+        added and counted once, or ``edges_added`` inflates and the same
+        propagation retries every round."""
+        unit = UnitIR(filename="w.c")
+        for name in ("x", "p", "q", "r"):
+            unit.objects[name] = ProgramObject(name=name,
+                                               kind=ObjectKind.VARIABLE)
+        rows = [(PrimitiveKind.ADDR, "p", "x")] + [
+            (PrimitiveKind.COPY, "q", "p"), (PrimitiveKind.COPY, "r", "p"),
+        ] * 3 + [(PrimitiveKind.COPY, "r", "q")] * 2
+        unit.assignments = [
+            PrimitiveAssignment(kind=kind, dst=dst, src=src)
+            for kind, dst, src in rows
+        ]
+        solver = TransitiveSolver(MemoryStore(unit))
+        result = solver.solve()
+        assert result.stats.edges_added == 3
+        universe = solver.universe
+        succ = solver._succ[universe.id_of("p")]
+        assert sorted(universe.name_of(d) for d in bits(succ)) == ["q", "r"]
+        assert result.points_to("r") == {"x"}
 
 
 class TestResultAPI:
