@@ -13,7 +13,7 @@ import pytest
 from conftest import compiled_units, profile_scale
 from repro.driver.tables import build_database
 from repro.ir import assignment_mix
-from repro.cla.reader import ObjectFileReader
+from repro.cla.reader import DatabaseStore
 from repro.synth import BENCHMARK_ORDER, PROFILES, generate
 
 #: The paper's Table 2 assignment-mix rows (variables, x=y, x=&y, *x=y,
@@ -52,11 +52,11 @@ def test_table2_row(benchmark, profile, report):
     def run():
         with tempfile.TemporaryDirectory() as tmp:
             path = build_database(program, tmp)
-            with ObjectFileReader(path) as reader:
+            with DatabaseStore.open(path) as database:
                 import os
 
-                return (os.path.getsize(path), reader.assignment_count(),
-                        reader.object_count())
+                return (os.path.getsize(path), database.stats.in_file,
+                        database.object_count())
 
     size, n_assignments, n_objects = benchmark.pedantic(run, rounds=1,
                                                         iterations=1)

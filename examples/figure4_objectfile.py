@@ -26,7 +26,7 @@ import os
 import tempfile
 
 from repro.cfront import parse_c
-from repro.cla.reader import ObjectFileReader
+from repro.cla.reader import DatabaseStore
 from repro.cla.writer import write_unit
 from repro.ir import lower_translation_unit
 
@@ -51,23 +51,23 @@ def main() -> None:
         write_unit(unit, path)
         size = os.path.getsize(path)
         print(f"object file a.o: {size} bytes")
-        with ObjectFileReader(path) as reader:
+        with DatabaseStore.open(path) as database:
             print()
             print("header section: segment offsets and sizes")
-            for tag, (offset, section_size) in reader.sections.items():
+            for tag, (offset, section_size) in database.sections.items():
                 name = tag.rstrip(b"\x00").decode()
                 print(f"  {name:8s} offset={offset:<6d} size={section_size}")
 
             print()
             print("static section: address-of operations; always loaded")
-            for a in reader.static_assignments():
+            for a in database.fetch_statics():
                 print(f"  {a}")
 
             print()
             print("dynamic section: per-object blocks, loaded on demand")
-            for name in reader.block_names():
-                block = reader.load_block(name)
-                print(f"  {name} @ {reader.find_object(name).location}")
+            for name in database.block_names():
+                block = database.fetch_block(name)
+                print(f"  {name} @ {database.get_object(name).location}")
                 if not block.assignments:
                     print("    (no triggered assignments)")
                 for a in block.assignments:
@@ -77,7 +77,7 @@ def main() -> None:
             print("target section lookups (one hash probe each):")
             for simple in ("z", "p", "main1"):
                 print(f"  find_targets({simple!r}) = "
-                      f"{reader.find_targets(simple)}")
+                      f"{database.find_targets(simple)}")
 
 
 if __name__ == "__main__":

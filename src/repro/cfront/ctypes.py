@@ -25,12 +25,6 @@ class CType:
     def is_function(self) -> bool:
         return isinstance(self, FunctionType)
 
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
-
-    def is_aggregate(self) -> bool:
-        return isinstance(self, (StructType, UnionType))
-
     def is_integral(self) -> bool:
         return isinstance(self, (IntType, EnumType))
 

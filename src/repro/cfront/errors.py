@@ -29,10 +29,3 @@ class PreprocessorError(CFrontError):
 
 class ParseError(CFrontError):
     """A syntax error discovered by the parser."""
-
-
-class TypeError_(CFrontError):
-    """A type-level inconsistency (e.g. unknown struct field).
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """

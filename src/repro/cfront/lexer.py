@@ -200,8 +200,7 @@ class Lexer:
                 pos = end
                 continue
             if group == "WS" or group == "COMMENT":
-                if group == "COMMENT" or True:
-                    spaced = True
+                spaced = True
                 pos = end
                 continue
             value = m.group()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cla.store import MemoryStore
 from ..driver.api import CompileOptions

@@ -75,7 +75,6 @@ class BlockCache:
         self._statics: list[PrimitiveAssignment] = list(
             store.fetch_statics()
         )
-        self._statics_reported = False
         self.stats.count_load(len(self._statics), blocks=0)
 
     # -- the budget ---------------------------------------------------------
@@ -90,10 +89,6 @@ class BlockCache:
     def retained_blocks(self) -> int:
         """Number of dynamic blocks currently kept in core."""
         return len(self._blocks)
-
-    def retained_assignments(self) -> int:
-        """Dynamic-block assignments currently kept in core."""
-        return self._retained_assignments
 
     def _evict_until(self, needed: int) -> None:
         allowance = self.block_allowance
@@ -116,7 +111,6 @@ class BlockCache:
     # -- ConstraintStore interface ------------------------------------------
 
     def static_assignments(self) -> list[PrimitiveAssignment]:
-        self._statics_reported = True
         return self._statics
 
     def fetch_statics(self) -> list[PrimitiveAssignment]:
@@ -190,9 +184,7 @@ class BlockCache:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        close = getattr(self.store, "close", None)
-        if close is not None:
-            close()
+        self.store.close()
 
     def __enter__(self) -> "BlockCache":
         return self
@@ -200,15 +192,3 @@ class BlockCache:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def wrap_store(
-    store: ConstraintStore, max_core_assignments: int | None
-) -> ConstraintStore:
-    """Wrap ``store`` in a :class:`BlockCache` when a budget is requested.
-
-    ``None`` returns the store unchanged — the CLI's default, preserving
-    the analyzer-reported ``discard`` accounting of uncached runs.
-    """
-    if max_core_assignments is None:
-        return store
-    return BlockCache(store, max_core_assignments)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .reader import ObjectFileReader
+from .reader import DatabaseStore
 from .store import LinkError, MemoryStore
 from .writer import ObjectFileWriter
 
@@ -26,8 +26,8 @@ def absorb_object_files(paths: Iterable[str]) -> MemoryStore:
         raise LinkError("no input object files")
     store = MemoryStore()
     for path in paths:
-        with ObjectFileReader(path) as reader:
-            store.absorb_object(reader)
+        with DatabaseStore.open(path) as database:
+            store.absorb_object(database)
     return store
 
 

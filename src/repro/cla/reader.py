@@ -1,4 +1,5 @@
-"""mmap-backed reader for CLA object files, with demand loading.
+"""The CLA database store: one object file or linked database, read
+through mmap with demand loading.
 
 The analyze phase never reads the whole database: the static section is
 loaded up front; dynamic blocks are located through the block index and
@@ -11,12 +12,13 @@ ever need it again").
 
 The on-disk hash indexes are sorted for binary search, but a Python
 reader pays more per probe than for one pass over a whole index.  So,
-leaving the format as it is, each reader scans an index section once, the
-first time it needs it, into a dict: object name -> ``global`` entry
-offset, kind and flags; block name -> block header offset; simple name ->
-canonical names.  The ``global`` table is the one pass over that section,
+leaving the format as it is, each open scans an index section once into a
+dict: object name -> ``global`` entry offset, kind and flags (on first
+use); block name -> block header offset (at open, where every block span
+is checked and the assignments counted); simple name -> canonical names
+(on first use).  The ``global`` table is the one pass over that section,
 and its kind and flag bytes answer every relevance and function question
-a solve asks (:meth:`ObjectFileReader.object_flags`) without decoding a
+a solve asks (:meth:`DatabaseStore.object_flags`) without decoding a
 single object.  An object is decoded only when asked for by name.  The
 static section and each block are parsed on demand, each with one
 ``Struct.iter_unpack`` pass over its rows, so Table 3's *loaded* column is
@@ -28,7 +30,7 @@ object keeps its ``(file_ref, line)`` and builds its location the first
 time something reads it (dependence chains, ``dump``, the oracle's
 messages, the link).  No solver does.  The location tables hold the
 decoded string table and never the map, so locations resolve after the
-reader is closed.
+store is closed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ..ir.primitives import (
 )
 from ..ir.strength import Strength
 from . import objfile as F
-from .store import Block, LoadStats, ObjectFlags
+from .store import Block, CountedStore, ObjectFlags
 
 
 def _members(enum_cls) -> dict:
@@ -119,8 +121,24 @@ class _Object(ProgramObject):
     location = _DEFERRED_LOCATION
 
 
-class ObjectFileReader:
-    """Random access to one CLA object file through mmap."""
+class DatabaseStore(CountedStore):
+    """One CLA file through mmap: the counted store the solvers read, and
+    the object file the link and the workspace read back.
+
+    The open maps the file, validates its header and section table, and
+    counts its assignments (``stats.in_file``); everything else is read
+    on demand.  ``fetch_statics``/``fetch_block`` are the raw reads: each
+    call parses fresh rows from the map and the store keeps none of
+    them.  The counted reads are :class:`~repro.cla.store.CountedStore`'s:
+    a block counts into ``loaded``/``in_core`` once and every re-read into
+    ``reloads`` (real I/O under the discard-and-reload strategy, but not
+    new coverage or residency), so ``in_core <= loaded <= in_file`` holds
+    at all times.  Wrap the store in :class:`repro.cla.cache.BlockCache`
+    for a keep-or-discard retention policy with exact residency
+    accounting.
+    """
+
+    _reparses = True
 
     def __init__(self, path: str):
         self.path = path
@@ -134,13 +152,26 @@ class ObjectFileReader:
             raise F.ClaFormatError(
                 f"{path}: empty or unmappable file"
             ) from None
-        # Validate size / magic / version / section bounds up front, so a
-        # truncated or corrupt database fails with one clear error instead
-        # of a struct.error from whichever unpack happens to fall off the
-        # end of the map first.
-        file_size = len(self._map)
-        if file_size < F.HEADER.size:
+        try:
+            # Validate size / magic / version / section bounds and every
+            # block span up front, so a truncated or corrupt database
+            # fails with one clear error instead of a struct.error from
+            # whichever unpack happens to fall off the end of the map.
+            self._read_header()
+            super().__init__(in_file=self._assignment_count())
+        except BaseException:
             self.close()
+            raise
+        self._objects: dict[str, ProgramObject | None] = {}
+
+    @classmethod
+    def open(cls, path: str) -> "DatabaseStore":
+        """Open, validate and map the CLA file at ``path``."""
+        return cls(path)
+
+    def _read_header(self) -> None:
+        path, file_size = self.path, len(self._map)
+        if file_size < F.HEADER.size:
             raise F.ClaFormatError(
                 f"{path}: truncated header ({file_size} bytes, "
                 f"CLA header is {F.HEADER.size})"
@@ -148,31 +179,25 @@ class ObjectFileReader:
         header = F.HEADER.unpack_from(self._map, 0)
         magic, version, self.flags, nsections, _r32, self.source_lines, _r64 = header
         if magic != F.MAGIC:
-            self.close()
             raise F.ClaFormatError(f"{path}: bad magic {magic!r}")
         if version != F.VERSION:
-            self.close()
             raise F.ClaFormatError(f"{path}: unsupported version {version}")
         table_end = F.HEADER.size + nsections * F.SECTION_ENTRY.size
         if table_end > file_size:
-            self.close()
             raise F.ClaFormatError(
                 f"{path}: truncated section table "
                 f"({nsections} sections claimed, {file_size} bytes)"
             )
         self.sections: dict[bytes, tuple[int, int]] = {}
-        pos = F.HEADER.size
-        for _ in range(nsections):
+        for pos in range(F.HEADER.size, table_end, F.SECTION_ENTRY.size):
             tag, offset, size = F.SECTION_ENTRY.unpack_from(self._map, pos)
             if offset + size > file_size:
-                self.close()
                 raise F.ClaFormatError(
                     f"{path}: section {_tag_name(tag)!r} out of bounds "
                     f"(offset={offset} size={size}, file is "
                     f"{file_size} bytes)"
                 )
             self.sections[tag] = (offset, size)
-            pos += F.SECTION_ENTRY.size
         str_off, str_size = self.sections.get(F.SEC_STRTAB, (0, 0))
         self.strings = F.StringReader(self._map, str_off, str_size, path)
         self._locations = _Locations(self.strings)
@@ -193,7 +218,7 @@ class ObjectFileReader:
 
     def close(self) -> None:
         """Release the map and file handle.  Idempotent: error paths and
-        context managers may both close the same reader."""
+        context managers may both close the same store."""
         if self._closed:
             return
         self._closed = True
@@ -204,7 +229,7 @@ class ObjectFileReader:
     def closed(self) -> bool:
         return self._closed
 
-    def __enter__(self) -> "ObjectFileReader":
+    def __enter__(self) -> "DatabaseStore":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -297,7 +322,7 @@ class ObjectFileReader:
                 "dynamic section"
             )
 
-    # -- lookup tables (one index scan each, on first use) --------------------
+    # -- lookup tables (one index scan each) ----------------------------------
 
     @cached_property
     def _globals(self) -> dict[str, tuple[int, int, int]]:
@@ -346,7 +371,8 @@ class ObjectFileReader:
 
     # -- section access -------------------------------------------------------
 
-    def static_assignments(self) -> list[PrimitiveAssignment]:
+    def fetch_statics(self) -> list[PrimitiveAssignment]:
+        """The static section, parsed fresh from the map (uncounted)."""
         start, end = self._span(F.SEC_STATIC, F.ASSIGNMENT_ENTRY)
         return self._rows(self._map[start:end])
 
@@ -378,7 +404,7 @@ class ObjectFileReader:
         start, end = self._span(F.SEC_GLOBAL, F.OBJECT_ENTRY)
         return (end - start) // F.OBJECT_ENTRY.size
 
-    def assignment_count(self) -> int:
+    def _assignment_count(self) -> int:
         """Total primitive assignments in the file (statics + all blocks)."""
         start, end = self._span(F.SEC_STATIC, F.ASSIGNMENT_ENTRY)
         total = (end - start) // F.ASSIGNMENT_ENTRY.size
@@ -391,15 +417,16 @@ class ObjectFileReader:
         """Canonical object names for a source-level name (target section)."""
         return list(self._target_index.get(simple_name, ()))
 
-    def find_object(self, name: str) -> ProgramObject | None:
-        """One object's metadata by canonical name (a fresh object)."""
-        entry = self._globals.get(name)
-        if entry is None:
-            return None
-        return self._object(F.OBJECT_ENTRY.unpack_from(self._map, entry[0]))
+    def get_object(self, name: str) -> ProgramObject | None:
+        """One object, decoded the first time it is asked for and kept."""
+        if name not in self._objects:
+            entry = self._globals.get(name)
+            self._objects[name] = None if entry is None else self._object(
+                F.OBJECT_ENTRY.unpack_from(self._map, entry[0]))
+        return self._objects[name]
 
-    def load_block(self, name: str) -> Block | None:
-        """Parse one dynamic block.  Each call re-reads from the map."""
+    def fetch_block(self, name: str) -> Block | None:
+        """Parse one dynamic block, fresh from the map (uncounted)."""
         pos = self._block_index.get(name)
         if pos is None:
             return None
@@ -458,99 +485,3 @@ class ObjectFileReader:
         return iter(self._block_index)
 
 
-class DatabaseStore:
-    """ConstraintStore over an :class:`ObjectFileReader` with accounting.
-
-    Every :meth:`load_block` call physically re-parses from the map (the
-    reader keeps nothing); the *accounting* follows the protocol contract:
-    a block's assignments count into ``loaded``/``in_core`` exactly once,
-    and each re-read counts into ``reloads`` — it is real I/O under the
-    discard-and-reload strategy, but not new coverage or residency, so
-    ``in_core <= loaded <= in_file`` holds at all times.  The analyzer's
-    :meth:`discard` report then shrinks ``in_core`` to what it retained.
-    Wrap the store in :class:`repro.cla.cache.BlockCache` for an actual
-    keep-or-discard retention policy with exact residency accounting.
-    """
-
-    def __init__(self, reader: ObjectFileReader):
-        self.reader = reader
-        self.stats = LoadStats(in_file=reader.assignment_count())
-        self._object_cache: dict[str, ProgramObject | None] = {}
-        self._statics: list[PrimitiveAssignment] | None = None
-        self._statics_loaded = False
-        self._loaded_blocks: set[str] = set()
-
-    @classmethod
-    def open(cls, path: str) -> "DatabaseStore":
-        reader = ObjectFileReader(path)
-        try:
-            return cls(reader)
-        except Exception:
-            # The mmap succeeded but the store could not be built (e.g. a
-            # corrupt dynamic index found while counting assignments):
-            # never leak the map/file handle.
-            reader.close()
-            raise
-
-    def close(self) -> None:
-        self.reader.close()
-
-    def __enter__(self) -> "DatabaseStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def static_assignments(self) -> list[PrimitiveAssignment]:
-        statics = self.fetch_statics()
-        if not self._statics_loaded:
-            self._statics_loaded = True
-            self.stats.count_load(len(statics), blocks=0)
-        return statics
-
-    def load_block(self, name: str) -> Block | None:
-        block = self.reader.load_block(name)
-        if block is not None:
-            n = len(block.assignments)
-            if name in self._loaded_blocks:
-                # Real I/O (the reader re-parsed), but the block's
-                # residency and coverage were already counted once.
-                self.stats.count_reload(n)
-            else:
-                self._loaded_blocks.add(name)
-                self.stats.count_load(n)
-        return block
-
-    def fetch_block(self, name: str) -> Block | None:
-        """Uncounted parse — the :class:`BlockCache` accounting seam."""
-        return self.reader.load_block(name)
-
-    def fetch_statics(self) -> list[PrimitiveAssignment]:
-        """The static section, parsed once and memoized (uncounted)."""
-        if self._statics is None:
-            self._statics = self.reader.static_assignments()
-        return self._statics
-
-    def object_names(self) -> Iterator[str]:
-        return self.reader.object_names()
-
-    def object_flags(self) -> ObjectFlags:
-        return self.reader.object_flags()
-
-    def get_object(self, name: str) -> ProgramObject | None:
-        """One object, decoded the first time it is asked for and kept."""
-        if name not in self._object_cache:
-            self._object_cache[name] = self.reader.find_object(name)
-        return self._object_cache[name]
-
-    def find_targets(self, simple_name: str) -> list[str]:
-        return self.reader.find_targets(simple_name)
-
-    def block_names(self):
-        return self.reader.block_names()
-
-    def call_sites(self):
-        return self.reader.call_sites()
-
-    def discard(self, assignments_kept: int) -> None:
-        self.stats.in_core = assignments_kept

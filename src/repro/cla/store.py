@@ -18,11 +18,13 @@ assignment     trigger object  why
 ``x = &y``     *(static)*      creates the initial lvals
 =============  ==============  ===========================================
 
-Two implementations exist: :class:`MemoryStore` here (the linked database
+Two stores own their rows: :class:`MemoryStore` here (the linked database
 in memory, and the one home of the link rules) and
-:class:`~repro.cla.reader.DatabaseStore` (mmap-backed demand loading from a
-CLA object file).  Both expose the same load accounting so Table 3's last
-three columns (in-core / loaded / in-file) can be produced for either.
+:class:`~repro.cla.reader.DatabaseStore` (one CLA file, mmap-backed and
+decoded on demand).  Both read raw through ``fetch_statics``/
+``fetch_block`` and share :class:`CountedStore`'s counted reads, so Table
+3's last three columns (in-core / loaded / in-file) are counted alike for
+either.
 """
 
 from __future__ import annotations
@@ -209,13 +211,14 @@ class ConstraintStore(Protocol):
         """Raw, *uncounted* block access (None if the object has none).
 
         The seam the keep-or-discard layer
-        (:class:`repro.cla.cache.BlockCache`) parses through so it can own
-        all accounting itself; analyses should call :meth:`load_block`.
+        (:class:`repro.cla.cache.BlockCache`), the link and the oracle
+        read through, so they never move the counts; analyses should
+        call :meth:`load_block`.
         """
         ...
 
     def fetch_statics(self) -> list[PrimitiveAssignment]:
-        """Raw, *uncounted* static-section access (cache-layer seam)."""
+        """Raw, *uncounted* static-section access."""
         ...
 
     def object_names(self) -> Iterable[str]:
@@ -249,6 +252,48 @@ class ConstraintStore(Protocol):
         ...
 
 
+class CountedStore:
+    """The counted reads of a store that owns its rows, written once over
+    its raw ``fetch_statics``/``fetch_block``.
+
+    The static section is always loaded (§4): it is counted the first
+    time it is read and the counted read keeps it.  A block counts into
+    ``loaded``/``in_core`` the first time it is loaded; loading it again
+    counts as a reload only where :attr:`_reparses` says the raw read
+    parsed it again.  :meth:`discard` takes the analyzer's report of what
+    it retained.
+    """
+
+    #: Does ``fetch_block`` parse the block again on every call?
+    _reparses = False
+
+    def __init__(self, in_file: int = 0):
+        self.stats = LoadStats(in_file=in_file)
+        self._loaded_statics: list[PrimitiveAssignment] | None = None
+        self._loaded_blocks: set[str] = set()
+
+    def static_assignments(self) -> list[PrimitiveAssignment]:
+        if self._loaded_statics is None:
+            self._loaded_statics = self.fetch_statics()
+            self.stats.count_load(len(self._loaded_statics), blocks=0)
+        return self._loaded_statics
+
+    def load_block(self, name: str) -> Block | None:
+        block = self.fetch_block(name)
+        if block is not None:
+            if name not in self._loaded_blocks:
+                self._loaded_blocks.add(name)
+                self.stats.count_load(len(block.assignments))
+            elif self._reparses:
+                # Real I/O, but the block's residency and coverage were
+                # already counted once.
+                self.stats.count_reload(len(block.assignments))
+        return block
+
+    def discard(self, assignments_kept: int) -> None:
+        self.stats.in_core = assignments_kept
+
+
 def simple_name_of(canonical: str) -> str:
     """The source-level name a user would type for a canonical object name.
 
@@ -277,7 +322,7 @@ def _same_definition(a: FunctionRecord, b: FunctionRecord) -> bool:
     )
 
 
-class MemoryStore:
+class MemoryStore(CountedStore):
     """The in-memory linked database: a ConstraintStore over any number
     of lowered units and object files.
 
@@ -302,6 +347,7 @@ class MemoryStore:
     def __init__(self, units: UnitIR | Iterable[UnitIR] = ()):
         if isinstance(units, UnitIR):
             units = [units]
+        super().__init__()
         #: The struct model of every input (field-based while empty).
         self.struct_model = "field_based"
         self._has_inputs = False
@@ -312,9 +358,6 @@ class MemoryStore:
         #: simple name -> canonical names, built on first lookup: linking
         #: and writing never need it.
         self._targets: dict[str, list[str]] | None = None
-        self.stats = LoadStats()
-        self._loaded_blocks: set[str] = set()
-        self._statics_loaded = False
         self._call_sites: list[CallSiteRecord] = []
         for unit in units:
             self.absorb_unit(unit)
@@ -346,29 +389,26 @@ class MemoryStore:
             self._add_indirect_record(self._ensure_block(name), record)
         self._call_sites.extend(unit.call_sites)
 
-    def absorb_object(self, reader) -> None:
-        """Link one open object file (an
-        :class:`~repro.cla.reader.ObjectFileReader`) into the store, one
-        decoded block at a time."""
-        self._link_struct_model(reader.struct_model, reader.path)
+    def absorb_object(self, database) -> None:
+        """Link one open object file (a
+        :class:`~repro.cla.reader.DatabaseStore`) into the store, one
+        block at a time, through its raw reads."""
+        self._link_struct_model(database.struct_model, database.path)
         self._targets = None
-        self.source_lines += reader.source_lines
-        for obj in reader.objects():
+        self.source_lines += database.source_lines
+        for obj in database.objects():
             self._merge_object(obj.name, obj)
-        statics = reader.static_assignments()
-        self._statics.extend(statics)
-        in_file = len(statics)
-        self._call_sites.extend(reader.call_sites())
-        for name in reader.block_names():
-            theirs = reader.load_block(name)
+        self._statics.extend(database.fetch_statics())
+        self._call_sites.extend(database.call_sites())
+        for name in database.block_names():
+            theirs = database.fetch_block(name)
             mine = self._ensure_block(name)
             mine.assignments.extend(theirs.assignments)
-            in_file += len(theirs.assignments)
             if theirs.function_record is not None:
                 self._add_function_record(mine, theirs.function_record)
             if theirs.indirect_record is not None:
                 self._add_indirect_record(mine, theirs.indirect_record)
-        self.stats.in_file += in_file
+        self.stats.in_file += database.stats.in_file
 
     def _link_struct_model(self, model: str, source: str) -> None:
         if self._has_inputs and model != self.struct_model:
@@ -450,21 +490,6 @@ class MemoryStore:
 
     # -- ConstraintStore interface ----------------------------------------
 
-    def static_assignments(self) -> list[PrimitiveAssignment]:
-        if not self._statics_loaded:
-            self._statics_loaded = True
-            self.stats.count_load(len(self._statics), blocks=0)
-        return self._statics
-
-    def load_block(self, name: str) -> Block | None:
-        block = self._blocks.get(name)
-        if block is None:
-            return None
-        if name not in self._loaded_blocks:
-            self._loaded_blocks.add(name)
-            self.stats.count_load(len(block.assignments))
-        return block
-
     def fetch_block(self, name: str) -> Block | None:
         return self._blocks.get(name)
 
@@ -504,9 +529,6 @@ class MemoryStore:
 
     def call_sites(self) -> list[CallSiteRecord]:
         return list(self._call_sites)
-
-    def discard(self, assignments_kept: int) -> None:
-        self.stats.in_core = assignments_kept
 
     def close(self) -> None:
         """Nothing to release: the store holds no file."""

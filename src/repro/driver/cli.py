@@ -25,9 +25,9 @@ import sys
 import tempfile
 from contextlib import contextmanager
 
-from ..cla.cache import wrap_store
+from ..cla.cache import BlockCache
 from ..cla.objfile import ClaFormatError
-from ..cla.reader import ObjectFileReader
+from ..cla.reader import DatabaseStore
 from ..cla.store import LinkError
 from ..depend.chains import render_all, summarize
 from ..engine.events import EVENTS, JsonlSink, ProgressSink
@@ -91,6 +91,24 @@ def _source_inputs(command: str, inputs: list[str],
     return sources
 
 
+def _count(minimum: int = 0):
+    """The argparse type of every count flag: an int of at least
+    ``minimum``, so a bad value is a usage error (rc 2)."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _add_ledger_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--events", dest="events_out", metavar="FILE",
                    help="write the run ledger as JSONL "
@@ -113,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sources", nargs="+")
     p.add_argument("-o", "--output", required=True,
                    help="object file (one source) or output directory")
-    p.add_argument("-j", "--jobs", type=int, default=1,
+    p.add_argument("-j", "--jobs", type=_count(), default=1,
                    help="compile in N parallel worker processes")
     p.add_argument("-I", "--include", action="append", default=[],
                    help="add an #include search directory")
@@ -165,13 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cycle-elim", action="store_true",
                    help="disable complete cycle elimination "
                         "(pretransitive only; ablation)")
-    p.add_argument("--max-core-assignments", type=int, default=None,
+    p.add_argument("--max-core-assignments", type=_count(), default=None,
                    metavar="N",
                    help="bound in-core assignments to N via the "
                         "keep-or-discard block cache (§4); evicted "
                         "blocks are re-read on demand "
                         "(default: unbounded, no cache)")
-    p.add_argument("--top", type=int, default=0,
+    p.add_argument("--top", type=_count(), default=0,
                    help="print the N largest points-to sets")
     p.add_argument("--dot", dest="dot_out", metavar="FILE",
                    help="write the points-to graph as Graphviz DOT")
@@ -187,14 +205,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="canonical object name to exclude (§2 non-targets)")
     p.add_argument("--solver", default="pretransitive",
                    choices=sorted(SOLVERS))
-    p.add_argument("--limit", type=int, default=25,
+    p.add_argument("--limit", type=_count(), default=25,
                    help="print at most this many chains")
     p.add_argument("--tree", action="store_true",
                    help="render the dependence forest (§2's chain browser)")
     p.add_argument("--min-strength", default="weak",
                    choices=["weak", "strong", "direct"],
                    help="drop chains weaker than this (triage filter)")
-    p.add_argument("--max-core-assignments", type=int, default=None,
+    p.add_argument("--max-core-assignments", type=_count(), default=None,
                    metavar="N",
                    help="bound in-core assignments to N via the "
                         "keep-or-discard block cache (§4); the cache is "
@@ -231,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="differential fuzzing: all solvers + "
                                     "oracle on random programs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--max-units", type=int, default=3,
+    p.add_argument("--iterations", type=_count(), default=50)
+    p.add_argument("--max-units", type=_count(1), default=3,
                    help="cap translation units per generated program")
     p.add_argument("--scale", type=float, default=0.01,
                    help="profile scale for generated programs")
@@ -244,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", action="store_true",
                    help="also run the oracle's minimality check on the "
                         "subset-based solvers")
-    p.add_argument("--shrink-budget", type=int, default=400,
+    p.add_argument("--shrink-budget", type=_count(), default=400,
                    help="max predicate runs for the delta debugger")
     _add_ledger_flags(p)
 
@@ -277,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--ovs", action="store_true",
                    help="off-line variable substitution (Rountev-Chandra)")
-    p.add_argument("--context-sensitivity", type=int, metavar="K",
+    p.add_argument("--context-sensitivity", type=_count(), metavar="K",
                    default=0,
                    help="clone functions with 2..K call sites")
 
@@ -305,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--profile", action="append", default=None,
                    help="restrict to specific benchmark profiles")
-    p.add_argument("--max-core-assignments", type=int, default=None,
+    p.add_argument("--max-core-assignments", type=_count(), default=None,
                    metavar="N",
                    help="run the table's analyses under a block-cache "
                         "memory budget (table3/demand only; the cache "
@@ -330,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true",
                    help="check every solved fixpoint against the "
                         "soundness oracle before serving it")
-    p.add_argument("--cache-entries", type=int, default=1024,
+    p.add_argument("--cache-entries", type=_count(), default=1024,
                    metavar="N",
                    help="bound the query-result LRU to N entries "
                         "(0 disables caching)")
@@ -345,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="log requests slower than MS to the in-memory "
                         "slow-query log (traces op) and emit "
                         "serve.slow_query ledger events")
-    p.add_argument("--trace-ring", type=int, default=256, metavar="N",
+    p.add_argument("--trace-ring", type=_count(), default=256, metavar="N",
                    help="keep the last N request traces in memory for "
                         "the traces op (the slow-query log is capped at "
                         "min(N, 64); 0 disables both rings)")
@@ -392,10 +410,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         include_dirs=args.include,
         predefined=predefined,
     )
-    if len(args.sources) == 1 and not os.path.isdir(args.output):
+    to_dir = args.output.endswith(("/", os.sep)) or os.path.isdir(args.output)
+    if len(args.sources) == 1 and not to_dir:
         out_paths = [args.output]
     else:
-        # Several sources: the output is a directory of per-file objects.
+        # Several sources, or a directory: one object per source in it.
         os.makedirs(args.output, exist_ok=True)
         out_paths = [
             os.path.join(
@@ -413,20 +432,20 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         dict(zip(args.sources, out_paths)), jobs=args.jobs,
     )
     for out in out_paths:
-        with ObjectFileReader(out) as reader:
+        with DatabaseStore.open(out) as database:
             print(
-                f"{out}: {reader.assignment_count()} primitive assignments, "
-                f"{reader.object_count()} objects"
+                f"{out}: {database.stats.in_file} primitive assignments, "
+                f"{database.object_count()} objects"
             )
     return 0
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
     link_objects(args.objects, args.output)
-    with ObjectFileReader(args.output) as reader:
+    with DatabaseStore.open(args.output) as database:
         print(
-            f"{args.output}: {reader.object_count()} objects, "
-            f"{reader.assignment_count()} assignments"
+            f"{args.output}: {database.object_count()} objects, "
+            f"{database.stats.in_file} assignments"
         )
     return 0
 
@@ -470,10 +489,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 span("session", command="analyze"):
             if c_files:
                 sources = {path: read_source(path) for path in c_files}
-                units = pipeline.compile_units(sources)
-                store = wrap_store(
-                    pipeline.link_units(units), args.max_core_assignments
-                )
+                store = pipeline.link_units(pipeline.compile_units(sources))
+                if args.max_core_assignments is not None:
+                    store = BlockCache(store, args.max_core_assignments)
             else:
                 store = pipeline.open_database(
                     args.inputs[0], args.max_core_assignments
@@ -733,27 +751,27 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    with ObjectFileReader(args.objectfile) as reader:
-        kind = "executable" if reader.linked else "object file"
-        model = reader.struct_model.replace("_", "-")
+    with DatabaseStore.open(args.objectfile) as database:
+        kind = "executable" if database.linked else "object file"
+        model = database.struct_model.replace("_", "-")
         print(f"{args.objectfile}: CLA {kind}, {model}, "
-              f"{reader.source_lines} source lines")
+              f"{database.source_lines} source lines")
         b_nul = b"\x00"
-        for tag, (offset, size) in reader.sections.items():
+        for tag, (offset, size) in database.sections.items():
             print(f"  section {tag.rstrip(b_nul).decode():8s} "
                   f"offset={offset:<10d} size={size}")
-        print(f"  objects: {reader.object_count()}, "
-              f"assignments: {reader.assignment_count()}")
+        print(f"  objects: {database.object_count()}, "
+              f"assignments: {database.stats.in_file}")
         if args.statics:
             print("static section:")
-            for a in reader.static_assignments():
+            for a in database.fetch_statics():
                 print(f"  {a.render()}  @ {a.location}")
         if args.block:
-            block = reader.load_block(args.block)
+            block = database.fetch_block(args.block)
             if block is None:
                 print(f"no block for {args.block!r}")
                 return 1
-            obj = reader.find_object(args.block)
+            obj = database.get_object(args.block)
             kind = obj.kind.name if obj is not None else "VARIABLE"
             print(f"block {args.block} ({kind}):")
             for a in block.assignments:

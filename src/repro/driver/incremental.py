@@ -136,8 +136,10 @@ class Workspace:
         return self.add_header(filename, text)
 
     def remove_source(self, filename: str) -> "Workspace":
-        self._sources.pop(filename, None)
-        self.options.virtual_files.pop(filename, None)
+        if filename not in self._sources:
+            raise KeyError(f"unknown source {filename!r}")
+        del self._sources[filename]
+        del self.options.virtual_files[filename]
         return self
 
     def sources(self) -> list[str]:

@@ -19,7 +19,7 @@ import tempfile
 
 from ..cfront.preprocessor import Preprocessor
 from ..cfront.source import SourceFile
-from ..cla.cache import BlockCache, wrap_store
+from ..cla.cache import BlockCache
 from ..cla.reader import DatabaseStore
 from ..engine.obs import format_table, human_count, measure
 from ..engine.pipeline import CompileOptions, Pipeline
@@ -156,11 +156,9 @@ def table2_rows(
             store = DatabaseStore.open(db_path)
             mix = {"x = y": 0, "x = &y": 0, "*x = y": 0, "*x = *y": 0,
                    "x = *y": 0}
-            assignments = list(store.static_assignments())
-            for block_name in store.reader.block_names():
-                block = store.reader.load_block(block_name)
-                if block:
-                    assignments.extend(block.assignments)
+            assignments = store.fetch_statics()
+            for block_name in store.block_names():
+                assignments.extend(store.fetch_block(block_name).assignments)
             mix.update(assignment_mix(assignments))
             n_vars = sum(
                 1 for obj_name in store.object_names()
@@ -203,9 +201,7 @@ def table3_rows(
             s = _profile_scale(name, scale)
             program = generate(name, scale=s, seed=seed)
             db_path = build_database(program, tmp)
-            store = wrap_store(
-                DatabaseStore.open(db_path), max_core_assignments
-            )
+            store = Pipeline().open_database(db_path, max_core_assignments)
             m = measure(lambda: analyze_store(store, solver))
             result = m.result
             paper = PAPER_TABLE3[name]
@@ -415,9 +411,8 @@ def demand_rows(
             program = generate(name, scale=s, seed=seed)
             db_path = build_database(program, tmp)
             for demand in (True, False):
-                store = wrap_store(
-                    DatabaseStore.open(db_path), max_core_assignments
-                )
+                store = Pipeline().open_database(
+                    db_path, max_core_assignments)
                 m = measure(
                     lambda: PreTransitiveSolver(
                         store, demand_load=demand

@@ -473,15 +473,12 @@ class ProgressSink:
         # (boot on Linux), so 0.0 would throttle the first event on a
         # freshly booted machine.
         self._last_render = float("-inf")
-        self._line_open = False
         # run state
         self._stage = ""
         self._units_done = 0
         self._units_total = 0
-        self._solver = ""
         self._edges_total = 0
         self._blocks_loaded = 0
-        self._line = ""
 
     # -- event intake --------------------------------------------------------
 
@@ -498,7 +495,6 @@ class ProgressSink:
                 f"({event.file})"
             )
         elif kind == "solver.begin":
-            self._solver = event.solver
             self._edges_total = 0
             self._render(
                 f"[analyze {event.solver}] "
@@ -575,15 +571,11 @@ class ProgressSink:
                 and now - self._last_render < self.min_interval:
             return
         self._last_render = now
-        self._line = line
         if self._isatty:
             # Rewrite in place; pad over the previous line's tail.
             self.stream.write("\r" + line.ljust(79))
             if final:
                 self.stream.write("\n")
-                self._line_open = False
-            else:
-                self._line_open = True
         else:
             self.stream.write(line + "\n")
         self.stream.flush()

@@ -61,17 +61,17 @@ class SolverStats:
     block_misses: int = 0
     block_evictions: int = 0
 
-    def absorb_load_stats(self, load_stats) -> "SolverStats":
-        """Snapshot a :class:`~repro.cla.store.LoadStats` (duck-typed)."""
-        self.blocks_loaded = getattr(load_stats, "blocks_loaded", 0)
-        self.assignments_in_core = load_stats.in_core
-        self.assignments_loaded = load_stats.loaded
-        self.assignments_in_file = load_stats.in_file
-        self.assignments_reloaded = getattr(load_stats, "reloads", 0)
-        self.peak_in_core = getattr(load_stats, "peak_in_core", 0)
-        self.block_hits = getattr(load_stats, "block_hits", 0)
-        self.block_misses = getattr(load_stats, "block_misses", 0)
-        self.block_evictions = getattr(load_stats, "block_evictions", 0)
+    def absorb_load_stats(self, loads) -> "SolverStats":
+        """Snapshot a store's :class:`~repro.cla.store.LoadStats`."""
+        self.blocks_loaded = loads.blocks_loaded
+        self.assignments_in_core = loads.in_core
+        self.assignments_loaded = loads.loaded
+        self.assignments_in_file = loads.in_file
+        self.assignments_reloaded = loads.reloads
+        self.peak_in_core = loads.peak_in_core
+        self.block_hits = loads.block_hits
+        self.block_misses = loads.block_misses
+        self.block_evictions = loads.block_evictions
         return self
 
     def as_dict(self) -> dict[str, int | str]:

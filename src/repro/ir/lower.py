@@ -256,13 +256,6 @@ class Lowerer:
         self._scopes[0].bindings[simple_name] = (simple_name, ctype)
         return simple_name, ctype
 
-    def _type_of(self, canonical: str) -> CType:
-        for scope in reversed(self._scopes):
-            for bound, ctype in scope.bindings.values():
-                if bound == canonical:
-                    return ctype
-        return UnknownType()
-
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
@@ -332,22 +325,6 @@ class Lowerer:
         t = self._fresh_temp(ctype, location)
         self._assign(Value(Value.REF, t), contributions, location)
         return t
-
-    def _single_object(
-        self, contributions: list[Contribution], ctype: CType,
-        location: Location,
-    ) -> str:
-        """An object holding the value of ``contributions``.
-
-        Avoids a temporary when the value is already exactly one REF.
-        """
-        if (
-            len(contributions) == 1
-            and contributions[0].value.shape == Value.REF
-            and contributions[0].strength is Strength.DIRECT
-        ):
-            return contributions[0].value.obj
-        return self._materialize(contributions, ctype, location)
 
     # ------------------------------------------------------------------
     # Translation unit

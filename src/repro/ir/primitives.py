@@ -32,22 +32,6 @@ class PrimitiveKind(enum.IntEnum):
     LOAD = 3  # x = *y         (complex)
     STORE_LOAD = 4  # *x = *y  (complex)
 
-    @property
-    def is_complex(self) -> bool:
-        return self in (
-            PrimitiveKind.STORE, PrimitiveKind.LOAD, PrimitiveKind.STORE_LOAD
-        )
-
-    @property
-    def c_syntax(self) -> str:
-        return {
-            PrimitiveKind.COPY: "x = y",
-            PrimitiveKind.ADDR: "x = &y",
-            PrimitiveKind.STORE: "*x = y",
-            PrimitiveKind.LOAD: "x = *y",
-            PrimitiveKind.STORE_LOAD: "*x = *y",
-        }[self]
-
 
 @dataclass(slots=True)
 class PrimitiveAssignment:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
 
-from ..cla.store import ConstraintStore, LoadStats
+from ..cla.store import ConstraintStore
 from ..engine.events import (
     EVENTS,
     SolverBeginEvent,
@@ -81,7 +81,6 @@ class PointsToResult:
     solver: str
     pts: Mapping[str, frozenset[str]]
     stats: SolverStats = field(default_factory=SolverStats)
-    load_stats: LoadStats = field(default_factory=LoadStats)
     #: Object metadata snapshot for reporting (name -> ProgramObject).
     objects: dict[str, ProgramObject] = field(default_factory=dict)
 
@@ -367,6 +366,5 @@ class BaseSolver:
             solver=self.name,
             pts=pts,
             stats=self.stats,
-            load_stats=self.store.stats,
             objects=objects,
         )

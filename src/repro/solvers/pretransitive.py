@@ -111,7 +111,6 @@ class PreTransitiveSolver(BaseSolver):
 
         self._nodes: dict[str, _Node] = {}
         self._uid = 0
-        self._uid_nodes: list["_Node | None"] = [None]  # uid -> node
         #: complex assignments, resolved to nodes at intake so the Figure 5
         #: loop never round-trips through names.  Each entry is a mutable
         #: ``[lval_node, peer_node, is_store, seen]`` record: lvals are
@@ -150,7 +149,6 @@ class PreTransitiveSolver(BaseSolver):
             self._uid += 1
             node = _Node(self._uid, name)
             self._nodes[name] = node
-            self._uid_nodes.append(node)
             if not name.startswith("*"):
                 # Canonical names join the shared universe so the
                 # name <-> id round-trip (and intern stats) cover this

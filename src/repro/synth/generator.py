@@ -116,10 +116,6 @@ class SynthProgram:
             paths.append(path)
         return paths
 
-    @property
-    def source_bytes(self) -> int:
-        return len(self.header) + sum(len(t) for t in self.files.values())
-
     def source_lines(self) -> int:
         from ..cfront.source import count_source_lines
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cla.cache import BlockCache, wrap_store
+from repro.cla.cache import BlockCache
 from repro.cla.store import MemoryStore
 from repro.ir.lower import UnitIR
 from repro.ir.primitives import PrimitiveAssignment, PrimitiveKind
@@ -48,11 +48,6 @@ class TestConstruction:
         assert cache.retained_blocks() == 0
         # The statics are a mandatory resident the budget cannot evict.
         assert cache.stats.in_core == 3
-
-    def test_wrap_store(self):
-        plain = store_with_blocks({"a": 1})
-        assert wrap_store(plain, None) is plain
-        assert isinstance(wrap_store(plain, 5), BlockCache)
 
 
 class TestHitsAndMisses:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cfront import parse_c
 from repro.cla.linker import LinkError, link_object_files
-from repro.cla.reader import DatabaseStore, ObjectFileReader
+from repro.cla.reader import DatabaseStore
 from repro.cla.store import MemoryStore
 from repro.cla.writer import write_unit
 from repro.driver.cli import main
@@ -45,18 +45,18 @@ class TestLinking:
                        "void g(void) { p = &shared; }")
         out = str(tmp_path / "prog.cla")
         link_object_files([a, b], out)
-        with ObjectFileReader(out) as r:
+        with DatabaseStore.open(out) as r:
             assert r.linked
             assert len(r.find_targets("shared")) == 1
-            assert r.find_object("p") is not None
+            assert r.get_object("p") is not None
 
     def test_statics_concatenate(self, tmp_path):
         a = compile_to(tmp_path, "a.c", "int x, *p; void f(void){ p = &x; }")
         b = compile_to(tmp_path, "b.c", "int y, *q; void g(void){ q = &y; }")
         out = str(tmp_path / "prog.cla")
         link_object_files([a, b], out)
-        with ObjectFileReader(out) as r:
-            statics = {str(s) for s in r.static_assignments()}
+        with DatabaseStore.open(out) as r:
+            statics = {str(s) for s in r.fetch_statics()}
             assert statics == {"p = &x", "q = &y"}
 
     def test_cross_file_blocks_merge(self, tmp_path):
@@ -65,8 +65,8 @@ class TestLinking:
                        "extern int g2; int v; void h(void){ v = g2; }")
         out = str(tmp_path / "prog.cla")
         link_object_files([a, b], out)
-        with ObjectFileReader(out) as r:
-            block = r.load_block("g2")
+        with DatabaseStore.open(out) as r:
+            block = r.fetch_block("g2")
             assert {x.dst for x in block.assignments} == {"u", "v"}
 
     def test_file_statics_stay_distinct(self, tmp_path):
@@ -76,7 +76,7 @@ class TestLinking:
                                         "void g(void){ priv = 2; }")
         out = str(tmp_path / "prog.cla")
         link_object_files([a, b], out)
-        with ObjectFileReader(out) as r:
+        with DatabaseStore.open(out) as r:
             assert sorted(r.find_targets("priv")) == ["a.c::priv", "b.c::priv"]
 
     def test_function_record_from_defining_file(self, tmp_path):
@@ -85,8 +85,8 @@ class TestLinking:
                        "int work(int); void f(void) { work(3); }")
         out = str(tmp_path / "prog.cla")
         link_object_files([a, b], out)
-        with ObjectFileReader(out) as r:
-            record = r.load_block("work").function_record
+        with DatabaseStore.open(out) as r:
+            record = r.fetch_block("work").function_record
             assert record is not None
             assert record.args == ["work$arg1"]
 
@@ -96,8 +96,8 @@ class TestLinking:
         a = compile_to(tmp_path, "a.c", "int work(int n) { return n; }")
         out = str(tmp_path / "prog.cla")
         link_object_files([a, a], out)
-        with ObjectFileReader(out) as r:
-            assert r.load_block("work").function_record.args == ["work$arg1"]
+        with DatabaseStore.open(out) as r:
+            assert r.fetch_block("work").function_record.args == ["work$arg1"]
 
     def test_source_lines_sum(self, tmp_path):
         unit_a = lower_translation_unit(
@@ -112,7 +112,7 @@ class TestLinking:
         write_unit(unit_b, path_b)
         out = str(tmp_path / "prog.cla")
         link_object_files([path_a, path_b], out)
-        with ObjectFileReader(out) as r:
+        with DatabaseStore.open(out) as r:
             assert r.source_lines == 3
 
     def test_mixed_field_models_rejected(self, tmp_path):
@@ -140,7 +140,7 @@ class TestLinking:
         out = str(tmp_path / "prog.cla")
         link_object_files([a, b], out)
         for path in (a, b, out):
-            with ObjectFileReader(path) as r:
+            with DatabaseStore.open(path) as r:
                 assert r.struct_model == model
 
     def test_in_memory_link_rejects_mixed_models(self):
@@ -206,8 +206,8 @@ def link_objects_route(tmp_path, capsys, sources, headers):
         paths.append(path)
     out = str(tmp_path / "prog.cla")
     link_object_files(paths, out)
-    with ObjectFileReader(out) as r:
-        return r.load_block("work").function_record
+    with DatabaseStore.open(out) as r:
+        return r.fetch_block("work").function_record
 
 
 def session_route(tmp_path, capsys, sources, headers):
@@ -248,8 +248,8 @@ def workspace_route(tmp_path, capsys, sources, headers):
             ws.add_header(name, text)
         for name, text in sources.items():
             ws.add_source(name, text)
-        with ObjectFileReader(ws.build(jobs=1)) as r:
-            return r.load_block("work").function_record
+        with DatabaseStore.open(ws.build(jobs=1)) as r:
+            return r.fetch_block("work").function_record
 
 
 LINK_ROUTES = {
@@ -316,5 +316,5 @@ class TestLinkUnitsSourceLines:
         unit_b.source_lines = 3
         out = str(tmp_path / "prog.cla")
         Pipeline().write_executable(MemoryStore([unit_a, unit_b]), out)
-        with ObjectFileReader(out) as r:
+        with DatabaseStore.open(out) as r:
             assert r.source_lines == 5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cfront.source import Location
 from repro.cla import objfile as F
 from repro.cla.objfile import ClaFormatError, name_hash
-from repro.cla.reader import DatabaseStore, ObjectFileReader
+from repro.cla.reader import DatabaseStore
 from repro.cla.store import MemoryStore, trigger_object
 from repro.cla.writer import ObjectFileWriter, write_unit
 from repro.ir.lower import UnitIR
@@ -67,7 +67,7 @@ def unit_of(*assignments, **fields) -> UnitIR:
 def write_and_read(tmp_path, unit):
     path = str(tmp_path / "t.o")
     write_unit(unit, path)
-    return ObjectFileReader(path)
+    return DatabaseStore.open(path)
 
 
 # -- unit tests ------------------------------------------------------------
@@ -79,7 +79,7 @@ class TestHeader:
             path = str(tmp_path / f"{model}.o")
             store = MemoryStore(unit_of(struct_model=model))
             ObjectFileWriter(store, linked=True).write(path)
-            with ObjectFileReader(path) as r:
+            with DatabaseStore.open(path) as r:
                 assert r.struct_model == model
                 assert r.linked
 
@@ -92,13 +92,13 @@ class TestHeader:
         with open(path, "wb") as f:
             f.write(b"NOTCLA__" + b"\x00" * 64)
         with pytest.raises(ClaFormatError):
-            ObjectFileReader(path)
+            DatabaseStore.open(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = str(tmp_path / "empty.o")
         open(path, "wb").close()
         with pytest.raises(ClaFormatError):
-            ObjectFileReader(path)
+            DatabaseStore.open(path)
 
     def test_all_sections_present(self, tmp_path):
         with write_and_read(tmp_path, unit_of()) as r:
@@ -116,7 +116,7 @@ class TestAssignments:
             strength=Strength.DIRECT, location=Location("a.c", 7),
         )
         with write_and_read(tmp_path, unit_of(a)) as r:
-            [back] = r.static_assignments()
+            [back] = r.fetch_statics()
             assert back.kind is PrimitiveKind.ADDR
             assert (back.dst, back.src) == ("p", "x")
             assert back.location == Location("a.c", 7)
@@ -127,7 +127,7 @@ class TestAssignments:
             strength=Strength.STRONG, location=Location("a.c", 3),
         )
         with write_and_read(tmp_path, unit_of(a)) as r:
-            block = r.load_block("y")
+            block = r.fetch_block("y")
             [back] = block.assignments
             assert back.op == "+"
             assert back.strength is Strength.STRONG
@@ -138,11 +138,11 @@ class TestAssignments:
             for i in range(5)
         ), PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst="p", src="x"))
         with write_and_read(tmp_path, unit) as r:
-            assert r.assignment_count() == 6
+            assert r.stats.in_file == 6
 
     def test_missing_block_is_none(self, tmp_path):
         with write_and_read(tmp_path, unit_of()) as r:
-            assert r.load_block("ghost") is None
+            assert r.fetch_block("ghost") is None
 
 
 class TestRecords:
@@ -152,7 +152,7 @@ class TestRecords:
             variadic=True, location=Location("a.c", 1),
         )})
         with write_and_read(tmp_path, unit) as r:
-            record = r.load_block("f").function_record
+            record = r.fetch_block("f").function_record
             assert record.args == ["f$arg1", "f$arg2"]
             assert record.ret == "f$ret"
             assert record.variadic
@@ -163,7 +163,7 @@ class TestRecords:
             location=Location("b.c", 9),
         )})
         with write_and_read(tmp_path, unit) as r:
-            record = r.load_block("fp").indirect_record
+            record = r.fetch_block("fp").indirect_record
             assert record.args == ["<fp>$arg1"]
             assert record.ret == "<fp>$ret"
 
@@ -175,7 +175,7 @@ class TestRecords:
                 pointer="f", args=[], ret="<f>$ret")},
         )
         with write_and_read(tmp_path, unit) as r:
-            block = r.load_block("f")
+            block = r.fetch_block("f")
             assert block.function_record is not None
             assert block.indirect_record is not None
 
@@ -188,7 +188,7 @@ class TestObjects:
             is_global=False, may_point=True, is_funcptr=False,
         )
         with write_and_read(tmp_path, unit_of(objects={obj.name: obj})) as r:
-            back = r.find_object("a.c::f::x")
+            back = r.get_object("a.c::f::x")
             assert back == obj
             assert back.type_str == "short *"
             assert back.enclosing_function == "f"
@@ -201,8 +201,8 @@ class TestObjects:
         })
         with write_and_read(tmp_path, unit) as r:
             for name in ["alpha", "beta", "mid", "omega", "zeta"]:
-                assert r.find_object(name).name == name
-            assert r.find_object("nope") is None
+                assert r.get_object(name).name == name
+            assert r.get_object("nope") is None
 
     def test_targets_lookup(self, tmp_path):
         unit = unit_of(objects={
@@ -232,7 +232,7 @@ class TestDatabaseStore:
         store.load_block("p")
         assert store.stats.loaded == 2
         assert store.stats.in_core == 2
-        # Re-reading is real I/O (the reader keeps nothing) but counts as
+        # Re-reading is real I/O (the store keeps nothing) but counts as
         # a reload, never as new coverage or residency — otherwise
         # in_core could exceed in_file.
         store.load_block("p")
@@ -249,7 +249,8 @@ class TestDatabaseStore:
         store = DatabaseStore.open(self._database(tmp_path))
         first = store.static_assignments()
         assert store.static_assignments() is first
-        assert store.fetch_statics() is first
+        # The raw read parses fresh rows, equal to the counted ones.
+        assert store.fetch_statics() == first
         # Counted once, no matter how often the section is consulted.
         assert store.stats.loaded == 1
         store.close()
@@ -264,15 +265,15 @@ class TestDatabaseStore:
 
     def test_close_idempotent(self, tmp_path):
         store = DatabaseStore.open(self._database(tmp_path))
-        assert not store.reader.closed
+        assert not store.closed
         store.close()
-        assert store.reader.closed
+        assert store.closed
         store.close()  # second close is a no-op, not a crash
 
     def test_context_manager_closes(self, tmp_path):
         with DatabaseStore.open(self._database(tmp_path)) as store:
-            reader = store.reader
-        assert reader.closed
+            pass
+        assert store.closed
 
 
 class TestEnumWidthGuard:
@@ -333,7 +334,7 @@ class TestCorruptDatabases:
 
     def expect_format_error(self, path: str, fragment: str):
         with pytest.raises(ClaFormatError) as excinfo:
-            ObjectFileReader(path)
+            DatabaseStore.open(path)
         message = str(excinfo.value)
         assert path in message
         assert fragment in message
@@ -390,7 +391,7 @@ class TestCorruptRecords:
             PrimitiveAssignment(kind=PrimitiveKind.ADDR, dst="p", src="x"),
             PrimitiveAssignment(kind=PrimitiveKind.COPY, dst="q", src="p"),
         ), path)
-        with ObjectFileReader(path) as r:
+        with DatabaseStore.open(path) as r:
             sections = dict(r.sections)
         with open(path, "rb") as f:
             data = bytearray(f.read())
@@ -464,9 +465,9 @@ class TestCorruptRecords:
             self.put(data, dynamic + 4, 1_000_000)
 
         path = self.corrupt(tmp_path, patch)
-        with ObjectFileReader(path) as r:
+        with DatabaseStore.open(path) as r:
             self.expect(path, "block 'p': assignments past the end",
-                        lambda: r.load_block("p"))
+                        lambda: r.fetch_block("p"))
 
     def test_entry_count_past_section_end(self, tmp_path):
         def patch(data, sections):
@@ -474,8 +475,9 @@ class TestCorruptRecords:
             self.put(data, static, 1_000_000)
 
         path = self.corrupt(tmp_path, patch)
-        with ObjectFileReader(path) as r:
-            self.expect(path, "claims 1000000 entries", r.static_assignments)
+        # The open counts the static section's rows, so it finds this.
+        self.expect(path, "claims 1000000 entries",
+                    lambda: DatabaseStore.open(path))
 
     def test_bad_kind_byte(self, tmp_path):
         def patch(data, sections):
@@ -483,8 +485,8 @@ class TestCorruptRecords:
             data[static + F.COUNT.size] = 99  # kind of the first row
 
         path = self.corrupt(tmp_path, patch)
-        with ObjectFileReader(path) as r:
-            self.expect(path, "bad assignment kind", r.static_assignments)
+        with DatabaseStore.open(path) as r:
+            self.expect(path, "bad assignment kind", r.fetch_statics)
 
 
 # -- property-based round trip ------------------------------------------------
@@ -500,11 +502,11 @@ def test_database_round_trip(tmp_path_factory, assigns, objs):
         first.setdefault(obj.name, obj)
     path = str(tmp / "prop.o")
     write_unit(unit_of(*assigns, objects=first), path)
-    with ObjectFileReader(path) as r:
+    with DatabaseStore.open(path) as r:
         # Every written object is findable with identical metadata.
         merged = {o.name: o for o in objs}
         for name, obj in list(merged.items())[:5]:
-            back = r.find_object(name)
+            back = r.get_object(name)
             assert back is not None
             assert back.kind == first[name].kind
         # Assignment multiset is preserved.
@@ -514,15 +516,15 @@ def test_database_round_trip(tmp_path_factory, assigns, objs):
                     a.location.line if not a.location.is_unknown else 0)
 
         originals = sorted(key(a) for a in assigns)
-        read_back = [a for a in r.static_assignments()]
+        read_back = [a for a in r.fetch_statics()]
         for block_name in r.block_names():
-            read_back.extend(r.load_block(block_name).assignments)
+            read_back.extend(r.fetch_block(block_name).assignments)
         assert sorted(key(a) for a in read_back) == originals
         # Every non-static assignment landed in its trigger's block.
         for a in assigns:
             trigger = trigger_object(a)
             if trigger is not None:
-                block = r.load_block(trigger)
+                block = r.fetch_block(trigger)
                 assert any(key(b) == key(a) for b in block.assignments)
 
 
@@ -565,7 +567,7 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.o"]
         # and the surviving file still opens
-        ObjectFileReader(str(path)).close()
+        DatabaseStore.open(str(path)).close()
         assert _os.path.exists(path)
 
     def test_temp_file_in_same_directory(self, tmp_path, monkeypatch):

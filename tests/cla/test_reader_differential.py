@@ -1,4 +1,4 @@
-"""The table-driven reader against the per-row reference decoder.
+"""The table-driven store against the per-row reference decoder.
 
 Both read the same real files (see ``corpus.py``): every synth profile's
 object files and linked database, and the Figure 1/3/4 programs.  They
@@ -7,7 +7,7 @@ function records and indirect-call records), the same ``find_targets``
 names in the same order, and ``None`` for absent names.  The same corpus
 pins what an open + solve decodes (each object at most once, no row
 location), and that rows and objects read in full, locations included,
-after their reader is closed.
+after their store is closed.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import pytest
 from repro.cfront.source import Location
 from repro.cla import reader as reader_module
 from repro.cla.linker import absorb_object_files
-from repro.cla.reader import DatabaseStore, ObjectFileReader
+from repro.cla.reader import DatabaseStore
 from repro.cla.store import simple_name_of
 from repro.engine.pipeline import Pipeline
 from repro.solvers import PreTransitiveSolver
@@ -30,25 +30,25 @@ ABSENT = ["", "no_such_object", "a.c::f::missing", "S.nope", "$ret"]
 
 
 def assert_same_decode(path: str) -> None:
-    with ObjectFileReader(path) as new, ReferenceReader(path) as ref:
-        assert new.static_assignments() == ref.static_assignments()
+    with DatabaseStore.open(path) as new, ReferenceReader(path) as ref:
+        assert new.fetch_statics() == ref.static_assignments()
         assert [_fields(o) for o in new.objects()] == \
             [_fields(o) for o in ref.objects()]
         assert new.call_sites() == ref.call_sites()
         assert new.object_count() == ref.object_count()
-        assert new.assignment_count() == ref.assignment_count()
+        assert new.stats.in_file == ref.assignment_count()
         assert list(new.block_names()) == ref.block_names()
         for name in ref.block_names():
-            assert new.load_block(name) == ref.load_block(name), name
+            assert new.fetch_block(name) == ref.load_block(name), name
         simple_names = set()
         for obj in ref.objects():
-            assert _fields(new.find_object(obj.name)) == _fields(obj)
+            assert _fields(new.get_object(obj.name)) == _fields(obj)
             simple_names.add(simple_name_of(obj.name))
         for simple in sorted(simple_names):
             assert new.find_targets(simple) == ref.find_targets(simple)
         for name in ABSENT:
-            assert new.find_object(name) is None
-            assert new.load_block(name) is None
+            assert new.get_object(name) is None
+            assert new.fetch_block(name) is None
             assert new.find_targets(name) == ref.find_targets(name) == []
 
 
@@ -61,14 +61,14 @@ def test_reader_matches_reference(cla_corpus, case):
 
 
 class TestFreshDecode:
-    """The reader shares only immutable values between calls: every call
-    returns new rows, objects and records."""
+    """The raw reads share only immutable values between calls: every
+    call returns new rows, objects and records."""
 
     def test_blocks_are_fresh(self, cla_corpus):
         database = cla_corpus["nethack"][-1]
-        with ObjectFileReader(database) as reader:
+        with DatabaseStore.open(database) as reader:
             for name in reader.block_names():
-                first, second = reader.load_block(name), reader.load_block(name)
+                first, second = reader.fetch_block(name), reader.fetch_block(name)
                 assert first == second
                 assert first is not second
                 for a, b in zip(first.assignments, second.assignments):
@@ -79,14 +79,14 @@ class TestFreshDecode:
 
     def test_mutating_a_row_does_not_leak(self, cla_corpus):
         database = cla_corpus["gcc"][-1]
-        with ObjectFileReader(database) as reader:
+        with DatabaseStore.open(database) as reader:
             name = next(n for n in reader.block_names()
-                        if reader.load_block(n).assignments)
-            reader.load_block(name).assignments[0].dst = "mutated"
-            assert reader.load_block(name).assignments[0].dst != "mutated"
-            statics = reader.static_assignments()
+                        if reader.fetch_block(n).assignments)
+            reader.fetch_block(name).assignments[0].dst = "mutated"
+            assert reader.fetch_block(name).assignments[0].dst != "mutated"
+            statics = reader.fetch_statics()
             statics[0].src = "mutated"
-            assert reader.static_assignments()[0].src != "mutated"
+            assert reader.fetch_statics()[0].src != "mutated"
             simple = simple_name_of(next(reader.objects()).name)
             reader.find_targets(simple).append("mutated")
             assert "mutated" not in reader.find_targets(simple)
@@ -101,7 +101,7 @@ class TestDatabaseStoreObjects:
             def no_decode(entry):
                 raise AssertionError(f"decoded {entry}")
 
-            monkeypatch.setattr(store.reader, "_object", no_decode)
+            monkeypatch.setattr(store, "_object", no_decode)
             names = list(store.object_names())
             flags = store.object_flags()
             assert flags.functions and flags.non_pointers
@@ -115,17 +115,17 @@ class TestDatabaseStoreObjects:
             names = list(store.object_names())[:50]
             first = {name: store.get_object(name) for name in names}
 
-            def no_lookup(name):
-                raise AssertionError(f"decoded {name} twice")
+            def no_decode(entry):
+                raise AssertionError(f"decoded {entry} twice")
 
-            monkeypatch.setattr(store.reader, "find_object", no_lookup)
+            monkeypatch.setattr(store, "_object", no_decode)
             for name in names:
                 assert store.get_object(name) is first[name]
                 assert first[name].name == name
 
     def test_object_names_keep_earlier_objects(self, cla_corpus):
         with DatabaseStore.open(cla_corpus["emacs"][-1]) as store:
-            name = next(store.reader.objects()).name
+            name = next(store.objects()).name
             first = store.get_object(name)
             list(store.object_names())
             assert store.get_object(name) is first
@@ -145,7 +145,7 @@ def test_solve_decodes_only_what_it_reads(cla_corpus, case, monkeypatch):
     for an object."""
     decoded = Counter()
     built = []
-    decode_object = ObjectFileReader._object
+    decode_object = DatabaseStore._object
 
     def counting_decode(self, entry):
         obj = decode_object(self, entry)
@@ -156,7 +156,7 @@ def test_solve_decodes_only_what_it_reads(cla_corpus, case, monkeypatch):
         built.append((filename, line))
         return Location(filename, line)
 
-    monkeypatch.setattr(ObjectFileReader, "_object", counting_decode)
+    monkeypatch.setattr(DatabaseStore, "_object", counting_decode)
     monkeypatch.setattr(reader_module, "Location", counting_location)
     with DatabaseStore.open(cla_corpus[case][-1]) as store:
         result = PreTransitiveSolver(store).solve()
@@ -176,7 +176,7 @@ def test_solve_decodes_only_what_it_reads(cla_corpus, case, monkeypatch):
 
 
 class TestAfterClose:
-    """What a closed reader handed out still reads in full: a location is
+    """What a closed store handed out still reads in full: a location is
     built from the decoded string table, never from the map."""
 
     @pytest.mark.parametrize("case", ["emacs", "figure4"])

@@ -33,6 +33,15 @@ class TestCompileAndLink:
         out = capsys.readouterr().out
         assert "primitive assignments" in out
 
+    def test_one_source_into_a_new_directory(self, sources, capsys):
+        """An output path ending in a separator names a directory, also
+        for one source and before the directory exists."""
+        tmp_path, a, _ = sources
+        out_dir = tmp_path / "out"
+        assert main(["compile", a, "-o", str(out_dir) + "/"]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a.o"]
+        assert f"{out_dir / 'a.o'}: " in capsys.readouterr().out
+
     def test_compile_with_defines(self, tmp_path, capsys):
         src = tmp_path / "d.c"
         src.write_text("#if FEAT\nint on;\n#endif\n")
@@ -143,6 +152,35 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "delta_lvals_processed=" in out
         assert "lvals_skipped_by_diff=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "a.c", "-o", "a.o", "-j", "-1"],
+    ["analyze", "p.cla", "--max-core-assignments", "-1"],
+    ["analyze", "p.cla", "--top", "-1"],
+    ["analyze", "p.cla", "--top", "many"],
+    ["depend", "p.cla", "--target", "x", "--max-core-assignments", "-1"],
+    ["depend", "p.cla", "--target", "x", "--limit", "-1"],
+    ["bench", "table3", "--max-core-assignments", "-1"],
+    ["serve", "p.cla", "--cache-entries", "-1"],
+    ["serve", "p.cla", "--trace-ring", "-1"],
+    ["transform", "p.cla", "q.cla", "--context-sensitivity", "-2"],
+    ["fuzz", "--iterations", "-1"],
+    ["fuzz", "--max-units", "0"],
+    ["fuzz", "--max-units", "-1"],
+    ["fuzz", "--shrink-budget", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_count_is_a_usage_error(argv, capsys):
+    """Every count flag refuses a value below its minimum (or not an
+    int) while parsing: a one-line usage error, rc 2, nothing run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+    [error] = [line for line in err.splitlines() if "error:" in line]
+    assert f"error: argument {argv[-2]}" in error
+    assert "must be at least" in error or "invalid int value" in error
 
 
 class TestCliFailureModes:
@@ -337,8 +375,8 @@ class TestDependReports:
         out_file = str(tmp_path / "deps.csv")
         assert main(["depend", database, "--target", "tgt",
                      "--csv", out_file]) == 0
-        content = open(out_file).read()
-        assert content.startswith("object,")
+        with open(out_file) as f:
+            assert f.read().startswith("object,")
 
     def test_struct_model_flag(self, sources, capsys):
         tmp_path, a, _ = sources
@@ -405,7 +443,8 @@ void dead(void) { }
         assert main(["link", obj, "-o", db]) == 0
         dot = str(tmp_path / "cg.dot")
         assert main(["callgraph", db, "--dot", dot]) == 0
-        assert "digraph callgraph" in open(dot).read()
+        with open(dot) as f:
+            assert "digraph callgraph" in f.read()
 
 
 class TestAnalyzeJson:
@@ -414,7 +453,8 @@ class TestAnalyzeJson:
 
         out = str(tmp_path / "pts.json")
         assert main(["analyze", database, "--json", out]) == 0
-        data = json.loads(open(out).read())
+        with open(out) as f:
+            data = json.load(f)
         assert data["solver"] == "pretransitive"
         assert data["points_to"]["p"] == ["x"]
         assert data["points_to"]["q"] == ["x"]
@@ -472,7 +512,8 @@ class TestCheckCli:
         _tmp, a, b = sources
         events = str(tmp_path / "check-events.jsonl")
         assert main(["check", a, b, "--events", events]) == 0
-        assert '"solver.begin"' in open(events).read()
+        with open(events) as f:
+            assert '"solver.begin"' in f.read()
 
 
 class TestFuzzCli:

@@ -91,7 +91,8 @@ class TestCliIntegration:
         assert main(["link", obj, "-o", db]) == 0
         out = str(tmp_path / "pts.dot")
         assert main(["analyze", db, "--dot", out]) == 0
-        assert open(out).read().startswith("digraph")
+        with open(out) as f:
+            assert f.read().startswith("digraph")
 
     def test_depend_dot(self, tmp_path, capsys):
         from repro.driver.cli import main
@@ -103,4 +104,5 @@ class TestCliIntegration:
         assert main(["link", obj, "-o", db]) == 0
         out = str(tmp_path / "dep.dot")
         assert main(["depend", db, "--target", "t2", "--dot", out]) == 0
-        assert "digraph dependence" in open(out).read()
+        with open(out) as f:
+            assert "digraph dependence" in f.read()

@@ -93,6 +93,17 @@ class TestCaching:
         with pytest.raises(KeyError):
             workspace.update_source("ghost.c", "int x;")
 
+    def test_remove_source_refuses_a_header(self, workspace):
+        """Removing a header as a source would drop its text while the
+        workspace still keys it, so every unit including it would fail
+        to build."""
+        with pytest.raises(KeyError, match="unknown source 'defs.h'"):
+            workspace.remove_source("defs.h")
+        with pytest.raises(KeyError):
+            workspace.remove_source("ghost.c")
+        workspace.build()
+        assert workspace.points_to().points_to("mine") == {"shared"}
+
 
 class TestIncludeRecords:
     """A unit is reused only while every file its preprocessing read
@@ -229,9 +240,9 @@ class TestCorruptCache:
         assert ws.stats.reused == 0
         assert result.points_to("p") == {"x"}
         # The planted garbage was replaced by a valid object.
-        from repro.cla.reader import ObjectFileReader
+        from repro.cla.reader import DatabaseStore
 
-        ObjectFileReader(path).close()
+        DatabaseStore.open(path).close()
         ws.close()
 
     def test_truncated_object_does_not_fail_forever(self, tmp_path):

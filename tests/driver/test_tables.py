@@ -103,14 +103,14 @@ class TestRowGenerators:
 
 class TestBuildDatabase:
     def test_pipeline_through_disk(self, tmp_path):
-        from repro.cla.reader import ObjectFileReader
+        from repro.cla.reader import DatabaseStore
         from repro.synth import generate
 
         program = generate("nethack", scale=0.03, seed=1)
         path = tables.build_database(program, str(tmp_path))
-        with ObjectFileReader(path) as reader:
-            assert reader.linked
-            assert reader.assignment_count() > 0
+        with DatabaseStore.open(path) as database:
+            assert database.linked
+            assert database.stats.in_file > 0
 
     def test_preprocessed_size_positive(self):
         from repro.synth import generate

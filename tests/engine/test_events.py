@@ -105,8 +105,8 @@ class TestJsonlRoundTrip:
                                       edges_added=3))
         sink.close()
         sink.close()  # idempotent
-        lines = [json.loads(s)
-                 for s in open(path).read().splitlines()]
+        with open(path) as f:
+            lines = [json.loads(s) for s in f.read().splitlines()]
         assert lines[0] == {"kind": "events.header",
                             "schema": EVENTS_SCHEMA_VERSION}
         records = read_events(path)
@@ -148,7 +148,8 @@ class TestJsonlRoundTrip:
         sink = JsonlSink(path)
         bus.add_sink(sink)
         # Header lands on open, before any event.
-        assert json.loads(open(path).readline())["kind"] == "events.header"
+        with open(path) as f:
+            assert json.loads(f.readline())["kind"] == "events.header"
         bus.emit(SolverBeginEvent(solver="s"))
         records = read_events(path)  # sink deliberately NOT closed
         assert [r["kind"] for r in records] == ["solver.begin"]

@@ -111,6 +111,7 @@ class TestHttp:
             base + "/query", data=b"{not json")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_healthz_and_stats(self, server):

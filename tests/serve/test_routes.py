@@ -11,7 +11,7 @@ import pytest
 
 from repro.cfront.lexer import Token
 from repro.cla.linker import link_object_files
-from repro.cla.reader import ObjectFileReader
+from repro.cla.reader import DatabaseStore
 from repro.cla.store import simple_name_of
 from repro.driver.incremental import Workspace
 from repro.engine.pipeline import Pipeline
@@ -115,18 +115,18 @@ class TestUpdateCost:
         ws = make_workspace(str(tmp_path / "cache"))
         session = ServeSession(workspace=ws)
         counts = {"read": 0, "written": 0}
-        open_reader = ObjectFileReader.__init__
+        open_database = DatabaseStore.__init__
         write = Pipeline.write_executable
 
         def counting_open(self, *args, **kwargs):
             counts["read"] += 1
-            open_reader(self, *args, **kwargs)
+            open_database(self, *args, **kwargs)
 
         def counting_write(self, *args, **kwargs):
             counts["written"] += 1
             return write(self, *args, **kwargs)
 
-        monkeypatch.setattr(ObjectFileReader, "__init__", counting_open)
+        monkeypatch.setattr(DatabaseStore, "__init__", counting_open)
         monkeypatch.setattr(Pipeline, "write_executable", counting_write)
         yield ws, session, counts
         session.close()
