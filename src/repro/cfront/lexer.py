@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import LexError
 from .source import Location, SourceFile
@@ -33,6 +33,11 @@ class TokenKind(enum.Enum):
     PLACEMARKER = "placemarker"
 
 
+#: The ``no_expand`` of every token no expansion produced.  Shared, so
+#: never mutated: an expansion builds a new set.
+_NO_EXPAND: frozenset[str] = frozenset()
+
+
 @dataclass(slots=True)
 class Token:
     kind: TokenKind
@@ -44,8 +49,9 @@ class Token:
     #: True when this is the first token on a (logical) source line.
     at_line_start: bool = False
     #: Set by the preprocessor on identifiers that must not be re-expanded
-    #: (they were produced by expanding the same-named macro).
-    no_expand: frozenset[str] = field(default_factory=frozenset)
+    #: (they were produced by expanding the same-named macro).  Every
+    #: token shares one empty set until an expansion builds a new one.
+    no_expand: frozenset[str] = _NO_EXPAND
 
     def is_punct(self, value: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.value == value
@@ -94,6 +100,8 @@ _MASTER = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+#: The kind of the token each group lexes; whitespace, newlines and
+#: comments lex none.
 _KIND_BY_GROUP = {
     "STRING": TokenKind.STRING,
     "CHAR": TokenKind.CHAR,
@@ -103,15 +111,16 @@ _KIND_BY_GROUP = {
 }
 
 
-def _splice_continuations(text: str) -> tuple[str, list[int]]:
+def _splice_continuations(text: str) -> tuple[str, list[int] | None]:
     """Remove backslash-newline splices.
 
     Returns the spliced text and a map from spliced offsets back to original
     offsets (as a list ``orig_offset[spliced_offset]``), so locations stay
-    accurate even inside spliced lines.
+    accurate even inside spliced lines.  A text without splices is returned
+    as is, with no map.
     """
     if "\\\n" not in text and "\\\r\n" not in text:
-        return text, list(range(len(text) + 1))
+        return text, None
     out: list[str] = []
     mapping: list[int] = []
     i = 0
@@ -146,10 +155,9 @@ class Lexer:
         self._line_cursor = 0
 
     def _location(self, spliced_pos: int | None = None) -> Location:
-        pos = self._pos if spliced_pos is None else spliced_pos
-        if pos >= len(self._offset_map):
-            pos = len(self._offset_map) - 1
-        offset = self._offset_map[pos]
+        pos = min(self._pos if spliced_pos is None else spliced_pos,
+                  len(self._text))
+        offset = pos if self._offset_map is None else self._offset_map[pos]
         # Tokens are produced in source order, so a monotonic cursor over
         # the line-start table beats a binary search per token.  Error
         # paths may look backwards; fall back to the bisect there.
@@ -167,69 +175,83 @@ class Lexer:
     def tokens(self) -> list[Token]:
         """Tokenize the whole file, ending with one EOF token.
 
-        Driven by one compiled regex; the character-level scanner below
-        (`_next_token`) is kept as the reference implementation and for
-        the error paths the regex cannot classify.
+        Driven by one compiled regex.  The scan counts lines as it goes: a
+        newline starts the next line and a block comment adds the newlines
+        it spans, so a token's location is its line and its offset from
+        the line's start.  In a file with backslash-newline splices those
+        offsets are into the spliced text, so locations go through
+        `_location`'s offset map instead.  The character-level scanner
+        below (`_next_token`) is kept as the reference implementation and
+        for the error paths the regex cannot classify.
         """
         text = self._text
         n = len(text)
+        filename = self.source.filename
+        spliced = self._offset_map is not None
         result: list[Token] = []
+        append = result.append
         scan = _MASTER.match
+        kind_of = _KIND_BY_GROUP.get
         pos = 0
+        line = 1
+        line_start = 0
         at_line_start = True
         spaced = False
-        make_location = self._location
-        append = result.append
         while pos < n:
             m = scan(text, pos)
             if m is None:
+                # A stray character or a broken literal: the reference
+                # scanner raises or tolerantly lexes one character.  It
+                # skips nothing first, since the regex matches whatever
+                # it could skip, so the line count stays right.
                 self._pos = pos
                 self._at_line_start = at_line_start
                 self._spaced = spaced
-                tok = self._next_token()  # raises or tolerantly recovers
-                append(tok)
+                append(self._next_token())
                 pos = self._pos
                 at_line_start = self._at_line_start
                 spaced = self._spaced
                 continue
             group = m.lastgroup
-            end = m.end()
-            if group == "NL":
-                at_line_start = True
-                spaced = False
-                pos = end
-                continue
-            if group == "WS" or group == "COMMENT":
+            if group == "WS":
                 spaced = True
+                pos = m.end()
+                continue
+            end = m.end()
+            kind = kind_of(group)
+            if kind is None:
+                if group == "NL":
+                    line += 1
+                    line_start = end
+                    at_line_start = True
+                    spaced = False
+                else:  # a comment; a block comment may span lines
+                    newlines = text.count("\n", pos, end)
+                    if newlines:
+                        line += newlines
+                        line_start = text.rfind("\n", pos, end) + 1
+                    spaced = True
                 pos = end
                 continue
             value = m.group()
-            if group == "PUNCT":
+            if kind is TokenKind.PUNCT:
                 if value == "/" and text.startswith("/*", pos):
                     raise LexError("unterminated /* comment",
-                                   make_location(pos))
-                kind = (TokenKind.HASH
-                        if value == "#" and at_line_start
-                        else TokenKind.PUNCT)
-            elif group == "STRING" or group == "CHAR":
-                kind = _KIND_BY_GROUP[group]
-            elif group == "IDENT":
-                kind = TokenKind.IDENT
-            else:
-                kind = TokenKind.NUMBER
-            append(Token(
-                kind=kind,
-                value=value,
-                location=make_location(pos),
-                spaced=spaced,
-                at_line_start=at_line_start,
-            ))
+                                   self._location(pos))
+                if value == "#" and at_line_start:
+                    kind = TokenKind.HASH
+            append(Token(kind, value,
+                         self._location(pos) if spliced
+                         else Location(filename, line, pos - line_start + 1),
+                         spaced, at_line_start))
             at_line_start = False
             spaced = False
             pos = end
         self._pos = n
-        append(Token(TokenKind.EOF, "", make_location(n if n else 0),
-                     spaced=spaced, at_line_start=at_line_start))
+        append(Token(TokenKind.EOF, "",
+                     self._location(n) if spliced
+                     else Location(filename, line, n - line_start + 1),
+                     spaced, at_line_start))
         return result
 
     def tokens_reference(self) -> list[Token]:
@@ -261,11 +283,8 @@ class Lexer:
                 end = text.find("*/", self._pos + 2)
                 if end == -1:
                     raise LexError("unterminated /* comment", self._location(start))
-                if "\n" in text[start:end]:
-                    # A multi-line comment ends the current logical line for
-                    # directive purposes only if a newline follows; we treat
-                    # it simply as whitespace, which matches cpp behaviour.
-                    pass
+                # A comment is whitespace, newlines included: it does not
+                # start a line for directive purposes (cpp behaves so).
                 self._spaced = True
                 self._pos = end + 2
             elif ch == "/" and self._pos + 1 < n and text[self._pos + 1] == "/":
@@ -314,7 +333,7 @@ class Lexer:
                     return self._make(TokenKind.PUNCT, p, start)
         if ch in _PUNCT1:
             self._pos = start + 1
-            if ch == "#" and self._token_starts_line():
+            if ch == "#" and self._at_line_start:
                 return self._make(TokenKind.HASH, "#", start)
             return self._make(TokenKind.PUNCT, ch, start)
 
@@ -322,9 +341,6 @@ class Lexer:
             self._pos = start + 1
             return self._make(TokenKind.PUNCT, ch, start)
         raise LexError(f"stray character {ch!r}", self._location(start))
-
-    def _token_starts_line(self) -> bool:
-        return self._at_line_start
 
     def _lex_number(self, start: int) -> Token:
         # pp-number: digits, letters, dots, and exponent signs.  This accepts
@@ -379,13 +395,8 @@ class Lexer:
         raise LexError("unterminated character constant", self._location(start))
 
     def _make(self, kind: TokenKind, value: str, start: int) -> Token:
-        tok = Token(
-            kind=kind,
-            value=value,
-            location=self._location(start),
-            spaced=self._spaced,
-            at_line_start=self._at_line_start,
-        )
+        tok = Token(kind, value, self._location(start), self._spaced,
+                    self._at_line_start)
         self._at_line_start = False
         self._spaced = False
         return tok

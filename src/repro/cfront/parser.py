@@ -59,6 +59,17 @@ _BASE_TYPE_WORDS = {
     "unsigned", "_Bool", "__builtin_va_list",
 }
 _GNU_NOISE = {"__extension__", "__signed__"}
+#: GNU words that take a parenthesised argument, skipped with it.
+_GNU_ATTRIBUTES = {
+    "__attribute__", "__attribute", "__asm__", "__asm", "asm", "__declspec",
+}
+_NOISE_WORDS = frozenset(_GNU_NOISE | _GNU_ATTRIBUTES)
+#: Words that start a parameter declaration, not a parenthesised
+#: declarator.
+_DECL_START_WORDS = frozenset(
+    _STORAGE_CLASSES | _TYPE_QUALIFIERS | _BASE_TYPE_WORDS
+    | {"struct", "union", "enum"}
+)
 
 #: Binary operator precedence (C, higher binds tighter).
 _BINOP_PRECEDENCE = {
@@ -91,6 +102,10 @@ class _Scope:
 class Parser:
     def __init__(self, tokens: list[Token], filename: str = "<unit>",
                  tolerant: bool = False):
+        if not tokens or tokens[-1].kind is not TokenKind.EOF:
+            raise ValueError("the token list must end in an EOF token")
+        #: Ends in EOF, and ``pos`` never passes it: the current token is
+        #: always ``tokens[pos]``.
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
@@ -108,30 +123,33 @@ class Parser:
     # Token plumbing
     # ------------------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
+    def _peek(self, ahead: int) -> Token:
+        """Look ``ahead`` tokens past the current one (EOF past the end)."""
         i = self.pos + ahead
         if i >= len(self.tokens):
             return self.tokens[-1]  # EOF
         return self.tokens[i]
 
     def _advance(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
         return tok
 
     def _check_punct(self, value: str) -> bool:
-        return self._peek().is_punct(value)
+        tok = self.tokens[self.pos]
+        return tok.value == value and tok.kind is TokenKind.PUNCT
 
     def _accept_punct(self, value: str) -> bool:
-        if self._check_punct(value):
+        tok = self.tokens[self.pos]
+        if tok.value == value and tok.kind is TokenKind.PUNCT:
             self.pos += 1
             return True
         return False
 
     def _expect_punct(self, value: str) -> Token:
-        tok = self._peek()
-        if not tok.is_punct(value):
+        tok = self.tokens[self.pos]
+        if tok.value != value or tok.kind is not TokenKind.PUNCT:
             raise ParseError(
                 f"expected {value!r}, found {tok.value!r}", tok.location
             )
@@ -139,7 +157,8 @@ class Parser:
         return tok
 
     def _check_kw(self, word: str) -> bool:
-        return self._peek().is_ident(word)
+        tok = self.tokens[self.pos]
+        return tok.value == word and tok.kind is TokenKind.IDENT
 
     def _accept_kw(self, word: str) -> bool:
         if self._check_kw(word):
@@ -148,8 +167,8 @@ class Parser:
         return False
 
     def _expect_kw(self, word: str) -> Token:
-        tok = self._peek()
-        if not tok.is_ident(word):
+        tok = self.tokens[self.pos]
+        if tok.value != word or tok.kind is not TokenKind.IDENT:
             raise ParseError(
                 f"expected {word!r}, found {tok.value!r}", tok.location
             )
@@ -157,7 +176,7 @@ class Parser:
         return tok
 
     def _expect_ident(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.IDENT or tok.value in KEYWORDS:
             raise ParseError(
                 f"expected identifier, found {tok.value!r}", tok.location
@@ -213,20 +232,14 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _skip_gnu_noise(self) -> None:
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.IDENT and tok.value in _GNU_NOISE:
-                self.pos += 1
-                continue
-            if tok.kind is TokenKind.IDENT and tok.value in (
-                "__attribute__", "__attribute", "__asm__", "__asm", "asm",
-                "__declspec",
-            ):
-                self.pos += 1
-                if self._check_punct("("):
-                    self._skip_balanced_parens()
-                continue
-            return
+            tok = tokens[self.pos]
+            if tok.value not in _NOISE_WORDS or tok.kind is not TokenKind.IDENT:
+                return
+            self.pos += 1
+            if tok.value in _GNU_ATTRIBUTES and self._check_punct("("):
+                self._skip_balanced_parens()
 
     def _skip_balanced_parens(self) -> None:
         depth = 0
@@ -234,12 +247,13 @@ class Parser:
             tok = self._advance()
             if tok.kind is TokenKind.EOF:
                 raise ParseError("unbalanced parentheses", tok.location)
-            if tok.is_punct("("):
-                depth += 1
-            elif tok.is_punct(")"):
-                depth -= 1
-                if depth == 0:
-                    return
+            if tok.kind is TokenKind.PUNCT:
+                if tok.value == "(":
+                    depth += 1
+                elif tok.value == ")":
+                    depth -= 1
+                    if depth == 0:
+                        return
 
     # ------------------------------------------------------------------
     # Entry point
@@ -250,7 +264,7 @@ class Parser:
             filename=self.filename,
             location=Location(self.filename, 1),
         )
-        while self._peek().kind is not TokenKind.EOF:
+        while self.tokens[self.pos].kind is not TokenKind.EOF:
             if self._accept_punct(";"):
                 continue  # stray semicolon at file scope
             if not self.tolerant:
@@ -280,7 +294,7 @@ class Parser:
         braces = 0
         consumed = 0
         while True:
-            tok = self._peek()
+            tok = self.tokens[self.pos]
             if tok.kind is TokenKind.EOF:
                 return
             # Sync point: a declaration starter at the beginning of a line
@@ -296,28 +310,29 @@ class Parser:
                 and self._starts_declaration(tok)
             ):
                 return
-            if tok.is_punct("{"):
-                braces += 1
-            elif tok.is_punct("}"):
-                self._advance()
-                consumed += 1
-                if braces <= 1:
+            if tok.kind is TokenKind.PUNCT:
+                if tok.value == "{":
+                    braces += 1
+                elif tok.value == "}":
+                    self._advance()
+                    consumed += 1
+                    if braces <= 1:
+                        return
+                    braces -= 1
+                    continue
+                elif tok.value == ";" and braces == 0:
+                    self._advance()
                     return
-                braces -= 1
-                continue
-            elif tok.is_punct(";") and braces == 0:
-                self._advance()
-                return
             self._advance()
             consumed += 1
 
     def _parse_external_declaration(self) -> list[A.Decl | A.FunctionDef]:
         self._skip_gnu_noise()
-        start = self._peek().location
+        start = self.tokens[self.pos].location
         specs = self._parse_declaration_specifiers()
         if specs is None:
             raise ParseError(
-                f"expected declaration, found {self._peek().value!r}", start
+                f"expected declaration, found {self.tokens[self.pos].value!r}", start
             )
         base_type, storage = specs
         if self._accept_punct(";"):
@@ -374,7 +389,7 @@ class Parser:
         follow before the body brace."""
         if not dtype.unspecified_params:
             return False
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return self._starts_declaration(tok)
 
     def _parse_function_definition(
@@ -396,7 +411,7 @@ class Parser:
                 if specs is None:
                     raise ParseError(
                         "expected K&R parameter declaration",
-                        self._peek().location,
+                        self.tokens[self.pos].location,
                     )
                 base, _ = specs
                 while True:
@@ -473,7 +488,7 @@ class Parser:
 
         while True:
             self._skip_gnu_noise()
-            tok = self._peek()
+            tok = self.tokens[self.pos]
             if tok.kind is not TokenKind.IDENT:
                 break
             word = tok.value
@@ -554,7 +569,7 @@ class Parser:
         is_union = kw.value == "union"
         self._skip_gnu_noise()
         tag: str | None = None
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is TokenKind.IDENT and tok.value not in KEYWORDS:
             tag = tok.value
             self.pos += 1
@@ -601,8 +616,8 @@ class Parser:
             if specs is None:
                 raise ParseError(
                     f"expected field declaration, found "
-                    f"{self._peek().value!r}",
-                    self._peek().location,
+                    f"{self.tokens[self.pos].value!r}",
+                    self.tokens[self.pos].location,
                 )
             base, _ = specs
             if self._accept_punct(";"):
@@ -632,7 +647,7 @@ class Parser:
         kw = self._expect_kw("enum")
         self._skip_gnu_noise()
         tag: str | None = None
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is TokenKind.IDENT and tok.value not in KEYWORDS:
             tag = tok.value
             self.pos += 1
@@ -684,7 +699,7 @@ class Parser:
             quals: set[str] = set()
             while True:
                 self._skip_gnu_noise()
-                tok = self._peek()
+                tok = self.tokens[self.pos]
                 if tok.kind is TokenKind.IDENT and tok.value in _TYPE_QUALIFIERS:
                     quals.add(tok.value.strip("_"))
                     self.pos += 1
@@ -695,11 +710,12 @@ class Parser:
 
         name: str | None = None
         inner: tuple[int, int] | None = None  # token span of parenthesised declarator
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is TokenKind.IDENT and tok.value not in KEYWORDS:
             name = tok.value
             self.pos += 1
-        elif tok.is_punct("(") and self._paren_is_declarator(abstract):
+        elif (tok.value == "(" and tok.kind is TokenKind.PUNCT
+              and self._paren_is_declarator(abstract)):
             # Parenthesised declarator: remember the span and parse later,
             # once suffixes are known.
             self._advance()
@@ -709,10 +725,11 @@ class Parser:
                 t = self._advance()
                 if t.kind is TokenKind.EOF:
                     raise ParseError("unbalanced '(' in declarator", tok.location)
-                if t.is_punct("("):
-                    depth += 1
-                elif t.is_punct(")"):
-                    depth -= 1
+                if t.kind is TokenKind.PUNCT:
+                    if t.value == "(":
+                        depth += 1
+                    elif t.value == ")":
+                        depth -= 1
             inner = (start, self.pos - 1)
 
         # Suffixes: arrays and function parameter lists.
@@ -728,7 +745,7 @@ class Parser:
                 if not self._check_punct("]"):
                     # Skip 'static'/qualifiers in C99 array params.
                     while True:
-                        t = self._peek()
+                        t = self.tokens[self.pos]
                         if t.kind is TokenKind.IDENT and (
                             t.value in _TYPE_QUALIFIERS or t.value == "static"
                         ):
@@ -770,16 +787,13 @@ class Parser:
         a declarator vs start of a parameter list (for abstract declarators
         like ``int (int)``)."""
         nxt = self._peek(1)
-        if nxt.is_punct(")"):
-            return False  # "()" is an empty parameter list
-        if nxt.is_punct("*") or nxt.is_punct("(") or nxt.is_punct("["):
-            return True
+        if nxt.kind is TokenKind.PUNCT:
+            # "(*", "((" and "([" open a declarator; "()" is an empty
+            # parameter list.
+            return nxt.value in ("*", "(", "[")
         if nxt.kind is TokenKind.IDENT:
             if nxt.value in KEYWORDS or nxt.value in _GNU_NOISE:
-                return nxt.value not in (
-                    _STORAGE_CLASSES | _TYPE_QUALIFIERS | _BASE_TYPE_WORDS
-                    | {"struct", "union", "enum"}
-                ) or nxt.value in _TYPE_QUALIFIERS and False
+                return nxt.value not in _DECL_START_WORDS
             if self._is_typedef_name(nxt):
                 return False  # parameter list starting with a type name
             return True  # plain identifier: the declared name (or K&R param)
@@ -796,7 +810,7 @@ class Parser:
         if self._accept_punct(")"):
             return params, variadic, True, decls  # f() — unspecified
         # K&R identifier list: f(a, b, c)
-        first = self._peek()
+        first = self.tokens[self.pos]
         if (
             first.kind is TokenKind.IDENT
             and first.value not in KEYWORDS
@@ -823,11 +837,11 @@ class Parser:
             if specs is None:
                 raise ParseError(
                     f"expected parameter declaration, found "
-                    f"{self._peek().value!r}",
-                    self._peek().location,
+                    f"{self.tokens[self.pos].value!r}",
+                    self.tokens[self.pos].location,
                 )
             base, _ = specs
-            loc = self._peek().location
+            loc = self.tokens[self.pos].location
             name, ptype, _ = self._parse_declarator(base, abstract=True)
             # Parameter type adjustments (C11 6.7.6.3): arrays and functions
             # decay to pointers.
@@ -849,8 +863,8 @@ class Parser:
         specs = self._parse_declaration_specifiers()
         if specs is None:
             raise ParseError(
-                f"expected type name, found {self._peek().value!r}",
-                self._peek().location,
+                f"expected type name, found {self.tokens[self.pos].value!r}",
+                self.tokens[self.pos].location,
             )
         base, _ = specs
         _, dtype, _ = self._parse_declarator(base, abstract=True)
@@ -882,8 +896,6 @@ class Parser:
                     self._expect_punct("]")
                 else:
                     break
-            if items and not self._check_punct("{"):
-                pass
             self._accept_punct("=")
             items.append(self._parse_initializer())
             if not self._accept_punct(","):
@@ -901,7 +913,7 @@ class Parser:
         block = A.Compound(location=open_tok.location)
         try:
             while not self._check_punct("}"):
-                if self._peek().kind is TokenKind.EOF:
+                if self.tokens[self.pos].kind is TokenKind.EOF:
                     raise ParseError("unterminated block", open_tok.location)
                 block.items.extend(self._parse_block_item())
         finally:
@@ -910,21 +922,21 @@ class Parser:
         return block
 
     def _parse_block_item(self) -> list[A.Stmt | A.Decl]:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if self._starts_declaration(tok) and not self._is_label_ahead():
             return self._parse_local_declaration()
         return [self._parse_statement()]
 
     def _is_label_ahead(self) -> bool:
-        tok, nxt = self._peek(), self._peek(1)
+        tok, nxt = self.tokens[self.pos], self._peek(1)
         return (
             tok.kind is TokenKind.IDENT
             and tok.value not in KEYWORDS
-            and nxt.is_punct(":")
+            and nxt.value == ":" and nxt.kind is TokenKind.PUNCT
         )
 
     def _parse_local_declaration(self) -> list[A.Decl]:
-        start = self._peek().location
+        start = self.tokens[self.pos].location
         specs = self._parse_declaration_specifiers()
         assert specs is not None
         base, storage = specs
@@ -941,13 +953,14 @@ class Parser:
         return decls
 
     def _parse_statement(self) -> A.Stmt:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         loc = tok.location
-        if tok.is_punct("{"):
-            return self._parse_compound_statement()
-        if tok.is_punct(";"):
-            self._advance()
-            return A.ExprStmt(expr=None, location=loc)
+        if tok.kind is TokenKind.PUNCT:
+            if tok.value == "{":
+                return self._parse_compound_statement()
+            if tok.value == ";":
+                self._advance()
+                return A.ExprStmt(expr=None, location=loc)
         if tok.kind is TokenKind.IDENT:
             word = tok.value
             if word == "if":
@@ -995,7 +1008,7 @@ class Parser:
                 self._advance()
                 self._expect_punct(":")
                 return A.Default(stmt=self._parse_statement(), location=loc)
-            if word not in KEYWORDS and self._peek(1).is_punct(":"):
+            if self._is_label_ahead():
                 self._advance()
                 self._advance()
                 if self._check_punct("}"):
@@ -1043,7 +1056,7 @@ class Parser:
             init: A.Expr | list[A.Decl] | None
             if self._accept_punct(";"):
                 init = None
-            elif self._starts_declaration(self._peek()):
+            elif self._starts_declaration(self.tokens[self.pos]):
                 init = self._parse_local_declaration()  # consumes ';'
             else:
                 init = self._parse_expression()
@@ -1072,7 +1085,7 @@ class Parser:
 
     def _parse_assignment_expr(self) -> A.Expr:
         lhs = self._parse_conditional()
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is TokenKind.PUNCT and tok.value in _ASSIGN_OPS:
             self._advance()
             rhs = self._parse_assignment_expr()
@@ -1100,7 +1113,7 @@ class Parser:
     def _parse_binary(self, min_precedence: int) -> A.Expr:
         left = self._parse_cast_expr()
         while True:
-            tok = self._peek()
+            tok = self.tokens[self.pos]
             if tok.kind is not TokenKind.PUNCT:
                 return left
             precedence = _BINOP_PRECEDENCE.get(tok.value)
@@ -1112,8 +1125,9 @@ class Parser:
                             location=tok.location)
 
     def _parse_cast_expr(self) -> A.Expr:
-        tok = self._peek()
-        if tok.is_punct("(") and self._paren_starts_type(1):
+        tok = self.tokens[self.pos]
+        if (tok.value == "(" and tok.kind is TokenKind.PUNCT
+                and self._paren_starts_type(1)):
             loc = tok.location
             self._advance()
             to_type = self._parse_type_name()
@@ -1142,7 +1156,7 @@ class Parser:
         return self._is_typedef_name(tok)
 
     def _parse_unary(self) -> A.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         loc = tok.location
         if tok.kind is TokenKind.PUNCT:
             if tok.value in ("++", "--"):
@@ -1153,7 +1167,7 @@ class Parser:
                 self._advance()
                 operand = self._parse_cast_expr()
                 return A.Unary(op=tok.value, operand=operand, location=loc)
-        if tok.is_ident("sizeof"):
+        elif tok.value == "sizeof" and tok.kind is TokenKind.IDENT:
             self._advance()
             if self._check_punct("(") and self._paren_starts_type(1):
                 self._advance()
@@ -1162,7 +1176,8 @@ class Parser:
                 return A.SizeofType(of_type=of_type, location=loc)
             operand = self._parse_unary()
             return A.Unary(op="sizeof", operand=operand, location=loc)
-        if tok.is_ident("__alignof__") or tok.is_ident("_Alignof"):
+        elif tok.value in ("__alignof__", "_Alignof") \
+                and tok.kind is TokenKind.IDENT:
             self._advance()
             self._expect_punct("(")
             of_type = self._parse_type_name()
@@ -1176,13 +1191,16 @@ class Parser:
 
     def _parse_postfix_suffixes(self, expr: A.Expr) -> A.Expr:
         while True:
-            tok = self._peek()
-            if tok.is_punct("["):
+            tok = self.tokens[self.pos]
+            if tok.kind is not TokenKind.PUNCT:
+                return expr
+            value = tok.value
+            if value == "[":
                 self._advance()
                 index = self._parse_expression()
                 self._expect_punct("]")
                 expr = A.Index(base=expr, index=index, location=tok.location)
-            elif tok.is_punct("("):
+            elif value == "(":
                 self._advance()
                 args: list[A.Expr] = []
                 if not self._check_punct(")"):
@@ -1191,27 +1209,22 @@ class Parser:
                         args.append(self._parse_assignment_expr())
                 self._expect_punct(")")
                 expr = A.Call(func=expr, args=args, location=tok.location)
-            elif tok.is_punct("."):
+            elif value == "." or value == "->":
                 self._advance()
                 name = self._expect_ident().value
-                expr = A.Member(base=expr, field_name=name, arrow=False,
-                                location=tok.location)
-            elif tok.is_punct("->"):
+                expr = A.Member(base=expr, field_name=name,
+                                arrow=value == "->", location=tok.location)
+            elif value == "++" or value == "--":
                 self._advance()
-                name = self._expect_ident().value
-                expr = A.Member(base=expr, field_name=name, arrow=True,
-                                location=tok.location)
-            elif tok.is_punct("++") or tok.is_punct("--"):
-                self._advance()
-                expr = A.Postfix(op=tok.value, operand=expr,
+                expr = A.Postfix(op=value, operand=expr,
                                  location=tok.location)
             else:
                 return expr
 
     def _parse_primary(self) -> A.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         loc = tok.location
-        if tok.is_punct("("):
+        if tok.value == "(" and tok.kind is TokenKind.PUNCT:
             self._advance()
             expr = self._parse_expression()
             self._expect_punct(")")
@@ -1236,7 +1249,7 @@ class Parser:
         if tok.kind is TokenKind.STRING:
             # Adjacent string literals concatenate.
             parts: list[str] = []
-            while self._peek().kind is TokenKind.STRING:
+            while self.tokens[self.pos].kind is TokenKind.STRING:
                 t = self._advance()
                 body = t.value
                 if body.startswith("L"):

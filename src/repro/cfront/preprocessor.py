@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import PreprocessorError
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Lexer, Token, TokenKind, tokenize, tokenize_text
 from .source import Location, SourceFile
 
 #: Headers provided by the preprocessor itself so that code bases using the
@@ -218,13 +218,6 @@ class Macro:
     def is_function_like(self) -> bool:
         return self.params is not None
 
-    def same_definition(self, other: "Macro") -> bool:
-        if (self.params, self.variadic) != (other.params, other.variadic):
-            return False
-        if len(self.body) != len(other.body):
-            return False
-        return all(a.value == b.value for a, b in zip(self.body, other.body))
-
 
 class IncludeResolver:
     """Locates ``#include`` targets.
@@ -285,6 +278,10 @@ class IncludeResolver:
                      hashlib.sha256(source.text.encode()).hexdigest())
             self.digests[source.filename] = entry
         return entry[1]
+
+
+#: Names `_maybe_expand` answers itself, whatever the macro table holds.
+_BUILTIN_MACROS = frozenset({"__FILE__", "__LINE__"})
 
 
 class _ConditionalState:
@@ -351,8 +348,6 @@ class Preprocessor:
                 f"#include nested too deeply (> {self.MAX_INCLUDE_DEPTH})",
                 Location(source.filename, 1),
             )
-        from .lexer import Lexer
-
         # Only included files are cached.  A top-level unit is compiled
         # once per text and its caller keeps the result, so an entry for
         # it would only pin a copy of every version ever compiled.
@@ -367,26 +362,36 @@ class Preprocessor:
             if cache is not None:
                 cache[source.filename] = (source.text, self.tolerant, tokens)
         out: list[Token] = []
+        append = out.append
+        macros = self.macros
         conditionals: list[_ConditionalState] = []
+        # Only a directive changes which region is active.
+        active = True
         i = 0
         n = len(tokens)
         while i < n:
             tok = tokens[i]
-            if tok.kind is TokenKind.EOF:
-                break
-            if tok.kind is TokenKind.HASH:
+            kind = tok.kind
+            if kind is TokenKind.HASH:
                 line, i = self._collect_directive_line(tokens, i + 1)
                 self._handle_directive(line, tok.location, out, conditionals)
+                active = all(c.taken and c.was_active for c in conditionals)
                 continue
-            active = all(c.taken and c.was_active for c in conditionals) \
-                if conditionals else True
+            if kind is TokenKind.EOF:
+                break
             if not active:
                 i += 1
                 continue
-            # Ordinary token: macro-expand it (pulling more tokens if a
-            # function-like macro call spans lines).
-            expanded, i = self._maybe_expand(tokens, i)
-            out.extend(expanded)
+            if kind is TokenKind.IDENT and (
+                    tok.value in macros or tok.value in _BUILTIN_MACROS):
+                # Macro-expand it, pulling more tokens if a function-like
+                # macro call spans lines.
+                expanded, i = self._maybe_expand(tokens, i)
+                out.extend(expanded)
+                continue
+            # A token no macro names passes straight through.
+            append(tok)
+            i += 1
         if conditionals:
             raise PreprocessorError(
                 "unterminated #if", Location(source.filename, 0)
@@ -536,11 +541,8 @@ class Preprocessor:
             variadic=variadic,
             location=name_tok.location,
         )
-        existing = self.macros.get(macro.name)
-        if existing is not None and not existing.same_definition(macro):
-            # Benign in practice across headers; last definition wins, as
-            # most compilers warn-and-continue.
-            pass
+        # A redefinition replaces the earlier one, as most compilers
+        # warn and continue.
         self.macros[macro.name] = macro
 
     def _handle_include(
@@ -870,8 +872,6 @@ def _paste(left: list[Token], right: list[Token], loc: Location) -> list[Token]:
     if rtok.kind is TokenKind.PLACEMARKER:
         return lead + [ltok] + tail
     glued_text = ltok.value + rtok.value
-    from .lexer import tokenize_text  # local import to avoid cycle at module load
-
     glued = [t for t in tokenize_text(glued_text) if t.kind is not TokenKind.EOF]
     if len(glued) != 1:
         raise PreprocessorError(

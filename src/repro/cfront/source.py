@@ -90,31 +90,58 @@ def count_source_lines(text: str) -> int:
     This is the paper's LOC metric for Table 2: "uncommented non-blank lines
     of source, before pre-processing".  Lines holding only comment text or
     whitespace do not count; a line with both code and a comment counts once.
+    A string or character literal is code, whatever it holds: ``"/*"``
+    opens no comment.
     """
     count = 0
     in_block_comment = False
-    for raw_line in text.splitlines():
+    for line in text.splitlines():
+        if not in_block_comment and "/" not in line:
+            # No comment starts, ends or continues here.
+            if line and not line.isspace():
+                count += 1
+            continue
         significant = False
         i = 0
-        n = len(raw_line)
+        n = len(line)
         while i < n:
-            ch = raw_line[i]
             if in_block_comment:
-                if ch == "*" and i + 1 < n and raw_line[i + 1] == "/":
-                    in_block_comment = False
-                    i += 2
-                    continue
-                i += 1
+                end = line.find("*/", i)
+                if end == -1:
+                    break
+                in_block_comment = False
+                i = end + 2
                 continue
-            if ch == "/" and i + 1 < n and raw_line[i + 1] == "*":
+            ch = line[i]
+            if ch == "/" and line.startswith("*", i + 1):
                 in_block_comment = True
                 i += 2
-                continue
-            if ch == "/" and i + 1 < n and raw_line[i + 1] == "/":
+            elif ch == "/" and line.startswith("/", i + 1):
                 break  # rest of line is a // comment
-            if not ch.isspace():
+            elif ch == '"' or ch == "'":
                 significant = True
-            i += 1
+                i = _literal_end(line, i)
+            else:
+                if not ch.isspace():
+                    significant = True
+                i += 1
         if significant:
             count += 1
     return count
+
+
+def _literal_end(line: str, start: int) -> int:
+    """The offset just past the literal opening at ``line[start]``, or the
+    line's end if it is not closed on that line."""
+    quote = line[start]
+    i = start + 1
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch == "\\":
+            i += 2
+        elif ch == quote:
+            return i + 1
+        else:
+            i += 1
+    return n

@@ -100,7 +100,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             request = json.loads(self.rfile.read(length) or b"null")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # json.loads decodes bytes first: a body that is not text in
+            # any encoding it detects fails there.
             self._reply(400, {"ok": False, "error": f"invalid JSON: {exc}"})
             return
         response, stop = handle_request(self.session, request)

@@ -1,8 +1,14 @@
 """Differential test: the regex-driven lexer fast path must produce
-exactly the same token stream as the character-level reference scanner."""
+exactly the same token stream as the character-level reference scanner,
+locations included."""
+
+import pytest
 
 from repro.cfront.lexer import Lexer
 from repro.cfront.source import SourceFile
+from repro.synth import BENCHMARK_ORDER, generate
+
+from ..cla.corpus import case_sources
 
 CORPUS = [
     "int x = 42;",
@@ -19,10 +25,43 @@ CORPUS = [
 ]
 
 
-def streams(text):
-    ref = Lexer(SourceFile("d.c", text)).tokens_reference()
-    fast = Lexer(SourceFile("d.c", text)).tokens()
+#: Inputs for the fast path's own line tracking: newlines inside
+#: comments, splices, CRLF line ends, directives after a comment.
+LINE_TRACKING = {
+    "multi-line block comment": "int a; /* one\ntwo\n\nthree */ int b;\n  c d\n",
+    "comment spans lines then directive":
+        "x /*\n*/ #define Y 1\n/* a\nb */\n#define Z 2\nZ\n",
+    "splice in macro body":
+        "#define M(x) \\\n  ((x) + \\\n   1)\nint y = M(2);\nint z;\n",
+    "splice in string": 'char *s = "ab\\\ncd";\nint t;\n',
+    "splice in identifier": "in\\\nt q;\n  r\n",
+    "splice inside a comment": "/* a \\\n b */ x\n// c \\\n d\ny\n",
+    "crlf": "int a;\r\nint b;\r\n#define X 1\r\n  X\r\n",
+    "crlf splice": "#define M 1 + \\\r\n 2\r\nM\r\n",
+    "comment then directive": "/* c */ #define X 1\nX\n/* d */#undef X\n",
+    "trailing splice": "a \\\n",
+    "line comment at end of file": "a // tail",
+}
+
+#: Tolerant mode: stray characters become punctuation, in the fast
+#: path's fallback as in the reference scanner.
+TOLERANT = {
+    "stray characters": "int a @ b;\n` c\n  @@ d\n",
+    "stray after comment": "/* x\n */ @ e\n",
+    "stray after splice": "f \\\n @ g\n",
+}
+
+
+def streams(text, tolerant=False):
+    ref = Lexer(SourceFile("d.c", text), tolerant=tolerant) \
+        .tokens_reference()
+    fast = Lexer(SourceFile("d.c", text), tolerant=tolerant).tokens()
     return ref, fast
+
+
+def fields(tokens):
+    return [(t.kind, t.value, t.spaced, t.at_line_start, t.location)
+            for t in tokens]
 
 
 def test_corpus_token_identity():
@@ -38,14 +77,32 @@ def test_corpus_token_identity():
 
 
 def test_synthetic_file_token_identity():
-    from repro.synth import generate
-
+    """Every source and header of every synth profile at scale 0.01,
+    seed 0, and a larger nethack file."""
+    texts = {}
+    for profile in BENCHMARK_ORDER:
+        sources, headers = case_sources(profile)
+        for name, text in {**sources, **headers}.items():
+            texts[profile, name] = text
     program = generate("nethack", scale=0.05, seed=31)
     name, text = sorted(program.files.items())[0]
-    ref, fast = streams(text)
-    assert [(t.kind, t.value) for t in ref] == \
-        [(t.kind, t.value) for t in fast]
-    assert [t.location for t in ref] == [t.location for t in fast]
+    texts["nethack@0.05", name] = text
+    for (case, name), text in sorted(texts.items()):
+        ref = Lexer(SourceFile(name, text)).tokens_reference()
+        fast = Lexer(SourceFile(name, text)).tokens()
+        assert fields(ref) == fields(fast), (case, name)
+
+
+@pytest.mark.parametrize("case", sorted(LINE_TRACKING))
+def test_line_tracking_identity(case):
+    ref, fast = streams(LINE_TRACKING[case])
+    assert fields(ref) == fields(fast)
+
+
+@pytest.mark.parametrize("case", sorted(TOLERANT))
+def test_tolerant_identity(case):
+    ref, fast = streams(TOLERANT[case], tolerant=True)
+    assert fields(ref) == fields(fast)
 
 
 def test_hypothesis_style_fuzz():

@@ -13,6 +13,8 @@ from repro.cfront import (
     UnionType,
     VoidType,
     parse_c,
+    parse_tokens,
+    tokenize_text,
 )
 from repro.cfront import cast as A
 
@@ -353,3 +355,10 @@ class TestErrors:
             parse_c("int x;\nint ;;;(", filename="z.c")
         assert exc.value.location.filename == "z.c"
         assert exc.value.location.line == 2
+
+    def test_token_list_must_end_in_eof(self):
+        tokens = tokenize_text("int x;")
+        assert parse_tokens(tokens).items[0].name == "x"
+        for bad in ([], tokens[:-1]):
+            with pytest.raises(ValueError, match="EOF"):
+                parse_tokens(bad)

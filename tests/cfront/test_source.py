@@ -89,3 +89,19 @@ class TestCountSourceLines:
     def test_multiline_comment_with_stars(self):
         text = "/**\n * doc\n **/\nint x;"
         assert count_source_lines(text) == 1
+
+    def test_comment_opener_in_string_is_code(self):
+        assert count_source_lines('char *s = "/*";\nint x;\nint y;\n') == 3
+
+    def test_comment_opener_in_char_is_code(self):
+        assert count_source_lines("int c = '/*';\nint x;\n") == 2
+
+    def test_escaped_quote_keeps_literal_open(self):
+        assert count_source_lines('char *s = "\\" /*";\nint x;\n') == 2
+
+    def test_quote_inside_comment_is_not_a_literal(self):
+        assert count_source_lines("/* don't */ int x;\n/* \" */\n") == 1
+
+    def test_comment_after_literal(self):
+        text = 'char *s = "a"; /* c\n   d */\nint x;\n'
+        assert count_source_lines(text) == 2

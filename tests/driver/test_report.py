@@ -9,6 +9,7 @@ from repro.driver.report import (
     convergence_rows,
     load_bench_series,
     load_trace,
+    mloc_headline,
     percentile,
     render_report,
     serve_rows,
@@ -179,6 +180,38 @@ class TestRenderReport:
         path.write_text('{"benchmarks": {}}')
         with pytest.raises(ValueError, match="trace"):
             load_trace(str(path))
+
+
+class TestMlocHeadline:
+    @staticmethod
+    def _doc(**points):
+        doc = _bench_doc("mloc", 0.0, **dict.fromkeys(points, 1.0))
+        for name, info in points.items():
+            doc["benchmarks"][name]["extra_info"] = info
+        return doc
+
+    def test_solver_only_document(self):
+        doc = self._doc(test_mloc_sequential={
+            "source_loc": 124000, "solver_s": 0.09, "mloc_per_s": 1.377})
+        assert mloc_headline(doc) == (
+            "Headline: 1.38 MLoC/s of solver time (124,000 source lines "
+            "in 0.090s, test_mloc_sequential)")
+
+    def test_source_to_fixpoint_rate_beside_the_solver_rate(self):
+        doc = self._doc(
+            slow={"source_loc": 60000, "solver_s": 0.1, "mloc_per_s": 0.6,
+                  "compile_s": 2.9, "source_mloc_per_s": 0.02},
+            test_mloc_sequential={
+                "source_loc": 60000, "solver_s": 0.05, "mloc_per_s": 1.2,
+                "compile_s": 2.95, "source_mloc_per_s": 0.0200})
+        assert mloc_headline(doc) == (
+            "Headline: 1.20 MLoC/s of solver time, 0.02 MLoC/s source to "
+            "fixpoint (60,000 source lines: 0.050s solve + 2.950s compile, "
+            "test_mloc_sequential)")
+
+    def test_other_suites_and_empty_points_have_none(self):
+        assert mloc_headline(_bench_doc("scaling", 0.0, a=1.0)) is None
+        assert mloc_headline(self._doc(a={"source_loc": 10})) is None
 
 
 class TestPercentile:

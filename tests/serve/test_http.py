@@ -106,13 +106,19 @@ class TestHttp:
         assert status == 400 and not body["ok"]
 
     def test_invalid_json_is_400(self, server):
+        """Malformed JSON, and bodies that are not text at all, answer
+        400 and leave the daemon serving."""
         base, _, _ = server
-        request = urllib.request.Request(
-            base + "/query", data=b"{not json")
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        excinfo.value.close()
-        assert excinfo.value.code == 400
+        for data in (b"{not json", b"\x80\x81{}", b"\xff\xfe\x00"):
+            request = urllib.request.Request(base + "/query", data=data)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            body = json.loads(excinfo.value.read())
+            excinfo.value.close()
+            assert excinfo.value.code == 400, data
+            assert body["error"].startswith("invalid JSON"), data
+        status, body = post(base, {"op": "ping"})
+        assert status == 200 and body["ok"]
 
     def test_healthz_and_stats(self, server):
         base, _, _ = server

@@ -24,6 +24,7 @@ def test_stream_reaches_target_and_counts_chunks():
     assert seen[-1] == (run.chunks, run.source_lines)
     assert run.units > run.chunks  # several files per chunk
     assert run.assignments == run.store.stats.in_file > 0
+    assert run.compile_s > 0  # the compile side of source-to-fixpoint
 
 
 def test_stream_rejects_bad_target():
