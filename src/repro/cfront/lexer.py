@@ -13,24 +13,55 @@ them.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import LexError
 from .source import Location, SourceFile
 
 
-class TokenKind(enum.Enum):
-    IDENT = "ident"
-    NUMBER = "number"  # integer or floating pp-number
-    CHAR = "char"  # character constant, value includes quotes
-    STRING = "string"  # string literal, value includes quotes
-    PUNCT = "punct"  # operator or punctuator
-    HASH = "hash"  # '#' at start of a directive line
-    EOF = "eof"
-    # Produced only inside the preprocessor (never by the lexer):
-    PLACEMARKER = "placemarker"
+class TokenKind:
+    """A token's kind: one of the eight singletons below, tested with ``is``.
+
+    Not an ``enum.Enum``: on Python 3.11 every read of an Enum member
+    through its class (``TokenKind.PUNCT``) goes through the enum
+    metaclass's slow attribute hook, at several times the cost of a plain
+    class attribute, and the frontend reads kinds on every token.  Each
+    kind keeps an Enum member's ``name``, ``value`` and ``repr``, and
+    pickles and copies to the same singleton.
+    """
+
+    __slots__ = ("name", "value")
+
+    IDENT: ClassVar[TokenKind]
+    NUMBER: ClassVar[TokenKind]  # integer or floating pp-number
+    CHAR: ClassVar[TokenKind]  # character constant, value includes quotes
+    STRING: ClassVar[TokenKind]  # string literal, value includes quotes
+    PUNCT: ClassVar[TokenKind]  # operator or punctuator
+    HASH: ClassVar[TokenKind]  # '#' at start of a directive line
+    EOF: ClassVar[TokenKind]
+    #: Produced only inside the preprocessor (never by the lexer).
+    PLACEMARKER: ClassVar[TokenKind]
+
+    def __init__(self, name: str, value: str):
+        self.name = name
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"<TokenKind.{self.name}: {self.value!r}>"
+
+    def __str__(self) -> str:
+        return f"TokenKind.{self.name}"
+
+    def __reduce__(self):
+        return getattr, (TokenKind, self.name)
+
+
+for _name in ("IDENT", "NUMBER", "CHAR", "STRING", "PUNCT", "HASH", "EOF",
+              "PLACEMARKER"):
+    setattr(TokenKind, _name, TokenKind(_name, _name.lower()))
+del _name
 
 
 #: The ``no_expand`` of every token no expansion produced.  Shared, so
@@ -80,22 +111,30 @@ _IDENT_CONT = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
 
 
-#: One compiled scanner for the whole token grammar.  Alternation order
-#: matters: comments before punctuation (``/*`` vs ``/``), string/char
-#: literals before identifiers (``L"..."`` vs the identifier ``L``),
-#: multi-character punctuators via the longest-first list.
+#: One compiled scanner for the whole token grammar.  A match takes the
+#: whitespace before a newline, comment or token with it, so a token after
+#: a space costs one match, not two; ``WS`` is left for whitespace that no
+#: token follows (the end of the file, a stray character), which the first
+#: branch backtracks through, trying every shorter run, before ``WS`` takes
+#: it: linear, but dearer per character than ordinary text.  Alternation
+#: order matters: comments before punctuation (``/*`` vs ``/``),
+#: string/char literals before identifiers (``L"..."`` vs the identifier
+#: ``L``), multi-character punctuators via the longest-first list.
 _MASTER = re.compile(
     r"""
-      (?P<NL>\n)
+      [ \t\r\f\v]*
+      (?:
+        (?P<NL>\n)
+      | (?P<COMMENT>/\*.*?\*/|//[^\n]*)
+      | (?P<STRING>L?"(?:\\.|[^"\\\n])*")
+      | (?P<CHAR>L?'(?:\\.|[^'\\\n])*')
+      | (?P<IDENT>[A-Za-z_$][A-Za-z_$0-9]*)
+      | (?P<NUMBER>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)
+      | (?P<PUNCT><<=|>>=|\.\.\.
+          |->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||\*=|/=|%=|\+=|-=|&=|\^=|\|=|\#\#
+          |[][(){}.&*+~!/%<>^|?:;=,#-])
+      )
     | (?P<WS>[ \t\r\f\v]+)
-    | (?P<COMMENT>/\*.*?\*/|//[^\n]*)
-    | (?P<STRING>L?"(?:\\.|[^"\\\n])*")
-    | (?P<CHAR>L?'(?:\\.|[^'\\\n])*')
-    | (?P<IDENT>[A-Za-z_$][A-Za-z_$0-9]*)
-    | (?P<NUMBER>\.?[0-9](?:[eEpP][+-]|[0-9A-Za-z_.])*)
-    | (?P<PUNCT><<=|>>=|\.\.\.
-        |->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||\*=|/=|%=|\+=|-=|&=|\^=|\|=|\#\#
-        |[][(){}.&*+~!/%<>^|?:;=,#-])
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -175,12 +214,14 @@ class Lexer:
     def tokens(self) -> list[Token]:
         """Tokenize the whole file, ending with one EOF token.
 
-        Driven by one compiled regex.  The scan counts lines as it goes: a
-        newline starts the next line and a block comment adds the newlines
-        it spans, so a token's location is its line and its offset from
-        the line's start.  In a file with backslash-newline splices those
-        offsets are into the spliced text, so locations go through
-        `_location`'s offset map instead.  The character-level scanner
+        Driven by one compiled regex, one match per token: a match takes
+        the whitespace before its token with it, and the token is spaced
+        when it does not start where the match does.  The scan counts
+        lines as it goes: a newline starts the next line and a block
+        comment adds the newlines it spans, so a token's location is its
+        line and its offset from the line's start.  In a file with
+        backslash-newline splices those offsets are into the spliced text,
+        so locations go through `_location`'s offset map instead.  The character-level scanner
         below (`_next_token`) is kept as the reference implementation and
         for the error paths the regex cannot classify.
         """
@@ -213,11 +254,11 @@ class Lexer:
                 spaced = self._spaced
                 continue
             group = m.lastgroup
+            end = m.end()
             if group == "WS":
                 spaced = True
-                pos = m.end()
+                pos = end
                 continue
-            end = m.end()
             kind = kind_of(group)
             if kind is None:
                 if group == "NL":
@@ -233,17 +274,20 @@ class Lexer:
                     spaced = True
                 pos = end
                 continue
-            value = m.group()
+            # The match may begin with whitespace: the token starts where
+            # its own group does.
+            value = m.group(group)
+            start = end - len(value)
             if kind is TokenKind.PUNCT:
-                if value == "/" and text.startswith("/*", pos):
+                if value == "/" and text.startswith("/*", start):
                     raise LexError("unterminated /* comment",
-                                   self._location(pos))
+                                   self._location(start))
                 if value == "#" and at_line_start:
                     kind = TokenKind.HASH
             append(Token(kind, value,
-                         self._location(pos) if spliced
-                         else Location(filename, line, pos - line_start + 1),
-                         spaced, at_line_start))
+                         self._location(start) if spliced
+                         else Location(filename, line, start - line_start + 1),
+                         spaced or start != pos, at_line_start))
             at_line_start = False
             spaced = False
             pos = end

@@ -18,6 +18,8 @@ legacy code bases.
 
 from __future__ import annotations
 
+import functools
+
 from . import cast as A
 from .ctypes import (
     ArrayType,
@@ -530,35 +532,8 @@ class Parser:
             return with_qualifiers(tagged, qualifiers), storage
         if typedef_type is not None:
             return with_qualifiers(typedef_type, qualifiers), storage
-        return self._combine_base_words(base_words, qualifiers), storage
-
-    @staticmethod
-    def _combine_base_words(words: list[str], qualifiers: set[str]) -> CType:
-        quals = frozenset(qualifiers)
-        if not words:
-            return IntType("int", True, quals)  # implicit int
-        counts = {w: words.count(w) for w in set(words)}
-        if "void" in counts:
-            return VoidType(quals)
-        if "__builtin_va_list" in counts:
-            return PointerType(VoidType(), quals)
-        if "double" in counts:
-            kind = "long double" if "long" in counts else "double"
-            return FloatType(kind, quals)
-        if "float" in counts:
-            return FloatType("float", quals)
-        signed = "unsigned" not in counts
-        if "_Bool" in counts:
-            return IntType("_Bool", False, quals)
-        if "char" in counts:
-            return IntType("char", signed, quals)
-        if "short" in counts:
-            return IntType("short", signed, quals)
-        if counts.get("long", 0) >= 2:
-            return IntType("long long", signed, quals)
-        if "long" in counts:
-            return IntType("long", signed, quals)
-        return IntType("int", signed, quals)
+        return _base_type(frozenset(base_words), base_words.count("long") > 1,
+                          frozenset(qualifiers)), storage
 
     # ------------------------------------------------------------------
     # struct / union / enum specifiers
@@ -1311,6 +1286,41 @@ class Parser:
                 return None
             case _:
                 return None
+
+
+@functools.cache
+def _base_type(words: frozenset[str], long_long: bool,
+               quals: frozenset[str]) -> CType:
+    """The type a declaration's base words name, given which words occur,
+    whether ``long`` occurs twice, and the qualifiers.
+
+    Cached: the arguments range over a finite set (11 base words, 4
+    qualifiers once stripped), and the types are frozen, so every
+    declaration with the same words shares one.
+    """
+    if not words:
+        return IntType("int", True, quals)  # implicit int
+    if "void" in words:
+        return VoidType(quals)
+    if "__builtin_va_list" in words:
+        return PointerType(VoidType(), quals)
+    if "double" in words:
+        kind = "long double" if "long" in words else "double"
+        return FloatType(kind, quals)
+    if "float" in words:
+        return FloatType("float", quals)
+    signed = "unsigned" not in words
+    if "_Bool" in words:
+        return IntType("_Bool", False, quals)
+    if "char" in words:
+        return IntType("char", signed, quals)
+    if "short" in words:
+        return IntType("short", signed, quals)
+    if long_long:
+        return IntType("long long", signed, quals)
+    if "long" in words:
+        return IntType("long", signed, quals)
+    return IntType("int", signed, quals)
 
 
 def _approx_sizeof(t: CType) -> int:

@@ -18,6 +18,7 @@ than shelling out to ``cpp``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -219,6 +220,28 @@ class Macro:
         return self.params is not None
 
 
+#: The macros every preprocessor starts with, before its ``predefined``.
+_DEFAULT_MACROS = {"__STDC__": "1", "__STDC_VERSION__": "199901L",
+                   "__repro_cla__": "1"}
+
+
+def _lex_body(replacement: str) -> list[Token]:
+    """The tokens of a command-line style macro definition's body."""
+    return [
+        t
+        for t in tokenize(SourceFile("<predefined>", replacement))
+        if t.kind is not TokenKind.EOF
+    ]
+
+
+@functools.cache
+def _default_bodies() -> dict[str, list[Token]]:
+    """`_DEFAULT_MACROS`' bodies, lexed once per process and shared by every
+    preprocessor: an expansion builds new tokens and never mutates a body."""
+    return {name: _lex_body(replacement)
+            for name, replacement in _DEFAULT_MACROS.items()}
+
+
 class IncludeResolver:
     """Locates ``#include`` targets.
 
@@ -316,20 +339,15 @@ class Preprocessor:
         #: every ``#include`` resolved so far: (name, angled, including
         #: file) -> the file read
         self.includes: dict[tuple[str, bool, str], SourceFile] = {}
-        defaults = {"__STDC__": "1", "__STDC_VERSION__": "199901L", "__repro_cla__": "1"}
-        defaults.update(predefined or {})
-        for name, value in defaults.items():
+        for name, body in _default_bodies().items():
+            self.macros[name] = Macro(name=name, body=body)
+        for name, value in (predefined or {}).items():
             self.define_object_macro(name, value)
 
     # -- public API ----------------------------------------------------------
 
     def define_object_macro(self, name: str, replacement: str = "") -> None:
-        body = [
-            t
-            for t in tokenize(SourceFile("<predefined>", replacement))
-            if t.kind is not TokenKind.EOF
-        ]
-        self.macros[name] = Macro(name=name, body=body)
+        self.macros[name] = Macro(name=name, body=_lex_body(replacement))
 
     def preprocess(self, source: SourceFile) -> list[Token]:
         """Fully preprocess ``source``; result ends with one EOF token."""

@@ -11,9 +11,17 @@ import bisect
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Location:
-    """A position in a source file (1-based line and column)."""
+    """A position in a source file (1-based line and column).
+
+    A value: equal and hashed by its fields.  Not frozen, because a frozen
+    dataclass pays one ``object.__setattr__`` per field on every build and
+    the lexer builds one per token; but nothing assigns to a field, and
+    nothing may: one location is shared by many holders (the object-file
+    reader gives all the rows and objects of one (file, line) the same
+    one, and a macro expansion gives its tokens the invocation's).
+    """
 
     filename: str
     line: int

@@ -93,22 +93,23 @@ def name_hash(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
-class StringTable:
-    """Builds a deduplicated string section; refs are byte offsets."""
+class StringTable(dict):
+    """Builds a deduplicated string section: ``strtab[s]`` is the ref (byte
+    offset) of ``s``, appended to the section on its first lookup.
+
+    A dict, as :class:`StringReader` is, so a string already in the table
+    costs one dict hit: most of a write's lookups find their string.
+    """
 
     def __init__(self):
-        self._offsets: dict[str, int] = {}
+        super().__init__()
         self._chunks: list[bytes] = []
         self._size = 0
-        self.intern("")  # ref 0 is always the empty string
+        self.__missing__("")  # ref 0 is always the empty string
 
-    def intern(self, s: str) -> int:
-        ref = self._offsets.get(s)
-        if ref is not None:
-            return ref
+    def __missing__(self, s: str) -> int:
         data = s.encode("utf-8") + b"\x00"
-        ref = self._size
-        self._offsets[s] = ref
+        ref = self[s] = self._size
         self._chunks.append(data)
         self._size += len(data)
         return ref

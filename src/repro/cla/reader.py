@@ -71,9 +71,9 @@ def _tag_name(tag: bytes) -> str:
 
 class _Locations(dict):
     """Interned :class:`Location` per ``(file_ref, line)``: rows share the
-    (immutable) location instead of building one each, so a block read
-    again from a long-lived store (dependence chains in the serve daemon)
-    builds no new locations."""
+    location (nothing assigns to one) instead of building one each, so a
+    block read again from a long-lived store (dependence chains in the
+    serve daemon) builds no new locations."""
 
     def __init__(self, strings: F.StringReader):
         super().__init__()

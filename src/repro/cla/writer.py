@@ -79,14 +79,16 @@ class ObjectFileWriter:
         strtab = F.StringTable()
 
         def loc_refs(loc: Location) -> tuple[int, int]:
-            return strtab.intern(loc.filename), loc.line
+            return strtab[loc.filename], loc.line
 
         def pack_assignment(a: PrimitiveAssignment) -> bytes:
             file_ref, line = loc_refs(a.location)
+            # ``_value_``, not ``value``: the Enum property runs a
+            # Python-level ``__get__`` per row.
             return F.ASSIGNMENT_ENTRY.pack(
-                int(a.kind), a.strength.value, 0,
-                strtab.intern(a.dst), strtab.intern(a.src),
-                strtab.intern(a.op), file_ref, line,
+                int(a.kind), a.strength._value_, 0,
+                strtab[a.dst], strtab[a.src],
+                strtab[a.op], file_ref, line,
             )
 
         # global section ----------------------------------------------------
@@ -104,9 +106,9 @@ class ObjectFileWriter:
             file_ref, line = loc_refs(obj.location)
             global_buf.write(
                 F.OBJECT_ENTRY.pack(
-                    strtab.intern(obj.name), strtab.intern(obj.type_str),
+                    strtab[obj.name], strtab[obj.type_str],
                     file_ref, line,
-                    strtab.intern(obj.enclosing_function),
+                    strtab[obj.enclosing_function],
                     int(obj.kind), flags, 0,
                 )
             )
@@ -123,8 +125,8 @@ class ObjectFileWriter:
         for obj in ordered_objects:
             simple = simple_name_of(obj.name)
             target_entries.append(
-                (F.name_hash(simple), strtab.intern(simple),
-                 strtab.intern(obj.name))
+                (F.name_hash(simple), strtab[simple],
+                 strtab[obj.name])
             )
         target_entries.sort()
         target_buf = io.BytesIO()
@@ -146,7 +148,7 @@ class ObjectFileWriter:
                 flags |= F.BLOCK_FLAG_INDIRECT
             dynamic_buf.write(
                 F.BLOCK_HEADER.pack(
-                    strtab.intern(name), len(block.assignments), flags, 0, 0
+                    strtab[name], len(block.assignments), flags, 0, 0
                 )
             )
             for a in block.assignments:
@@ -156,25 +158,25 @@ class ObjectFileWriter:
                 file_ref, line = loc_refs(r.location)
                 dynamic_buf.write(
                     F.FUNC_RECORD_HEADER.pack(
-                        strtab.intern(r.ret), int(r.variadic), 0, 0,
+                        strtab[r.ret], int(r.variadic), 0, 0,
                         len(r.args), file_ref, line,
                     )
                 )
                 for arg in r.args:
-                    dynamic_buf.write(F.COUNT.pack(strtab.intern(arg)))
+                    dynamic_buf.write(F.COUNT.pack(strtab[arg]))
             if block.indirect_record is not None:
                 r = block.indirect_record
                 file_ref, line = loc_refs(r.location)
                 dynamic_buf.write(
                     F.INDIRECT_RECORD_HEADER.pack(
-                        strtab.intern(r.ret), len(r.args), file_ref, line,
+                        strtab[r.ret], len(r.args), file_ref, line,
                     )
                 )
                 for arg in r.args:
-                    dynamic_buf.write(F.COUNT.pack(strtab.intern(arg)))
+                    dynamic_buf.write(F.COUNT.pack(strtab[arg]))
             size = dynamic_buf.tell() - offset
             index_entries.append(
-                (F.name_hash(name), strtab.intern(name), offset, size)
+                (F.name_hash(name), strtab[name], offset, size)
             )
 
         index_entries.sort()
@@ -191,7 +193,7 @@ class ObjectFileWriter:
             file_ref, line = loc_refs(record.location)
             flags = F.CALL_FLAG_INDIRECT if record.indirect else 0
             calls_buf.write(F.CALL_ENTRY.pack(
-                strtab.intern(record.caller), strtab.intern(record.target),
+                strtab[record.caller], strtab[record.target],
                 flags, 0, 0, file_ref, line,
             ))
 

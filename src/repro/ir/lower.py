@@ -74,9 +74,15 @@ RETURNS_FIRST_ARG = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Value:
-    """A normalised expression value: REF x, DEREF x, ADDR x, or NONE."""
+    """A normalised expression value: REF x, DEREF x, ADDR x, or NONE.
+
+    Equal and hashed by its fields.  Not frozen (a frozen dataclass pays
+    one ``object.__setattr__`` per field on every build, and lowering
+    builds one per evaluated operand), but nothing assigns to a field:
+    values are shared, ``_NONE_VALUE`` by every expression without one.
+    """
 
     shape: str  # "ref" | "deref" | "addr" | "none"
     obj: str = ""  # canonical object name
@@ -90,9 +96,13 @@ class Value:
 _NONE_VALUE = Value(Value.NONE)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Contribution:
-    """One value flowing out of an expression, with how it got there."""
+    """One value flowing out of an expression, with how it got there.
+
+    Equal and hashed by its fields, and like :class:`Value` not frozen but
+    never assigned to: :meth:`through` builds a new contribution.
+    """
 
     value: Value
     strength: Strength = Strength.DIRECT

@@ -100,9 +100,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             request = json.loads(self.rfile.read(length) or b"null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # json.loads decodes bytes first: a body that is not text in
-            # any encoding it detects fails there.
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, a body that is not text in
+            # any encoding json.loads detects (UnicodeDecodeError) and an
+            # integer literal over Python's int-string limit;
+            # RecursionError, nesting deeper than the decoder goes.
             self._reply(400, {"ok": False, "error": f"invalid JSON: {exc}"})
             return
         response, stop = handle_request(self.session, request)

@@ -44,7 +44,10 @@ def serve_jsonl(
             continue
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and an integer literal
+            # over Python's int-string limit; RecursionError, nesting
+            # deeper than the decoder goes.
             write({"ok": False, "error": f"invalid JSON: {exc}"})
             answered += 1
             continue

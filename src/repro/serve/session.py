@@ -145,6 +145,8 @@ def _canonical_args(params: dict) -> tuple:
         return tuple(sorted((k, _freeze(v)) for k, v in params.items()))
     except TypeError as exc:
         raise ServeError(f"unhashable query argument: {exc}") from None
+    except RecursionError:
+        raise ServeError("query arguments nest too deeply") from None
 
 
 class ServeSession:

@@ -1,9 +1,13 @@
 """Tests for the C tokenizer."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.cfront.errors import LexError
-from repro.cfront.lexer import TokenKind, tokenize_text
+from repro.cfront.lexer import Token, TokenKind, tokenize_text
+from repro.cfront.source import Location
 
 
 def kinds(text):
@@ -156,3 +160,49 @@ class TestLocations:
         assert ident.is_ident()
         assert ident.is_ident("foo")
         assert not ident.is_ident("bar")
+
+    def test_leading_whitespace_is_not_part_of_the_token(self):
+        toks = tokenize_text("a \t b+ c\n  # x  ")
+        assert [t.value for t in toks] == ["a", "b", "+", "c", "#", "x", ""]
+        assert [t.spaced for t in toks] == [False, True, False, True,
+                                            True, True, True]
+        assert [t.location.column for t in toks] == [1, 5, 6, 8, 3, 5, 8]
+        # A directive '#' after indentation still starts its line.
+        assert toks[4].kind is TokenKind.HASH and toks[4].at_line_start
+
+
+#: Every kind with the name and value it had as an Enum member.
+KINDS = [
+    ("IDENT", "ident"), ("NUMBER", "number"), ("CHAR", "char"),
+    ("STRING", "string"), ("PUNCT", "punct"), ("HASH", "hash"),
+    ("EOF", "eof"), ("PLACEMARKER", "placemarker"),
+]
+
+
+class TestTokenKinds:
+    @pytest.mark.parametrize("name,value", KINDS)
+    def test_name_value_repr(self, name, value):
+        kind = getattr(TokenKind, name)
+        assert kind.name == name
+        assert kind.value == value
+        assert repr(kind) == f"<TokenKind.{name}: {value!r}>"
+
+    @pytest.mark.parametrize("name", [name for name, _ in KINDS])
+    def test_identity_survives_pickle_and_copy(self, name):
+        kind = getattr(TokenKind, name)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(kind, protocol)) is kind
+        assert copy.copy(kind) is kind
+        assert copy.deepcopy(kind) is kind
+
+    def test_pickled_token_keeps_the_singleton(self):
+        tok = Token(TokenKind.PUNCT, "+", Location("a.c", 1, 3), spaced=True)
+        back = pickle.loads(pickle.dumps(tok))
+        assert back.kind is TokenKind.PUNCT
+        assert back == tok
+        assert copy.deepcopy(tok).kind is TokenKind.PUNCT
+
+    def test_kinds_are_distinct(self):
+        kinds = [getattr(TokenKind, name) for name, _ in KINDS]
+        assert len(set(map(id, kinds))) == len(KINDS)
+        assert TokenKind.IDENT != TokenKind.PUNCT

@@ -46,6 +46,30 @@ class TestBasicDeclarations:
     def test_specifier_order_irrelevant(self):
         assert decl_type("long unsigned int x;", "x").kind == "long"
 
+    def test_same_words_any_order_give_equal_types(self):
+        a = decl_type("unsigned long int x;", "x")
+        b = decl_type("long unsigned int x;", "x")
+        assert a == b and not a.signed
+        assert decl_type("const long unsigned x;", "x") == \
+            decl_type("unsigned const long x;", "x")
+
+    def test_long_long_differs_from_long(self):
+        # Same set of words, so the count of ``long`` must tell them apart.
+        types = decls("long a; long long b; long int c; int long long d;")
+        assert types["a"].type.kind == "long"
+        assert types["b"].type.kind == "long long"
+        assert types["c"].type == types["a"].type
+        assert types["d"].type == types["b"].type
+        assert types["a"].type != types["b"].type
+        assert decl_type("unsigned long long x;", "x") != \
+            decl_type("unsigned long x;", "x")
+
+    def test_qualifiers_tell_types_apart(self):
+        types = decls("long a; const long b; volatile long c;")
+        assert types["a"].type != types["b"].type
+        assert types["b"].type.qualifiers == frozenset({"const"})
+        assert types["c"].type.qualifiers == frozenset({"volatile"})
+
     def test_char_signedness(self):
         assert decl_type("char c;", "c").signed
         assert not decl_type("unsigned char c;", "c").signed

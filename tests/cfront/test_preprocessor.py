@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cfront.errors import PreprocessorError
-from repro.cfront.lexer import TokenKind
+from repro.cfront.lexer import Lexer, TokenKind
 from repro.cfront.preprocessor import (
     IncludeResolver,
     Preprocessor,
@@ -322,3 +322,43 @@ class TestDynamicMacros:
 
     def test_line_usable_in_conditionals(self):
         assert pp("#if __LINE__ == 1\nfirst\n#endif") == ["first"]
+
+
+class TestPredefinedMacros:
+    def test_defaults_expand(self):
+        assert pp("__STDC__ __STDC_VERSION__ __repro_cla__") == \
+            ["1", "199901L", "1"]
+
+    def test_override_wins(self):
+        assert pp("__STDC_VERSION__ __STDC__",
+                  predefined={"__STDC_VERSION__": "201112L"}) == \
+            ["201112L", "1"]
+        # The override is this preprocessor's alone.
+        assert pp("__STDC_VERSION__") == ["199901L"]
+
+    def test_defaults_are_lexed_once(self, monkeypatch):
+        """A preprocessor is built per unit; the default macro bodies are
+        lexed once per process, not once per unit."""
+        Preprocessor()
+        lexed = []
+        tokens = Lexer.tokens
+
+        def counting(self):
+            lexed.append(self.source.filename)
+            return tokens(self)
+
+        monkeypatch.setattr(Lexer, "tokens", counting)
+        Preprocessor()
+        assert "<predefined>" not in lexed
+        Preprocessor(predefined={"EXTRA": "2"})
+        assert lexed == ["<predefined>"]
+
+    def test_shared_bodies_survive_expansion(self):
+        # Expansion clones a body: a later preprocessor still sees the
+        # default tokens, with their own locations.
+        first = Preprocessor().preprocess_text("__STDC__\n#undef __STDC__\n"
+                                               "#define __STDC__ 0\n__STDC__")
+        assert [t.value for t in first][:2] == ["1", "0"]
+        second = Preprocessor().preprocess_text("\n__STDC__", "b.c")
+        assert second[0].value == "1"
+        assert second[0].location.filename == "b.c"

@@ -1,5 +1,7 @@
 """Tests for source locations and LOC counting."""
 
+import pickle
+
 from repro.cfront.source import Location, SourceFile, count_source_lines
 
 
@@ -23,6 +25,32 @@ class TestLocation:
         b = Location("f.c", 1, 2)
         assert a == b
         assert hash(a) == hash(b)
+        assert a != Location("f.c", 1, 3)
+        assert a != Location("g.c", 1, 2)
+        assert Location("f.c", 1) == Location("f.c", 1, 0)
+        # A value of its own kind: no tuple equals it.
+        assert a != ("f.c", 1, 2)
+
+    def test_repr_and_match_args(self):
+        assert repr(Location("f.c", 1, 2)) == \
+            "Location(filename='f.c', line=1, column=2)"
+        assert Location.__match_args__ == ("filename", "line", "column")
+
+    def test_unknown_is_shared(self):
+        assert Location.unknown() is Location.unknown()
+        assert Location.unknown().brief() == "<unknown>"
+
+    def test_pickle_round_trip(self):
+        loc = Location("f.c", 4, 9)
+        back = pickle.loads(pickle.dumps(loc))
+        assert back == loc and hash(back) == hash(loc)
+        assert str(back) == "f.c:4:9"
+
+    def test_dict_key(self):
+        table = {Location("f.c", 1, 2): "a", Location("f.c", 2): "b"}
+        assert table[Location("f.c", 1, 2)] == "a"
+        assert table[Location("f.c", 2, 0)] == "b"
+        assert Location("f.c", 3) not in table
 
 
 class TestSourceFile:

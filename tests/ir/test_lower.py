@@ -6,6 +6,7 @@ from repro.ir import (
     Strength,
     lower_translation_unit,
 )
+from repro.ir.lower import Contribution, Value
 
 
 def lower(src, filename="t.c", **kwargs):
@@ -306,3 +307,32 @@ class TestStatements:
         triples = plain(ir)
         assert (PrimitiveKind.COPY, "q", "r") in triples
         assert (PrimitiveKind.COPY, "p", "s") in triples
+
+
+class TestValues:
+    """Lowering's values compare and hash by what they hold, so equal
+    ones are interchangeable wherever they are shared."""
+
+    def test_value_equality_and_hash(self):
+        a = Value(Value.REF, "x")
+        assert a == Value(Value.REF, "x")
+        assert hash(a) == hash(Value(Value.REF, "x"))
+        assert a != Value(Value.DEREF, "x")
+        assert a != Value(Value.REF, "y")
+        assert Value(Value.NONE) == Value(Value.NONE, "")
+        assert len({a, Value("ref", "x"), Value(Value.ADDR, "x")}) == 2
+
+    def test_contribution_equality_and_hash(self):
+        v = Value(Value.REF, "x")
+        a = Contribution(v)
+        assert a == Contribution(Value(Value.REF, "x"), Strength.DIRECT, "")
+        assert hash(a) == hash(Contribution(Value(Value.REF, "x")))
+        assert a != Contribution(v, Strength.WEAK)
+        assert a != Contribution(v, op="+")
+        assert {a: 1}[Contribution(Value(Value.REF, "x"))] == 1
+
+    def test_through_builds_a_new_contribution(self):
+        a = Contribution(Value(Value.REF, "x"))
+        b = a.through("+", Strength.STRONG)
+        assert b == Contribution(Value(Value.REF, "x"), Strength.STRONG, "+")
+        assert a == Contribution(Value(Value.REF, "x"))

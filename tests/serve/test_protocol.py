@@ -3,8 +3,9 @@ scripted request batch whose responses are pinned field by field."""
 
 import io
 import json
+import sys
 
-from repro.serve import PROTOCOL_VERSION, ServeSession, handle_request, serve_jsonl
+from repro.serve import PROTOCOL_VERSION, handle_request, serve_jsonl
 from repro.serve import session as session_module
 
 from .conftest import SOURCE_B_GROWN
@@ -91,20 +92,36 @@ class TestGoldenSession:
         assert len(responses) == 1
 
     def test_bad_lines_get_error_responses(self, session):
+        deep = "[" * 600 + "]" * 600
         _, responses = run_jsonl(session, [
             "this is not json",
             "[1, 2, 3]",
             "{}",
             {"op": 42},
             "",  # blank lines are skipped, not answered
+            # An integer over Python's int-string limit, nesting deeper
+            # than the decoder goes, and params too deep for the query
+            # cache's key: none ends the daemon.
+            '{"op":"ping","id":' + "1" * 5000 + "}",
+            "[" * 100000 + "]" * 100000,
+            '{"op":"points-to","params":{"name":' + deep + '},"id":2}',
             {"op": "ping", "id": 9},
         ])
+        # Without an int-string limit the long id is just an id.
+        limited = getattr(sys, "get_int_max_str_digits", lambda: 0)() != 0
         assert [r["ok"] for r in responses] == [False, False, False,
+                                                False, not limited, False,
                                                 False, True]
         assert "invalid JSON" in responses[0]["error"]
         assert "JSON object" in responses[1]["error"]
         assert "missing op" in responses[2]["error"]
         assert "missing op" in responses[3]["error"]
+        if limited:
+            assert "invalid JSON" in responses[4]["error"]
+        assert "invalid JSON" in responses[5]["error"]
+        assert responses[6]["id"] == 2
+        assert "nest too deeply" in responses[6]["error"]
+        assert [r.get("generation") for r in responses[6:]] == [1, 1]
         assert responses[-1]["id"] == 9
 
 
