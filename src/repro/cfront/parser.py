@@ -276,7 +276,10 @@ class Parser:
             try:
                 unit.items.extend(self._parse_external_declaration())
             except ParseError as error:
-                self.diagnostics.append(error)
+                # The traceback's frames hold this parser and its tokens
+                # in a cycle; a diagnostic is read for its message and
+                # location only.
+                self.diagnostics.append(error.with_traceback(None))
                 self._recover_to_top_level(start)
         unit.diagnostics = list(self.diagnostics)
         return unit

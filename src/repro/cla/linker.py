@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..engine.collector import collector_paused
 from .reader import DatabaseStore
 from .store import LinkError, MemoryStore
 from .writer import ObjectFileWriter
@@ -31,7 +32,12 @@ def absorb_object_files(paths: Iterable[str]) -> MemoryStore:
     return store
 
 
+@collector_paused
 def link_object_files(paths: Iterable[str], output_path: str) -> None:
-    """Link object files from disk into one executable database."""
+    """Link object files from disk into one executable database.
+
+    Runs with the cycle collector paused: the store it builds lives only
+    until the database is written, and holds no reference cycle.
+    """
     ObjectFileWriter(absorb_object_files(paths), linked=True).write(
         output_path)

@@ -13,6 +13,8 @@ and caching work can land on):
   (:func:`measure`, :func:`format_table`, ...).
 * :mod:`repro.engine.stats` — the uniform :class:`SolverStats` record all
   four solvers report through :mod:`repro.solvers.base`.
+* :mod:`repro.engine.collector` — :func:`collector_paused`, which runs
+  the compile and the link with the cycle collector paused.
 
 ``pipeline`` is imported lazily: the low layers (``cla``, ``solvers``)
 import ``engine.obs``/``engine.stats``, and ``engine.pipeline`` imports

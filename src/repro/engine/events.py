@@ -67,7 +67,8 @@ class SpanEvent(Event):
     """A span opened (``phase="begin"``) or closed (``"end"``).
 
     ``id`` and ``parent`` place the span in its tree.  End records carry
-    the span's wall time, user time, peak-RSS growth and final
+    the span's wall time, user time, peak-RSS growth, the cyclic
+    collections per generation made while it was open, and its final
     attributes, so a ledger alone rebuilds the trace tree."""
 
     KIND: ClassVar[str] = "stage"
@@ -80,6 +81,8 @@ class SpanEvent(Event):
     wall_s: float = 0.0
     user_s: float = 0.0
     rss_delta_mb: float = 0.0
+    #: [young, middle, full]; end records only
+    gc_collections: list[int] | None = None
     ts: float = 0.0
 
 

@@ -7,12 +7,13 @@ module is the measurement spine the rest of the system reports through:
 
 * :func:`span` — nested, named timing regions published on the event
   bus (:mod:`repro.engine.events`).  Every span records wall time
-  (:func:`time.perf_counter`), user time (:func:`os.times`) and the
-  peak-RSS delta across its extent, plus arbitrary attributes (solver
-  name, file counts, solver stats).  The :class:`Tracer` sink assembles
-  them into a trace that exports as a JSON tree or flat JSONL (see
-  docs/OBSERVABILITY.md for the schema); the ``--events`` ledger carries
-  the same records.
+  (:func:`time.perf_counter`), user time (:func:`os.times`), the
+  peak-RSS delta and the cyclic collections per generation
+  (:func:`gc.get_stats`) across its extent, plus arbitrary attributes
+  (solver name, file counts, solver stats).  The :class:`Tracer` sink
+  assembles them into a trace that exports as a JSON tree or flat JSONL
+  (see docs/OBSERVABILITY.md for the schema); the ``--events`` ledger
+  carries the same records.
 * :class:`Counter` / :class:`MetricsRegistry` — process-wide monotonic
   counters.  The CLA store layer feeds its load accounting here
   (``cla.blocks_loaded``, ``cla.assignments_loaded``) and every solver
@@ -28,6 +29,7 @@ Absolute values are not comparable to the paper's 800 MHz C implementation
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
@@ -76,6 +78,11 @@ def process_user_s() -> float:
     """
     t = os.times()
     return t.user + t.children_user
+
+
+def _gc_collections() -> list[int]:
+    """Cyclic collections so far, per generation (young, middle, full)."""
+    return [generation["collections"] for generation in gc.get_stats()]
 
 
 def measure(fn: Callable[[], Any]) -> Measurement:
@@ -145,14 +152,15 @@ class Span:
     """One open, named timing region, published on the event bus.
 
     Entering emits a ``begin`` :class:`~repro.engine.events.SpanEvent`;
-    leaving emits the ``end`` record with the wall time, user time and
-    peak-RSS growth across the span and its final attributes (plus
-    ``error`` when an exception escapes).  ``id`` and ``parent`` place it
-    in the tree of open spans.  :func:`span` makes one only while a sink
-    listens.
+    leaving emits the ``end`` record with the wall time, user time,
+    peak-RSS growth and cyclic collections per generation across the
+    span and its final attributes (plus ``error`` when an exception
+    escapes).  ``id`` and ``parent`` place it in the tree of open spans.
+    :func:`span` makes one only while a sink listens.
     """
 
-    __slots__ = ("name", "attrs", "id", "parent", "_wall", "_user", "_rss")
+    __slots__ = ("name", "attrs", "id", "parent", "_wall", "_user", "_rss",
+                 "_gc")
 
     def __init__(self, name: str, attrs: dict[str, Any]):
         self.name = name
@@ -174,6 +182,7 @@ class Span:
         _OPEN.append(self)
         self._user = process_user_s()
         self._rss = peak_rss_mb()
+        self._gc = _gc_collections()
         # Both records are stamped with the span's own clock readings, so
         # a child's extent always lies inside its parent's.
         self._wall = time.perf_counter()
@@ -186,6 +195,8 @@ class Span:
         end = time.perf_counter()
         user = process_user_s() - self._user
         rss = peak_rss_mb() - self._rss
+        collections = [after - before for before, after
+                       in zip(self._gc, _gc_collections())]
         if exc_type is not None:
             self.attrs["error"] = repr(exc)
         while _OPEN and _OPEN.pop() is not self:
@@ -194,6 +205,7 @@ class Span:
             stage=self.name, phase="end", id=self.id, parent=self.parent,
             attrs=self.attrs, wall_s=round(end - self._wall, 6),
             user_s=round(user, 6), rss_delta_mb=round(rss, 3),
+            gc_collections=collections,
         ), at=end)
 
 
@@ -291,6 +303,7 @@ def span_tree(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
             "wall_s": r.get("wall_s", 0.0),
             "user_s": r.get("user_s", 0.0),
             "rss_delta_mb": r.get("rss_delta_mb", 0.0),
+            "gc_collections": r.get("gc_collections"),
             "attrs": r.get("attrs") or {},
             "children": [],
         }

@@ -39,6 +39,7 @@ from ..ir.lower import UnitIR, lower_translation_unit
 from ..ir.strength import Strength
 from ..solvers import SOLVERS
 from ..solvers.base import PointsToResult
+from .collector import collector_paused
 from .events import EVENTS, UnitCompiledEvent
 from .obs import span
 
@@ -101,12 +102,18 @@ def resolve_jobs(jobs: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@collector_paused
 def compile_source(
     text: str,
     filename: str = "<string>",
     options: CompileOptions | None = None,
 ) -> UnitIR:
-    """Compile one translation unit from source text to IR."""
+    """Compile one translation unit from source text to IR.
+
+    Every compile route runs here, with the cycle collector paused: the
+    tokens, the AST and the lowering's scratch hold no reference cycle,
+    so reference counting frees them all.
+    """
     options = options or CompileOptions()
     resolver = options.resolver()
     unit = parse_c(

@@ -42,6 +42,8 @@ from .session import MAX_BODY_BYTES, ServeSession
 REQUEST_TIMEOUT_S = 30.0
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+#: No length with more significant digits than this fits the cap.
+_MAX_DIGITS = len(str(MAX_BODY_BYTES))
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -119,17 +121,21 @@ class _ServeHandler(BaseHTTPRequestHandler):
         """The request's ``Content-Length``, or None once a bad one has
         been answered (400 missing/non-integer/negative, 413 too large)."""
         value = self.headers.get("Content-Length")
+        text = (value or "").strip()
+        # The significant digits decide: counting them first keeps int()
+        # off a value past Python's int-string limit, where it raises.
+        digits = text.lstrip("-").lstrip("0") or "0"
         if value is None:
             status, error = 400, "missing Content-Length"
-        elif not _DECIMAL.fullmatch(value.strip()):
+        elif not _DECIMAL.fullmatch(text):
             status, error = 400, f"non-integer Content-Length {value!r}"
-        elif int(value) < 0:
+        elif text.startswith("-") and digits != "0":
             status, error = 400, f"negative Content-Length {value!r}"
-        elif int(value) > MAX_BODY_BYTES:
-            status, error = 413, (f"Content-Length {int(value)} exceeds "
+        elif len(digits) > _MAX_DIGITS or int(digits) > MAX_BODY_BYTES:
+            status, error = 413, (f"Content-Length {digits} exceeds "
                                   f"the {MAX_BODY_BYTES}-byte limit")
         else:
-            return int(value)
+            return int(digits)
         self.close_connection = True
         self._reply(status, {"ok": False, "error": error})
         return None

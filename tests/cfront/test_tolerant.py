@@ -59,6 +59,14 @@ class TestRecovery:
         assert diag.location.filename == "d.c"
         assert diag.location.line == 2
 
+    def test_diagnostics_keep_no_traceback(self):
+        """A traceback's frames would hold the parser and its tokens in a
+        cycle, keeping them alive until a cyclic collection."""
+        unit = parse_c("int ok;\nint ) bad ;\nint @@@ nope;\n",
+                       tolerant=True)
+        assert len(unit.diagnostics) == 2
+        assert all(d.__traceback__ is None for d in unit.diagnostics)
+
     def test_consecutive_errors(self):
         unit = parse_c("""
         int ) one ;

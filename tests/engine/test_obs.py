@@ -1,5 +1,6 @@
 """Tests for the observability layer: spans, tracing, counters."""
 
+import gc
 import json
 
 import pytest
@@ -123,6 +124,24 @@ class TestSpanTiming:
                 ctx.__exit__(None, None, None)
         assert [e.phase for e in sink.of_kind("stage")] == ["begin", "end"]
 
+    def test_counts_a_full_collection(self, tracer):
+        with span("collect"):
+            gc.collect()
+        [node] = tracer.find("collect")
+        assert len(node["gc_collections"]) == 3  # young, middle, full
+        assert node["gc_collections"][2] >= 1
+
+    def test_collector_off_counts_none(self):
+        gc.disable()
+        try:
+            with EVENTS.sink(MemorySink()) as sink:
+                with span("quiet"):
+                    pass
+        finally:
+            gc.enable()
+        [end] = [e for e in sink.of_kind("stage") if e.phase == "end"]
+        assert end.gc_collections == [0, 0, 0]
+
 
 class TestTraceExport:
     def test_to_dict_schema(self, tracer):
@@ -204,8 +223,8 @@ class TestTraceExport:
         ])
         assert roots == [{
             "name": "compile", "start_s": 0.0, "wall_s": 0.4,
-            "user_s": 0.0, "rss_delta_mb": 0.0, "attrs": {"files": 2},
-            "children": [],
+            "user_s": 0.0, "rss_delta_mb": 0.0, "gc_collections": None,
+            "attrs": {"files": 2}, "children": [],
         }]
 
 

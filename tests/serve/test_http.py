@@ -194,7 +194,9 @@ class TestContentLength:
     """POST /query checks Content-Length before it reads a byte of the
     body: 400 for missing, non-integer or negative, 413 above the cap."""
 
-    @pytest.mark.parametrize("value", ["-1", "-10000000000"])
+    @pytest.mark.parametrize("value", [
+        "-1", "-10000000000",
+        pytest.param("-" + "1" * 5000, id="-5000-digits")])
     def test_negative_length_is_400(self, server, value):
         base, _, _ = server
         reply = raw_post(base, [f"Content-Length: {value}"])
@@ -203,7 +205,9 @@ class TestContentLength:
         assert status == 400 and not body["ok"]
         assert "Content-Length" in body["error"]
 
-    @pytest.mark.parametrize("value", ["abc", "12x", "1.5", "1_0", ""])
+    @pytest.mark.parametrize("value", [
+        "abc", "12x", "1.5", "1_0", "",
+        pytest.param("0" * 60000 + "x", id="zeros-then-junk")])
     def test_non_integer_length_is_400(self, server, value):
         base, _, _ = server
         reply = raw_post(base, [f"Content-Length: {value}"],
@@ -220,7 +224,9 @@ class TestContentLength:
         status, body = reply
         assert status == 400 and "missing Content-Length" in body["error"]
 
-    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10000000000])
+    @pytest.mark.parametrize("length", [
+        MAX_BODY_BYTES + 1, 10000000000,
+        pytest.param("1" + "0" * 5000, id="5001-digits")])
     def test_oversized_length_is_413_unread(self, server, length):
         base, _, _ = server
         reply = raw_post(base, [f"Content-Length: {length}"])
@@ -228,6 +234,14 @@ class TestContentLength:
         status, body = reply
         assert status == 413 and not body["ok"]
         assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_leading_zeros_do_not_count(self, server):
+        base, _, _ = server
+        payload = b'{"op": "ping"}'
+        status, body = raw_post(
+            base, [f"Content-Length: {'0' * 5000}{len(payload)}"],
+            body=payload)
+        assert status == 200 and body["ok"]
 
     def test_daemon_keeps_serving_after_bad_lengths(self, server):
         base, _, _ = server
