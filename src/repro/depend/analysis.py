@@ -22,6 +22,12 @@ from ..ir.strength import Strength
 from ..solvers.base import PointsToResult
 from .graph import DependenceEdge, DependenceGraph
 
+#: Strengths by rank: the search relaxes edges on the members' integer
+#: values (NONE 0 .. DIRECT 3, in definition order) and turns a rank back
+#: into its member only for the dependents it records.
+_BY_RANK = tuple(Strength)
+_DIRECT = Strength.DIRECT
+
 
 @dataclass(slots=True)
 class Dependent:
@@ -60,7 +66,7 @@ class DependenceResult:
         stronger chains first, then shorter, then by name for determinism."""
         return sorted(
             (d for d in self.dependents.values() if d.parent is not None),
-            key=lambda d: (-d.strength.value, d.distance, d.name),
+            key=lambda d: (-d.strength._value_, d.distance, d.name),
         )
 
     def is_dependent(self, name: str) -> bool:
@@ -97,7 +103,10 @@ class DependenceAnalysis:
         Best-first search with lexicographic priority (importance
         descending, length ascending): a node is settled the first time it
         is popped, which is with its best possible chain because edge
-        relaxation can only weaken importance and lengthen paths.
+        relaxation can only weaken importance and lengthen paths.  Of two
+        equally good chains the one relaxed first wins, and
+        :class:`DependenceGraph` yields edges in a fixed order, so the
+        answer is the same in every process.
 
         ``min_strength`` prunes edges below the threshold: a path is as
         strong as its weakest edge, so requiring every edge to clear the
@@ -108,43 +117,49 @@ class DependenceAnalysis:
         graph = DependenceGraph(self.store, self.points_to)
         result = DependenceResult(targets=list(targets),
                                   non_targets=non_target_set)
+        dependents = result.dependents
+        skip_temporaries = not self.include_temporaries
+        floor = min_strength._value_
+        direct = _DIRECT._value_
+        push, pop = heapq.heappush, heapq.heappop
+        # (-rank, distance, name): the smallest is the best chain
         heap: list[tuple[int, int, str]] = []
         best: dict[str, tuple[int, int]] = {}
         for t in targets:
-            result.dependents[t] = Dependent(
-                name=t, strength=Strength.DIRECT, distance=0, parent=None,
-                via=None,
+            dependents[t] = Dependent(
+                name=t, strength=_DIRECT, distance=0, parent=None, via=None,
             )
-            key = (-Strength.DIRECT.value, 0)
-            best[t] = key
-            heapq.heappush(heap, (*key, t))
+            best[t] = (-direct, 0)
+            push(heap, (-direct, 0, t))
         settled: set[str] = set()
         while heap:
-            neg_strength, distance, name = heapq.heappop(heap)
+            neg_rank, distance, name = pop(heap)
             if name in settled:
                 continue
             settled.add(name)
-            strength = Strength(-neg_strength)
+            rank = -neg_rank
+            hops = distance + 1
             for edge in graph.successors(name):
                 dep = edge.dependent
-                if dep in non_target_set or dep in settled:
+                if dep in settled or dep in non_target_set:
                     continue
-                if not self.include_temporaries and dep.startswith("$"):
+                if skip_temporaries and dep.startswith("$"):
                     continue
-                if edge.strength < min_strength:
+                edge_rank = edge.strength._value_
+                if edge_rank < floor:
                     continue
-                new_strength = min(strength, edge.strength)
-                if new_strength is Strength.NONE:
-                    continue
-                key = (-new_strength.value, distance + 1)
-                if dep in best and best[dep] <= key:
+                # A chain is as strong as its weakest edge.
+                chain_rank = edge_rank if edge_rank < rank else rank
+                key = (-chain_rank, hops)
+                known = best.get(dep)
+                if known is not None and known <= key:
                     continue
                 best[dep] = key
-                result.dependents[dep] = Dependent(
-                    name=dep, strength=new_strength, distance=distance + 1,
+                dependents[dep] = Dependent(
+                    name=dep, strength=_BY_RANK[chain_rank], distance=hops,
                     parent=name, via=edge,
                 )
-                heapq.heappush(heap, (*key, dep))
+                push(heap, (-chain_rank, hops, dep))
         result.blocks_loaded = graph.blocks_loaded
         self._collapse_temporaries(result)
         return result

@@ -13,7 +13,6 @@ direct copy, ``!`` strong, ``~`` weak.
 from __future__ import annotations
 
 from ..cla.store import ConstraintStore
-from ..ir.strength import Strength
 from .analysis import DependenceResult
 
 
@@ -24,15 +23,6 @@ def _object_label(store: ConstraintStore, name: str) -> str:
     if obj is not None and obj.type_str:
         return f"{display}/{obj.type_str}"
     return display
-
-
-def _strength_symbol(strength: Strength) -> str:
-    return {
-        Strength.DIRECT: "=",
-        Strength.STRONG: "!",
-        Strength.WEAK: "~",
-        Strength.NONE: "0",
-    }[strength]
 
 
 def _declaration_of(store: ConstraintStore, name: str) -> str:
@@ -62,7 +52,7 @@ def render_chain(
     for i in range(1, len(chain)):
         via = chain[i - 1].via
         step = chain[i]
-        symbol = _strength_symbol(via.strength) if via is not None else "="
+        symbol = via.strength.symbol if via is not None else "="
         location = via.location.brief() if via is not None else "<unknown>"
         parts.append(symbol)
         parts.append(f"{_object_label(store, step.name)} {location}")

@@ -19,6 +19,14 @@ block for z, which contains the primitive assignments x = z and *p = z
 build a data-structure for y and load the block for y"): the successors of
 ``y`` need only ``y``'s own block plus the blocks of the pointers that may
 point to ``y`` (for the loads/stores that flow *through* ``y``'s cell).
+Those pointers come from the result's reverse index, built once per
+fixpoint (:meth:`~repro.solvers.base.PointsToResult.pointed_by`).
+
+Edges come out in one fixed order, so that a search that keeps the first
+of two equally good edges answers alike in every process and from either
+store: ``y``'s own block's rows in block order, then the pointers into
+``y``'s cell in name order (each pointer's rows in block order), and a
+store's targets in name order.
 """
 
 from __future__ import annotations
@@ -31,10 +39,20 @@ from ..ir.primitives import PrimitiveKind
 from ..ir.strength import Strength
 from ..solvers.base import PointsToResult
 
+_COPY = PrimitiveKind.COPY
+_STORE = PrimitiveKind.STORE
+_LOAD = PrimitiveKind.LOAD
+_STORE_LOAD = PrimitiveKind.STORE_LOAD
+_NONE = Strength.NONE
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class DependenceEdge:
-    """One forward dependence step ``source -> dependent``."""
+    """One forward dependence step ``source -> dependent``.
+
+    A search builds hundreds of these, so it is a plain slots record
+    (no frozen-instance setattr); it still compares and hashes by value.
+    """
 
     source: str
     dependent: str
@@ -46,23 +64,24 @@ class DependenceEdge:
 
 
 class DependenceGraph:
-    """Demand-driven successor generation over a store + points-to result."""
+    """Demand-driven successor generation over a store + points-to result.
+
+    A graph lives for one search, which expands each name once, so
+    successors are generated afresh on every call.  Rows whose operation
+    has strength NONE carry no dependence and yield no edge.
+    """
 
     def __init__(self, store: ConstraintStore, points_to: PointsToResult):
         self.store = store
-        self.points_to = points_to
         self._pointed_by = points_to.pointed_by()
-        self._successors_cache: dict[str, list[DependenceEdge]] = {}
+        self._targets_of = points_to.pts.sorted_targets
         self.blocks_loaded = 0
 
     def successors(self, name: str) -> list[DependenceEdge]:
-        cached = self._successors_cache.get(name)
-        if cached is not None:
-            return cached
+        """The edges out of ``name``, in the module's edge order."""
         edges: list[DependenceEdge] = []
         self._edges_from_own_block(name, edges)
         self._edges_through_cell(name, edges)
-        self._successors_cache[name] = edges
         return edges
 
     def _edges_from_own_block(self, name: str, edges: list[DependenceEdge]) -> None:
@@ -71,41 +90,37 @@ class DependenceGraph:
         if block is None:
             return
         self.blocks_loaded += 1
+        append = edges.append
         for a in block.assignments:
-            if a.strength is Strength.NONE:
+            if a.src != name or a.strength is _NONE:
                 continue
-            if a.kind is PrimitiveKind.COPY and a.src == name:
-                edges.append(DependenceEdge(
-                    source=name, dependent=a.dst, strength=a.strength,
-                    op=a.op, location=a.location,
-                ))
-            elif a.kind is PrimitiveKind.STORE and a.src == name:
-                for target in self.points_to.points_to(a.dst):
-                    edges.append(DependenceEdge(
-                        source=name, dependent=target, strength=a.strength,
-                        op=a.op, location=a.location, through_pointer=True,
-                    ))
+            kind = a.kind
+            if kind is _COPY:
+                append(DependenceEdge(name, a.dst, a.strength, a.op,
+                                      a.location))
+            elif kind is _STORE:
+                for target in self._targets_of(a.dst):
+                    append(DependenceEdge(name, target, a.strength, a.op,
+                                          a.location, True))
 
     def _edges_through_cell(self, name: str, edges: list[DependenceEdge]) -> None:
         """Loads that read ``name``'s memory cell: x = *p with name in
         pts(p), and *r = *p similarly."""
+        load_block = self.store.load_block
+        append = edges.append
         for pointer in self._pointed_by.get(name, ()):
-            block = self.store.load_block(pointer)
+            block = load_block(pointer)
             if block is None:
                 continue
             self.blocks_loaded += 1
             for a in block.assignments:
-                if a.strength is Strength.NONE:
+                if a.src != pointer or a.strength is _NONE:
                     continue
-                if a.kind is PrimitiveKind.LOAD and a.src == pointer:
-                    edges.append(DependenceEdge(
-                        source=name, dependent=a.dst, strength=a.strength,
-                        op=a.op, location=a.location, through_pointer=True,
-                    ))
-                elif a.kind is PrimitiveKind.STORE_LOAD and a.src == pointer:
-                    for target in self.points_to.points_to(a.dst):
-                        edges.append(DependenceEdge(
-                            source=name, dependent=target,
-                            strength=a.strength, op=a.op,
-                            location=a.location, through_pointer=True,
-                        ))
+                kind = a.kind
+                if kind is _LOAD:
+                    append(DependenceEdge(name, a.dst, a.strength, a.op,
+                                          a.location, True))
+                elif kind is _STORE_LOAD:
+                    for target in self._targets_of(a.dst):
+                        append(DependenceEdge(name, target, a.strength,
+                                              a.op, a.location, True))

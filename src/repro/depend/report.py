@@ -16,7 +16,7 @@ import json
 
 from ..cla.store import ConstraintStore
 from .analysis import DependenceResult
-from .chains import _object_label, _strength_symbol
+from .chains import _object_label
 
 
 def dependence_tree(result: DependenceResult) -> dict[str, list[str]]:
@@ -57,7 +57,7 @@ def render_tree(
         )
         label = _object_label(store, name)
         if dep is not None and dep.via is not None:
-            label = (f"{_strength_symbol(dep.via.strength)} {label} "
+            label = (f"{dep.via.strength.symbol} {label} "
                      f"{dep.via.location.brief()}")
         lines.append(prefix + connector + label)
         if max_depth is not None and depth >= max_depth:

@@ -405,8 +405,14 @@ class Pipeline:
         non_targets: frozenset[str] | list[str] = frozenset(),
         min_strength: Strength = Strength.WEAK,
     ) -> DependenceResult:
-        """Forward dependence query by source-level target name."""
+        """Forward dependence query by source-level target name.
+
+        The first query over a points-to result builds its reverse index
+        (:meth:`PointsToResult.pointed_by`); the span records whether
+        this one did and how many (pointer, target) pairs it holds.
+        """
         with span("depend", target=target) as stage:
+            builds_index = not points_to.pointed_by_built
             analysis = DependenceAnalysis(store, points_to)
             targets = analysis.resolve_targets(target)
             if not targets:
@@ -417,5 +423,7 @@ class Pipeline:
             stage.annotate(
                 dependents=len(result.dependents),
                 blocks_loaded=result.blocks_loaded,
+                reverse_index_built=builds_index,
+                reverse_index_pairs=points_to.pointed_by_pairs,
             )
         return result

@@ -47,7 +47,13 @@ class Strength(enum.Enum):
 
     @property
     def symbol(self) -> str:
-        return {"NONE": "0", "WEAK": "~", "STRONG": "!", "DIRECT": "="}[self.name]
+        """The step separator of a rendered chain: ``=`` direct, ``!``
+        strong, ``~`` weak, ``0`` none."""
+        return _SYMBOLS[self._value_]
+
+
+#: Chain-step separators by strength value (NONE .. DIRECT).
+_SYMBOLS = ("0", "~", "!", "=")
 
 
 #: (strength of argument 1, strength of argument 2) per binary operator.

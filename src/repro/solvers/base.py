@@ -14,10 +14,12 @@ and produces a :class:`PointsToResult`.  Shared here:
   (:meth:`BaseSolver._finalize_nodes`, :meth:`BaseSolver._finalize_masks`)
   that wrap the final id-space bitmasks in a lazily-decoding result
   mapping and snapshot the CLA load accounting into the stats record.
-* :class:`PointsToResult` — the uniform output record.  Its ``pts``
-  mapping may be a plain dict or a :class:`LazyPointsTo` view over solver
-  bitmasks; both behave identically (``Mapping`` protocol, equality
-  included), so the oracle, tables, report and CLI are agnostic.
+* :class:`PointsToResult` — the uniform output record.  Every solver
+  builds its ``pts`` mapping as a :class:`LazyPointsTo` view over solver
+  bitmasks, which behaves like a plain dict (``Mapping`` protocol,
+  equality included), so the oracle, tables, report and CLI are
+  agnostic; the dependence analysis's reverse index is built from the
+  masks, once per result.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ class LazyPointsTo(Mapping):
     that only *count* (Table 3) never materialise names at all.
     """
 
-    __slots__ = ("_masks", "_universe")
+    __slots__ = ("_masks", "_universe", "_sorted")
 
     def __init__(self, masks: dict[str, int], universe: ObjectUniverse):
         self._masks = masks
         self._universe = universe
+        #: mask -> its target names in name order
+        self._sorted: dict[int, tuple[str, ...]] = {}
 
     def __getitem__(self, name: str) -> frozenset[str]:
         return self._universe.decode(self._masks[name])
@@ -73,6 +77,37 @@ class LazyPointsTo(Mapping):
         """len(pts(name)) without decoding the set."""
         return self._masks[name].bit_count()
 
+    # -- the dependence analysis's views ---------------------------------
+
+    def sorted_targets(self, name: str) -> tuple[str, ...]:
+        """pts(name) in name order; pointers with equal sets share one
+        tuple, kept for the life of the mapping."""
+        mask = self._masks.get(name, 0)
+        ordered = self._sorted.get(mask)
+        if ordered is None:
+            ordered = self._sorted[mask] = tuple(
+                sorted(self._universe.decode(mask)))
+        return ordered
+
+    def pointed_by(self) -> dict[str, tuple[str, ...]]:
+        """target -> the pointers whose sets hold it, in name order.
+
+        Pointers with equal masks form one group, so each distinct set is
+        decoded once however many pointers share it.  The decode goes
+        through the universe's shared cache, so later lookups of any
+        pointer's set are cache hits."""
+        groups: dict[int, list[str]] = {}
+        for name, mask in self._masks.items():
+            if mask:
+                groups.setdefault(mask, []).append(name)
+        by_target: dict[str, list[str]] = {}
+        decode = self._universe.decode
+        for mask, pointers in groups.items():
+            for target in decode(mask):
+                by_target.setdefault(target, []).extend(pointers)
+        return {target: tuple(sorted(pointers))
+                for target, pointers in by_target.items()}
+
 
 @dataclass
 class PointsToResult:
@@ -83,6 +118,10 @@ class PointsToResult:
     stats: SolverStats = field(default_factory=SolverStats)
     #: Object metadata snapshot for reporting (name -> ProgramObject).
     objects: dict[str, ProgramObject] = field(default_factory=dict)
+    #: (pointer, target) pairs in the reverse index, once it is built
+    pointed_by_pairs: int = field(default=0, init=False, compare=False)
+    _pointed_by: dict[str, tuple[str, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def points_to(self, name: str) -> frozenset[str]:
         return self.pts.get(name, frozenset())
@@ -123,17 +162,25 @@ class PointsToResult:
             total += counted(name)
         return total
 
-    def pointed_by(self) -> dict[str, set[str]]:
-        """Reverse index: target object -> pointers that may point to it.
+    def pointed_by(self) -> dict[str, tuple[str, ...]]:
+        """Reverse index: target object -> the pointers that may point to
+        it, in name order.
 
         The dependence analysis uses this to find the loads ``x = *p``
-        relevant to a newly dependent object (§4's sketch).
+        relevant to a newly dependent object (§4's sketch).  It is built
+        from the id-space masks the first time it is asked for and kept
+        with the result, so every chain over one fixpoint shares it.
         """
-        reverse: dict[str, set[str]] = {}
-        for pointer, targets in self.pts.items():
-            for target in targets:
-                reverse.setdefault(target, set()).add(pointer)
-        return reverse
+        index = self._pointed_by
+        if index is None:
+            index = self._pointed_by = self.pts.pointed_by()
+            self.pointed_by_pairs = sum(map(len, index.values()))
+        return index
+
+    @property
+    def pointed_by_built(self) -> bool:
+        """Whether :meth:`pointed_by` has built this result's index."""
+        return self._pointed_by is not None
 
 
 class BaseSolver:

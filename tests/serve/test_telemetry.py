@@ -48,6 +48,32 @@ class TestTraceIds:
         assert all(e.attrs["trace"] == "chain-1" for e in depend)
         assert depend[1].attrs["target"] == "shared"
 
+    def test_depend_span_says_who_built_the_reverse_index(self, session):
+        """The first chain of a generation builds the reverse points-to
+        index and the later ones reuse it; an update starts a generation
+        whose first chain builds it again."""
+        from .conftest import SOURCE_B_GROWN
+
+        def chain(target):
+            with EVENTS.sink(MemorySink()) as sink:
+                assert session.request("chain", {"target": target})["ok"]
+            (end,) = [e for e in sink.of_kind("stage")
+                      if e.stage == "depend" and e.phase == "end"]
+            return (end.attrs["reverse_index_built"],
+                    end.attrs["reverse_index_pairs"])
+
+        pts = session._result.pts
+        pairs = sum(len(pts[p]) for p in pts)
+        assert chain("shared") == (True, pairs) and pairs > 0
+        assert chain("gp") == (False, pairs)
+        assert session.request(
+            "update", {"file": "b.c", "text": SOURCE_B_GROWN})["ok"]
+        pts = session._result.pts
+        grown = sum(len(pts[p]) for p in pts)
+        assert grown > pairs
+        assert chain("shared") == (True, grown)
+        assert chain("mine") == (False, grown)
+
     def test_update_spans_carry_the_trace(self, session):
         from .conftest import SOURCE_B_GROWN
 
