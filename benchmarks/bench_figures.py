@@ -9,7 +9,8 @@ path show up here).
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore
 from repro.cla.writer import ObjectFileWriter
-from repro.depend import render_chain, run_dependence
+from repro.depend import render_chain
+from repro.engine.pipeline import Pipeline
 from repro.ir import lower_translation_unit
 from repro.solvers import PreTransitiveSolver
 
@@ -44,7 +45,8 @@ def test_figure1_dependence(benchmark, report):
     )
     points_to = PreTransitiveSolver(store).solve()
 
-    result = benchmark(lambda: run_dependence(store, points_to, "target"))
+    result = benchmark(
+        lambda: Pipeline().depend(store, points_to, "target"))
     dependents = {
         n for n, d in result.dependents.items() if d.parent is not None
     }

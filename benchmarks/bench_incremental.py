@@ -80,7 +80,9 @@ def test_incremental_analysis_correctness(benchmark, report, tmp_path):
     fresh.add_header(HEADER_NAME, program.header)
     for name, text in sorted(program.files.items()):
         fresh.add_source(name, edited if name == victim else text)
-    full = Pipeline().analyze_database(fresh.build())
+    pipeline = Pipeline()
+    with pipeline.open_database(fresh.build()) as store:
+        full = pipeline.analyze(store)
 
     assert incremental.points_to("cla_new_ptr") == {"cla_new_target"}
     for name in set(incremental.pts) | set(full.pts):

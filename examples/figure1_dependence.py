@@ -17,7 +17,8 @@ Run with::
 
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore
-from repro.depend import render_all, run_dependence, summarize
+from repro.depend import render_all, summarize
+from repro.engine.pipeline import Pipeline
 from repro.ir import lower_translation_unit
 from repro.solvers import PreTransitiveSolver
 
@@ -46,7 +47,7 @@ def main() -> None:
     print()
     print("points-to:  pts(v) =", sorted(points_to.points_to("v")))
 
-    result = run_dependence(store, points_to, "target")
+    result = Pipeline().depend(store, points_to, "target")
     counts = summarize(result)
     print()
     print(f"dependents of 'target': {sum(counts.values())} "

@@ -93,7 +93,7 @@ def main() -> None:
     print("proposed change: short seq_no  ->  int seq_no")
     print()
 
-    targets = analysis.resolve_targets("seq_no")
+    targets = store.find_targets("seq_no")
     result = analysis.analyze(targets)
     counts = summarize(result)
     print(f"pass 1: {sum(counts.values())} dependent objects "

@@ -15,7 +15,10 @@ The package implements the paper's full system in pure Python:
   one-level-flow baselines;
 * :mod:`repro.depend` — the forward data-dependence tool (§2);
 * :mod:`repro.synth` — synthetic benchmark generation matching Table 2;
-* :mod:`repro.driver` — one-call pipeline API and the ``repro-cla`` CLI.
+* :mod:`repro.engine` — the pipeline, one entry point per stage
+  (:class:`~repro.engine.pipeline.Pipeline`), and the telemetry spine;
+* :mod:`repro.driver` — the :class:`Workspace` project type and the
+  ``repro-cla`` CLI.
 
 Quickstart::
 
@@ -26,9 +29,9 @@ Quickstart::
     print(project.points_to().points_to("p"))   # frozenset({'x'})
 """
 
-from .driver.api import CompileOptions, analyze_database
 from .driver.incremental import Workspace
+from .engine.pipeline import CompileOptions
 
 __version__ = "1.0.0"
 
-__all__ = ["CompileOptions", "Workspace", "analyze_database", "__version__"]
+__all__ = ["CompileOptions", "Workspace", "__version__"]

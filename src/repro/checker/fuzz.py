@@ -31,11 +31,10 @@ import random
 from dataclasses import dataclass
 
 from ..cla.store import MemoryStore
-from ..driver.api import CompileOptions
 from ..engine.events import EVENTS, FuzzCaseEvent
 from ..engine.obs import REGISTRY
-from ..engine.pipeline import Pipeline
-from ..solvers import SOLVERS, PreTransitiveSolver
+from ..engine.pipeline import CompileOptions, Pipeline
+from ..solvers import SOLVERS
 from ..synth.generator import HEADER_NAME, generate
 from ..synth.profiles import BENCHMARK_ORDER, get_profile
 from .oracle import check_result
@@ -123,10 +122,12 @@ def run_battery(
 
     Returns failure descriptions (empty = clean).  The comparison groups
     come from each solver class's ``precision`` attribute; the oracle runs
-    on every result.
+    on every result.  Each solve is one :meth:`Pipeline.analyze` (an
+    ``analyze`` span) on a store of its own.
     """
     failures: list[str] = []
     reference = MemoryStore(list(units))
+    pipeline = Pipeline()
 
     def note(message: str) -> None:
         if len(failures) < max_failures:
@@ -135,18 +136,18 @@ def run_battery(
     andersen: dict[str, object] = {}
     over: dict[str, object] = {}
     for name, cls in sorted(SOLVERS.items()):
-        result = cls(MemoryStore(list(units))).solve()
+        result = pipeline.analyze(MemoryStore(list(units)), name)
         _SOLVER_RUNS.add(1)
         (andersen if cls.precision == "andersen" else over)[name] = result
     cache, cycles, diff, demand = toggles
     variant = f"pretransitive[{toggle_label(toggles)}]"
-    andersen[variant] = PreTransitiveSolver(
-        MemoryStore(list(units)),
+    andersen[variant] = pipeline.analyze(
+        MemoryStore(list(units)), "pretransitive",
         enable_cache=cache,
         enable_cycle_elimination=cycles,
         enable_diff_propagation=diff,
         demand_load=demand,
-    ).solve()
+    )
     _SOLVER_RUNS.add(1)
 
     ref = andersen["pretransitive"]

@@ -181,6 +181,20 @@ class BlockCache:
         """The analyzer's keep-report is advisory here: residency is owned
         by the cache and ``in_core`` is already exact, so nothing moves."""
 
+    def restart_counts(self) -> None:
+        """Count afresh for the next solve.  What is resident stays: the
+        static section and every retained block count as loaded and in
+        core from the start (the solve finds them in memory, so a
+        request for one is a hit), and any other block counts as a load
+        the first time the solve reads it.  So ``in_core <= loaded``
+        still holds, and on a fresh cache nothing changes."""
+        resident = self.stats.in_core
+        self.stats = LoadStats(
+            in_file=self.stats.in_file, loaded=resident, in_core=resident,
+            peak_in_core=resident, blocks_loaded=len(self._blocks),
+        )
+        self._loaded_names = set(self._blocks)
+
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:

@@ -251,6 +251,12 @@ class ConstraintStore(Protocol):
         """Report the analyzer's discard decision (affects ``in_core``)."""
         ...
 
+    def restart_counts(self) -> None:
+        """Count afresh from here on: every solve calls this first, so
+        Table 3's columns are the reads of that solve alone.  A no-op on
+        a store nothing has read yet."""
+        ...
+
 
 class CountedStore:
     """The counted reads of a store that owns its rows, written once over
@@ -261,7 +267,8 @@ class CountedStore:
     ``loaded``/``in_core`` the first time it is loaded; loading it again
     counts as a reload only where :attr:`_reparses` says the raw read
     parsed it again.  :meth:`discard` takes the analyzer's report of what
-    it retained.
+    it retained, and :meth:`restart_counts` returns the counts to those
+    of the fresh store.
     """
 
     #: Does ``fetch_block`` parse the block again on every call?
@@ -292,6 +299,11 @@ class CountedStore:
 
     def discard(self, assignments_kept: int) -> None:
         self.stats.in_core = assignments_kept
+
+    def restart_counts(self) -> None:
+        self.stats = LoadStats(in_file=self.stats.in_file)
+        self._loaded_statics = None
+        self._loaded_blocks = set()
 
 
 def simple_name_of(canonical: str) -> str:

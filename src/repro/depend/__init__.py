@@ -7,12 +7,7 @@ chains (most important, then shortest), prioritisation, and user-specified
 """
 
 from .callgraph import CallGraph, build_call_graph
-from .analysis import (
-    DependenceAnalysis,
-    DependenceResult,
-    Dependent,
-    run_dependence,
-)
+from .analysis import DependenceAnalysis, DependenceResult, Dependent
 from .chains import render_all, render_chain, summarize
 from .graph import DependenceEdge, DependenceGraph
 from .report import (
@@ -26,7 +21,7 @@ from .report import (
 
 __all__ = [
     "CallGraph", "build_call_graph",
-    "DependenceAnalysis", "DependenceResult", "Dependent", "run_dependence",
+    "DependenceAnalysis", "DependenceResult", "Dependent",
     "render_all", "render_chain", "summarize",
     "DependenceEdge", "DependenceGraph",
     "dependence_tree", "priority_buckets", "render_tree", "summary_line",

@@ -75,22 +75,16 @@ class DependenceResult:
 
 
 class DependenceAnalysis:
-    """Runs forward-dependence queries against one points-to result."""
+    """Runs forward-dependence queries against one points-to result.
 
-    def __init__(
-        self,
-        store: ConstraintStore,
-        points_to: PointsToResult,
-        include_temporaries: bool = False,
-    ):
+    Targets are canonical object names; ``store.find_targets`` maps a
+    source-level name to them through the target-section hashtable (one
+    lookup, §4), which is what :meth:`repro.engine.pipeline.Pipeline.depend`
+    does for a query by name."""
+
+    def __init__(self, store: ConstraintStore, points_to: PointsToResult):
         self.store = store
         self.points_to = points_to
-        self.include_temporaries = include_temporaries
-
-    def resolve_targets(self, simple_name: str) -> list[str]:
-        """Find target objects by source-level name via the target section
-        hashtable (one lookup, §4)."""
-        return self.store.find_targets(simple_name)
 
     def analyze(
         self,
@@ -118,7 +112,6 @@ class DependenceAnalysis:
         result = DependenceResult(targets=list(targets),
                                   non_targets=non_target_set)
         dependents = result.dependents
-        skip_temporaries = not self.include_temporaries
         floor = min_strength._value_
         direct = _DIRECT._value_
         push, pop = heapq.heappush, heapq.heappop
@@ -142,8 +135,6 @@ class DependenceAnalysis:
             for edge in graph.successors(name):
                 dep = edge.dependent
                 if dep in settled or dep in non_target_set:
-                    continue
-                if skip_temporaries and dep.startswith("$"):
                     continue
                 edge_rank = edge.strength._value_
                 if edge_rank < floor:
@@ -185,15 +176,3 @@ class DependenceAnalysis:
         for name in temp_names:
             del result.dependents[name]
 
-
-def run_dependence(
-    store: ConstraintStore,
-    points_to: PointsToResult,
-    target_simple_name: str,
-    non_targets: list[str] | frozenset[str] = frozenset(),
-    min_strength: Strength = Strength.WEAK,
-) -> DependenceResult:
-    """One-call dependence query by source-level target name."""
-    analysis = DependenceAnalysis(store, points_to)
-    targets = analysis.resolve_targets(target_simple_name)
-    return analysis.analyze(targets, non_targets, min_strength)

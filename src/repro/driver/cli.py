@@ -13,6 +13,7 @@ Examples::
     repro-cla link a.o b.o -o prog.cla
     repro-cla analyze prog.cla --query p --query q
     repro-cla depend prog.cla --target x --limit 20
+    repro-cla depend a.c b.c --target x
     repro-cla synth gimp --scale 0.05 -o /tmp/gimp-like
     repro-cla bench table3
 """
@@ -28,14 +29,13 @@ from contextlib import contextmanager
 from ..cla.cache import BlockCache
 from ..cla.objfile import ClaFormatError
 from ..cla.reader import DatabaseStore
-from ..cla.store import LinkError
+from ..cla.store import ConstraintStore, LinkError
 from ..depend.chains import render_all, summarize
 from ..engine.events import EVENTS, JsonlSink, ProgressSink
 from ..engine.obs import REGISTRY, Tracer, human_count, measure, span
-from ..engine.pipeline import BuildError, Pipeline, read_source
+from ..engine.pipeline import BuildError, CompileOptions, Pipeline, read_source
 from ..solvers import SOLVERS
 from . import tables
-from .api import CompileOptions, link_objects
 
 
 @contextmanager
@@ -89,6 +89,21 @@ def _source_inputs(command: str, inputs: list[str],
               "sources", file=sys.stderr)
         return None
     return sources
+
+
+def _open_inputs(pipeline: Pipeline, inputs: list[str], sources: list[str],
+                 max_core_assignments: int | None = None) -> ConstraintStore:
+    """The store a command analyzes: ``sources`` (what
+    :func:`_source_inputs` returned) compiled and linked in memory, or
+    else the one database in ``inputs``.  With ``max_core_assignments``
+    set it sits behind a keep-or-discard block cache of that budget."""
+    if not sources:
+        return pipeline.open_database(inputs[0], max_core_assignments)
+    store = pipeline.link_units(pipeline.compile_units(
+        {path: read_source(path) for path in sources}))
+    if max_core_assignments is None:
+        return store
+    return BlockCache(store, max_core_assignments)
 
 
 def _count(minimum: int = 0):
@@ -198,7 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "('-' for stdout)")
 
     p = sub.add_parser("depend", help="forward dependence analysis (§2)")
-    p.add_argument("database")
+    p.add_argument("inputs", nargs="+", metavar="input",
+                   help="a linked .cla database, or .c sources to "
+                        "compile+link in memory first")
     p.add_argument("--target", required=True,
                    help="source-level name of the target object")
     p.add_argument("--non-target", action="append", default=[],
@@ -268,7 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("callgraph", help="whole-program call graph "
                                           "(direct + resolved indirect)")
-    p.add_argument("database")
+    p.add_argument("inputs", nargs="+", metavar="input",
+                   help="a linked .cla database, or .c sources to "
+                        "compile+link in memory first")
     p.add_argument("--solver", default="pretransitive",
                    choices=sorted(SOLVERS))
     p.add_argument("--dot", dest="dot_out", metavar="FILE",
@@ -441,7 +460,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    link_objects(args.objects, args.output)
+    Pipeline().link_objects(args.objects, args.output)
     with DatabaseStore.open(args.output) as database:
         print(
             f"{args.output}: {database.object_count()} objects, "
@@ -487,15 +506,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         kwargs = {kw: value for _f, on, kw, value in toggles if on}
         with _event_sinks(args.events_out, args.progress, args.trace_out), \
                 span("session", command="analyze"):
-            if c_files:
-                sources = {path: read_source(path) for path in c_files}
-                store = pipeline.link_units(pipeline.compile_units(sources))
-                if args.max_core_assignments is not None:
-                    store = BlockCache(store, args.max_core_assignments)
-            else:
-                store = pipeline.open_database(
-                    args.inputs[0], args.max_core_assignments
-                )
+            store = _open_inputs(pipeline, args.inputs, c_files,
+                                 args.max_core_assignments)
             run = lambda: pipeline.analyze(  # noqa: E731
                 store, args.solver, **kwargs
             )
@@ -565,7 +577,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             }, indent=2)
             _write_output(args.json_out, payload, end="\n")
     finally:
-        if store is not None and hasattr(store, "close"):
+        if store is not None:
             store.close()
     return 0
 
@@ -573,15 +585,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_depend(args: argparse.Namespace) -> int:
     from ..ir.strength import Strength
 
+    c_files = _source_inputs("depend", args.inputs)
+    if c_files is None:
+        return 2
+    threshold = Strength[args.min_strength.upper()]
     pipeline = Pipeline()
-    # One cache serves both phases: the depend phase re-requests blocks
-    # the analysis already touched, so retained blocks come back as hits
-    # instead of re-reads.
-    store = pipeline.open_database(args.database, args.max_core_assignments)
+    store = None
     try:
-        threshold = Strength[args.min_strength.upper()]
         with _event_sinks(args.events_out, args.progress, args.trace_out), \
                 span("session", command="depend"):
+            # One cache serves both phases: the depend phase re-requests
+            # blocks the analysis already touched, so retained blocks come
+            # back as hits instead of re-reads.
+            store = _open_inputs(pipeline, args.inputs, c_files,
+                                 args.max_core_assignments)
             points_to = pipeline.analyze(store, args.solver)
             try:
                 result = pipeline.depend(
@@ -623,7 +640,8 @@ def _cmd_depend(args: argparse.Namespace) -> int:
 
             _write_output(args.dot_out, dependence_dot(store, result))
     finally:
-        store.close()
+        if store is not None:
+            store.close()
     return 0
 
 
@@ -641,11 +659,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     violations = 0
     try:
         with _event_sinks(args.events_out, args.progress):
-            if c_files:
-                sources = {path: read_source(path) for path in c_files}
-                store = pipeline.link_units(pipeline.compile_units(sources))
-            else:
-                store = pipeline.open_database(args.inputs[0])
+            store = _open_inputs(pipeline, args.inputs, c_files)
             for solver in solvers:
                 minimal = args.minimal
                 if minimal and SOLVERS[solver].precision != "andersen":
@@ -658,7 +672,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 violations += len(report.violations)
                 print(report.render())
     finally:
-        if store is not None and hasattr(store, "close"):
+        if store is not None:
             store.close()
     return 1 if violations else 0
 
@@ -717,8 +731,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_callgraph(args: argparse.Namespace) -> int:
     from ..depend.callgraph import build_call_graph
 
+    c_files = _source_inputs("callgraph", args.inputs)
+    if c_files is None:
+        return 2
     pipeline = Pipeline()
-    store = pipeline.open_database(args.database)
+    store = _open_inputs(pipeline, args.inputs, c_files)
     try:
         points_to = pipeline.analyze(store, args.solver)
         graph = build_call_graph(store, points_to)
@@ -957,21 +974,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         workspace.add_header(path, read_source(path))
                     else:
                         workspace.add_source(path, read_source(path))
-                session = ServeSession(
-                    workspace=workspace, solver=args.solver,
-                    cache_entries=args.cache_entries,
-                    certify=args.certify,
-                    slow_query_ms=args.slow_query_ms,
-                    trace_ring=args.trace_ring,
-                )
-            else:
-                session = ServeSession(
-                    database=args.inputs[0], solver=args.solver,
-                    cache_entries=args.cache_entries,
-                    certify=args.certify,
-                    slow_query_ms=args.slow_query_ms,
-                    trace_ring=args.trace_ring,
-                )
+            session = ServeSession(
+                workspace=workspace,
+                database=None if c_files else args.inputs[0],
+                solver=args.solver,
+                cache_entries=args.cache_entries,
+                certify=args.certify,
+                slow_query_ms=args.slow_query_ms,
+                trace_ring=args.trace_ring,
+            )
             ticker = None
             if args.metrics_interval > 0:
                 ticker = ResourceTicker(interval=args.metrics_interval)

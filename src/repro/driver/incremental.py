@@ -101,6 +101,24 @@ class Workspace:
         self._database: str | None = None
         self.stats = WorkspaceStats()
 
+    @classmethod
+    def from_directory(
+        cls, directory: str, options: CompileOptions | None = None
+    ) -> "Workspace":
+        """A workspace of every ``.c`` file under ``directory``
+        (recursively); its ``.h`` files become headers, and
+        ``directory`` joins the include path."""
+        workspace = cls(options=options)
+        workspace.options.include_dirs.append(directory)
+        for root, _dirs, files in os.walk(directory):
+            for name in sorted(files):
+                path = os.path.join(root, name)
+                if name.endswith(".c"):
+                    workspace.add_file(path)
+                elif name.endswith(".h"):
+                    workspace.add_header(path, read_source(path))
+        return workspace
+
     @property
     def options(self) -> CompileOptions:
         return self.pipeline.options
@@ -313,10 +331,6 @@ class Workspace:
             self.store(), self.points_to(solver), target, non_targets,
             min_strength=min_strength,
         )
-
-    def write_executable(self, path: str) -> str:
-        """Serialize the linked store to an executable database."""
-        return self.pipeline.write_executable(self.store(), path)
 
     def build(self, jobs: int | None = None) -> str:
         """Compile and link what changed; returns the path of the

@@ -24,10 +24,9 @@ from ..cla.reader import DatabaseStore
 from ..engine.obs import format_table, human_count, measure
 from ..engine.pipeline import CompileOptions, Pipeline
 from ..ir import assignment_mix
-from ..solvers import SOLVERS, PreTransitiveSolver
+from ..solvers import SOLVERS
 from ..synth import BENCHMARK_ORDER, generate
 from ..synth.generator import HEADER_NAME, SynthProgram
-from .api import analyze_store
 
 #: Paper Table 3 reference values: (pointer vars, relations, user time s,
 #: size MB, in core, loaded, in file) — used by the benches to print
@@ -196,13 +195,14 @@ def table3_rows(
         "paper:ptr", "paper:rel", "paper:utime",
     ]
     rows = []
+    pipeline = Pipeline()
     with tempfile.TemporaryDirectory() as tmp:
         for name in profiles or BENCHMARK_ORDER:
             s = _profile_scale(name, scale)
             program = generate(name, scale=s, seed=seed)
             db_path = build_database(program, tmp)
-            store = Pipeline().open_database(db_path, max_core_assignments)
-            m = measure(lambda: analyze_store(store, solver))
+            store = pipeline.open_database(db_path, max_core_assignments)
+            m = measure(lambda: pipeline.analyze(store, solver))
             result = m.result
             paper = PAPER_TABLE3[name]
             # The load-accounting columns come from the uniform stats
@@ -322,6 +322,7 @@ def ablation_rows(
     ]
     rows = []
     baselines: dict[str, tuple[float, int]] = {}
+    pipeline = Pipeline()
     for kernel, cache, cycles, diff, demand, block_budget in configs:
         if kernel.startswith("blowup"):
             store = ablation_kernel(size)
@@ -330,20 +331,20 @@ def ablation_rows(
         if block_budget != "off":
             budget = None if block_budget == "unbounded" else block_budget
             store = BlockCache(store, budget)
-        solver = PreTransitiveSolver(
-            store,
+        m = measure(lambda: pipeline.analyze(
+            store, "pretransitive",
             enable_cache=cache,
             enable_cycle_elimination=cycles,
             enable_diff_propagation=diff,
             demand_load=demand,
-        )
-        m = measure(solver.solve)
+        ))
+        stats = m.result.stats
         if block_budget != "off":
             # Depend-style reuse pass: re-request every block once.
             for name in list(store.block_names()):
                 store.load_block(name)
-            solver.stats.absorb_load_stats(store.stats)
-        work = solver.stats.nodes_visited
+            stats.absorb_load_stats(store.stats)
+        work = stats.nodes_visited
         baseline_key = kernel.split("+")[0]
         if baseline_key not in baselines:
             baselines[baseline_key] = (
@@ -359,10 +360,10 @@ def ablation_rows(
             f"{m.user_seconds / baseline_time:.0f}x",
             str(work),
             f"{work / baseline_work:.0f}x",
-            str(solver.stats.delta_lvals_processed),
-            str(solver.stats.lvals_skipped_by_diff),
+            str(stats.delta_lvals_processed),
+            str(stats.lvals_skipped_by_diff),
             str(block_budget),
-            str(solver.stats.assignments_reloaded),
+            str(stats.assignments_reloaded),
         ])
     return headers, rows
 
@@ -405,19 +406,16 @@ def demand_rows(
     headers = ["", "mode", "in core", "loaded", "in file", "user time",
                "peak core", "reloads"]
     rows = []
+    pipeline = Pipeline()
     with tempfile.TemporaryDirectory() as tmp:
         for name in profiles or ["nethack", "gcc", "gimp"]:
             s = _profile_scale(name, scale)
             program = generate(name, scale=s, seed=seed)
             db_path = build_database(program, tmp)
             for demand in (True, False):
-                store = Pipeline().open_database(
-                    db_path, max_core_assignments)
-                m = measure(
-                    lambda: PreTransitiveSolver(
-                        store, demand_load=demand
-                    ).solve()
-                )
+                store = pipeline.open_database(db_path, max_core_assignments)
+                m = measure(lambda: pipeline.analyze(
+                    store, "pretransitive", demand_load=demand))
                 in_core, loaded, in_file = m.result.stats.table3_columns()
                 rows.append([
                     f"{name}@{s:g}",
@@ -464,6 +462,7 @@ def cache_rows(
     headers = ["", "budget", "peak core", "in core", "loaded", "in file",
                "reloads", "hits", "misses", "evictions", "user time"]
     rows = []
+    pipeline = Pipeline()
     with tempfile.TemporaryDirectory() as tmp:
         for name in profiles or ["lucent"]:
             s = _profile_scale(name, scale)
@@ -479,7 +478,7 @@ def cache_rows(
             for budget in sweep:
                 with BlockCache(DatabaseStore.open(db_path),
                                 budget) as cache:
-                    m = measure(lambda: analyze_store(cache, solver))
+                    m = measure(lambda: pipeline.analyze(cache, solver))
                     # Depend-style reuse: re-request every block once.
                     for block_name in list(cache.block_names()):
                         cache.load_block(block_name)

@@ -13,13 +13,15 @@ the one instrumented spine all entry points go through:
   project on top: sources in, held units, a linked store and solved
   results out, every build through the stage methods here.
 
-Every build compiles through :meth:`Pipeline.compile`, the one driver,
-which also owns parallel compilation (§4: the architecture "supports
-separate and/or parallel compilation of collections of source files"):
-workers share nothing and only the cheap link phase is serial.  Only the
-streamed synth tier (:mod:`repro.synth.stream`) calls
-:func:`compile_source` itself, linking one unit at a time to bound
-memory.
+Each stage has one entry point here.  Every build compiles through
+:meth:`Pipeline.compile`, the one driver, which also owns parallel
+compilation (§4: the architecture "supports separate and/or parallel
+compilation of collections of source files"): workers share nothing and
+only the cheap link phase is serial.  Only the streamed synth tier
+(:mod:`repro.synth.stream`) calls :func:`compile_source` itself, linking
+one unit at a time to bound memory.  Every solve runs through
+:meth:`Pipeline.analyze` (the CLI, the workspace, the serve daemon, the
+paper tables and the fuzzer), so each one is an ``analyze`` span.
 """
 
 from __future__ import annotations
@@ -144,11 +146,6 @@ def read_source(path: str) -> str:
         return f.read()
 
 
-def compile_file(path: str, options: CompileOptions | None = None) -> UnitIR:
-    """Compile one ``.c`` file from disk to IR."""
-    return compile_source(read_source(path), filename=path, options=options)
-
-
 def _compile_job(
     filename: str,
     text: str,
@@ -226,7 +223,7 @@ class Pipeline:
         jobs: int | None = None,
     ) -> list[UnitIR | None]:
         """The compile driver: every build runs here (the CLI, the
-        library API, the workspace, the paper tables and the fuzzer).
+        workspace, the paper tables and the fuzzer).
 
         Compiles ``sources`` (file name -> text) in order, writing each
         unit named in ``object_paths`` to its object file.  In process
@@ -311,10 +308,6 @@ class Pipeline:
         """Compile many in-memory sources to IR, in file-name order."""
         return self.compile(dict(sorted(sources.items())), jobs=jobs)
 
-    def compile_to_object(self, path: str, out_path: str) -> None:
-        """The compile phase proper: source file -> CLA object file."""
-        self.compile({path: read_source(path)}, {path: out_path})
-
     # -- link stage ----------------------------------------------------------
 
     def link_units(self, units: list[UnitIR]) -> MemoryStore:
@@ -381,20 +374,6 @@ class Pipeline:
             stage.annotate(**result.stats.counter_fields())
         return result
 
-    def analyze_database(
-        self,
-        path: str,
-        solver: str = "pretransitive",
-        max_core_assignments: int | None = None,
-        **solver_kwargs,
-    ) -> PointsToResult:
-        """Open a linked database and run a points-to analysis on it."""
-        store = self.open_database(path, max_core_assignments)
-        try:
-            return self.analyze(store, solver, **solver_kwargs)
-        finally:
-            store.close()
-
     # -- depend stage --------------------------------------------------------
 
     def depend(
@@ -413,11 +392,10 @@ class Pipeline:
         """
         with span("depend", target=target) as stage:
             builds_index = not points_to.pointed_by_built
-            analysis = DependenceAnalysis(store, points_to)
-            targets = analysis.resolve_targets(target)
+            targets = store.find_targets(target)
             if not targets:
                 raise KeyError(f"no object named {target!r} in the project")
-            result = analysis.analyze(
+            result = DependenceAnalysis(store, points_to).analyze(
                 targets, frozenset(non_targets), min_strength=min_strength
             )
             stage.annotate(

@@ -19,7 +19,7 @@ rebuild and whole re-solve on update).  See docs/SERVING.md for the protocol ref
 """
 
 from .cache import QueryCache
-from .http import make_http_server, serve_http
+from .http import make_http_server
 from .jsonl import serve_jsonl
 from .protocol import PROTOCOL_VERSION, handle_request
 from .session import CertificationError, ServeError, ServeSession
@@ -35,6 +35,5 @@ __all__ = [
     "TraceRing",
     "handle_request",
     "make_http_server",
-    "serve_http",
     "serve_jsonl",
 ]

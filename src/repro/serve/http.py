@@ -151,15 +151,3 @@ def make_http_server(
     server.session = session  # type: ignore[attr-defined]
     return server
 
-
-def serve_http(
-    session: ServeSession, host: str = "127.0.0.1", port: int = 8077
-) -> None:
-    """Serve until a ``shutdown`` request (or KeyboardInterrupt)."""
-    server = make_http_server(session, host, port)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()

@@ -29,14 +29,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .session import ServeSession
+from .session import KNOWN_OPS, ServeSession
 
 #: Bumped when the envelope or an op's payload changes incompatibly.
 PROTOCOL_VERSION = 1
-
-#: Everything a daemon accepts over the wire.
-OPS = ("alias", "chain", "metrics", "ping", "points-to", "reload",
-       "shutdown", "stats", "traces", "update")
 
 
 def _error(request_id: Any, message: str) -> dict:
@@ -81,5 +77,5 @@ def hello(session: ServeSession) -> dict:
         "protocol": PROTOCOL_VERSION,
         "solver": session.solver,
         "generation": session.generation,
-        "ops": list(OPS),
+        "ops": sorted((*KNOWN_OPS, "shutdown")),
     }

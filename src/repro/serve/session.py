@@ -14,7 +14,7 @@ here:
   recompiles only the changed unit (the
   :class:`~repro.driver.incremental.Workspace` holds every other one),
   relinks the held units in memory and solves that store exactly as
-  startup does: one sequential ``SOLVERS[name](store).solve()``.  No
+  startup does: one sequential :meth:`Pipeline.analyze`.  No
   database is written or reopened on the way.  The session decides only
   *when* to solve, never *how*, so every served fixpoint is the one a
   cold solve of a fresh workspace computes.
@@ -69,8 +69,9 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Ops whose results are pure functions of (database generation, args).
 CACHEABLE_OPS = frozenset({"points-to", "alias", "chain"})
 
-#: Every op :meth:`ServeSession.request` understands (shutdown is a
-#: transport concern, handled in :mod:`repro.serve.protocol`).
+#: Every op :meth:`ServeSession.request` understands.  A daemon also
+#: accepts ``shutdown``, a transport concern handled in
+#: :mod:`repro.serve.protocol`.
 KNOWN_OPS = ("alias", "chain", "metrics", "ping", "points-to", "reload",
              "stats", "traces", "update")
 

@@ -319,8 +319,12 @@ class BaseSolver:
 
     # -- the run-ledger seam ---------------------------------------------------
 
-    def _emit_begin(self) -> None:
-        """Publish a :class:`SolverBeginEvent` (no-op with no sinks)."""
+    def _begin(self) -> None:
+        """Start a solve: the store counts this solve's reads afresh
+        (Table 3's columns describe one solve, also when a store is
+        solved again), and a :class:`SolverBeginEvent` is published
+        (no-op with no sinks)."""
+        self.store.restart_counts()
         if EVENTS:
             EVENTS.emit(SolverBeginEvent(
                 solver=self.name, in_file=self.store.stats.in_file

@@ -449,7 +449,7 @@ class PreTransitiveSolver(BaseSolver):
     # ------------------------------------------------------------------
 
     def solve(self) -> PointsToResult:
-        self._emit_begin()
+        self._begin()
         if not self.demand_load:
             # Full preload must happen before anything marks blocks as
             # loaded: _ensure_loaded is a no-op in this mode, so a block

@@ -128,7 +128,7 @@ class UnificationSolver(BaseSolver):
     # -- solving ---------------------------------------------------------------
 
     def solve(self) -> PointsToResult:
-        self._emit_begin()
+        self._begin()
         ingest = self._ingest_row
         for kind, dst, src in self._ingest_all_ids():
             ingest(kind, dst, src)

@@ -134,7 +134,7 @@ class TransitiveSolver(BaseSolver):
     # -- solving ------------------------------------------------------------
 
     def solve(self) -> PointsToResult:
-        self._emit_begin()
+        self._begin()
         self._seed()
         self._collect_funcptrs()
 

@@ -39,8 +39,8 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from ..driver.api import CompileOptions
 from ..driver.incremental import Workspace
+from ..engine.pipeline import CompileOptions
 from .profiles import SynthProfile, get_profile
 
 HEADER_NAME = "synth.h"

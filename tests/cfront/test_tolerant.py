@@ -8,7 +8,7 @@ a broken external declaration, records a diagnostic, and keeps going.
 import pytest
 
 from repro.cfront import ParseError, parse_c
-from repro.driver.api import CompileOptions, compile_source
+from repro.engine.pipeline import CompileOptions, compile_source
 
 
 def names(unit):

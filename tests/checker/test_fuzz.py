@@ -4,6 +4,7 @@ import os
 
 from repro.checker import FuzzConfig, run_fuzz
 from repro.checker.fuzz import compile_program, run_battery, toggle_label
+from repro.engine.events import EVENTS, MemorySink
 from repro.solvers import SOLVERS, PreTransitiveSolver
 from repro.synth.generator import generate
 from repro.synth.profiles import get_profile
@@ -15,6 +16,17 @@ class TestBattery:
         units = compile_program(program.header, program.files,
                                 field_based=True)
         assert run_battery(units) == []
+
+    def test_every_solve_is_an_analyze_span(self):
+        program = generate(get_profile("burlap", 0.005), seed=11)
+        units = compile_program(program.header, program.files,
+                                field_based=True)
+        with EVENTS.sink(MemorySink()) as sink:
+            run_battery(units)
+        ends = [e for e in sink.of_kind("stage")
+                if e.stage == "analyze" and e.phase == "end"]
+        assert len(ends) == len(sink.of_kind("solver.end")) \
+            == len(SOLVERS) + 1
 
     def test_toggle_label(self):
         assert toggle_label((True, False, True, False)) == \

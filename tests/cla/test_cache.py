@@ -1,5 +1,7 @@
 """Unit tests for the keep-or-discard BlockCache (paper §4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cla.cache import BlockCache
@@ -126,6 +128,33 @@ class TestEviction:
                 cache.load_block(name)
                 assert cache.stats.in_core <= budget
         assert cache.stats.peak_in_core <= budget
+
+
+class TestRestartCounts:
+    """Every solve starts with ``restart_counts``: the cache keeps what
+    is resident and counts it as loaded, so ``in_core <= loaded``."""
+
+    def test_fresh_cache_unchanged(self):
+        cache = BlockCache(store_with_blocks({"a": 2}, statics=3), 10)
+        before = dataclasses.asdict(cache.stats)
+        cache.restart_counts()
+        assert dataclasses.asdict(cache.stats) == before
+
+    def test_resident_blocks_count_as_loaded(self):
+        # 1 static + three 2-assignment blocks, room for two blocks.
+        cache = BlockCache(store_with_blocks({"a": 2, "b": 2, "c": 2}), 5)
+        for name in ("a", "b", "c"):  # a is evicted, b and c stay
+            cache.load_block(name)
+        cache.restart_counts()
+        st = cache.stats
+        assert (st.in_core, st.loaded, st.in_file, st.peak_in_core) == \
+            (5, 5, 7, 5)
+        assert (st.blocks_loaded, st.reloads, st.block_hits,
+                st.block_misses, st.block_evictions) == (2, 0, 0, 0, 0)
+        cache.load_block("b")  # resident: a hit, nothing loaded
+        assert (st.block_hits, st.loaded) == (1, 5)
+        cache.load_block("a")  # this solve's first read of a: a load
+        assert (st.loaded, st.reloads, st.in_core) == (7, 0, 5)
 
 
 class TestAdvisoryDiscard:

@@ -50,7 +50,7 @@ def test_every_route_links_the_same(cla_corpus, tmp_path, case):
         "transform_file": tmp_path / "transformed.cla",
         "transform_input": tmp_path / "input.cla",
     }
-    session.write_executable(str(routes["units"]))
+    session.pipeline.write_executable(session.store(), str(routes["units"]))
     transform_file(cla_corpus[case][-1], str(routes["transform_file"]), [])
     ObjectFileWriter(MemoryStore(session.store().to_unit()), linked=True) \
         .write(str(routes["transform_input"]))

@@ -180,9 +180,11 @@ class TestAfterClose:
     built from the decoded string table, never from the map."""
 
     @pytest.mark.parametrize("case", ["emacs", "figure4"])
-    def test_analyze_database_result(self, cla_corpus, case):
+    def test_analyze_result_after_close(self, cla_corpus, case):
         database = cla_corpus[case][-1]
-        result = Pipeline().analyze_database(database)
+        pipeline = Pipeline()
+        with pipeline.open_database(database) as store:
+            result = pipeline.analyze(store)
         with DatabaseStore.open(database) as store:
             open_result = PreTransitiveSolver(store).solve()
             counts = (open_result.pointer_variables(),

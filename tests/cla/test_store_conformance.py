@@ -10,7 +10,8 @@ constraint program.  The invariants under test are the protocol's:
   how often it is requested — repeats are hits or ``reloads``, never new
   coverage or residency;
 * the static section is counted once;
-* ``fetch_block``/``fetch_statics`` are uncounted raw access.
+* ``fetch_block``/``fetch_statics`` are uncounted raw access;
+* ``restart_counts`` starts one solve's counts afresh.
 """
 
 import pytest
@@ -122,6 +123,27 @@ class TestAccountingContract:
         # complete after the first scan and stays put.
         assert store.stats.loaded == IN_FILE
         check_invariants(store)
+
+    def test_restart_counts_afresh(self, store):
+        """A solve starts with ``restart_counts``: a store that owns its
+        rows counts from zero again, a cache keeps what is resident and
+        counts it as loaded."""
+        store.static_assignments()
+        for name in list(store.block_names()):
+            store.load_block(name)
+        store.restart_counts()
+        check_invariants(store)
+        st = store.stats
+        cached = isinstance(store, BlockCache)
+        if cached:
+            assert st.loaded == st.in_core >= N_STATICS
+        else:
+            assert (st.in_core, st.loaded, st.blocks_loaded) == (0, 0, 0)
+        store.static_assignments()
+        store.load_block("p")
+        check_invariants(store)
+        if not cached:
+            assert st.loaded == N_STATICS + BLOCK_SIZES["p"]
 
     def test_missing_block_uncounted(self, store):
         before = store.stats.snapshot()

@@ -6,9 +6,9 @@ from repro.depend import (
     DependenceAnalysis,
     render_all,
     render_chain,
-    run_dependence,
     summarize,
 )
+from repro.engine.pipeline import Pipeline
 from repro.ir import Strength, lower_translation_unit
 from repro.solvers import PreTransitiveSolver
 
@@ -24,7 +24,7 @@ def setup(src, filename="t.c", field_based=True):
 
 def dependents_of(src, target, filename="t.c", non_targets=()):
     store, points_to = setup(src, filename)
-    result = run_dependence(store, points_to, target, non_targets)
+    result = Pipeline().depend(store, points_to, target, non_targets)
     return {
         name.rsplit("::", 1)[-1]
         for name, d in result.dependents.items()
@@ -265,19 +265,19 @@ class TestApiDetails:
         void g(void) { short n, b; b = n; }
         """
         store, points_to = setup(src)
-        result = run_dependence(store, points_to, "n")
+        result = Pipeline().depend(store, points_to, "n")
         deps = {n.rsplit("::")[-1] for n, d in result.dependents.items()
                 if d.parent is not None}
         assert deps == {"a", "b"}
 
     def test_chain_of_unknown_object(self):
         store, points_to = setup("short t2; void f(void) { t2 = 0; }")
-        result = run_dependence(store, points_to, "t2")
+        result = Pipeline().depend(store, points_to, "t2")
         assert render_chain(store, result, "ghost") == "ghost: not dependent"
 
     def test_target_itself_renders_bare(self):
         store, points_to = setup("short t2; void f(void) { t2 = 0; }")
-        result = run_dependence(store, points_to, "t2")
+        result = Pipeline().depend(store, points_to, "t2")
         line = render_chain(store, result, "t2")
         assert line.startswith("t2/short")
         assert "where" not in line
@@ -292,7 +292,7 @@ class TestApiDetails:
         }
         """
         store, points_to = setup(src)
-        result = run_dependence(store, points_to, "t2")
+        result = Pipeline().depend(store, points_to, "t2")
         for dep in result.dependents.values():
             assert "$t" not in dep.name
 
@@ -323,25 +323,25 @@ class TestMinStrengthFilter:
 
     def test_default_keeps_weak(self):
         store, points_to = setup(self.SRC)
-        result = run_dependence(store, points_to, "t2")
+        result = Pipeline().depend(store, points_to, "t2")
         assert self.names(result) == {"d", "s", "w2", "onward"}
 
     def test_strong_threshold_drops_weak_chains(self):
         store, points_to = setup(self.SRC)
-        result = run_dependence(store, points_to, "t2",
-                                min_strength=Strength.STRONG)
+        result = Pipeline().depend(store, points_to, "t2",
+                                   min_strength=Strength.STRONG)
         assert self.names(result) == {"d", "s"}
 
     def test_direct_threshold(self):
         store, points_to = setup(self.SRC)
-        result = run_dependence(store, points_to, "t2",
-                                min_strength=Strength.DIRECT)
+        result = Pipeline().depend(store, points_to, "t2",
+                                   min_strength=Strength.DIRECT)
         assert self.names(result) == {"d"}
 
     def test_weak_edge_blocks_downstream_direct(self):
         # 'onward = w2' is direct, but its only path crosses a weak edge:
         # with a strong threshold it must disappear too.
         store, points_to = setup(self.SRC)
-        result = run_dependence(store, points_to, "t2",
-                                min_strength=Strength.STRONG)
+        result = Pipeline().depend(store, points_to, "t2",
+                                   min_strength=Strength.STRONG)
         assert "onward" not in self.names(result)

@@ -55,7 +55,7 @@ def chain_answers(store) -> dict[str, dict]:
                     if not n.startswith("$")})
     answers = {}
     for name in names:
-        targets = analysis.resolve_targets(name)
+        targets = store.find_targets(name)
         if not targets:
             continue
         result = analysis.analyze(targets)

@@ -6,7 +6,6 @@ import json
 
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore
-from repro.depend import run_dependence
 from repro.depend.report import (
     dependence_tree,
     priority_buckets,
@@ -15,6 +14,7 @@ from repro.depend.report import (
     to_csv,
     to_json,
 )
+from repro.engine.pipeline import Pipeline
 from repro.ir import lower_translation_unit
 from repro.solvers import PreTransitiveSolver
 
@@ -34,7 +34,7 @@ def build():
         lower_translation_unit(parse_c(SRC, filename="r.c"))
     )
     points_to = PreTransitiveSolver(store).solve()
-    result = run_dependence(store, points_to, "t2")
+    result = Pipeline().depend(store, points_to, "t2")
     return store, result
 
 
@@ -95,7 +95,7 @@ class TestBucketsAndSummary:
         )
         points_to = PreTransitiveSolver(store).solve()
         a = store.find_targets("a")[0]
-        result = run_dependence(store, points_to, "t2", frozenset([a]))
+        result = Pipeline().depend(store, points_to, "t2", frozenset([a]))
         assert "non-targets applied" in summary_line(result)
 
 

@@ -1,18 +1,25 @@
-"""Tests for the high-level pipeline API."""
+"""Tests for the library's entry points: ``compile_source`` and
+``CompileOptions``, the ``Workspace`` project type, and the ``Pipeline``
+stages over object files on disk."""
 
 import pickle
 
 import pytest
 
-from repro.driver.api import (
+from repro.driver.incremental import Workspace
+from repro.engine.pipeline import (
     CompileOptions,
-    Workspace,
-    analyze_database,
-    build_project_from_dir,
+    Pipeline,
     compile_source,
-    compile_to_object,
-    link_objects,
+    read_source,
 )
+
+
+def analyze(path: str, solver: str = "pretransitive"):
+    """Solve the database at ``path`` through the pipeline's stages."""
+    pipeline = Pipeline()
+    with pipeline.open_database(path) as store:
+        return pipeline.analyze(store, solver)
 
 
 class TestCompileSource:
@@ -145,8 +152,8 @@ class TestProject:
         project = Workspace()
         project.add_source("a.c", "int x, *p; void f(void) { p = &x; }")
         path = str(tmp_path / "prog.cla")
-        project.write_executable(path)
-        result = analyze_database(path)
+        project.pipeline.write_executable(project.store(), path)
+        result = analyze(path)
         assert result.points_to("p") == {"x"}
 
 
@@ -156,26 +163,27 @@ class TestDiskPipeline:
         src_a.write_text("int x, *p; void f(void) { p = &x; }")
         src_b = tmp_path / "b.c"
         src_b.write_text("extern int *p; int *q; void g(void) { q = p; }")
-        obj_a = str(tmp_path / "a.o")
-        obj_b = str(tmp_path / "b.o")
-        compile_to_object(str(src_a), obj_a)
-        compile_to_object(str(src_b), obj_b)
+        objects = {str(src_a): str(tmp_path / "a.o"),
+                   str(src_b): str(tmp_path / "b.o")}
+        pipeline = Pipeline()
+        pipeline.compile({src: read_source(src) for src in objects}, objects)
         out = str(tmp_path / "prog.cla")
-        link_objects([obj_a, obj_b], out)
-        result = analyze_database(out)
+        pipeline.link_objects(list(objects.values()), out)
+        result = analyze(out)
         assert result.points_to("q") == {"x"}
 
-    def test_analyze_database_solver_choice(self, tmp_path):
+    def test_solver_choice_on_database(self, tmp_path):
         src = tmp_path / "a.c"
         src.write_text("int x, *p; void f(void) { p = &x; }")
         obj = str(tmp_path / "a.o")
-        compile_to_object(str(src), obj)
+        pipeline = Pipeline()
+        pipeline.compile({str(src): read_source(str(src))}, {str(src): obj})
         out = str(tmp_path / "prog.cla")
-        link_objects([obj], out)
+        pipeline.link_objects([obj], out)
         for solver in ("pretransitive", "steensgaard"):
-            assert analyze_database(out, solver).points_to("p") == {"x"}
+            assert analyze(out, solver).points_to("p") == {"x"}
 
-    def test_build_project_from_dir(self, tmp_path):
+    def test_workspace_from_directory(self, tmp_path):
         (tmp_path / "sub").mkdir()
         (tmp_path / "defs.h").write_text("extern int shared;")
         (tmp_path / "a.c").write_text(
@@ -185,6 +193,6 @@ class TestDiskPipeline:
         (tmp_path / "sub" / "b.c").write_text(
             "extern int *p; int *q; void g(void) { q = p; }"
         )
-        project = build_project_from_dir(str(tmp_path))
+        project = Workspace.from_directory(str(tmp_path))
         result = project.points_to()
         assert result.points_to("q") == {"shared"}

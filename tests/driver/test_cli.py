@@ -307,6 +307,24 @@ class TestDepend:
         out = capsys.readouterr().out
         assert "0 dependent objects" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["depend", "--target", "tgt"],
+        ["depend", "--target", "tgt", "--tree", "--stats",
+         "--max-core-assignments", "3"],
+        ["callgraph"],
+    ])
+    def test_sources_answer_as_the_database(self, sources, database,
+                                            capsys, argv):
+        """Like analyze and check, depend and callgraph take a set of
+        .c sources, compiled and linked in memory, in place of the
+        database linked from them."""
+        _tmp, a, b = sources
+        command, flags = argv[0], argv[1:]
+        assert main([command, database, *flags]) == 0
+        from_database = capsys.readouterr().out
+        assert main([command, a, b, *flags]) == 0
+        assert capsys.readouterr().out == from_database
+
 
 class TestDump:
     def test_sections_listed(self, database, capsys):

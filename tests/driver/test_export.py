@@ -2,8 +2,8 @@
 
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore
-from repro.depend import run_dependence
 from repro.driver.export import dependence_dot, points_to_dot
+from repro.engine.pipeline import Pipeline
 from repro.ir import lower_translation_unit
 from repro.solvers import PreTransitiveSolver
 
@@ -60,7 +60,7 @@ class TestPointsToDot:
 class TestDependenceDot:
     def test_forest_structure(self):
         store, points_to = build()
-        result = run_dependence(store, points_to, "t2")
+        result = Pipeline().depend(store, points_to, "t2")
         dot = dependence_dot(store, result)
         assert "doubleoctagon" in dot  # the target
         assert "->" in dot
@@ -68,14 +68,14 @@ class TestDependenceDot:
 
     def test_strength_styles(self):
         store, points_to = build()
-        result = run_dependence(store, points_to, "t2")
+        result = Pipeline().depend(store, points_to, "t2")
         dot = dependence_dot(store, result)
         assert "dashed" in dot  # the weak b = a * 2 edge
         assert 'label="*"' in dot
 
     def test_cap(self):
         store, points_to = build()
-        result = run_dependence(store, points_to, "t2")
+        result = Pipeline().depend(store, points_to, "t2")
         dot = dependence_dot(store, result, max_nodes=1)
         assert "omitted" in dot
 

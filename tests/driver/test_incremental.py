@@ -4,8 +4,10 @@ import os
 
 import pytest
 
+from repro.cla.cache import BlockCache
 from repro.driver.incremental import Workspace
 from repro.engine.pipeline import BuildError, Pipeline
+from repro.solvers import SOLVERS
 
 
 @pytest.fixture
@@ -345,7 +347,9 @@ class TestAnalysisAcrossEdits:
         fresh.add_header("defs.h", workspace._headers["defs.h"])
         for name in workspace.sources():
             fresh.add_source(name, workspace._sources[name])
-        full = Pipeline().analyze_database(fresh.build())
+        pipeline = Pipeline()
+        with pipeline.open_database(fresh.build()) as store:
+            full = pipeline.analyze(store)
         for name in set(incremental.pts) | set(full.pts):
             assert incremental.points_to(name) == full.points_to(name), name
         fresh.close()
@@ -377,7 +381,9 @@ class TestParallelBuild:
             ws.add_header(HEADER_NAME, program.header)
             for name, text in sorted(program.files.items()):
                 ws.add_source(name, text)
-            result = Pipeline().analyze_database(ws.build(jobs=jobs))
+            pipeline = Pipeline()
+            with pipeline.open_database(ws.build(jobs=jobs)) as store:
+                result = pipeline.analyze(store)
             ws.close()
             return result
 
@@ -397,3 +403,46 @@ class TestParallelBuild:
         assert ws.stats.compiled == 0
         assert ws.stats.reused == 4
         ws.close()
+
+
+class TestPerSolveLoads:
+    """Table 3's load columns describe one solve.  A workspace answers
+    every solver from one linked store, so a solve after another must
+    still report what a fresh store does."""
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        from repro.synth import generate
+
+        return generate("gcc", scale=0.02, seed=1)
+
+    @pytest.fixture(scope="class")
+    def fresh(self, program):
+        units = program.project().units()
+        pipeline = Pipeline()
+        return {solver: pipeline.analyze(pipeline.link_units(units),
+                                         solver).stats.as_dict()
+                for solver in SOLVERS}
+
+    @pytest.mark.parametrize("order", [sorted(SOLVERS),
+                                       sorted(SOLVERS, reverse=True)])
+    def test_each_solve_counts_as_a_fresh_store(self, program, fresh,
+                                                order):
+        workspace = program.project()
+        for solver in order:
+            stats = workspace.points_to(solver).stats
+            assert stats.as_dict() == fresh[solver], solver
+
+    @pytest.mark.parametrize("budget", [None, 400, 0])
+    def test_solves_through_one_cache_keep_the_bounds(self, program,
+                                                      budget):
+        """A cache keeps what the last solve left resident; the next
+        solve counts it as loaded, so in_core <= loaded still holds."""
+        store = BlockCache(program.project().store(), budget)
+        statics = len(store.fetch_statics())
+        for solver in sorted(SOLVERS) * 2:
+            stats = Pipeline().analyze(store, solver).stats
+            assert (stats.assignments_in_core <= stats.assignments_loaded
+                    <= stats.assignments_in_file), solver
+            if budget is not None:
+                assert stats.peak_in_core <= max(budget, statics), solver

@@ -1,7 +1,9 @@
 """Tests for the table-regeneration harness itself."""
 
+import pytest
 
 from repro.driver import tables
+from repro.engine.events import EVENTS, MemorySink
 
 
 class TestPaperConstants:
@@ -161,3 +163,19 @@ class TestAblationRows:
         assert processed_off > 4 * processed_on
         assert skipped_on > 0
         assert int(ladder["off"][9]) == 0
+
+
+class TestOneSpine:
+    """Every solve of a table is a ``Pipeline.analyze``: one ``analyze``
+    span per solve, so a bench trace attributes each solve's time."""
+
+    @pytest.mark.parametrize("rows, solves", [
+        (lambda: tables.ablation_rows(size=40), 8),
+        (lambda: tables.demand_rows(scale=0.05, profiles=["nethack"]), 2),
+    ], ids=["ablation", "demand"])
+    def test_one_analyze_span_per_solve(self, rows, solves):
+        with EVENTS.sink(MemorySink()) as sink:
+            rows()
+        ends = [e for e in sink.of_kind("stage")
+                if e.stage == "analyze" and e.phase == "end"]
+        assert len(ends) == len(sink.of_kind("solver.end")) == solves

@@ -264,7 +264,7 @@ class TestCounters:
 
     def test_process_registry_feeds_load_accounting(self):
         from repro.cla.store import MemoryStore
-        from repro.driver.api import compile_source
+        from repro.engine.pipeline import compile_source
 
         REGISTRY.reset()
         unit = compile_source("int x, *p; void f(void){ p = &x; *p = 1; }")

@@ -9,6 +9,7 @@ from repro.engine.obs import Tracer
 from repro.engine.pipeline import (
     CompileOptions,
     Pipeline,
+    read_source,
     resolve_jobs,
 )
 
@@ -42,9 +43,11 @@ class TestStageSpans:
         obj = str(tmp_path / "a.o")
         db = str(tmp_path / "prog.cla")
         with EVENTS.sink(Tracer()) as tracer:
-            pipeline.compile_to_object(str(src), obj)
+            pipeline.compile({str(src): read_source(str(src))},
+                             {str(src): obj})
             pipeline.link_objects([obj], db)
-            result = pipeline.analyze_database(db)
+            with pipeline.open_database(db) as store:
+                result = pipeline.analyze(store)
         assert result.points_to("p") == frozenset({"x"})
         assert tracer.find("compile") and tracer.find("link")
         assert tracer.find("analyze")

@@ -9,7 +9,8 @@ accounting.
 import pytest
 
 from repro.cla.store import MemoryStore
-from repro.driver.api import CompileOptions, Workspace, compile_source
+from repro.driver.incremental import Workspace
+from repro.engine.pipeline import CompileOptions, compile_source
 from repro.engine.obs import MetricsRegistry
 from repro.engine.stats import SolverStats
 from repro.solvers import SOLVERS
@@ -126,8 +127,8 @@ class TestTable3Parity:
         project = Workspace()
         project.add_source("fixture.c", FIXTURE)
         path = str(tmp_path / "prog.cla")
-        project.write_executable(path)
         pipeline = Pipeline()
+        pipeline.write_executable(project.store(), path)
         for kwargs in ({}, {"demand_load": False}):
             store = pipeline.open_database(path)
             try:

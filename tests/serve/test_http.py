@@ -1,12 +1,15 @@
 """HTTP-transport tests: the same protocol behind POST /query."""
 
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ from repro.serve import make_http_server
 from repro.serve.http import MAX_BODY_BYTES
 
 from .conftest import SOURCE_B_GROWN
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -280,3 +285,35 @@ class TestStalledClient:
             assert sock.recv(1) == b""  # the daemon hung up
         status, response = post(base, {"op": "ping"})
         assert status == 200 and response["ok"]
+
+
+class TestCliDaemon:
+    """The CLI's own HTTP route, as a user starts it."""
+
+    def test_serves_until_shutdown(self, tmp_path):
+        source = tmp_path / "s.c"
+        source.write_text("int x, *p; void f(void) { p = &x; }\n")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.driver.cli", "serve",
+             str(source), "--http", "127.0.0.1:0"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        try:
+            line = daemon.stderr.readline()
+            assert line.startswith("serving http://127.0.0.1:"), line
+            base = line.split()[-1]
+            status, health = get(base, "/healthz")
+            assert status == 200 and health["kind"] == "serve.health"
+            assert health["generation"] == 1
+            _, answer = post(base, {"op": "points-to",
+                                    "params": {"name": "p"}})
+            assert answer["result"]["points_to"] == {"p": ["x"]}
+            _, stopping = post(base, {"op": "shutdown"})
+            assert stopping["result"] == {"stopping": True}
+            assert daemon.wait(timeout=30) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stderr.close()

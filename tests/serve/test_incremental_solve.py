@@ -37,8 +37,10 @@ def cold_solve(tmp_path, tag, solver, sources):
     ws.add_header("defs.h", HEADER)
     for filename, text in sources.items():
         ws.add_source(filename, text)
+    pipeline = Pipeline()
     try:
-        return Pipeline().analyze_database(ws.build(), solver)
+        with pipeline.open_database(ws.build()) as store:
+            return pipeline.analyze(store, solver)
     finally:
         ws.close()
 
@@ -261,7 +263,8 @@ class TestRandomEditScripts:
                 cold_ws.add_source("a.c", SOURCE_A)
                 cold_ws.add_source("b.c", _b_text(script[-1]))
                 try:
-                    cold = pipeline.analyze_database(cold_ws.build(), solver)
+                    with pipeline.open_database(cold_ws.build()) as store:
+                        cold = pipeline.analyze(store, solver)
                 finally:
                     cold_ws.close()
                 assert_bit_identical(session._result, cold,

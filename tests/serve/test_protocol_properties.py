@@ -1,10 +1,11 @@
 """Property test of the request protocol: no request, however malformed,
 gets a malformed answer, moves a failed generation or stops the daemon.
 
-Requests are arbitrary JSON values: every op the daemon serves (all of
-``OPS`` but ``shutdown``) and unknown ones, arbitrary ids, and params
-that mix the keys the ops read, values from the served program and any
-other JSON, strings with lone surrogates included (JSON can carry them).
+Requests are arbitrary JSON values: every op the session serves
+(``KNOWN_OPS``, so no ``shutdown``) and unknown ones, arbitrary ids, and
+params that mix the keys the ops read, values from the served program and
+any other JSON, strings with lone surrogates included (JSON can carry
+them).
 """
 
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.driver.incremental import Workspace
 from repro.serve import ServeSession, handle_request
-from repro.serve.protocol import OPS
+from repro.serve.session import KNOWN_OPS
 
 from .conftest import HEADER, SOURCE_A, SOURCE_B, SOURCE_B_GROWN
 
@@ -51,7 +52,7 @@ SHAPED = {
     "traces": ({}, {"limit": st.integers(-1, 3)}),
 }
 
-SERVED = [op for op in OPS if op != "shutdown"]
+SERVED = list(KNOWN_OPS)
 #: Updates are the requests that change state: draw them more often.
 WEIGHTED = SERVED + ["update"] * 3
 

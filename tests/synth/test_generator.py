@@ -97,10 +97,10 @@ class TestGeneratedCode:
         assert (tmp_path / "synth.h").exists()
 
     def test_disk_copy_compiles_via_directory_builder(self, program, tmp_path):
-        from repro.driver.api import build_project_from_dir
+        from repro.driver.incremental import Workspace
 
         program.write_to(str(tmp_path))
-        project = build_project_from_dir(str(tmp_path))
+        project = Workspace.from_directory(str(tmp_path))
         result = project.points_to()
         assert result.pointer_variables() > 0
 

@@ -10,13 +10,10 @@ once and cross-checked across all four solvers.
 import pytest
 
 from repro.cla.reader import DatabaseStore
+from repro.cla.writer import write_unit
 from repro.depend import DependenceAnalysis, render_chain
-from repro.driver.api import (
-    Workspace,
-    analyze_database,
-    link_objects,
-    CompileOptions,
-)
+from repro.driver.incremental import Workspace
+from repro.engine.pipeline import CompileOptions, Pipeline, compile_source
 from repro.solvers import SOLVERS
 
 LIST_H = """
@@ -198,15 +195,14 @@ class TestDiskPipelineEquivalence:
             src = tmp_path / name
             src.write_text(text)
             obj = str(tmp_path / (name + ".o"))
-            from repro.driver.api import compile_source
-            from repro.cla.writer import write_unit
-
             unit = compile_source(text, filename=name, options=options)
             write_unit(unit, obj)
             objects.append(obj)
         out = str(tmp_path / "app.cla")
-        link_objects(objects, out)
-        disk = analyze_database(out)
+        pipeline = Pipeline()
+        pipeline.link_objects(objects, out)
+        with pipeline.open_database(out) as store:
+            disk = pipeline.analyze(store)
         mem = project.points_to()
         for name in set(disk.pts) | set(mem.pts):
             assert disk.points_to(name) == mem.points_to(name), name
@@ -215,9 +211,6 @@ class TestDiskPipelineEquivalence:
         options = CompileOptions()
         options.virtual_files["list.h"] = LIST_H
         options.virtual_files["app.h"] = APP_H
-        from repro.driver.api import compile_source
-        from repro.cla.writer import write_unit
-
         objects = []
         for name, text in [("list.c", LIST_C), ("app.c", APP_C)]:
             obj = str(tmp_path / (name + ".o"))
@@ -225,12 +218,12 @@ class TestDiskPipelineEquivalence:
                        obj)
             objects.append(obj)
         out = str(tmp_path / "app.cla")
-        link_objects(objects, out)
+        Pipeline().link_objects(objects, out)
         store = DatabaseStore.open(out)
         try:
             points_to = SOLVERS["pretransitive"](store).solve()
             analysis = DependenceAnalysis(store, points_to)
-            targets = analysis.resolve_targets("task.priority")
+            targets = store.find_targets("task.priority")
             assert targets == ["task.priority"]
             result = analysis.analyze(targets)
             assert result.is_dependent("run_busy$ret")
