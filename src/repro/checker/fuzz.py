@@ -122,11 +122,13 @@ def run_battery(
 
     Returns failure descriptions (empty = clean).  The comparison groups
     come from each solver class's ``precision`` attribute; the oracle runs
-    on every result.  Each solve is one :meth:`Pipeline.analyze` (an
-    ``analyze`` span) on a store of its own.
+    on every result.  The units are linked once: each solve is one
+    :meth:`Pipeline.analyze` (an ``analyze`` span) on that store, which
+    starts by restarting the store's load counts, and the oracle reads
+    the same store.
     """
     failures: list[str] = []
-    reference = MemoryStore(list(units))
+    store = MemoryStore(list(units))
     pipeline = Pipeline()
 
     def note(message: str) -> None:
@@ -136,13 +138,13 @@ def run_battery(
     andersen: dict[str, object] = {}
     over: dict[str, object] = {}
     for name, cls in sorted(SOLVERS.items()):
-        result = pipeline.analyze(MemoryStore(list(units)), name)
+        result = pipeline.analyze(store, name)
         _SOLVER_RUNS.add(1)
         (andersen if cls.precision == "andersen" else over)[name] = result
     cache, cycles, diff, demand = toggles
     variant = f"pretransitive[{toggle_label(toggles)}]"
     andersen[variant] = pipeline.analyze(
-        MemoryStore(list(units)), "pretransitive",
+        store, "pretransitive",
         enable_cache=cache,
         enable_cycle_elimination=cycles,
         enable_diff_propagation=diff,
@@ -151,7 +153,7 @@ def run_battery(
     _SOLVER_RUNS.add(1)
 
     ref = andersen["pretransitive"]
-    names = sorted(reference.object_names())
+    names = sorted(store.object_names())
     for name in names:
         want = ref.points_to(name)
         for label, result in andersen.items():
@@ -174,7 +176,7 @@ def run_battery(
 
     for label, result in {**andersen, **over}.items():
         minimal = check_minimal and label in andersen
-        report = check_result(reference, result, check_minimal=minimal)
+        report = check_result(store, result, check_minimal=minimal)
         if not report.ok:
             note(f"oracle violations for {label}:")
             for violation in report.violations[:5]:

@@ -932,7 +932,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         CertificationError,
         ResourceTicker,
         ServeSession,
-        make_http_server,
         serve_jsonl,
     )
     from .incremental import Workspace
@@ -991,6 +990,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 if port is None:
                     serve_jsonl(session)
                 else:
+                    # The HTTP stack loads only for an HTTP daemon.
+                    from ..serve.http import make_http_server
+
                     server = make_http_server(session, host, port)
                     bound_host, bound_port = server.server_address[:2]
                     print(f"serving http://{bound_host}:{bound_port}",

@@ -26,6 +26,7 @@ of those includes still resolves to the same file and text.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -71,7 +72,9 @@ class Workspace:
     solved results and, on request, an executable database out.
 
     Sources added with :meth:`add_source` can ``#include`` each other and
-    any header added with :meth:`add_header`.  Without ``cache_dir`` the
+    any header added with :meth:`add_header`.  The workspace compiles
+    with its own copy of ``options``: its files, include path and include
+    cache never reach the caller's object.  Without ``cache_dir`` the
     workspace writes no object files.  ``jobs`` is the compile
     parallelism (``None``: every core); values above one compile pending
     units in worker processes, sound because CLA units are independent.
@@ -83,7 +86,7 @@ class Workspace:
         options: CompileOptions | None = None,
         jobs: int | None = 1,
     ):
-        self.pipeline = Pipeline(options=options, jobs=jobs)
+        self.pipeline = Pipeline(options=copy.deepcopy(options), jobs=jobs)
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
         self.cache_dir = cache_dir
@@ -107,7 +110,7 @@ class Workspace:
     ) -> "Workspace":
         """A workspace of every ``.c`` file under ``directory``
         (recursively); its ``.h`` files become headers, and
-        ``directory`` joins the include path."""
+        ``directory`` joins the workspace's include path."""
         workspace = cls(options=options)
         workspace.options.include_dirs.append(directory)
         for root, _dirs, files in os.walk(directory):

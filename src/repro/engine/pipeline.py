@@ -27,7 +27,6 @@ paper tables and the fuzzer), so each one is an ``analyze`` span.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from ..cfront import IncludeResolver, parse_c
@@ -86,7 +85,7 @@ class CompileOptions:
 
     def __getstate__(self):
         # The memoized resolver holds token caches that are pointless to
-        # ship to parallel-build workers; drop it from pickles.
+        # ship to parallel-build workers; drop it from pickles and copies.
         state = dict(self.__dict__)
         state.pop("_resolver", None)
         return state
@@ -262,6 +261,13 @@ class Pipeline:
 
         with span("compile", files=total, jobs=jobs) as stage:
             if jobs > 1 and total > 1:
+                # The worker pool (and multiprocessing under it) loads
+                # only when a build fans out.
+                from concurrent.futures import (
+                    ProcessPoolExecutor,
+                    as_completed,
+                )
+
                 with ProcessPoolExecutor(
                         max_workers=min(jobs, total)) as pool:
                     futures = {

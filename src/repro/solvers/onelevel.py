@@ -81,6 +81,10 @@ class _Flow(Ecr):
         other.direct = 0
         other.flow_out = set()
 
+    def unlink(self) -> None:
+        super().unlink()
+        self.flow_out.clear()
+
 
 class OneLevelFlowSolver(UnificationSolver):
     """Das-style hybrid: directional top level, unified below."""

@@ -190,12 +190,20 @@ class PreTransitiveSolver(BaseSolver):
         return True
 
     def _unify_scc(self, rep: _Node, members: list[_Node]) -> _Node:
-        """Collapse a cycle into ``rep`` (skip-pointer unification)."""
+        """Collapse a cycle into ``rep`` (skip-pointer unification).
+
+        The cycle's own edges would now lead from ``rep`` to itself.
+        They add no lval, so they go: every traversal would skip them,
+        and, kept, each would close a reference cycle (``rep`` holds a
+        member that skips back to it) that only the cycle collector
+        frees.  The traversal de-skipped every member's edges, so an
+        edge into the cycle names ``rep`` or one of its members."""
+        succ = rep.succ
         for other in members:
             if other is rep:
                 continue
             rep.base |= other.base
-            rep.succ.extend(other.succ)
+            succ.extend(other.succ)
             rep.succ_uids |= other.succ_uids
             other.base = 0
             other.succ = []
@@ -203,6 +211,8 @@ class PreTransitiveSolver(BaseSolver):
             other.skip = rep
             other.cache_token = 0
             self.stats.cycles_collapsed += 1
+        rep.succ = [child for child in succ
+                    if child is not rep and child.skip is not rep]
         return rep
 
     # ------------------------------------------------------------------

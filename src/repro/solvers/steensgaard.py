@@ -59,6 +59,11 @@ class Ecr:
     def absorb(self, other: "Ecr") -> None:
         """Take over what ``other`` holds: it has just joined this class."""
 
+    def unlink(self) -> None:
+        """Drop the links to other classes, but not ``parent``: the
+        solve is over."""
+        self.pointee = None
+
 
 class UnificationSolver(BaseSolver):
     """The union-find and solve loop of the two unification solvers.
@@ -75,6 +80,8 @@ class UnificationSolver(BaseSolver):
     def __init__(self, store: ConstraintStore):
         super().__init__(store)
         self._ecrs: dict[int, Ecr] = {}  # node id -> class
+        #: every class made, pointee cells included, to unlink them all
+        self._classes: list[Ecr] = []
 
     # -- union-find -----------------------------------------------------------
 
@@ -82,6 +89,7 @@ class UnificationSolver(BaseSolver):
         e = self._ecrs.get(node)
         if e is None:
             e = self._ecrs[node] = self.ecr_type()
+            self._classes.append(e)
         return self._find(e)
 
     @staticmethod
@@ -97,6 +105,7 @@ class UnificationSolver(BaseSolver):
         e = self._find(e)
         if e.pointee is None:
             e.pointee = self.ecr_type()
+            self._classes.append(e.pointee)
         return self._find(e.pointee)
 
     def _join(self, a: Ecr, b: Ecr) -> Ecr:
@@ -148,7 +157,17 @@ class UnificationSolver(BaseSolver):
                 break
 
         self.store.discard(0)  # unification keeps no assignments at all
-        return self._finalize_nodes(self._node_masks())
+        masks = self._node_masks()
+        self._release()
+        return self._finalize_nodes(masks)
+
+    def _release(self) -> None:
+        """Unlink every class once the masks are read.  Pointee links
+        (``v = &v``, a list node pointing at its own type) and flow edges
+        can form reference cycles; unlinked, reference counting frees the
+        classes with the solver."""
+        for e in self._classes:
+            e.unlink()
 
     def _ingest_row(self, kind: PrimitiveKind, dst: int, src: int) -> None:
         """One id-space constraint row (``src`` is a target id for ADDR)."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cla.cache import BlockCache
 from repro.driver.incremental import Workspace
-from repro.engine.pipeline import BuildError, Pipeline
+from repro.engine.pipeline import BuildError, CompileOptions, Pipeline
 from repro.solvers import SOLVERS
 
 
@@ -218,6 +218,38 @@ class TestIncludeRecords:
             workspace.add_source("defs.h", "int x;")
         with pytest.raises(ValueError, match="already a source"):
             workspace.add_header("a.c", "int x;")
+
+
+class TestOptionsAreCopied:
+    """A workspace compiles with its own copy of the options it is given:
+    its files, its include path and its include cache stay its own."""
+
+    def test_workspaces_sharing_options_do_not_see_each_others_files(self):
+        options = CompileOptions()
+        first, second = Workspace(options=options), Workspace(options=options)
+        first.add_source("a.c", "int x, *p; void f(void) { p = &x; }\n")
+        second.add_source("b.c", '#include "a.c"\n'
+                                 "int *q; void g(void) { q = p; }\n")
+        assert first.points_to().points_to("p") == {"x"}
+        with pytest.raises(BuildError, match="include file not found: a.c"):
+            second.points_to()
+        assert options.virtual_files == {}
+
+    def test_from_directory_leaves_the_callers_include_path(self, tmp_path):
+        (tmp_path / "a.c").write_text("int x, *p; void f(void) { p = &x; }")
+        options = CompileOptions(include_dirs=["elsewhere"])
+        project = Workspace.from_directory(str(tmp_path), options=options)
+        assert project.points_to().points_to("p") == {"x"}
+        assert project.options.include_dirs == ["elsewhere", str(tmp_path)]
+        assert options.include_dirs == ["elsewhere"]
+
+    def test_no_shared_include_cache(self):
+        options = CompileOptions()
+        cache = options.resolver()
+        first, second = Workspace(options=options), Workspace(options=options)
+        resolvers = {id(cache), id(first.options.resolver()),
+                     id(second.options.resolver())}
+        assert len(resolvers) == 3
 
 
 class TestCorruptCache:

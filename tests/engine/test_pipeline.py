@@ -138,9 +138,10 @@ class TestResolveJobs:
 
 class TestOptionsPropagate:
     def test_pipeline_options_reach_the_solver_inputs(self):
-        options = CompileOptions(field_based=False)
+        options = CompileOptions(field_based=False, heap_model="single",
+                                 predefined={"N": "1"})
         session = Workspace(options=options)
-        assert session.options is options
-        assert session.pipeline.options is options
+        assert session.options == options
+        assert session.pipeline.options is session.options
         session.add_source("a.c", A_C)
         assert session.points_to().points_to("p") == frozenset({"x"})
