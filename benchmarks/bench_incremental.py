@@ -12,7 +12,6 @@ import pytest
 
 from conftest import profile_scale
 from repro.driver.incremental import Workspace
-from repro.engine.pipeline import Pipeline
 from repro.synth import generate
 from repro.synth.generator import HEADER_NAME
 
@@ -60,37 +59,3 @@ def test_incremental_rebuild_speed(benchmark, report, tmp_path):
         f"-> {speedup:.1f}x faster rebuild"
     )
     assert speedup > 2, "editing one file must beat a full rebuild"
-
-
-def test_incremental_analysis_correctness(benchmark, report, tmp_path):
-    """Incremental pipeline result == fresh pipeline result after an edit."""
-    program = generate(PROFILE, scale=profile_scale(PROFILE) / 2, seed=42)
-    workspace = Workspace(cache_dir=str(tmp_path / "wc"))
-    fill(workspace, program)
-    workspace.build()
-    victim = sorted(program.files)[0]
-    edited = program.files[victim] + (
-        "\nint cla_new_target;\nint *cla_new_ptr;\n"
-        "void cla_added(void) { cla_new_ptr = &cla_new_target; }\n"
-    )
-    workspace.update_source(victim, edited)
-    incremental = workspace.points_to()
-
-    fresh = Workspace(cache_dir=str(tmp_path / "fresh"))
-    fresh.add_header(HEADER_NAME, program.header)
-    for name, text in sorted(program.files.items()):
-        fresh.add_source(name, edited if name == victim else text)
-    pipeline = Pipeline()
-    with pipeline.open_database(fresh.build()) as store:
-        full = pipeline.analyze(store)
-
-    assert incremental.points_to("cla_new_ptr") == {"cla_new_target"}
-    for name in set(incremental.pts) | set(full.pts):
-        assert incremental.points_to(name) == full.points_to(name), name
-    report.append(
-        "[incremental] edited-workspace analysis identical to fresh build "
-        f"({len(full.pts)} objects compared)"
-    )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    fresh.close()
-    workspace.close()

@@ -14,14 +14,34 @@ checks results independently of any solver:
   pretransitive toggle matrix, and cross-checks the results;
 * :mod:`repro.checker.shrink` — delta-debugs a failing program down to a
   minimal C repro written to disk.
+
+The fuzzer and the shrinker (and :mod:`repro.synth` under them) load on
+first use: a daemon that certifies its fixpoints needs the oracle alone.
 """
 
-from .fuzz import FuzzConfig, FuzzFailure, FuzzOutcome, run_fuzz
+import importlib
+
 from .oracle import CheckReport, Violation, check_result
-from .shrink import ShrinkResult, ddmin, shrink_program
+
+#: name -> the submodule that defines it, loaded when first looked up
+_LAZY = {
+    "fuzz": "fuzz", "FuzzConfig": "fuzz", "FuzzFailure": "fuzz",
+    "FuzzOutcome": "fuzz", "run_fuzz": "fuzz",
+    "shrink": "shrink", "ShrinkResult": "shrink", "ddmin": "shrink",
+    "shrink_program": "shrink",
+}
 
 __all__ = [
     "CheckReport", "Violation", "check_result",
     "FuzzConfig", "FuzzFailure", "FuzzOutcome", "run_fuzz",
     "ShrinkResult", "ddmin", "shrink_program",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: only names not yet bound here come here.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)

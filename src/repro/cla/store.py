@@ -45,14 +45,20 @@ from ..ir.primitives import (
 )
 
 
+#: Read once here: an Enum member read through its class costs several
+#: times a module global's, once per row of every link.
+_ADDR = PrimitiveKind.ADDR
+
+
 def trigger_object(assignment: PrimitiveAssignment) -> str | None:
-    """The dynamic-section block this assignment belongs to (None: static)."""
-    kind = assignment.kind
-    if kind is PrimitiveKind.ADDR:
+    """The dynamic-section block this assignment belongs to (None: static).
+
+    ``x = *p`` is triggered by the pointer ``p``; ``x = y``, ``*p = y``
+    and ``*p = *q`` by their value source.  Either way that is ``src``.
+    """
+    if assignment.kind is _ADDR:
         return None
-    if kind is PrimitiveKind.LOAD:
-        return assignment.src  # x = *p: triggered by the pointer p
-    return assignment.src  # COPY / STORE / STORE_LOAD: by the value source
+    return assignment.src
 
 
 @dataclass(slots=True)
@@ -352,11 +358,13 @@ class MemoryStore(CountedStore):
     * the first input sets :attr:`struct_model`, and an input of another
       struct model raises :class:`LinkError`.
 
-    :meth:`absorb_unit` links a lowered unit row by row;
-    :meth:`absorb_object` links an object file block by block.
+    :meth:`absorb_unit` groups a lowered unit's rows one by one, or
+    merges a :class:`UnitStore` (a unit grouped once, as a workspace
+    holds it) block by block; :meth:`absorb_object` merges an object file
+    block by block, through the same merge.
     """
 
-    def __init__(self, units: UnitIR | Iterable[UnitIR] = ()):
+    def __init__(self, units: UnitIR | Iterable[UnitIR | UnitStore] = ()):
         if isinstance(units, UnitIR):
             units = [units]
         super().__init__()
@@ -376,24 +384,43 @@ class MemoryStore(CountedStore):
 
     # -- linking -------------------------------------------------------------
 
-    def absorb_unit(self, unit: UnitIR) -> None:
+    def absorb_unit(self, unit: UnitIR | UnitStore) -> None:
         """Link one lowered unit into the store.
+
+        A bare :class:`UnitIR` is grouped row by row; a
+        :class:`UnitStore` already holds that grouping, so its blocks are
+        merged instead, to the same store, dict orders included.  Records
+        are added in the unit's own order either way, so a conflict names
+        the same function.
 
         Also the streaming seam: the huge synth tier compiles units one
         at a time and absorbs each before generating the next, so a
         million-line corpus is never materialised in memory at once.
         """
+        grouped = unit if isinstance(unit, UnitStore) else None
+        if grouped is not None:
+            unit = grouped.unit
         self._link_struct_model(unit.struct_model, unit.filename)
         self._targets = None
         self.source_lines += unit.source_lines
-        for name, obj in unit.objects.items():
-            self._merge_object(name, obj)
-        for a in unit.assignments:
-            trigger = trigger_object(a)
-            if trigger is None:
-                self._statics.append(a)
-            else:
-                self._ensure_block(trigger).assignments.append(a)
+        if grouped is not None:
+            # The grouped objects are the unit's, then a placeholder per
+            # block the unit names no object for, as grouping left them.
+            self._merge_objects(grouped.objects.items())
+            self._merge_rows(grouped._statics, grouped._blocks.items())
+        else:
+            self._merge_objects(unit.objects.items())
+            statics = self._statics
+            blocks = self._blocks
+            for a in unit.assignments:
+                # trigger_object, inlined: this loop runs once per row.
+                if a.kind is _ADDR:
+                    statics.append(a)
+                else:
+                    block = blocks.get(a.src)
+                    if block is None:
+                        block = self._new_block(a.src, [])
+                    block.assignments.append(a)
         self.stats.in_file += len(unit.assignments)
         for name, record in unit.function_records.items():
             self._add_function_record(self._ensure_block(name), record)
@@ -408,19 +435,33 @@ class MemoryStore(CountedStore):
         self._link_struct_model(database.struct_model, database.path)
         self._targets = None
         self.source_lines += database.source_lines
-        for obj in database.objects():
-            self._merge_object(obj.name, obj)
-        self._statics.extend(database.fetch_statics())
+        self._merge_objects((obj.name, obj) for obj in database.objects())
         self._call_sites.extend(database.call_sites())
-        for name in database.block_names():
-            theirs = database.fetch_block(name)
-            mine = self._ensure_block(name)
-            mine.assignments.extend(theirs.assignments)
-            if theirs.function_record is not None:
-                self._add_function_record(mine, theirs.function_record)
-            if theirs.indirect_record is not None:
-                self._add_indirect_record(mine, theirs.indirect_record)
+        blocks = [(name, database.fetch_block(name))
+                  for name in database.block_names()]
+        self._merge_rows(database.fetch_statics(), blocks)
+        mine = self._blocks
+        for name, block in blocks:
+            if block.function_record is not None:
+                self._add_function_record(mine[name], block.function_record)
+            if block.indirect_record is not None:
+                self._add_indirect_record(mine[name], block.indirect_record)
         self.stats.in_file += database.stats.in_file
+
+    def _merge_rows(self, statics: list[PrimitiveAssignment],
+                    blocks: Iterable[tuple[str, Block]]) -> None:
+        """Append an input's statics and each of its blocks' rows: one
+        list copy for a block new to the store, one extend for a block
+        it has.  The input's lists are only read, and its records are
+        the caller's to add."""
+        self._statics.extend(statics)
+        mine = self._blocks
+        for name, block in blocks:
+            own = mine.get(name)
+            if own is None:
+                self._new_block(name, block.assignments.copy())
+            else:
+                own.assignments.extend(block.assignments)
 
     def _link_struct_model(self, model: str, source: str) -> None:
         if self._has_inputs and model != self.struct_model:
@@ -431,34 +472,42 @@ class MemoryStore(CountedStore):
         self.struct_model = model
         self._has_inputs = True
 
-    def _merge_object(self, name: str, obj: ProgramObject) -> None:
-        existing = self.objects.get(name)
-        if existing is None:
-            self.objects[name] = obj
-            return
-        # A global seen in several inputs: keep the richest metadata (a
-        # definition beats a tentative declaration).  The objects belong
-        # to the inputs, which later links reuse, so a merge that changes
-        # one copies it instead of writing into it.
-        changes = {}
-        if existing.location.is_unknown and not obj.location.is_unknown:
-            changes["location"] = obj.location
-        if not existing.type_str and obj.type_str:
-            changes["type_str"] = obj.type_str
-            changes["may_point"] = obj.may_point
-        if obj.is_funcptr and not existing.is_funcptr:
-            changes["is_funcptr"] = True
-        if not changes:
-            return
-        self.objects[name] = replace(existing, **changes)
+    def _merge_objects(
+        self, objects: Iterable[tuple[str, ProgramObject]]
+    ) -> None:
+        mine = self.objects
+        for name, obj in objects:
+            existing = mine.get(name)
+            if existing is None:
+                mine[name] = obj
+                continue
+            # A global seen in several inputs: keep the richest metadata
+            # (a definition beats a tentative declaration).  The objects
+            # belong to the inputs, which later links reuse, so a merge
+            # that changes one copies it instead of writing into it.
+            changes = {}
+            if existing.location.is_unknown and not obj.location.is_unknown:
+                changes["location"] = obj.location
+            if not existing.type_str and obj.type_str:
+                changes["type_str"] = obj.type_str
+                changes["may_point"] = obj.may_point
+            if obj.is_funcptr and not existing.is_funcptr:
+                changes["is_funcptr"] = True
+            if changes:
+                mine[name] = replace(existing, **changes)
 
     def _ensure_block(self, name: str) -> Block:
         block = self._blocks.get(name)
         if block is None:
-            if name not in self.objects:
-                self.objects[name] = ProgramObject(
-                    name=name, kind=ObjectKind.VARIABLE)
-            block = self._blocks[name] = Block()
+            block = self._new_block(name, [])
+        return block
+
+    def _new_block(self, name: str,
+                   rows: list[PrimitiveAssignment]) -> Block:
+        if name not in self.objects:
+            self.objects[name] = ProgramObject(
+                name=name, kind=ObjectKind.VARIABLE)
+        block = self._blocks[name] = Block(rows, None, None)
         return block
 
     @staticmethod
@@ -555,3 +604,20 @@ class MemoryStore(CountedStore):
 
     def blocks(self) -> dict[str, Block]:
         return self._blocks
+
+
+class UnitStore(MemoryStore):
+    """One lowered unit grouped into blocks: what its object file holds,
+    held in memory beside the unit.
+
+    A workspace builds one when it compiles a unit or reads one back,
+    writes the unit's object file from it, and links its held units from
+    these: each link merges their blocks (:meth:`MemoryStore.absorb_unit`)
+    instead of grouping every row again.  A link copies what it takes,
+    so the store stays as it was built, however often it is linked.
+    """
+
+    def __init__(self, unit: UnitIR):
+        super().__init__(unit)
+        #: The unit grouped here.
+        self.unit = unit

@@ -958,15 +958,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if c_files:
                 cache_dir = args.cache_dir
                 if cache_dir is None:
-                    # The daemon's own object cache: an undone edit reads
-                    # its unit back instead of recompiling it.
+                    # The daemon's own object cache: a return to an older
+                    # text reads its unit back instead of recompiling it.
                     own_cache = tempfile.TemporaryDirectory(
                         prefix="cla-serve-")
                     cache_dir = own_cache.name
+                # One process, as every other command compiles by default:
+                # a worker pool barely pays on a small code base.
                 workspace = Workspace(
                     cache_dir=cache_dir,
                     options=CompileOptions(include_dirs=args.include),
-                    jobs=None,
                 )
                 for path in c_files:
                     if path.endswith(".h"):

@@ -10,10 +10,15 @@ cheap database merge, so an edit costs one recompile plus a relink.
 compiled unit under a content key: a hash of the source, of every header
 and of the compile options.  A build compiles only the sources whose key
 it does not hold, links the held units in memory
-(:class:`~repro.cla.store.MemoryStore`) and solves that store.  With a
-``cache_dir`` every compiled unit also goes to an object file named by its
-key, the persistent cache: a unit the workspace no longer holds (an
-undone edit, a restarted daemon) is read back from it, not recompiled.
+(:class:`~repro.cla.store.MemoryStore`) and solves that store.  Each
+held unit is grouped into blocks once, when it is compiled or read back
+(:class:`~repro.cla.store.UnitStore`), so a link merges blocks instead
+of grouping rows.  The units displaced by the last build that changed
+the held set stay held until the next such build, so undoing an edit
+compiles nothing and reads nothing.  With a ``cache_dir`` every compiled
+unit also goes to an object file named by its key, the persistent cache:
+a unit the workspace no longer holds (an older undo, a restarted daemon)
+is read back from it, not recompiled.
 The executable database is written only when a caller asks for its path
 (:meth:`Workspace.build`).
 
@@ -35,8 +40,8 @@ from dataclasses import dataclass
 
 from ..cla.linker import absorb_object_files
 from ..cla.objfile import ClaFormatError
-from ..cla.store import MemoryStore
-from ..cla.writer import write_unit
+from ..cla.store import MemoryStore, UnitStore
+from ..cla.writer import ObjectFileWriter
 from ..depend.analysis import DependenceResult
 from ..engine.pipeline import BuildError, CompileOptions, Pipeline, read_source
 from ..ir.lower import UnitIR
@@ -93,11 +98,16 @@ class Workspace:
         self._tempdir: tempfile.TemporaryDirectory | None = None
         self._sources: dict[str, str] = {}
         self._headers: dict[str, str] = {}
-        #: content key -> unit, for the current sources (plus the units a
-        #: failed build compiled, until the next good one)
-        self._held: dict[str, UnitIR] = {}
+        #: content key -> unit grouped into blocks, for the current
+        #: sources (plus the units a failed build compiled, until the next
+        #: good one)
+        self._held: dict[str, UnitStore] = {}
+        #: the units displaced by the last build that changed the held
+        #: set, kept until the next such build: an undo finds its unit here
+        self._retained: dict[str, UnitStore] = {}
         #: the content keys, file-name order, of the last good build
         self._keys: list[str] = []
+        self._stores: list[UnitStore] = []
         self._units: list[UnitIR] = []
         self._store: MemoryStore | None = None
         self._points_to: dict[str, PointsToResult] = {}
@@ -191,21 +201,27 @@ class Workspace:
     def _object_path(self, key: str, suffix: str = ".o") -> str:
         return os.path.join(self.cache_dir, key + suffix)
 
-    def _write_object(self, key: str, unit: UnitIR) -> None:
-        """Cache ``unit`` under ``key``: its include record first, so an
-        object file never exists without the record that vouches for
-        it."""
-        record = [[*request, *read] for request, read in unit.includes.items()]
+    def _write_object(self, key: str, store: UnitStore) -> None:
+        """Cache a unit under ``key``, written from its grouped store:
+        its include record first, so an object file never exists without
+        the record that vouches for it."""
+        record = [[*request, *read]
+                  for request, read in store.unit.includes.items()]
         with open(self._object_path(key, ".deps"), "w") as f:
             json.dump(record, f)
-        write_unit(unit, self._object_path(key))
+        ObjectFileWriter(store).write(self._object_path(key))
 
-    def _read_object(self, filename: str, key: str) -> UnitIR | None:
-        """The unit cached under ``key``, or None when there is no usable
-        object file and include record.  The cache directory is shared
-        and persistent, so a file planted or mangled by anything else is
-        discarded, not trusted forever because its name is its content
-        key."""
+    def _read_object(self, filename: str, key: str) -> UnitStore | None:
+        """The unit cached under ``key``, grouped, or None when there is
+        no usable object file and include record.  The cache directory is
+        shared and persistent, so a file planted or mangled by anything
+        else is discarded, not trusted forever because its name is its
+        content key.
+
+        The file's rows are flattened to a unit and grouped again, as a
+        compiled unit is: a store absorbed straight from the file holds
+        the same rows in another dict order, and so would link to one.
+        """
         if self.cache_dir is None:
             return None
         path = self._object_path(key)
@@ -222,7 +238,7 @@ class Workspace:
                 pass
             return None
         unit.includes = includes
-        return unit
+        return UnitStore(unit)
 
     def _current(self, unit: UnitIR, resolved: dict) -> bool:
         """Does every file ``unit``'s preprocessing read still resolve to
@@ -239,14 +255,17 @@ class Workspace:
                 return False
         return True
 
-    def units(self, jobs: int | None = None) -> list[UnitIR]:
-        """Every source's unit, in file-name order.
+    def unit_stores(self, jobs: int | None = None) -> list[UnitStore]:
+        """Every source's unit grouped into blocks, in file-name order.
 
-        A held unit is used as it is, another is read back from its
+        A held unit is used as it is: a current one, or one the last
+        build that changed the held set displaced (so undoing an edit
+        compiles and reads nothing).  Another is read back from its
         object file, and only the rest compile; either way a unit is
-        reused only while its includes are unchanged.  A failing unit
-        does not abort the batch: every other pending unit still
-        compiles, is held and written, then one
+        reused only while its includes are unchanged.  A compiled or
+        read-back unit is grouped once, here.  A failing unit does not
+        abort the batch: every other pending unit still compiles, is held
+        and written, then one
         :class:`~repro.engine.pipeline.BuildError` reports all failures
         together.
         """
@@ -256,23 +275,26 @@ class Workspace:
             raise ValueError("workspace has no sources")
         resolved: dict = {}
         if list(keys.values()) == self._keys and all(
-                self._current(unit, resolved) for unit in self._units):
+                self._current(store.unit, resolved)
+                for store in self._stores):
             self.stats.reused = len(keys)
-            return self._units
-        held: dict[str, UnitIR] = {}
+            return self._stores
+        held: dict[str, UnitStore] = {}
         pending: dict[str, str] = {}
         for filename, key in keys.items():
-            unit = self._held.get(key)
-            if unit is None or not self._current(unit, resolved):
-                unit = self._read_object(filename, key)
-                if unit is not None and self._current(unit, resolved):
+            store = self._held.get(key)
+            if store is None:
+                store = self._retained.get(key)
+            if store is None or not self._current(store.unit, resolved):
+                store = self._read_object(filename, key)
+                if store is not None and self._current(store.unit, resolved):
                     self.stats.read += 1
                 else:
-                    unit = None
-            if unit is None:
+                    store = None
+            if store is None:
                 pending[filename] = key
             else:
-                held[key] = unit
+                held[key] = store
                 self.stats.reused += 1
         failure = None
         if pending:
@@ -285,26 +307,37 @@ class Workspace:
                 compiled, failure = exc.units, exc
             for filename, unit in compiled.items():
                 key = pending[filename]
+                store = UnitStore(unit)
                 if self.cache_dir is not None:
-                    self._write_object(key, unit)
-                held[key] = unit
+                    self._write_object(key, store)
+                held[key] = store
                 self.stats.compiled += 1
         if failure is not None:
             self._held.update(held)
             raise failure
+        if held.keys() != self._held.keys():
+            self._retained = {key: store for key, store in self._held.items()
+                              if key not in held}
         self._held = held
         self._keys = list(keys.values())
-        self._units = [held[key] for key in self._keys]
+        self._stores = [held[key] for key in self._keys]
+        self._units = [store.unit for store in self._stores]
         self._store = None
+        return self._stores
+
+    def units(self, jobs: int | None = None) -> list[UnitIR]:
+        """Every source's unit, in file-name order (see
+        :meth:`unit_stores`)."""
+        self.unit_stores(jobs)
         return self._units
 
     def store(self, jobs: int | None = None) -> MemoryStore:
-        """The held units linked in memory; relinked only when they
-        changed.  A link that fails keeps nothing: the next call links
-        afresh, and the inputs were never written into."""
-        units = self.units(jobs)
+        """The held units linked in memory, block by block; relinked only
+        when they changed.  A link that fails keeps nothing: the next
+        call links afresh, and the inputs were never written into."""
+        stores = self.unit_stores(jobs)
         if self._store is None:
-            self._store = self.pipeline.link_units(units)
+            self._store = self.pipeline.link_units(stores)
             self._points_to.clear()
             self._database = None
             self.stats.linked = True

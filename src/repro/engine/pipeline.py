@@ -33,7 +33,7 @@ from ..cfront import IncludeResolver, parse_c
 from ..cla.cache import BlockCache
 from ..cla.linker import link_object_files
 from ..cla.reader import DatabaseStore
-from ..cla.store import ConstraintStore, MemoryStore
+from ..cla.store import ConstraintStore, MemoryStore, UnitStore
 from ..cla.writer import ObjectFileWriter, write_unit
 from ..depend.analysis import DependenceAnalysis, DependenceResult
 from ..ir.lower import UnitIR, lower_translation_unit
@@ -316,8 +316,11 @@ class Pipeline:
 
     # -- link stage ----------------------------------------------------------
 
-    def link_units(self, units: list[UnitIR]) -> MemoryStore:
-        """Link compiled units into an in-memory constraint store."""
+    def link_units(self, units: list[UnitIR | UnitStore]) -> MemoryStore:
+        """Link compiled units into an in-memory constraint store.  A
+        :class:`~repro.cla.store.UnitStore` (a unit already grouped into
+        blocks, as a workspace holds it) is merged block by block, a bare
+        unit grouped row by row; the store is the same."""
         with span("link", units=len(units)) as stage:
             store = MemoryStore(units)
             stage.annotate(

@@ -12,10 +12,11 @@ here:
   identity *including the database generation*.
 * **Incremental builds, whole solves.**  An ``update`` request
   recompiles only the changed unit (the
-  :class:`~repro.driver.incremental.Workspace` holds every other one),
-  relinks the held units in memory and solves that store exactly as
-  startup does: one sequential :meth:`Pipeline.analyze`.  No
-  database is written or reopened on the way.  The session decides only
+  :class:`~repro.driver.incremental.Workspace` holds every other one,
+  and the one an undo returns to), relinks the held units in memory,
+  block by block, and solves that store exactly as startup does: one
+  sequential :meth:`Pipeline.analyze`.  No database is written or
+  reopened on the way.  The session decides only
   *when* to solve, never *how*, so every served fixpoint is the one a
   cold solve of a fresh workspace computes.
 * **No stale answers.**  Every successful reload bumps ``generation``;
@@ -601,10 +602,10 @@ class ServeSession:
         if self.workspace is not None:
             # Every generation links afresh: a store that failed to solve
             # or certify is never served later.
-            units = self.workspace.units()
+            stores = self.workspace.unit_stores()
             compiled = self.workspace.stats.compiled
             reused = self.workspace.stats.reused
-            store = self.pipeline.link_units(units)
+            store = self.pipeline.link_units(stores)
         else:
             store = self.pipeline.open_database(self.database_path)
             compiled = reused = 0

@@ -60,6 +60,14 @@ from ..ir.primitives import PrimitiveKind
 from ..ir.universe import bits
 from .base import BaseSolver, PointsToResult
 
+# Read once here: an Enum member read through its class costs several
+# times a module global's, once per ingested row.
+_COPY = PrimitiveKind.COPY
+_ADDR = PrimitiveKind.ADDR
+_LOAD = PrimitiveKind.LOAD
+_STORE = PrimitiveKind.STORE
+_STORE_LOAD = PrimitiveKind.STORE_LOAD
+
 
 class _Node:
     """One graph node: a program object or a deref placeholder ``n?x``."""
@@ -261,10 +269,10 @@ class PreTransitiveSolver(BaseSolver):
 
     def _ingest_assignment(self, kind: PrimitiveKind, dst: str, src: str) -> None:
         """One relevant assignment into the graph."""
-        if kind is PrimitiveKind.COPY:
+        if kind is _COPY:
             if self._add_edge(self._node(dst), self._node(src)):
                 self._ensure_loaded(dst)
-        elif kind is PrimitiveKind.ADDR:
+        elif kind is _ADDR:
             node = self._node(dst)
             bit = 1 << self._obj_uid(src)
             if not node.base & bit:
@@ -272,11 +280,11 @@ class PreTransitiveSolver(BaseSolver):
                 node.cache_token = 0
                 self._changed = True
             self._ensure_loaded(dst)
-        elif kind is PrimitiveKind.LOAD:
+        elif kind is _LOAD:
             self._add_complex("load", dst, src)
-        elif kind is PrimitiveKind.STORE:
+        elif kind is _STORE:
             self._add_complex("store", dst, src)
-        elif kind is PrimitiveKind.STORE_LOAD:
+        elif kind is _STORE_LOAD:
             # *p = *q  ==>  t = *q; *p = t  (§5: "it can be split").
             t = self.universe.fresh_temp_name()
             self._add_complex("load", t, src)
@@ -553,7 +561,7 @@ class PreTransitiveSolver(BaseSolver):
                 continue
             for dst, src in self._link(pointer, self._lvals(node)):
                 if may_point(dst) and may_point(src):
-                    self._ingest_assignment(PrimitiveKind.COPY, dst, src)
+                    self._ingest_assignment(_COPY, dst, src)
                 self._ensure_loaded(dst)
                 self._ensure_loaded(src)
 

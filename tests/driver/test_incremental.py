@@ -8,6 +8,8 @@ from repro.cla.cache import BlockCache
 from repro.driver.incremental import Workspace
 from repro.engine.pipeline import BuildError, CompileOptions, Pipeline
 from repro.solvers import SOLVERS
+from repro.synth import generate
+from repro.synth.generator import HEADER_NAME
 
 
 @pytest.fixture
@@ -64,9 +66,11 @@ class TestCaching:
         workspace.build()
         workspace.update_source("b.c", original)
         workspace.build()
-        # The original object file is still in the cache.
+        # The workspace kept the unit the tweak displaced: no compile,
+        # and no object file read back.
         assert workspace.stats.compiled == 0
         assert workspace.stats.reused == 3
+        assert workspace.stats.read == 0
 
     def test_option_change_invalidates(self, tmp_path):
         ws = Workspace(cache_dir=str(tmp_path / "c2"))
@@ -148,6 +152,21 @@ class TestIncludeRecords:
         again.build()
         assert again.stats.reused == 1 and not again.stats.linked
         again.close()
+
+    def test_disk_header_edit_before_an_undo(self, tmp_path):
+        """The unit an undo returns to is checked like a held one: its
+        header changed on disk, so it compiles again."""
+        ws = self._project(tmp_path)
+        path = ws.sources()[0]
+        original = ws._sources[path]
+        ws.build()
+        ws.update_source(path, original + "int *q;\n")
+        ws.build()
+        (tmp_path / "foo.h").write_text("#define TARGET y\n")
+        ws.update_source(path, original)
+        assert ws.points_to().points_to("p") == {"y"}
+        assert (ws.stats.compiled, ws.stats.read) == (1, 0)
+        ws.close()
 
     def test_included_source_update(self, tmp_path):
         ws = Workspace(cache_dir=str(tmp_path / "cache"))
@@ -368,23 +387,44 @@ class TestAnalysisAcrossEdits:
         assert workspace.stats.compiled == 1  # only c.c
 
     def test_equivalent_to_fresh_build(self, workspace, tmp_path):
-        workspace.build()
-        workspace.update_source(
-            "b.c", '#include "defs.h"\nint *mine, **pp;'
-                   "void use(void) { mine = gp; pp = &mine; }"
-        )
-        incremental = workspace.points_to()
-
-        fresh = Workspace(cache_dir=str(tmp_path / "fresh"))
-        fresh.add_header("defs.h", workspace._headers["defs.h"])
-        for name in workspace.sources():
-            fresh.add_source(name, workspace._sources[name])
+        """After an edit, the workspace answers as a fresh build of its
+        sources does: on the fixture, and on a generated gcc program
+        whose edit adds a new pointer and target."""
+        program = generate("gcc", scale=0.05, seed=42)
+        generated = Workspace(cache_dir=str(tmp_path / "gcc"))
+        generated.add_header(HEADER_NAME, program.header)
+        for name, text in sorted(program.files.items()):
+            generated.add_source(name, text)
+        victim = sorted(program.files)[0]
+        cases = [
+            (workspace, "b.c",
+             '#include "defs.h"\nint *mine, **pp;'
+             "void use(void) { mine = gp; pp = &mine; }", {}),
+            (generated, victim, program.files[victim] + (
+                "\nint cla_new_target;\nint *cla_new_ptr;\n"
+                "void cla_added(void) { cla_new_ptr = &cla_new_target; }\n"),
+             {"cla_new_ptr": {"cla_new_target"}}),
+        ]
         pipeline = Pipeline()
-        with pipeline.open_database(fresh.build()) as store:
-            full = pipeline.analyze(store)
-        for name in set(incremental.pts) | set(full.pts):
-            assert incremental.points_to(name) == full.points_to(name), name
-        fresh.close()
+        for n, (ws, filename, text, expected) in enumerate(cases):
+            ws.build()
+            ws.update_source(filename, text)
+            incremental = ws.points_to()
+
+            fresh = Workspace(cache_dir=str(tmp_path / f"fresh{n}"))
+            for name, header in ws._headers.items():
+                fresh.add_header(name, header)
+            for name in ws.sources():
+                fresh.add_source(name, ws._sources[name])
+            with pipeline.open_database(fresh.build()) as store:
+                full = pipeline.analyze(store)
+            for name, targets in expected.items():
+                assert incremental.points_to(name) == targets, name
+            for name in set(incremental.pts) | set(full.pts):
+                assert incremental.points_to(name) == full.points_to(name), \
+                    name
+            fresh.close()
+        generated.close()
 
     def test_persistent_cache_across_workspaces(self, tmp_path):
         cache = str(tmp_path / "persist")
@@ -403,9 +443,6 @@ class TestAnalysisAcrossEdits:
 
 class TestParallelBuild:
     def test_parallel_equals_serial(self, tmp_path):
-        from repro.synth import generate
-        from repro.synth.generator import HEADER_NAME
-
         program = generate("nethack", scale=0.05, seed=9)
 
         def build(cache, jobs):
@@ -444,8 +481,6 @@ class TestPerSolveLoads:
 
     @pytest.fixture(scope="class")
     def program(self):
-        from repro.synth import generate
-
         return generate("gcc", scale=0.02, seed=1)
 
     @pytest.fixture(scope="class")

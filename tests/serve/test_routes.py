@@ -1,8 +1,9 @@
 """A workspace-mode daemon links and solves in memory; a database-mode
 daemon serves the written database.  The two routes must answer every
-query alike through any sequence of edits, and an update must cost one
-unit: the one it compiles or the one it reads back from the object-file
-cache, never a database write."""
+query alike through any sequence of edits, and an update must cost at
+most one unit: the one it compiles or the one it reads back from the
+object-file cache (an undo of the last change costs neither), never a
+database write."""
 
 import gc
 import os
@@ -107,8 +108,9 @@ def test_routes_agree_through_edits_and_a_restart(tmp_path):
 
 class TestUpdateCost:
     """Within one update: a grow compiles its unit and reads no object
-    file, an undo compiles nothing and reads one, and neither writes the
-    database."""
+    file, an undo of the last change compiles and reads nothing (the
+    workspace kept the unit it displaced), a return to the text of two
+    changes back reads one object file, and none writes the database."""
 
     @pytest.fixture
     def spied(self, tmp_path, monkeypatch):
@@ -140,9 +142,23 @@ class TestUpdateCost:
         assert ws.stats.read == 0
         assert counts == {"read": 0, "written": 0}
 
-    def test_undo_reads_one_object_file(self, spied):
+    def test_undo_compiles_and_reads_nothing(self, spied):
         ws, session, counts = spied
         session.request("update", {"file": "b.c", "text": SOURCE_B_GROWN})
+        counts.update(read=0, written=0)
+        update = session.request("update", {"file": "b.c", "text": SOURCE_B})
+        assert update["ok"]
+        assert update["result"]["compiled"] == 0
+        assert update["result"]["reused"] == 2
+        assert ws.stats.read == 0
+        assert counts == {"read": 0, "written": 0}
+        assert not os.path.exists(os.path.join(ws.cache_dir, "workspace.cla"))
+
+    def test_return_from_two_changes_back_reads_one_object_file(self, spied):
+        ws, session, counts = spied
+        session.request("update", {"file": "b.c", "text": SOURCE_B_GROWN})
+        session.request("update", {"file": "b.c", "text": SOURCE_B_GROWN
+                                   + "int *again;\n"})
         counts.update(read=0, written=0)
         update = session.request("update", {"file": "b.c", "text": SOURCE_B})
         assert update["ok"]
