@@ -10,8 +10,11 @@ block once.
 In-run assertions (the CI smoke contract):
 
 * peak ``in_core`` never exceeds the configured budget;
-* the points-to result is bit-identical under every budget;
-* the reload count is monotone — smaller budgets never re-read less.
+* the points-to result is bit-identical under every budget.
+
+That the reload count is monotone (smaller budgets never re-read less) is
+a tier-1 test, ``tests/cla/test_cache.py::TestReloadCostByBudget``, with
+a budget sweep of its own.
 
 Knobs: ``REPRO_BENCH_PROFILES`` (first entry names the profile, default
 ``lucent``), ``REPRO_BENCH_SCALE`` (profile scale override).
@@ -35,11 +38,6 @@ SCALE = profile_scale(PROFILE)
 #: Budget ladder, resolved against the database's actual shape: unbounded,
 #: everything-fits, a tight middle, and statics-only (retain no blocks).
 BUDGET_LABELS = ["unbounded", "in_file", "tight", "statics"]
-
-#: label -> reload count, filled by the sweep points in collection order
-#: and checked by the monotonicity test at the end of the module.
-_RELOADS: dict[str, int] = {}
-
 
 def resolve_budget(label: str, statics: int, in_file: int) -> int | None:
     if label == "unbounded":
@@ -108,7 +106,6 @@ def test_budget_point(benchmark, database, baseline_pts, label, report):
     # Purely a memory/IO trade: bit-identical points-to sets.
     pts = {k: v for k, v in holder["result"].pts.items() if v}
     assert pts == baseline_pts, f"budget {label} changed the result"
-    _RELOADS[label] = stats.reloads
     benchmark.extra_info.update({
         "budget": budget if budget is not None else "unbounded",
         "statics": statics,
@@ -129,18 +126,3 @@ def test_budget_point(benchmark, database, baseline_pts, label, report):
     )
     cache.close()
 
-
-def test_reload_cost_monotone_in_budget(benchmark, report):
-    """Re-read count vs. budget: unbounded re-reads nothing, and shrinking
-    the budget never reduces the re-read bill."""
-    assert set(_RELOADS) == set(BUDGET_LABELS)
-    assert _RELOADS["unbounded"] == 0
-    assert _RELOADS["in_file"] <= _RELOADS["tight"] <= _RELOADS["statics"]
-    # The statics-only budget retains no blocks, so the reuse pass (and
-    # any funcptr re-request during the solve) pays full re-read price.
-    assert _RELOADS["statics"] > 0
-    report.append(
-        "[block-cache] reloads by budget: "
-        + ", ".join(f"{k}={_RELOADS[k]}" for k in BUDGET_LABELS)
-    )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -37,7 +37,7 @@ from typing import Iterable
 from ..engine.events import EVENTS, BlockEvictEvent
 from ..ir.objects import ProgramObject
 from ..ir.primitives import PrimitiveAssignment
-from .store import Block, ConstraintStore, LoadStats, ObjectFlags
+from .store import Block, ConstraintStore, LoadStats, ObjectFlags, Triple, triple_of
 
 
 class BlockCache:
@@ -155,6 +155,16 @@ class BlockCache:
                     evictions=self.stats.block_evictions,
                 ))
         return block
+
+    def static_triples(self) -> Iterable[Triple]:
+        return map(triple_of, self._statics)
+
+    def load_triples(self, name: str) -> Iterable[Triple]:
+        """A block's ``(kind, dst, src)``, read through :meth:`load_block`:
+        the cache keeps full blocks, so a later ``load_block`` of the same
+        block (a dependence chain) is a hit."""
+        block = self.load_block(name)
+        return () if block is None else map(triple_of, block.assignments)
 
     def fetch_block(self, name: str) -> Block | None:
         return self.store.fetch_block(name)

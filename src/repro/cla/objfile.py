@@ -58,6 +58,10 @@ SECTION_ENTRY = struct.Struct("<8sQQ")
 
 #: name_ref, type_ref, file_ref, line, enclosing_ref, kind, flags, reserved
 OBJECT_ENTRY = struct.Struct("<LLLLLBBH")
+#: An object entry's name ref alone, and the offsets of its kind and
+#: flags bytes: for reading one field of every entry of a section.
+OBJECT_NAME = struct.Struct("<L20x")
+OBJECT_KIND_AT, OBJECT_FLAGS_AT = 20, 21
 OBJ_FLAG_GLOBAL = 0x01
 OBJ_FLAG_MAY_POINT = 0x02
 OBJ_FLAG_FUNCPTR = 0x04

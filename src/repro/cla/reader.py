@@ -13,30 +13,37 @@ ever need it again").
 The on-disk hash indexes are sorted for binary search, but a Python
 reader pays more per probe than for one pass over a whole index.  So,
 leaving the format as it is, each open scans an index section once into a
-dict: object name -> ``global`` entry offset, kind and flags (on first
-use); block name -> block header offset (at open, where every block span
-is checked and the assignments counted); simple name -> canonical names
-(on first use).  The ``global`` table is the one pass over that section,
-and its kind and flag bytes answer every relevance and function question
-a solve asks (:meth:`DatabaseStore.object_flags`) without decoding a
-single object.  An object is decoded only when asked for by name.  The
-static section and each block are parsed on demand, each with one
-``Struct.iter_unpack`` pass over its rows, so Table 3's *loaded* column is
-what in-place lookups gave.
+dict: block name -> block header offset (at open, where every block span
+is checked and the assignments counted); object name -> ``global`` entry
+offset and simple name -> canonical names (each on first use).  A solve
+asks the object metadata only which objects are functions, function
+pointers, non-pointers and temporaries: :meth:`DatabaseStore.object_flags`
+answers that in one pass over the kind and flag bytes of the ``global``
+entries, without the name table and without decoding a single object.
+An object is decoded only when asked for by name, from a copy of the
+``global`` entries that the store keeps, so a result's objects decode
+also after the store is closed.  The static section and each block are
+parsed on demand, each with one ``Struct.iter_unpack`` pass over its
+rows, so Table 3's *loaded* column is what in-place lookups gave.
 
-Decoding checks every string ref against the string table and every enum
-byte against its enum, but builds no :class:`Location`: a decoded row or
-object keeps its ``(file_ref, line)`` and builds its location the first
-time something reads it (dependence chains, ``dump``, the oracle's
-messages, the link).  No solver does.  The location tables hold the
-decoded string table and never the map, so locations resolve after the
-store is closed.
+There are two row decoders.  The solvers' read (``static_triples``/
+``load_triples``) builds one ``(kind, dst, src)`` tuple per row and no
+row object; ``fetch_statics``/``fetch_block`` decode full rows, for the
+link, the oracle, dependence chains, ``dump`` and the transforms.  Both
+check every string ref against the string table and every enum byte
+against its enum, in the same order, so a corrupt row raises the same
+error through either.  Neither builds a :class:`Location`: a decoded row
+or object keeps its ``(file_ref, line)`` and builds its location the
+first time something reads it.  No solver does.  The location tables hold
+the decoded string table and never the map, so locations resolve after
+the store is closed.
 """
 
 from __future__ import annotations
 
 import mmap
 from functools import cached_property
+from itertools import compress
 from typing import Iterator
 
 from ..cfront.source import Location
@@ -50,7 +57,7 @@ from ..ir.primitives import (
 )
 from ..ir.strength import Strength
 from . import objfile as F
-from .store import Block, CountedStore, ObjectFlags
+from .store import Block, CountedStore, ObjectFlags, Triple
 
 
 def _members(enum_cls) -> dict:
@@ -62,7 +69,18 @@ def _members(enum_cls) -> dict:
 _KINDS = _members(PrimitiveKind)
 _STRENGTHS = _members(Strength)
 _OBJECT_KINDS = _members(ObjectKind)
-_FUNCTION = ObjectKind.FUNCTION.value
+
+
+def _byte_set(test) -> bytes:
+    """A ``bytes.translate`` table: each byte value maps to 1 where
+    ``test`` holds for it, to 0 elsewhere."""
+    return bytes(1 if test(value) else 0 for value in range(256))
+
+
+_IS_FUNCTION = _byte_set(lambda kind: kind == ObjectKind.FUNCTION.value)
+_IS_TEMP = _byte_set(lambda kind: kind == ObjectKind.TEMP.value)
+_IS_FUNCPTR = _byte_set(lambda flags: flags & F.OBJ_FLAG_FUNCPTR)
+_IS_NON_POINTER = _byte_set(lambda flags: not flags & F.OBJ_FLAG_MAY_POINT)
 
 
 def _tag_name(tag: bytes) -> str:
@@ -262,7 +280,7 @@ class DatabaseStore(CountedStore):
         return entry.iter_unpack(self._map[start:end])
 
     def _rows(self, data: bytes) -> list[PrimitiveAssignment]:
-        """The one row decoder, for the static section and every block.
+        """The full row decoder, for the static section and every block.
         Each string ref and enum byte is checked now; the location is
         built when it is first read."""
         strings, locations = self.strings, self._locations
@@ -282,10 +300,30 @@ class DatabaseStore(CountedStore):
                 row._site = (locations, file_ref, line)
                 append(row)
         except KeyError as exc:
-            raise F.ClaFormatError(
-                f"{self.path}: bad assignment kind or strength {exc}"
-            ) from None
+            raise self._bad_enum(exc) from None
         return rows
+
+    def _triples(self, data: bytes) -> list[Triple]:
+        """The solvers' row decoder: ``(kind, dst, src)`` of each row.
+        It checks what :meth:`_rows` checks, in the same order, so a
+        corrupt row raises the same error through either decoder."""
+        strings, kinds, strengths = self.strings, _KINDS, _STRENGTHS
+        triples = []
+        append = triples.append
+        try:
+            for kind, strength, _r, dst, src, op, file_ref, _line \
+                    in F.ASSIGNMENT_ENTRY.iter_unpack(data):
+                append((kinds[kind], strings[dst], strings[src]))
+                strengths[strength]
+                strings[op]
+                strings[file_ref]
+        except KeyError as exc:
+            raise self._bad_enum(exc) from None
+        return triples
+
+    def _bad_enum(self, exc: KeyError) -> F.ClaFormatError:
+        return F.ClaFormatError(
+            f"{self.path}: bad assignment kind or strength {exc}")
 
     def _object(self, entry: tuple) -> ProgramObject:
         name, type_ref, file_ref, line, enclosing, kind, flags, _r = entry
@@ -325,16 +363,21 @@ class DatabaseStore(CountedStore):
     # -- lookup tables (one index scan each) ----------------------------------
 
     @cached_property
-    def _globals(self) -> dict[str, tuple[int, int, int]]:
-        """Object name -> (offset of its ``global`` entry, kind, flags):
-        the one pass over that section."""
+    def _global_entries(self) -> bytes:
+        """The ``global`` section's entries, copied out of the map on
+        first use: objects decode from this copy, so what a solve hands
+        out decodes also after the store is closed."""
         start, end = self._span(F.SEC_GLOBAL, F.OBJECT_ENTRY)
-        strings = self.strings
+        return self._map[start:end]
+
+    @cached_property
+    def _globals(self) -> dict[str, int]:
+        """Object name -> offset of its entry in :attr:`_global_entries`."""
+        data, strings = self._global_entries, self.strings
         return {
-            strings[name]: (pos, kind, flags)
-            for pos, (name, _t, _f, _l, _e, kind, flags, _r) in zip(
-                range(start, end, F.OBJECT_ENTRY.size),
-                F.OBJECT_ENTRY.iter_unpack(self._map[start:end]))
+            strings[ref]: pos
+            for pos, (ref,) in zip(range(0, len(data), F.OBJECT_ENTRY.size),
+                                   F.OBJECT_NAME.iter_unpack(data))
         }
 
     @cached_property
@@ -378,26 +421,31 @@ class DatabaseStore(CountedStore):
 
     def objects(self) -> Iterator[ProgramObject]:
         """Every object, decoded in file order (fresh objects)."""
-        return map(self._object, self._entries(F.SEC_GLOBAL, F.OBJECT_ENTRY))
+        return map(self._object,
+                   F.OBJECT_ENTRY.iter_unpack(self._global_entries))
 
     def object_names(self) -> Iterator[str]:
         """Every object name, in file order; decodes no object."""
         return iter(self._globals)
 
     def object_flags(self) -> ObjectFlags:
-        """The function, function-pointer and non-pointer objects, read
-        from the kind and flag bytes of the ``global`` table."""
-        entries = self._globals.items()
+        """The function, function-pointer, non-pointer and temporary
+        objects, from one pass over the ``global`` entries' name refs:
+        each set selects its names by the entries' kind or flag bytes,
+        sliced out of the section and mapped to 0/1 in C."""
+        data, strings = self._global_entries, self.strings
+        names = [strings[ref] for (ref,) in F.OBJECT_NAME.iter_unpack(data)]
+        kinds = data[F.OBJECT_KIND_AT::F.OBJECT_ENTRY.size]
+        flags = data[F.OBJECT_FLAGS_AT::F.OBJECT_ENTRY.size]
+
+        def select(marks: bytes) -> frozenset[str]:
+            return frozenset(compress(names, marks))
+
         return ObjectFlags(
-            functions=frozenset(
-                name for name, (_pos, kind, _flags) in entries
-                if kind == _FUNCTION),
-            funcptrs=frozenset(
-                name for name, (_pos, _kind, flags) in entries
-                if flags & F.OBJ_FLAG_FUNCPTR),
-            non_pointers=frozenset(
-                name for name, (_pos, _kind, flags) in entries
-                if not flags & F.OBJ_FLAG_MAY_POINT),
+            functions=select(kinds.translate(_IS_FUNCTION)),
+            funcptrs=select(flags.translate(_IS_FUNCPTR)),
+            non_pointers=select(flags.translate(_IS_NON_POINTER)),
+            temps=select(kinds.translate(_IS_TEMP)),
         )
 
     def object_count(self) -> int:
@@ -420,23 +468,51 @@ class DatabaseStore(CountedStore):
     def get_object(self, name: str) -> ProgramObject | None:
         """One object, decoded the first time it is asked for and kept."""
         if name not in self._objects:
-            entry = self._globals.get(name)
-            self._objects[name] = None if entry is None else self._object(
-                F.OBJECT_ENTRY.unpack_from(self._map, entry[0]))
+            pos = self._globals.get(name)
+            self._objects[name] = None if pos is None else self._object(
+                F.OBJECT_ENTRY.unpack_from(self._global_entries, pos))
         return self._objects[name]
 
-    def fetch_block(self, name: str) -> Block | None:
-        """Parse one dynamic block, fresh from the map (uncounted)."""
+    def static_triples(self) -> list[Triple]:
+        """The solvers' counted read of the static section."""
+        start, end = self._span(F.SEC_STATIC, F.ASSIGNMENT_ENTRY)
+        triples = self._triples(self._map[start:end])
+        self._count_statics(len(triples))
+        return triples
+
+    def load_triples(self, name: str) -> list[Triple]:
+        """The solvers' counted read of one block: its rows' ``(kind,
+        dst, src)``, parsed fresh from the map, and nothing else of it."""
+        header = self._block_header(name)
+        if header is None:
+            return []
+        _obj_ref, _flags, start, end = header
+        triples = self._triples(self._map[start:end])
+        self._count_block(name, len(triples))
+        return triples
+
+    def _block_header(self, name: str) -> tuple[int, int, int, int] | None:
+        """``name``'s block header: its object's name ref, its flags, and
+        the start and end of its rows, checked against the dynamic
+        section (None: no such block)."""
         pos = self._block_index.get(name)
         if pos is None:
             return None
-        data = self._map
         obj_ref, nassign, flags, _r1, _r2 = F.BLOCK_HEADER.unpack_from(
-            data, pos
+            self._map, pos
         )
-        pos += F.BLOCK_HEADER.size
-        end = pos + nassign * F.ASSIGNMENT_ENTRY.size
+        start = pos + F.BLOCK_HEADER.size
+        end = start + nassign * F.ASSIGNMENT_ENTRY.size
         self._check_dynamic(end, name, "assignments")
+        return obj_ref, flags, start, end
+
+    def fetch_block(self, name: str) -> Block | None:
+        """Parse one dynamic block, fresh from the map (uncounted)."""
+        header = self._block_header(name)
+        if header is None:
+            return None
+        obj_ref, flags, pos, end = header
+        data = self._map
         obj_name = self.strings[obj_ref]
         block = Block(assignments=self._rows(data[pos:end]))
         pos = end

@@ -24,12 +24,15 @@ in memory, and the one home of the link rules) and
 decoded on demand).  Both read raw through ``fetch_statics``/
 ``fetch_block`` and share :class:`CountedStore`'s counted reads, so Table
 3's last three columns (in-core / loaded / in-file) are counted alike for
-either.
+either.  A solver reads only each row's ``(kind, dst, src)``: the counted
+``static_triples``/``load_triples`` hand out just that, and a
+``DatabaseStore`` decodes nothing more of a row for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Protocol
 
 from ..engine.events import EVENTS, BlockLoadEvent, BlockReloadEvent
@@ -48,6 +51,12 @@ from ..ir.primitives import (
 #: Read once here: an Enum member read through its class costs several
 #: times a module global's, once per row of every link.
 _ADDR = PrimitiveKind.ADDR
+_FUNCTION = ObjectKind.FUNCTION
+_TEMP = ObjectKind.TEMP
+
+#: A row's ``(kind, dst, src)``: all a solver reads of it.
+Triple = tuple[PrimitiveKind, str, str]
+triple_of = attrgetter("kind", "dst", "src")
 
 
 def trigger_object(assignment: PrimitiveAssignment) -> str | None:
@@ -77,13 +86,15 @@ class Block:
 class ObjectFlags:
     """Every question a solve asks of the object metadata, answered in
     one pass: which objects are functions and which are function
-    pointers (§4's analysis-time linking), and which cannot carry a
-    pointer (§6: their value flow is irrelevant to aliasing).  A name the
+    pointers (§4's analysis-time linking), which cannot carry a pointer
+    (§6: their value flow is irrelevant to aliasing), and which are
+    compiler temporaries (Table 3's counts leave them out).  A name the
     store does not know is in none of the sets."""
 
     functions: frozenset[str]
     funcptrs: frozenset[str]
     non_pointers: frozenset[str]
+    temps: frozenset[str] = frozenset()
 
 
 #: Process-wide load accounting (module-level handles stay live across
@@ -213,6 +224,20 @@ class ConstraintStore(Protocol):
         """
         ...
 
+    def static_triples(self) -> Iterable[Triple]:
+        """``(kind, dst, src)`` of each static row, in row order: the
+        solvers' read of the static section, counted as
+        :meth:`static_assignments` counts it (once per solve, whichever
+        of the two reads it first)."""
+        ...
+
+    def load_triples(self, name: str) -> Iterable[Triple]:
+        """``(kind, dst, src)`` of each row of ``name``'s block, in row
+        order (empty without a block): the solvers' read of a block,
+        counted as :meth:`load_block` counts it, against the same record
+        of which blocks this solve has read."""
+        ...
+
     def fetch_block(self, name: str) -> Block | None:
         """Raw, *uncounted* block access (None if the object has none).
 
@@ -272,9 +297,12 @@ class CountedStore:
     time it is read and the counted read keeps it.  A block counts into
     ``loaded``/``in_core`` the first time it is loaded; loading it again
     counts as a reload only where :attr:`_reparses` says the raw read
-    parsed it again.  :meth:`discard` takes the analyzer's report of what
-    it retained, and :meth:`restart_counts` returns the counts to those
-    of the fresh store.
+    parsed it again.  The solvers' reads, :meth:`static_triples` and
+    :meth:`load_triples`, count alike, against the same record; here
+    they project the raw rows, and a store that can decode the tuples
+    directly overrides them.  :meth:`discard` takes the analyzer's report
+    of what it retained, and :meth:`restart_counts` returns the counts to
+    those of the fresh store.
     """
 
     #: Does ``fetch_block`` parse the block again on every call?
@@ -283,25 +311,46 @@ class CountedStore:
     def __init__(self, in_file: int = 0):
         self.stats = LoadStats(in_file=in_file)
         self._loaded_statics: list[PrimitiveAssignment] | None = None
+        self._statics_counted = False
         self._loaded_blocks: set[str] = set()
 
     def static_assignments(self) -> list[PrimitiveAssignment]:
         if self._loaded_statics is None:
             self._loaded_statics = self.fetch_statics()
-            self.stats.count_load(len(self._loaded_statics), blocks=0)
+            self._count_statics(len(self._loaded_statics))
         return self._loaded_statics
 
     def load_block(self, name: str) -> Block | None:
         block = self.fetch_block(name)
         if block is not None:
-            if name not in self._loaded_blocks:
-                self._loaded_blocks.add(name)
-                self.stats.count_load(len(block.assignments))
-            elif self._reparses:
-                # Real I/O, but the block's residency and coverage were
-                # already counted once.
-                self.stats.count_reload(len(block.assignments))
+            self._count_block(name, len(block.assignments))
         return block
+
+    def static_triples(self) -> Iterable[Triple]:
+        rows = self.fetch_statics()
+        self._count_statics(len(rows))
+        return map(triple_of, rows)
+
+    def load_triples(self, name: str) -> Iterable[Triple]:
+        block = self.fetch_block(name)
+        if block is None:
+            return ()
+        self._count_block(name, len(block.assignments))
+        return map(triple_of, block.assignments)
+
+    def _count_statics(self, assignments: int) -> None:
+        if not self._statics_counted:
+            self._statics_counted = True
+            self.stats.count_load(assignments, blocks=0)
+
+    def _count_block(self, name: str, assignments: int) -> None:
+        if name not in self._loaded_blocks:
+            self._loaded_blocks.add(name)
+            self.stats.count_load(assignments)
+        elif self._reparses:
+            # Real I/O, but the block's residency and coverage were
+            # already counted once.
+            self.stats.count_reload(assignments)
 
     def discard(self, assignments_kept: int) -> None:
         self.stats.in_core = assignments_kept
@@ -309,6 +358,7 @@ class CountedStore:
     def restart_counts(self) -> None:
         self.stats = LoadStats(in_file=self.stats.in_file)
         self._loaded_statics = None
+        self._statics_counted = False
         self._loaded_blocks = set()
 
 
@@ -561,16 +611,19 @@ class MemoryStore(CountedStore):
         return self.objects.keys()
 
     def object_flags(self) -> ObjectFlags:
-        objects = self.objects.items()
-        return ObjectFlags(
-            functions=frozenset(
-                name for name, obj in objects
-                if obj.kind is ObjectKind.FUNCTION),
-            funcptrs=frozenset(
-                name for name, obj in objects if obj.is_funcptr),
-            non_pointers=frozenset(
-                name for name, obj in objects if not obj.may_point),
-        )
+        functions, funcptrs, non_pointers, temps = [], [], [], []
+        for name, obj in self.objects.items():
+            kind = obj.kind
+            if kind is _FUNCTION:
+                functions.append(name)
+            elif kind is _TEMP:
+                temps.append(name)
+            if obj.is_funcptr:
+                funcptrs.append(name)
+            if not obj.may_point:
+                non_pointers.append(name)
+        return ObjectFlags(frozenset(functions), frozenset(funcptrs),
+                           frozenset(non_pointers), frozenset(temps))
 
     def get_object(self, name: str) -> ProgramObject | None:
         return self.objects.get(name)

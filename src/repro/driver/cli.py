@@ -554,7 +554,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             from .export import points_to_dot
 
             _write_output(args.dot_out,
-                          points_to_dot(result, include=args.query))
+                          points_to_dot(result, store, include=args.query))
         if args.json_out:
             import json
 

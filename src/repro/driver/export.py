@@ -24,15 +24,21 @@ def _quote(name: str) -> str:
 
 def points_to_dot(
     result: PointsToResult,
+    store: ConstraintStore | None = None,
     max_pointers: int = 60,
     include: list[str] | None = None,
 ) -> str:
     """The points-to relation as a bipartite-ish digraph.
 
-    Pointer nodes are ellipses; pointed-to objects are boxes; an edge
-    ``p -> x`` means ``x in pts(p)``.  ``include`` pins specific objects
-    into the graph regardless of ranking.
+    Pointer nodes are ellipses; pointed-to objects are boxes, functions
+    octagons and heap sites 3-D boxes; an edge ``p -> x`` means ``x in
+    pts(p)``.  ``include`` pins specific objects into the graph regardless
+    of ranking.  A target's kind is read from ``store``, the store the
+    result was solved from: ``result.objects`` covers only the result's
+    own names, and under the subset-based solvers a function or heap site
+    is seldom one of them.  Without a store only those kinds are known.
     """
+    get_object = result.objects.get if store is None else store.get_object
     ranked = sorted(
         ((name, targets) for name, targets in result.pts.items() if targets),
         key=lambda kv: (-len(kv[1]), kv[0]),
@@ -53,7 +59,7 @@ def points_to_dot(
             if target not in targets_seen:
                 targets_seen.add(target)
                 shape = "box"
-                obj = result.objects.get(target)
+                obj = get_object(target)
                 if obj is not None and obj.kind.name == "FUNCTION":
                     shape = "octagon"
                 elif obj is not None and obj.kind.name == "HEAP":

@@ -27,8 +27,8 @@ all four solvers:
   :func:`bitset_words` are the shared helpers.
 
 The universe also owns the relevance test (``may_point``, and
-:meth:`ObjectUniverse.relevant`, the one intake every solver reads rows
-through) and the decode cache used by the lazy result mapping, so
+:meth:`ObjectUniverse.relevant`, the one intake every solver reads a
+store's ``(kind, dst, src)`` rows through) and the decode cache used by the lazy result mapping, so
 identical final masks decode to one shared frozenset (§5's common-set
 table, now keyed by ints).
 """
@@ -218,23 +218,22 @@ class ObjectUniverse:
         flow is irrelevant to aliasing.)"""
         return name not in self.non_pointers
 
-    def relevant(self, rows) -> Iterator[tuple[PrimitiveKind, str, str]]:
-        """``(kind, dst, src)`` of each row that can carry a pointer
-        value: the intake all four solvers read rows through, whichever
-        store the rows came from.
+    def relevant(self, triples) -> Iterator[tuple[PrimitiveKind, str, str]]:
+        """The ``(kind, dst, src)`` rows that can carry a pointer value:
+        the intake all four solvers read a store's
+        ``static_triples``/``load_triples`` through, whichever store they
+        came from.
 
         A row is dropped when its destination cannot carry a pointer, or
         its source cannot and it is not ``x = &y``: the *address* of a
         non-pointer object is still a pointer value (``p = &v`` with
-        ``short v``, §2).  Only a row's kind, dst and src are read.
+        ``short v``, §2).
         """
         non_pointers = self.non_pointers
         addr = PrimitiveKind.ADDR
-        for row in rows:
-            dst = row.dst
+        for row in triples:
+            kind, dst, src = row
             if dst in non_pointers:
                 continue
-            kind = row.kind
-            src = row.src
             if kind is addr or src not in non_pointers:
-                yield kind, dst, src
+                yield row

@@ -16,7 +16,8 @@ and produces a :class:`PointsToResult`.  Shared here:
   mapping and snapshot the CLA load accounting into the stats record.
 * :class:`PointsToResult` — the uniform output record.  Every solver
   builds its ``pts`` mapping as a :class:`LazyPointsTo` view over solver
-  bitmasks, which behaves like a plain dict (``Mapping`` protocol,
+  bitmasks, and its ``objects`` as a :class:`LazyObjects` view over the
+  store, both of which behave like plain dicts (``Mapping`` protocol,
   equality included), so the oracle, tables, report and CLI are
   agnostic; the dependence analysis's reverse index is built from the
   masks, once per result.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from ..cla.store import ConstraintStore
 from ..engine.events import (
@@ -37,7 +38,7 @@ from ..engine.events import (
     SolverRoundEvent,
 )
 from ..engine.stats import SolverStats
-from ..ir.objects import ObjectKind, ProgramObject
+from ..ir.objects import ProgramObject
 from ..ir.primitives import PrimitiveKind
 from ..ir.universe import ObjectUniverse, bits, bitset_words
 
@@ -45,10 +46,10 @@ from ..ir.universe import ObjectUniverse, bits, bitset_words
 class LazyPointsTo(Mapping):
     """A ``name -> frozenset(names)`` view over id-space bitmasks.
 
-    Keys are eager (the result's object names are needed for the metadata
-    snapshot anyway); values decode on first access through the universe's
-    shared cache, so identical masks yield one frozenset and consumers
-    that only *count* (Table 3) never materialise names at all.
+    Keys are eager (the solver's masks are keyed by name); values decode
+    on first access through the universe's shared cache, so identical
+    masks yield one frozenset and consumers that only *count* (Table 3)
+    never materialise names at all.
     """
 
     __slots__ = ("_masks", "_universe", "_sorted")
@@ -109,6 +110,51 @@ class LazyPointsTo(Mapping):
                 for target, pointers in by_target.items()}
 
 
+class LazyObjects(Mapping):
+    """``name -> ProgramObject`` for each of a result's names that the
+    store knows, in the result's order.
+
+    It reads as the eager ``{n: get_object(n) for n in names if
+    get_object(n) is not None}`` does (keys, order, items, equality), but
+    an object is asked of the store only when it is read, so a solve
+    decodes no object.  The store decodes an object once and keeps it,
+    and a :class:`~repro.cla.reader.DatabaseStore` decodes from its own
+    copy of the ``global`` entries, so this also reads after the store is
+    closed.
+    """
+
+    __slots__ = ("_names", "_get_object", "_keys")
+
+    def __init__(self, names: Collection[str],
+                 get_object: Callable[[str], ProgramObject | None]):
+        self._names = names
+        self._get_object = get_object
+        self._keys: list[str] | None = None
+
+    def __getitem__(self, name: str) -> ProgramObject:
+        obj = self._get_object(name) if name in self._names else None
+        if obj is None:
+            raise KeyError(name)
+        return obj
+
+    def __contains__(self, name) -> bool:
+        return name in self._names and self._get_object(name) is not None
+
+    def _known(self) -> list[str]:
+        keys = self._keys
+        if keys is None:
+            get_object = self._get_object
+            keys = self._keys = [
+                name for name in self._names if get_object(name) is not None]
+        return keys
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._known())
+
+    def __len__(self) -> int:
+        return len(self._known())
+
+
 @dataclass
 class PointsToResult:
     """The output of a points-to analysis."""
@@ -116,8 +162,10 @@ class PointsToResult:
     solver: str
     pts: Mapping[str, frozenset[str]]
     stats: SolverStats = field(default_factory=SolverStats)
-    #: Object metadata snapshot for reporting (name -> ProgramObject).
-    objects: dict[str, ProgramObject] = field(default_factory=dict)
+    #: Object metadata for reporting (name -> ProgramObject).
+    objects: Mapping[str, ProgramObject] = field(default_factory=dict)
+    #: The store's compiler temporaries, which Table 3 does not count.
+    temps: frozenset[str] = frozenset()
     #: (pointer, target) pairs in the reverse index, once it is built
     pointed_by_pairs: int = field(default=0, init=False, compare=False)
     _pointed_by: dict[str, tuple[str, ...]] | None = field(
@@ -142,24 +190,20 @@ class PointsToResult:
         temporaries) with non-empty points-to sets."""
         count = 0
         counted = self._target_counter()
+        temps = self.temps
         for name in self.pts:
-            if not counted(name):
-                continue
-            obj = self.objects.get(name)
-            if obj is not None and obj.kind == ObjectKind.TEMP:
-                continue
-            count += 1
+            if name not in temps and counted(name):
+                count += 1
         return count
 
     def points_to_relations(self) -> int:
         """Table 3 column 2: total points-to set sizes over those objects."""
         total = 0
         counted = self._target_counter()
+        temps = self.temps
         for name in self.pts:
-            obj = self.objects.get(name)
-            if obj is not None and obj.kind == ObjectKind.TEMP:
-                continue
-            total += counted(name)
+            if name not in temps:
+                total += counted(name)
         return total
 
     def pointed_by(self) -> dict[str, tuple[str, ...]]:
@@ -221,6 +265,7 @@ class BaseSolver:
         self.universe = ObjectUniverse(flags.non_pointers)
         self.universe.note_functions(flags.functions)
         self._funcptrs = flags.funcptrs
+        self._temps = flags.temps
         #: (pointer, callee) pairs already linked
         self._linked: set[tuple[str, str]] = set()
         #: (record attribute, name) -> the block's call record, or None
@@ -255,12 +300,10 @@ class BaseSolver:
         relevant = universe.relevant
         addr = PrimitiveKind.ADDR
         store = self.store
-        statics = store.static_assignments()
-        blocks = map(store.load_block, list(store.block_names()))
-        for rows in chain([statics], (
-            block.assignments for block in blocks if block is not None
-        )):
-            for kind, dst, src in relevant(rows):
+        statics = store.static_triples()
+        blocks = map(store.load_triples, list(store.block_names()))
+        for triples in chain([statics], blocks):
+            for kind, dst, src in relevant(triples):
                 dst = intern(dst)
                 yield kind, dst, target_id(src) if kind is addr else intern(src)
 
@@ -391,8 +434,9 @@ class BaseSolver:
 
     def _finalize(self, pts: Mapping) -> PointsToResult:
         """Build the result record: snapshot the CLA load accounting into
-        the uniform stats, publish to the process registry, attach object
-        metadata.
+        the uniform stats, publish to the process registry, attach the
+        object metadata as a view that asks the store for an object only
+        when it is read.
 
         The snapshot includes the keep-or-discard fields (reloads, peak
         residency, cache hits/misses/evictions) so Table 3 and the
@@ -407,15 +451,10 @@ class BaseSolver:
                 rounds=self.stats.rounds,
                 stats=self.stats.as_dict(),
             ))
-        objects = {}
-        get_object = self.store.get_object
-        for name in pts:
-            obj = get_object(name)
-            if obj is not None:
-                objects[name] = obj
         return PointsToResult(
             solver=self.name,
             pts=pts,
             stats=self.stats,
-            objects=objects,
+            objects=LazyObjects(pts, self.store.get_object),
+            temps=self._temps,
         )

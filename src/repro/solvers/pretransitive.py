@@ -256,15 +256,13 @@ class PreTransitiveSolver(BaseSolver):
             self._draining = False
 
     def _ingest_block(self, name: str) -> None:
-        block = self.store.load_block(name)
-        if block is not None:
-            self._ingest_rows(block.assignments)
+        self._ingest_rows(self.store.load_triples(name))
 
-    def _ingest_rows(self, rows) -> None:
+    def _ingest_rows(self, triples) -> None:
         """Rows through the shared intake: only those that can carry a
         pointer value reach the graph (§6)."""
         ingest = self._ingest_assignment
-        for kind, dst, src in self.universe.relevant(rows):
+        for kind, dst, src in self.universe.relevant(triples):
             ingest(kind, dst, src)
 
     def _ingest_assignment(self, kind: PrimitiveKind, dst: str, src: str) -> None:
@@ -476,7 +474,7 @@ class PreTransitiveSolver(BaseSolver):
                 self._loaded.add(name)
                 self._ingest_block(name)
         # Statics (always loaded) seed the base elements.
-        self._ingest_rows(self.store.static_assignments())
+        self._ingest_rows(self.store.static_triples())
 
         diff = self.enable_diff_propagation
         stats = self.stats

@@ -177,3 +177,50 @@ class TestDelegation:
         assert cache.get_object("a") is underlying.get_object("a")
         assert cache.find_targets("a") == underlying.find_targets("a")
         assert cache.static_assignments() == underlying.fetch_statics()
+
+
+class TestReloadCostByBudget:
+    """The §4 price of a memory bound, swept over a budget ladder on a
+    real database: a solve, then a depend-style pass that re-requests
+    every block once.  The lucent profile at scale 0.005 is the smallest
+    it holds at."""
+
+    LABELS = ["unbounded", "in_file", "tight", "statics"]
+
+    @staticmethod
+    def resolve_budget(label: str, statics: int, in_file: int) -> int | None:
+        if label == "unbounded":
+            return None
+        if label == "in_file":
+            return in_file
+        if label == "tight":
+            return statics + max(1, (in_file - statics) // 8)
+        return statics
+
+    def test_reload_cost_monotone_in_budget(self, tmp_path):
+        """Re-read count vs. budget: unbounded re-reads nothing, and
+        shrinking the budget never reduces the re-read bill."""
+        from repro.cla.reader import DatabaseStore
+        from repro.driver.tables import build_database
+        from repro.solvers import PreTransitiveSolver
+        from repro.synth import generate
+
+        path = build_database(generate("lucent", scale=0.005, seed=42),
+                              str(tmp_path))
+        with DatabaseStore.open(path) as probe:
+            statics = len(probe.fetch_statics())
+            in_file = probe.stats.in_file
+        _RELOADS = {}
+        for label in self.LABELS:
+            budget = self.resolve_budget(label, statics, in_file)
+            with BlockCache(DatabaseStore.open(path), budget) as cache:
+                PreTransitiveSolver(cache).solve()
+                for name in list(cache.block_names()):
+                    cache.load_block(name)
+                _RELOADS[label] = cache.stats.reloads
+        assert set(_RELOADS) == set(self.LABELS)
+        assert _RELOADS["unbounded"] == 0
+        assert _RELOADS["in_file"] <= _RELOADS["tight"] <= _RELOADS["statics"]
+        # The statics-only budget retains no blocks, so the reuse pass (and
+        # any funcptr re-request during the solve) pays full re-read price.
+        assert _RELOADS["statics"] > 0

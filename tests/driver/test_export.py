@@ -1,11 +1,13 @@
 """Tests for the Graphviz exporters."""
 
+import pytest
+
 from repro.cfront import parse_c
 from repro.cla.store import MemoryStore
 from repro.driver.export import dependence_dot, points_to_dot
 from repro.engine.pipeline import Pipeline
 from repro.ir import lower_translation_unit
-from repro.solvers import PreTransitiveSolver
+from repro.solvers import SOLVERS, PreTransitiveSolver
 
 SRC = """
 int x, y, *p, *q, **pp;
@@ -57,6 +59,29 @@ class TestPointsToDot:
         assert '"' in dot
 
 
+class TestTargetShapes:
+    """A target's shape comes from the store: under the subset-based
+    solvers a function or heap target is not among the result's names."""
+
+    SRC = """
+void *malloc(unsigned long);
+void f(void) {}
+void (*fp)(void);
+int *h;
+void g(void) { fp = &f; h = malloc(4); }
+"""
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_function_and_heap_targets(self, solver):
+        store = MemoryStore(
+            lower_translation_unit(parse_c(self.SRC, filename="t.c")))
+        result = SOLVERS[solver](store).solve()
+        [heap] = result.points_to("h")
+        dot = points_to_dot(result, store)
+        assert '"f" [shape=octagon];' in dot
+        assert f'"{heap}" [shape=box3d];' in dot
+
+
 class TestDependenceDot:
     def test_forest_structure(self):
         store, points_to = build()
@@ -93,6 +118,19 @@ class TestCliIntegration:
         assert main(["analyze", db, "--dot", out]) == 0
         with open(out) as f:
             assert f.read().startswith("digraph")
+
+    def test_analyze_dot_reads_target_kinds(self, tmp_path, capsys):
+        from repro.driver.cli import main
+
+        src = tmp_path / "a.c"
+        src.write_text(TestTargetShapes.SRC)
+        out = str(tmp_path / "pts.dot")
+        assert main(["analyze", str(src), "--solver", "pretransitive",
+                     "--dot", out]) == 0
+        with open(out) as f:
+            dot = f.read()
+        assert '"f" [shape=octagon];' in dot
+        assert "[shape=box3d];" in dot
 
     def test_depend_dot(self, tmp_path, capsys):
         from repro.driver.cli import main

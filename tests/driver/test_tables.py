@@ -103,6 +103,27 @@ class TestRowGenerators:
         assert "Strong" in out
 
 
+class TestTable3Shape:
+    def test_table3_emacs_blowup_shape(self):
+        """The join-point effect: the emacs profile produces far larger
+        points-to relation counts per pointer than nethack/gcc (§5).
+        Scale 0.03 is the smallest it holds at."""
+        from repro.cla.store import MemoryStore
+        from repro.solvers import PreTransitiveSolver
+        from repro.synth import generate
+
+        results = {}
+        for profile in ("nethack", "gcc", "emacs"):
+            units = generate(profile, scale=0.03, seed=42).project(
+                field_based=True).units()
+            result = PreTransitiveSolver(MemoryStore(units)).solve()
+            results[profile] = (
+                result.points_to_relations() / max(result.pointer_variables(), 1)
+            )
+        assert results["emacs"] > 10 * results["nethack"]
+        assert results["emacs"] > 10 * results["gcc"]
+
+
 class TestBuildDatabase:
     def test_pipeline_through_disk(self, tmp_path):
         from repro.cla.reader import DatabaseStore
