@@ -2,11 +2,11 @@
 
 Measures the claims the serving layer makes (docs/SERVING.md): warm
 queries against a held fixpoint are interactive-speed (cache-miss vs
-cache-hit queries/sec), and an ``update`` — recompile the edited unit,
-relink, solve the new database from scratch — beats the no-daemon cold
-start, for a growing edit and for a shrinking one.  One synth workspace
-is built and solved once per run; the benches time only the request
-path.
+cache-hit queries/sec), and an ``update`` beats the no-daemon cold
+start, for a growing edit (recompile the edited unit, relink, solve from
+scratch) and for a shrinking one (an undo: the generation it returns to
+is served again).  One synth workspace is built and solved once per
+run; the benches time only the request path.
 
 ``extra_info`` carries ``queries_per_s`` / ``compiled`` / ``speedup``
 so the emitted BENCH_serve.json (via conftest's ``pytest_sessionfinish``)
@@ -207,9 +207,10 @@ def test_serve_update_grow(benchmark, report):
 
 def test_serve_update_shrink(benchmark, report):
     """A shrinking edit: each round's setup grows the edited unit by one
-    ``__bench_*`` chunk, then the timed body edits it back out.  The
-    shrunk revision was compiled on an earlier generation, so the timed
-    body is a cache-hit build, a relink and a solve."""
+    ``__bench_*`` chunk, then the timed body edits it back out.  That
+    undo returns to the units the generation before the grow was linked
+    from, so the timed body serves that generation again: content keys
+    and include checks, no link and no solve."""
     session = serving_session()
     holder = {}
 
@@ -248,9 +249,10 @@ def test_serve_update_shrink(benchmark, report):
 
 
 def test_serve_reload(benchmark, report):
-    """Solve-only cost of a generation: ``reload`` with unchanged
-    content reuses every held unit, so the timed body is the in-memory
-    relink and the solve."""
+    """A ``reload`` with unchanged content: every held unit is the
+    serving generation's, so the timed body serves that generation again
+    under a new generation number (content keys and include checks, no
+    link and no solve)."""
     session = serving_session()
 
     def run():
@@ -260,9 +262,9 @@ def test_serve_reload(benchmark, report):
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     reload_s = benchmark.stats.stats.min
-    benchmark.extra_info.update({"compiled": 0, "resolve_s": reload_s})
+    benchmark.extra_info.update({"compiled": 0, "reload_s": reload_s})
     report.append(
-        f"[serve] {PROFILE} reload (relink + solve): {reload_s * 1e3:.1f} ms"
+        f"[serve] {PROFILE} reload (served again): {reload_s * 1e3:.1f} ms"
     )
 
 

@@ -15,7 +15,10 @@ held unit is grouped into blocks once, when it is compiled or read back
 (:class:`~repro.cla.store.UnitStore`), so a link merges blocks instead
 of grouping rows.  The units displaced by the last build that changed
 the held set stay held until the next such build, so undoing an edit
-compiles nothing and reads nothing.  With a ``cache_dir`` every compiled
+compiles nothing and reads nothing, and :meth:`Workspace.held_stores`
+tells a caller which held units a build would use before it compiles or
+reads anything.  A content key is taken again only when its source, a
+header or a compile option changed.  With a ``cache_dir`` every compiled
 unit also goes to an object file named by its key, the persistent cache:
 a unit the workspace no longer holds (an older undo, a restarted daemon)
 is read back from it, not recompiled.
@@ -107,6 +110,13 @@ class Workspace:
         self._retained: dict[str, UnitStore] = {}
         #: the content keys, file-name order, of the last good build
         self._keys: list[str] = []
+        #: the key memo: the sha256 of every header and the options, the
+        #: options signature it was taken under, and each source's key
+        self._shared = None
+        self._shared_options = b""
+        self._source_keys: dict[str, str] = {}
+        #: the last :meth:`held_stores` pass, for the next build to use
+        self._planned: tuple | None = None
         self._stores: list[UnitStore] = []
         self._units: list[UnitIR] = []
         self._store: MemoryStore | None = None
@@ -141,6 +151,8 @@ class Workspace:
     def add_source(self, filename: str, text: str) -> "Workspace":
         if filename in self._headers:
             raise ValueError(f"{filename!r} is already a header")
+        if self._sources.get(filename) != text:
+            self._source_keys.pop(filename, None)
         self._sources[filename] = text
         self.options.virtual_files[filename] = text
         return self
@@ -152,6 +164,8 @@ class Workspace:
         """A header visible to ``#include`` but not compiled on its own."""
         if filename in self._sources:
             raise ValueError(f"{filename!r} is already a source")
+        if self._headers.get(filename) != text:
+            self._shared = None
         self._headers[filename] = text
         self.options.virtual_files[filename] = text
         return self
@@ -171,6 +185,15 @@ class Workspace:
             raise KeyError(f"unknown source {filename!r}")
         del self._sources[filename]
         del self.options.virtual_files[filename]
+        self._source_keys.pop(filename, None)
+        return self
+
+    def remove_header(self, filename: str) -> "Workspace":
+        if filename not in self._headers:
+            raise KeyError(f"unknown header {filename!r}")
+        del self._headers[filename]
+        del self.options.virtual_files[filename]
+        self._shared = None
         return self
 
     def sources(self) -> list[str]:
@@ -179,23 +202,34 @@ class Workspace:
     # -- building ---------------------------------------------------------------
 
     def _content_keys(self) -> dict[str, str]:
-        """Every source's content key, in file-name order.  Headers are
-        hashed wholesale, once per build: cheaper than tracking the real
-        include graph and still correct (any header edit re-keys all)."""
-        shared = hashlib.sha256()
-        for name in sorted(self._headers):
-            shared.update(f"{name}\0{self._headers[name]}\0".encode())
+        """Every source's content key, in file-name order: a hash of the
+        source, of every header and of the compile options.  Headers are
+        hashed wholesale: cheaper than tracking the real include graph and
+        still correct (any header edit re-keys all).  A key is taken again
+        only when its source, a header or an option changed since; the
+        options are compared on every call, since they can change in
+        place (``include_dirs``, ``predefined``)."""
         options = self.options
-        shared.update(repr((
+        signature = repr((
             options.field_based, options.struct_model, options.heap_model,
             options.track_strings, options.tolerant,
             sorted(options.predefined.items()), options.include_dirs,
-        )).encode())
+        )).encode()
+        if self._shared is None or signature != self._shared_options:
+            shared = hashlib.sha256()
+            for name in sorted(self._headers):
+                shared.update(f"{name}\0{self._headers[name]}\0".encode())
+            shared.update(signature)
+            self._shared, self._shared_options = shared, signature
+            self._source_keys = {}
         keys = {}
         for filename in sorted(self._sources):
-            h = shared.copy()
-            h.update(f"\0{filename}\0{self._sources[filename]}".encode())
-            keys[filename] = h.hexdigest()[:24]
+            key = self._source_keys.get(filename)
+            if key is None:
+                h = self._shared.copy()
+                h.update(f"\0{filename}\0{self._sources[filename]}".encode())
+                key = self._source_keys[filename] = h.hexdigest()[:24]
+            keys[filename] = key
         return keys
 
     def _object_path(self, key: str, suffix: str = ".o") -> str:
@@ -255,6 +289,34 @@ class Workspace:
                 return False
         return True
 
+    def _plan(self, keys: dict[str, str]) -> tuple:
+        """One pass of include checks over ``keys``: per source, in
+        file-name order, the held unit it maps to (a current one, or one
+        the last build that changed the held set displaced), or None when
+        no held unit has its key and unchanged includes."""
+        if not keys:
+            raise ValueError("workspace has no sources")
+        resolved: dict = {}
+        stores = []
+        for key in keys.values():
+            store = self._held.get(key)
+            if store is None:
+                store = self._retained.get(key)
+            if store is not None and not self._current(store.unit, resolved):
+                store = None
+            stores.append(store)
+        return keys, stores, resolved
+
+    def held_stores(self) -> list[UnitStore] | None:
+        """The held units the current sources map to, in file-name order,
+        or None when some source's unit would be compiled or read back.
+        Compiles and reads nothing.  The next :meth:`unit_stores` uses
+        this pass's content keys and include checks, unless a source, a
+        header or an option changed in between."""
+        self._planned = self._plan(self._content_keys())
+        stores = self._planned[1]
+        return None if any(store is None for store in stores) else stores
+
     def unit_stores(self, jobs: int | None = None) -> list[UnitStore]:
         """Every source's unit grouped into blocks, in file-name order.
 
@@ -271,21 +333,18 @@ class Workspace:
         """
         self.stats = WorkspaceStats()
         keys = self._content_keys()
-        if not keys:
-            raise ValueError("workspace has no sources")
-        resolved: dict = {}
+        plan, self._planned = self._planned, None
+        if plan is None or plan[0] != keys:
+            plan = self._plan(keys)
+        _, planned, resolved = plan
         if list(keys.values()) == self._keys and all(
-                self._current(store.unit, resolved)
-                for store in self._stores):
+                store is held for store, held in zip(planned, self._stores)):
             self.stats.reused = len(keys)
             return self._stores
         held: dict[str, UnitStore] = {}
         pending: dict[str, str] = {}
-        for filename, key in keys.items():
-            store = self._held.get(key)
+        for (filename, key), store in zip(keys.items(), planned):
             if store is None:
-                store = self._retained.get(key)
-            if store is None or not self._current(store.unit, resolved):
                 store = self._read_object(filename, key)
                 if store is not None and self._current(store.unit, resolved):
                     self.stats.read += 1

@@ -241,6 +241,7 @@ def serve_rows(
                 str(r.get("generation", 0)),
                 str(r.get("compiled", 0)),
                 str(r.get("reused", 0)),
+                "yes" if r.get("solved", True) else "no",
                 "yes" if r.get("certified") else "no",
                 f"{r.get('wall_s', 0.0):.3f}s",
             ])
@@ -263,8 +264,8 @@ def serve_rows(
             f"{percentile(walls, 0.99):.3f}",
             f"{walls[-1]:.3f}" if walls else "-",
         ])
-    reload_headers = ["generation", "compiled", "reused", "certified",
-                      "wall"]
+    reload_headers = ["generation", "compiled", "reused", "solved",
+                      "certified", "wall"]
     return (query_headers, query_rows), (reload_headers, reload_rows)
 
 

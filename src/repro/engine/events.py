@@ -230,9 +230,12 @@ class ServeSlowQueryEvent(Event):
 
 @dataclass(slots=True)
 class ServeReloadEvent(Event):
-    """The serve daemon solved a new generation (startup, update or
-    reload).  Every generation is solved from scratch; the generation
-    bumped, so every older query-cache entry is unreachable."""
+    """The serve daemon swapped in a new generation (startup, update or
+    reload).  A generation is solved from scratch, or, when its units are
+    the ones the serving or the kept generation was linked from (an
+    undo), that generation is served again unsolved; either way the
+    generation bumped, so every older query-cache entry is
+    unreachable."""
 
     KIND: ClassVar[str] = "serve.reload"
 
@@ -240,6 +243,7 @@ class ServeReloadEvent(Event):
     solver: str = ""
     compiled: int = 0  # units recompiled by the workspace build
     reused: int = 0  # units served from the content-keyed cache
+    solved: bool = True  # false: an earlier generation served again
     certified: bool = False  # the checker oracle passed the fixpoint
     wall_s: float = 0.0
     ts: float = 0.0

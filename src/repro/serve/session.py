@@ -19,6 +19,12 @@ here:
   reopened on the way.  The session decides only
   *when* to solve, never *how*, so every served fixpoint is the one a
   cold solve of a fresh workspace computes.
+* **An undo solves nothing.**  In workspace mode the session keeps the
+  generation its last load replaced.  A load whose units are, object for
+  object, the ones the serving or the kept generation was linked from
+  serves that generation again: a held
+  :class:`~repro.cla.store.UnitStore` never changes, so the same units
+  link to the same store and solve to the same fixpoint.
 * **No stale answers.**  Every successful reload bumps ``generation``;
   cache keys lead with the generation, so entries from a previous
   database can never be *looked up*, let alone served.  With
@@ -35,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..checker import check_result
-from ..cla.store import ConstraintStore, LinkError, simple_name_of
+from ..cla.store import ConstraintStore, LinkError, UnitStore, simple_name_of
 from ..depend.chains import render_all, summarize
 from ..driver.incremental import Workspace
 from ..engine.events import (
@@ -57,6 +63,7 @@ _QUERIES = REGISTRY.counter("serve.queries")
 _ERRORS = REGISTRY.counter("serve.errors")
 _SLOW = REGISTRY.counter("serve.slow_queries")
 _RELOADS_SOLVED = REGISTRY.counter("serve.reloads.solved")
+_RELOADS_REUSED = REGISTRY.counter("serve.reloads.reused")
 _RELOADS_FAILED = REGISTRY.counter("serve.reloads.failed")
 
 #: The process-wide latency family ``GET /metrics`` scrapes, one
@@ -93,6 +100,23 @@ class CertificationError(RuntimeError):
     fixpoint, or the in-memory and database routes disagree.  This is a
     bug, not a client error — it propagates and stops the daemon rather
     than risk serving a wrong fixpoint."""
+
+
+@dataclass(slots=True, eq=False)
+class _Generation:
+    """A solved fixpoint as the session serves it: the store, its result
+    and, in workspace mode, the held units it was linked from, compared
+    by identity.  Under ``certify`` it passed certification before it
+    was first served."""
+
+    store: ConstraintStore
+    result: PointsToResult
+    units: list[UnitStore] | None
+
+    def built_from(self, units: list[UnitStore]) -> bool:
+        mine = self.units
+        return mine is not None and len(mine) == len(units) and all(
+            a is b for a, b in zip(mine, units))
 
 
 @dataclass(slots=True)
@@ -188,7 +212,8 @@ class ServeSession:
             workspace.pipeline if workspace is not None else Pipeline()
         )
         self.generation = 0
-        self.reloads = {"solved": 0, "certified": 0, "failed": 0}
+        self.reloads = {"solved": 0, "reused": 0, "certified": 0,
+                        "failed": 0}
         self.slow_query_ms = slow_query_ms
         self._cache = QueryCache(cache_entries)
         self._latency: dict[str, _OpStats] = {}
@@ -203,8 +228,14 @@ class ServeSession:
         self._last_reload: dict | None = None
         self._last_failure: dict | None = None
         self._lock = threading.RLock()
+        #: the serving generation, whose store and result the query ops
+        #: read through the two aliases below it
+        self._serving: _Generation | None = None
         self._store: ConstraintStore | None = None
         self._result: PointsToResult | None = None
+        #: workspace mode: the generation the last load replaced, until a
+        #: load that neither it nor the serving one was linked from
+        self._kept: _Generation | None = None
         self._load()
 
     # -- lifecycle -----------------------------------------------------------
@@ -212,9 +243,11 @@ class ServeSession:
     def close(self) -> None:
         with self._lock:
             self._drain_telemetry()
-            if self._store is not None:
-                self._store.close()
-                self._store = None
+            for generation in (self._serving, self._kept):
+                if generation is not None:
+                    generation.store.close()
+            self._serving = self._kept = None
+            self._store = self._result = None
 
     def __enter__(self) -> "ServeSession":
         return self
@@ -576,8 +609,11 @@ class ServeSession:
         """(Re)build and solve; swap in the new fixpoint.
 
         In workspace mode the workspace compiles what changed, its held
-        units are linked in memory and that store is solved; in database
-        mode the database is (re)opened and solved.  On any failure —
+        units are linked in memory and that store is solved, unless they
+        are the units the serving or the kept generation was linked from:
+        that generation is then served again, with no link, solve or
+        certification.  In database mode the database is (re)opened and
+        solved.  On any failure —
         compile or link errors, a certification rejection — the previous
         store/result/generation stay in place untouched, so the daemon
         keeps serving the last good fixpoint (or, from the constructor,
@@ -599,34 +635,31 @@ class ServeSession:
             raise
 
     def _load_inner(self, started: float) -> dict:
-        if self.workspace is not None:
-            # Every generation links afresh: a store that failed to solve
-            # or certify is never served later.
+        solved = True
+        compiled = reused = 0
+        if self.workspace is None:
+            generation = self._solve(
+                self.pipeline.open_database(self.database_path), None)
+        else:
+            held = self.workspace.held_stores()
+            again = None if held is None else next(
+                (g for g in (self._serving, self._kept)
+                 if g is not None and g.built_from(held)), None)
+            if again is None and self._kept is not None:
+                # Released before anything is compiled, read back, linked
+                # or solved: at most two generations are ever alive.
+                self._kept.store.close()
+                self._kept = None
             stores = self.workspace.unit_stores()
             compiled = self.workspace.stats.compiled
             reused = self.workspace.stats.reused
-            store = self.pipeline.link_units(stores)
-        else:
-            store = self.pipeline.open_database(self.database_path)
-            compiled = reused = 0
-        try:
-            result = self.pipeline.analyze(store, self.solver)
-            certified = False
-            if self.certify:
-                self._certify(store, result)
-                certified = True
-        except BaseException:
-            store.close()
-            raise
-        old_store = self._store
-        self._store = store
-        self._result = result
-        self.generation += 1
-        self._cache.drop_before(self.generation)
-        if old_store is not None:
-            old_store.close()
-        self.reloads["solved"] += 1
-        _RELOADS_SOLVED.add()
+            solved = again is None
+            generation = again or self._solve(
+                self.pipeline.link_units(stores), stores)
+        self._serve(generation)
+        certified = self.certify
+        self.reloads["solved" if solved else "reused"] += 1
+        (_RELOADS_SOLVED if solved else _RELOADS_REUSED).add()
         if certified:
             self.reloads["certified"] += 1
         wall_s = time.perf_counter() - started
@@ -639,8 +672,8 @@ class ServeSession:
         if EVENTS:
             EVENTS.emit(ServeReloadEvent(
                 generation=self.generation, solver=self.solver,
-                compiled=compiled, reused=reused, certified=certified,
-                wall_s=round(wall_s, 6),
+                compiled=compiled, reused=reused, solved=solved,
+                certified=certified, wall_s=round(wall_s, 6),
             ))
         return {
             "generation": self.generation,
@@ -649,6 +682,40 @@ class ServeSession:
             "certified": certified,
             "seconds": round(wall_s, 6),
         }
+
+    def _solve(self, store: ConstraintStore,
+               units: list[UnitStore] | None) -> _Generation:
+        """Solve a freshly linked or opened store, certified when the
+        session certifies.  A store that fails either is closed, so it is
+        never served later."""
+        try:
+            result = self.pipeline.analyze(store, self.solver)
+            if self.certify:
+                self._certify(store, result)
+        except BaseException:
+            store.close()
+            raise
+        return _Generation(store, result, units)
+
+    def _serve(self, generation: _Generation) -> None:
+        """Swap ``generation`` in under a new generation number, with an
+        empty query cache.  In workspace mode the generation it replaces
+        is kept (an undo may return to it); in database mode, whose file
+        can change in place, it is closed."""
+        replaced = self._serving
+        if generation is self._kept:
+            self._kept = None
+        self._serving = generation
+        self._store = generation.store
+        self._result = generation.result
+        self.generation += 1
+        self._cache.drop_before(self.generation)
+        if replaced is None or replaced is generation:
+            return
+        if self.workspace is not None:
+            self._kept = replaced
+        else:
+            replaced.store.close()
 
     def _certify(self, store: ConstraintStore, result: PointsToResult) -> None:
         """Prove the fixpoint right before serving it: the checker oracle

@@ -3,6 +3,8 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cla.cache import BlockCache
 from repro.driver.incremental import Workspace
@@ -109,6 +111,130 @@ class TestCaching:
             workspace.remove_source("ghost.c")
         workspace.build()
         assert workspace.points_to().points_to("mine") == {"shared"}
+
+
+#: One change to a workspace: a source or header added, updated or
+#: removed, or a compile option changed in place.
+key_edits = st.one_of(
+    st.tuples(st.just("source"), st.sampled_from(["a.c", "b.c", "c.c"]),
+              st.sampled_from(["int a;", "int b;", ""])),
+    st.tuples(st.just("remove source"), st.sampled_from(["a.c", "b.c"])),
+    st.tuples(st.just("header"), st.sampled_from(["x.h", "y.h"]),
+              st.sampled_from(["#define X 1", "#define X 2"])),
+    st.tuples(st.just("remove header"), st.sampled_from(["x.h", "y.h"])),
+    st.tuples(st.just("include dir"), st.sampled_from(["inc", "lib"])),
+    st.tuples(st.just("predefine"), st.sampled_from(["N", "M"]),
+              st.sampled_from(["1", "2"])),
+    st.tuples(st.just("option"),
+              st.sampled_from(["field_based", "tolerant", "track_strings"]),
+              st.booleans()),
+)
+
+
+def apply_key_edit(ws: Workspace, edit: tuple) -> None:
+    kind, name, *value = edit
+    if kind == "source":
+        ws.add_source(name, value[0])
+    elif kind == "header":
+        ws.add_header(name, value[0])
+    elif kind == "remove source" and name in ws._sources:
+        ws.remove_source(name)
+    elif kind == "remove header" and name in ws._headers:
+        ws.remove_header(name)
+    elif kind == "include dir":
+        ws.options.include_dirs.append(name)
+    elif kind == "predefine":
+        ws.options.predefined[name] = value[0]
+    elif kind == "option":
+        setattr(ws.options, name, value[0])
+
+
+def fresh_keys(ws: Workspace) -> dict[str, str]:
+    """The content keys of ``ws``'s sources, computed from scratch."""
+    fresh = Workspace(options=ws.options)
+    for name, text in ws._headers.items():
+        fresh.add_header(name, text)
+    for name, text in ws._sources.items():
+        fresh.add_source(name, text)
+    return fresh._content_keys()
+
+
+class TestContentKeyMemo:
+    """A key is taken again only when its source, a header or an option
+    changed; after any sequence of changes every key equals one computed
+    from scratch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(key_edits, st.booleans()), max_size=14))
+    def test_keys_equal_a_fresh_computation(self, edits):
+        ws = Workspace()
+        for edit, look in edits:
+            apply_key_edit(ws, edit)
+            if look:
+                assert ws._content_keys() == fresh_keys(ws), edit
+        assert ws._content_keys() == fresh_keys(ws)
+
+    def test_remove_header(self, workspace):
+        workspace.add_header("spare.h", "int spare;")
+        before = workspace._content_keys()
+        workspace.remove_header("spare.h")
+        assert "spare.h" not in workspace.options.virtual_files
+        assert workspace._content_keys() != before
+        with pytest.raises(KeyError, match="unknown header 'a.c'"):
+            workspace.remove_header("a.c")
+
+
+class TestHeldStores:
+    """``held_stores`` names the held units a build would use, and
+    compiles and reads nothing to say so."""
+
+    def test_held_units_only(self, workspace):
+        assert workspace.held_stores() is None  # nothing built yet
+        stores = workspace.unit_stores()
+        assert all(a is b for a, b in zip(workspace.held_stores(), stores))
+        original = workspace._sources["b.c"]
+        workspace.update_source("b.c", original + " int tweak;")
+        assert workspace.held_stores() is None
+        workspace.unit_stores()
+        assert workspace.stats.compiled == 1
+        workspace.update_source("b.c", original)
+        # The undo's units: the ones the tweak displaced.
+        again = workspace.held_stores()
+        assert all(a is b for a, b in zip(again, stores))
+        assert len(again) == len(stores)
+        assert all(a is b for a, b in zip(workspace.unit_stores(), stores))
+        assert workspace.stats.compiled == workspace.stats.read == 0
+
+    def test_a_changed_include_is_not_held(self, tmp_path):
+        (tmp_path / "foo.h").write_text("#define TARGET x\n")
+        path = tmp_path / "a.c"
+        path.write_text('#include "foo.h"\nint x, y, *p;'
+                        " void f(void) { p = &TARGET; }\n")
+        ws = Workspace()
+        ws.add_file(str(path))
+        ws.unit_stores()
+        assert ws.held_stores() is not None
+        (tmp_path / "foo.h").write_text("#define TARGET y\n")
+        assert ws.held_stores() is None
+        assert ws.points_to().points_to("p") == {"y"}
+        assert ws.stats.compiled == 1
+
+    def test_the_next_build_uses_the_pass(self, workspace, monkeypatch):
+        workspace.unit_stores()
+        workspace.held_stores()
+        passes = []
+        plan = Workspace._plan
+
+        def counted(self, keys):
+            passes.append(keys)
+            return plan(self, keys)
+        monkeypatch.setattr(Workspace, "_plan", counted)
+        workspace.unit_stores()
+        assert passes == []
+        workspace.held_stores()
+        workspace.update_source("b.c", "int changed;")
+        workspace.unit_stores()
+        assert len(passes) == 2  # the edit made the held pass stale
 
 
 class TestIncludeRecords:

@@ -242,6 +242,20 @@ class TestServeSection:
         p50, p90, p99, mx = map(float, row[6:])
         assert p50 <= p90 <= p99 <= mx == 50.0
 
+    def test_reload_rows_say_whether_they_solved(self):
+        records = [
+            {"kind": "serve.reload", "generation": 1, "compiled": 2,
+             "reused": 0, "certified": True, "wall_s": 0.01},
+            {"kind": "serve.reload", "generation": 2, "compiled": 0,
+             "reused": 2, "solved": False, "certified": True,
+             "wall_s": 0.0},
+        ]
+        _queries, (headers, rows) = serve_rows(records)
+        assert headers == ["generation", "compiled", "reused", "solved",
+                           "certified", "wall"]
+        # A ledger from before the field solved every generation.
+        assert [row[3] for row in rows] == ["yes", "no"]
+
 
 
 class TestTrend:

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.serve import ServeSession
 from repro.serve import http as http_module
 from repro.serve import make_http_server
 from repro.serve.http import MAX_BODY_BYTES
 
-from .conftest import SOURCE_B_GROWN
+from .conftest import SOURCE_B, SOURCE_B_GROWN, make_workspace
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -193,6 +194,111 @@ class TestHttp:
         assert len(results) == 8
         assert all(status == 200 and body["ok"]
                    for status, body in results)
+
+
+class TestConcurrentClients:
+    """One client alternates grow and undo updates while two others
+    read.  Each read answers for the sources of the generation its
+    envelope reports, and the server leaves no thread or socket behind."""
+
+    READS = [("points-to", {"name": name})
+             for name in ("mine", "extra", "gp")] + [
+        ("alias", {"a": "extra", "b": "mine"}),
+        ("chain", {"target": "shared"}),
+    ]
+
+    def cold_answers(self, tmp_path, name, text):
+        ws = make_workspace(tmp_path, name)
+        ws.update_source("b.c", text)
+        with ServeSession(workspace=ws) as cold:
+            answers = [cold.request(op, params) for op, params in self.READS]
+        ws.close()
+        return [(r["ok"], r.get("result")) for r in answers]
+
+    def test_reads_answer_for_their_generation(self, tmp_path):
+        ws = make_workspace(tmp_path)
+        session = ServeSession(workspace=ws)
+        server = make_http_server(session, port=0)
+        accepted = []
+        get_request = server.get_request
+
+        def recording_get_request():
+            connection, address = get_request()
+            accepted.append(connection)
+            return connection, address
+
+        server.get_request = recording_get_request
+        before = set(threading.enumerate())
+        loop = threading.Thread(target=server.serve_forever,
+                                kwargs={"poll_interval": 0.05})
+        loop.start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        texts = {session.generation: SOURCE_B}
+        reads, failures = [], []
+        writing = threading.Event()
+        writing.set()
+
+        def writer():
+            try:
+                for n in range(8):
+                    text = SOURCE_B if n % 2 else SOURCE_B_GROWN
+                    status, body = post(base, {
+                        "op": "update",
+                        "params": {"file": "b.c", "text": text}})
+                    assert status == 200 and body["ok"], body
+                    texts[body["generation"]] = text
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+            finally:
+                writing.clear()
+
+        def reader(offset):
+            try:
+                n = offset
+                while writing.is_set() or n < offset + len(self.READS):
+                    index = n % len(self.READS)
+                    op, params = self.READS[index]
+                    status, body = post(base, {"op": op, "params": params})
+                    assert status in (200, 400), status
+                    reads.append((body["generation"], index,
+                                  (body["ok"], body.get("result"))))
+                    n += 1
+            except BaseException as exc:
+                failures.append(exc)
+
+        clients = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(k,)) for k in (0, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the threads finely
+        try:
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        server.shutdown()
+        loop.join(timeout=10)
+        server.server_close()
+        session.close()
+        ws.close()
+        assert not any(t.is_alive() for t in [*clients, loop])
+        assert not failures, failures
+        assert set(texts.values()) == {SOURCE_B, SOURCE_B_GROWN}
+        assert len(texts) == 9
+        cold = {text: self.cold_answers(tmp_path, f"cold{n}", text)
+                for n, text in enumerate((SOURCE_B, SOURCE_B_GROWN))}
+        assert len({generation for generation, *_ in reads}) > 1
+        for generation, index, answer in reads:
+            assert answer == cold[texts[generation]][index], \
+                (generation, self.READS[index])
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=10)
+            assert not thread.is_alive(), thread
+        assert server.socket.fileno() == -1
+        assert len(accepted) == len(reads) + 8
+        assert all(connection.fileno() == -1 for connection in accepted)
 
 
 class TestContentLength:

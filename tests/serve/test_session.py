@@ -162,7 +162,8 @@ class TestUpdates:
         r = session.request("points-to", {"name": "mine"})
         assert all(not v for v in r["result"]["points_to"].values())
         stats = session.request("stats")["result"]
-        assert stats["reloads"] == {"solved": 2, "certified": 2, "failed": 0}
+        assert stats["reloads"] == {"solved": 2, "reused": 0, "certified": 2,
+                                    "failed": 0}
 
     def test_new_file_via_update(self, session):
         u = session.request("update", {
